@@ -286,67 +286,6 @@ let tables_regen_comparison () =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Artifact cache: cold prepare vs warm on-disk hits.
-
-   The serving layer keys Driver.prepare results by content hash and
-   replays them from disk; this measures what a warm cache buys a
-   full-suite pass (decode + checksum vs reparse + rebuild), best of
-   [reps], with both times landing in the profile document. *)
-
-let cache_comparison () =
-  Fmt.pr "@.--- artifact cache: cold prepare vs warm disk hits@.";
-  let module Cache = Ipcp_serve.Cache in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ipcp-bench-cache.%d" (Unix.getpid ()))
-  in
-  let reps = 3 in
-  let cold () =
-    List.iter
-      (fun (e : Registry.entry) -> ignore (Driver.prepare (Registry.program e)))
-      Registry.entries
-  in
-  (* populate once, then measure pure hits *)
-  let cache = Cache.create ~dir () in
-  List.iter
-    (fun (e : Registry.entry) ->
-      ignore
-        (Cache.store cache
-           ~key:(Cache.key ~source:e.source)
-           (Driver.prepare (Registry.program e))))
-    Registry.entries;
-  let warm () =
-    List.iter
-      (fun (e : Registry.entry) ->
-        match Cache.find cache ~key:(Cache.key ~source:e.source) with
-        | Some _ -> ()
-        | None -> failwith ("bench cache miss for " ^ e.name))
-      Registry.entries
-  in
-  let timed =
-    List.map
-      (fun (name, f) ->
-        let ns = time_best_ns ~reps f in
-        Telemetry.with_reporter collector (fun () ->
-            Telemetry.observe ("bench.artifact_cache/" ^ name) ns);
-        Fmt.pr "  %-44s %10.3f ms/run@." ("artifact_cache/" ^ name)
-          (float_of_int ns /. 1_000_000.0);
-        ns)
-      [ ("cold_prepare", cold); ("warm_hits", warm) ]
-  in
-  (match timed with
-  | [ cold_ns; warm_ns ] ->
-    Fmt.pr "  speedup warm vs cold:              %.2fx@."
-      (float_of_int cold_ns /. float_of_int warm_ns)
-  | _ -> ());
-  (* leave nothing behind *)
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Incremental re-analysis: full analyze vs cone update.
 
    For each workload size, derive one small seeded edit and compare a
@@ -432,7 +371,6 @@ let () =
       Telemetry.span "bench:jf_statistics" jf_statistics;
       Telemetry.span "bench:cloning_ablation" cloning_ablation);
   tables_regen_comparison ();
-  cache_comparison ();
   incr_comparison ();
   (* the timing benches *)
   print_results "jump-function construction time (§3.1.5)"

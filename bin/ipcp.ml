@@ -618,9 +618,10 @@ let serve_cmd =
   in
   let cache =
     let doc =
-      "Crash-safe on-disk cache of prepared analysis artifacts, rooted at \
-       $(docv).  Corrupt or truncated entries are recomputed, never \
-       trusted; responses are byte-identical warm or cold."
+      "Persist analyze-delta sessions in a crash-safe on-disk cache rooted \
+       at $(docv), so a restarted server resumes them without re-solving.  \
+       Corrupt or truncated entries are recomputed, never trusted; \
+       responses are byte-identical warm or cold."
     in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
   in
@@ -634,9 +635,9 @@ let serve_cmd =
   in
   let cache_max_entries =
     let doc =
-      "Entry cap of the artifact cache; the oldest entries (by mtime) \
-       are evicted after each store once the cap is exceeded.  0 leaves \
-       the cache unbounded."
+      "Entry cap of the session cache; the oldest entries (by mtime) are \
+       evicted after each store once the cap is exceeded.  0 leaves the \
+       cache unbounded."
     in
     Arg.(value & opt int 4096 & info [ "cache-max-entries" ] ~docv:"N" ~doc)
   in
@@ -664,15 +665,6 @@ let serve_cmd =
        input is quarantined."
     in
     Arg.(value & opt float 0.0 & info [ "certify-sample" ] ~docv:"RATE" ~doc)
-  in
-  let no_certify_cache_hits =
-    let doc =
-      "Do not force online certification of responses built from \
-       deserialized cache artifacts or restored sessions (they are \
-       certified unconditionally by default — deserialization is where \
-       silent corruption enters)."
-    in
-    Arg.(value & flag & info [ "no-certify-cache-hits" ] ~doc)
   in
   let health_out =
     let doc =
@@ -716,14 +708,6 @@ let serve_cmd =
     in
     Arg.(value & opt int (1 lsl 20) & info [ "max-line" ] ~docv:"BYTES" ~doc)
   in
-  let prepare_memo =
-    let doc =
-      "Capacity of the in-process memo of prepared artifacts that \
-       batches same-program-different-config requests into one prepare \
-       + N solves.  0 disables."
-    in
-    Arg.(value & opt int 64 & info [ "prepare-memo" ] ~docv:"N" ~doc)
-  in
   let fault_rate =
     let doc =
       "Arm deterministic fault injection at the $(b,serve.worker:<seq>) \
@@ -736,9 +720,8 @@ let serve_cmd =
     Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"N" ~doc)
   in
   let run workers queue queue_policy breaker breaker_reset_after cache
-      cache_max certify_sample no_certify_cache_hits backoff_ms backoff_cap_ms
-      seed input listen read_timeout_ms max_line prepare_memo health_out
-      fault_rate fault_seed =
+      cache_max certify_sample backoff_ms backoff_cap_ms seed input listen
+      read_timeout_ms max_line health_out fault_rate fault_seed =
     if fault_rate > 0.0 then
       Ipcp_support.Fault.configure ~raise_rate:fault_rate ~seed:fault_seed ();
     let config =
@@ -751,14 +734,12 @@ let serve_cmd =
         cache_dir = cache;
         cache_max_entries = (if cache_max <= 0 then None else Some cache_max);
         certify_sample;
-        certify_cache_hits = not no_certify_cache_hits;
         backoff_base_ms = backoff_ms;
         backoff_cap_ms;
         seed;
         health_out;
         read_timeout_ms;
         max_line;
-        prepare_memo;
       }
     in
     match listen with
@@ -810,9 +791,8 @@ let serve_cmd =
     Term.(
       const run $ workers $ queue $ queue_policy $ breaker
       $ breaker_reset_after $ cache $ cache_max_entries $ certify_sample
-      $ no_certify_cache_hits $ backoff_ms $ backoff_cap_ms $ seed $ input
-      $ listen $ read_timeout_ms $ max_line $ prepare_memo $ health_out
-      $ fault_rate $ fault_seed)
+      $ backoff_ms $ backoff_cap_ms $ seed $ input $ listen $ read_timeout_ms
+      $ max_line $ health_out $ fault_rate $ fault_seed)
 
 (* ---------------- route ---------------- *)
 
@@ -831,14 +811,14 @@ let route_cmd =
   in
   let cache =
     let doc =
-      "Artifact cache root shared by every shard — what makes failover \
-       warm: a respawned shard re-imports prepared artifacts and \
-       persisted incremental sessions instead of recomputing them."
+      "Session cache root shared by every shard — what makes failover \
+       warm: a respawned shard re-imports persisted analyze-delta \
+       sessions instead of re-solving them."
     in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
   in
   let cache_max_entries =
-    let doc = "Entry cap of the shared artifact cache; 0 unbounded." in
+    let doc = "Entry cap of the shared session cache; 0 unbounded." in
     Arg.(value & opt int 4096 & info [ "cache-max-entries" ] ~docv:"N" ~doc)
   in
   let certify_sample =
@@ -1014,7 +994,7 @@ let () =
     | None -> ())
   | None -> ());
   (* Test-only hook: IPCP_FAULT_DISK=<seed> arms the disk-fault site in
-     the artifact cache's commit path (ENOSPC / short write / fsync
+     the session cache's commit path (ENOSPC / short write / fsync
      failure, shape chosen by the seeded draw), so CI can prove the
      server degrades to cacheless operation instead of failing
      requests. *)

@@ -135,9 +135,10 @@ fi
 
 echo "== serve differential"
 # Server-vs-direct at a pinned seed: generated and suite programs
-# through the in-process serving layer at workers 1 and 4, artifact
-# cache off, cold and warm — every response frame byte-identical to the
-# direct CLI-equivalent rendering, every request answered exactly once.
+# through the in-process serving layer at workers 1 and 4, as analyze
+# and analyze-delta requests with the session cache off, cold and warm —
+# every response frame byte-identical to the direct CLI-equivalent
+# rendering, every request answered exactly once.
 dune exec --no-build tools/fuzz.exe -- --seed 7 --iterations 5 --serve-diff
 
 echo "== serve online certification"
@@ -147,7 +148,7 @@ echo "== serve online certification"
 # conserve one terminal response per request, and produce the exact
 # status set the pure (seed, rate, seq) sampling function predicts at
 # workers 1/2/4.  The post-drain health snapshot (seed 7) must lint as
-# ipcp.health/1 and carry the certify.* counter quadruple.
+# ipcp.health/1 and carry the certify.* counter triple.
 for seed in 7 11; do
   echo "-- seed $seed"
   dune exec --no-build tools/fuzz.exe -- --serve-cert --seed "$seed" \
@@ -187,9 +188,10 @@ dune exec --no-build tools/profile_lint.exe -- "$tmpdir/certid.plain.jsonl"
 
 echo "== serve smoke"
 # A real `ipcp serve` subprocess: full-suite byte-diff against direct
-# CLI runs, graceful SIGTERM drain (exit 0), a truncated cache entry
-# recomputed instead of trusted, fault-injected worker crashes failing
-# only their own requests with statuses identical across worker counts,
+# CLI runs, graceful SIGTERM drain (exit 0), truncated session-cache
+# entries recomputed instead of trusted, fault-injected worker crashes
+# failing only their own requests with statuses identical across worker
+# counts,
 # and — with IPCP_FAULT_CORRUPT armed — certified serving that never
 # lets a corrupted solution out as an ok frame.
 dune exec --no-build tools/fuzz.exe -- --serve-smoke \
@@ -214,7 +216,7 @@ echo "== serve gray failures"
 # stream staying byte-identical to a healthy run and no id answered
 # twice (ledger dedupe); a SIGSTOPped shard must be ejected after
 # missed heartbeats and respawned with no frame lost; injected disk
-# faults (ENOSPC / short write / fsync failure) during cache commits
+# faults (ENOSPC / short write / fsync failure) during session-cache commits
 # must degrade the shards to cacheless operation with every response
 # still ok; and a 2ms EINTR storm must not change a byte.  The
 # post-drain snapshots must lint as ipcp.health/1 (router gray-counter

@@ -110,56 +110,6 @@ let prepare_reusing ~prev ~unchanged prog =
   prepare_with ~reuse:(prev, unchanged) prog
 
 (* ------------------------------------------------------------------ *)
-(* Artifact (de)serialization.
-
-   Only the closure-free prefix travels: the resolved program, the call
-   graph, both MOD variants (forced) and the global keys.  Stage-1/2
-   bundles embed oracle closures, so they are rebuilt on demand after a
-   round trip — [solve] over deserialized artifacts therefore produces
-   byte-identical results to [solve (prepare prog)], it merely re-runs
-   the cheap config-dependent stages.  The payload is [Marshal]-based
-   and build-specific: callers must pair it with an integrity check
-   (the serve layer's artifact cache adds a checksum header and a build
-   fingerprint) and treat [artifacts_of_string] as a cache miss, never
-   as an error. *)
-
-type portable = {
-  p_prog : Prog.t;
-  p_cg : Callgraph.t;
-  p_modref : Modref.t;
-  p_worst : Modref.t;
-  p_global_keys : string list;
-}
-
-let artifacts_to_string (a : artifacts) : string =
-  Telemetry.incr "driver.artifacts_serialized";
-  Marshal.to_string
-    {
-      p_prog = a.a_prog;
-      p_cg = a.a_cg;
-      p_modref = Lazy.force a.a_modref;
-      p_worst = Lazy.force a.a_worst;
-      p_global_keys = a.a_global_keys;
-    }
-    []
-
-let artifacts_of_string (s : string) : artifacts option =
-  match (Marshal.from_string s 0 : portable) with
-  | exception _ -> None
-  | p ->
-    Telemetry.incr "driver.artifacts_deserialized";
-    Some
-      {
-        a_prog = p.p_prog;
-        a_cg = p.p_cg;
-        a_modref = Lazy.from_val p.p_modref;
-        a_worst = Lazy.from_val p.p_worst;
-        a_global_keys = p.p_global_keys;
-        a_stages = Hashtbl.create 4;
-        a_reuse = None;
-      }
-
-(* ------------------------------------------------------------------ *)
 (* Stages 1 and 2, per (use_mod × return_jfs) variant.                 *)
 
 let build_stage12 (a : artifacts) (key : stage_key) : stage12 =

@@ -85,22 +85,6 @@ val site_jfs_for :
 val artifacts_prog : artifacts -> Prog.t
 val artifacts_callgraph : artifacts -> Callgraph.t
 
-(** Serialize the config-independent artifacts (program, call graph, both
-    MOD variants, global keys; lazies are forced).  Stage-1/2 bundles
-    embed closures and do not travel — they are rebuilt on demand after a
-    round trip, so solving over deserialized artifacts is byte-identical
-    to solving over fresh ones.  The payload is [Marshal]-based and
-    build-specific: pair it with an external integrity check (checksum +
-    build fingerprint, as the serve layer's artifact cache does) and
-    never feed it bytes from another build. *)
-val artifacts_to_string : artifacts -> string
-
-(** Inverse of {!artifacts_to_string}.  [None] on any decode failure —
-    treat as a cache miss and recompute; this function never raises on
-    checksummed input but is {b not} safe against arbitrary corruption
-    (validate bytes before calling). *)
-val artifacts_of_string : string -> artifacts option
-
 (** The return-jump-function oracle of an analysis, if enabled. *)
 val oracle : 'elt analysis_result -> Ssa_value.oracle option
 

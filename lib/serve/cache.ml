@@ -1,9 +1,8 @@
-open Ipcp_core
-
 let magic = "ipcp-artifact-cache/1"
 
 type t = {
   c_dir : string;
+  c_build : string;
   c_max_entries : int option;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -23,34 +22,17 @@ let rec mkdir_p dir =
 (* The build fingerprint folds the binary's digest into every key:
    Marshal payloads are layout-specific, so a rebuilt ipcp must never
    decode an old build's entries — with the fingerprint in the key it
-   never even finds them.  Memoized under a mutex, not a lazy: [key] is
-   called from worker domains (the prepare memo hashes sources whether
-   or not a cache exists), and a bare lazy raced by two domains raises
-   CamlinternalLazy.Undefined. *)
-let build_id =
-  let mu = Mutex.create () in
-  let v = ref None in
-  fun () ->
-    Mutex.lock mu;
-    let id =
-      match !v with
-      | Some id -> id
-      | None ->
-        let id =
-          match Digest.file Sys.executable_name with
-          | d -> Digest.to_hex d
-          | exception Sys_error _ -> "unknown-build"
-        in
-        v := Some id;
-        id
-    in
-    Mutex.unlock mu;
-    id
+   never even finds them.  Taken once, when the cache is opened. *)
+let build_id () =
+  match Digest.file Sys.executable_name with
+  | d -> Digest.to_hex d
+  | exception Sys_error _ -> "unknown-build"
 
 let create ?max_entries ~dir () =
   mkdir_p dir;
   {
     c_dir = dir;
+    c_build = build_id ();
     c_max_entries = max_entries;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
@@ -60,10 +42,8 @@ let create ?max_entries ~dir () =
     tmp_seq = Atomic.make 0;
   }
 
-let dir t = t.c_dir
-
-let key ~source =
-  Digest.to_hex (Digest.string (build_id () ^ "\x00" ^ source))
+let key t ~source =
+  Digest.to_hex (Digest.string (t.c_build ^ "\x00" ^ source))
 
 let entry_path t ~key = Filename.concat t.c_dir (key ^ ".art")
 
@@ -94,8 +74,6 @@ let decode data =
           else Some payload)
     | _ -> None)
 
-(* Raw entry load with no stats accounting; corrupt entries are removed
-   so they are never trusted again (the recompute overwrites anyway). *)
 (* Touch the entry so eviction order is least-recently-USED, not
    least-recently-written: a hot entry read by every request must not
    become the eviction victim just because it was stored first.
@@ -106,49 +84,23 @@ let touch path =
   let now = Unix.gettimeofday () in
   try Unix.utimes path now now with Unix.Unix_error _ | Sys_error _ -> ()
 
-let load t ~key =
+(* Corrupt entries are removed so they are never trusted again (the
+   recompute overwrites anyway). *)
+let find t ~key =
   let path = entry_path t ~key in
   match read_file path with
-  | exception Sys_error _ -> `Miss
+  | exception Sys_error _ ->
+    Atomic.incr t.misses;
+    None
   | data -> (
     match decode data with
     | Some payload ->
       touch path;
-      `Hit payload
+      Atomic.incr t.hits;
+      Some payload
     | None ->
       (try Sys.remove path with Sys_error _ -> ());
-      `Corrupt)
-
-let find_blob t ~key =
-  match load t ~key with
-  | `Hit payload ->
-    Atomic.incr t.hits;
-    Some payload
-  | `Miss ->
-    Atomic.incr t.misses;
-    None
-  | `Corrupt ->
-    Atomic.incr t.corrupt;
-    None
-
-let find t ~key =
-  match load t ~key with
-  | `Miss ->
-    Atomic.incr t.misses;
-    None
-  | `Corrupt ->
-    Atomic.incr t.corrupt;
-    None
-  | `Hit payload -> (
-    match Driver.artifacts_of_string payload with
-    | Some a ->
-      Atomic.incr t.hits;
-      Some a
-    | None ->
-      (* checksummed but undecodable (e.g. a blob stored under an
-         artifact key): corrupt for this purpose *)
       Atomic.incr t.corrupt;
-      (try Sys.remove (entry_path t ~key) with Sys_error _ -> ());
       None)
 
 (* mtime-LRU eviction down to the cap.  Runs after a successful store;
@@ -203,7 +155,7 @@ let write_all fd s ~pos ~len =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let store_blob t ~key payload =
+let store t ~key payload =
   let header =
     Printf.sprintf "%s %s %d\n" magic
       (Digest.to_hex (Digest.string payload))
@@ -259,9 +211,6 @@ let store_blob t ~key payload =
     | Unix.Unix_error (err, fn, _) ->
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message err))
     | e -> raise e)
-
-let store t ~key artifacts =
-  store_blob t ~key (Driver.artifacts_to_string artifacts)
 
 type stats = {
   hits : int;

@@ -1,5 +1,7 @@
-(** Crash-safe on-disk cache of {!Ipcp_core.Driver.prepare} results and
-    incremental-session payloads.
+(** Crash-safe on-disk store of incremental-session payloads: the
+    per-procedure blobs and session manifests {!Ipcp_incr.Incr.export}
+    produces, which let a restarted server (or a respawned shard) resume
+    [analyze-delta] without re-solving.
 
     One entry per key, written with temp-file + atomic-rename so a crash
     mid-write never leaves a half-entry under the final name.  Each
@@ -27,48 +29,36 @@
     eviction either got its bytes first or takes a clean miss, and
     racing evictors fail their duplicate removes harmlessly. *)
 
-open Ipcp_core
-
 type t
 
 (** Open (creating if needed) a cache rooted at [dir], bounded to
-    [max_entries] entries when given (unbounded otherwise).  Raises
+    [max_entries] entries when given (unbounded otherwise), and take the
+    running binary's build fingerprint.  Raises
     [Sys_error]/[Unix.Unix_error] only if [dir] cannot be created. *)
 val create : ?max_entries:int -> dir:string -> unit -> t
 
-val dir : t -> string
-
-(** Cache key of a source text under the running binary: a digest of
+(** Cache key of a text under the running binary: a digest of
     (build fingerprint, source). *)
-val key : source:string -> string
+val key : t -> source:string -> string
 
 (** Path a key's entry lives at — the ci gates truncate this file to
     prove corrupt entries are recomputed. *)
 val entry_path : t -> key:string -> string
 
-(** [find t ~key] is the cached artifacts, or [None] on miss {b or} any
-    integrity failure (bad header, short payload, checksum mismatch,
-    undecodable payload).  Failed entries are removed. *)
-val find : t -> key:string -> Driver.artifacts option
+(** [find t ~key] is the stored payload, or [None] on miss {b or} any
+    integrity failure (bad header, short payload, checksum mismatch).
+    Failed entries are removed. *)
+val find : t -> key:string -> string option
 
-(** Persist prepared artifacts under [key].  The commit path is
-    write-temp, fsync, atomic-rename: the entry either appears whole and
-    durable or not at all.  Any I/O failure (including the injected
-    ENOSPC / short-write / fsync faults of
-    {!Ipcp_support.Fault.disk} at site [cache.commit:<key>]) leaves the
-    cache without the entry, the temp file cleaned up, and returns
-    [Error detail] — the cache is an accelerator, not a store of record,
-    so the caller decides policy (the server degrades to cacheless
-    operation). *)
-val store : t -> key:string -> Driver.artifacts -> (unit, string) result
-
-(** Raw checksummed payloads under the same crash-safety regime — the
-    incremental layer stores session manifests and per-procedure
-    payloads this way.  [find_blob] is [None] on miss or integrity
-    failure. *)
-val find_blob : t -> key:string -> string option
-
-val store_blob : t -> key:string -> string -> (unit, string) result
+(** Persist [payload] under [key].  The commit path is write-temp,
+    fsync, atomic-rename: the entry either appears whole and durable or
+    not at all.  Any I/O failure (including the injected ENOSPC /
+    short-write / fsync faults of {!Ipcp_support.Fault.disk} at site
+    [cache.commit:<key>]) leaves the cache without the entry, the temp
+    file cleaned up, and returns [Error detail] — the cache is an
+    accelerator, not a store of record, so the caller decides policy
+    (the server degrades to cacheless operation). *)
+val store : t -> key:string -> string -> (unit, string) result
 
 type stats = {
   hits : int;

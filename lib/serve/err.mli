@@ -14,9 +14,7 @@
       expired with a partial request buffered).
     - [certification] / [E-CERT-*]: online certification of a served
       solution failed — the first violation's obligation code
-      ([E-CERT-EDGE], [E-CERT-MOD], ...), or [E-CERT-ARTIFACT] when a
-      deserialized cache entry decodes cleanly but describes a different
-      program than the submitted source.
+      ([E-CERT-EDGE], [E-CERT-MOD], ...).
     - [budget] / [E-BUDGET-*]: the analysis degraded soundly under a
       per-request budget ([E-BUDGET-STEPS], [E-BUDGET-DEADLINE],
       [E-BUDGET-STARVED]); attached to [ok] frames as a caveat.
@@ -27,7 +25,7 @@
       [E-LOAD-GONE] (the client connection vanished before its terminal
       response could be written — logged as a stderr accounting entry,
       never on the wire, so conservation stays auditable), and
-      [E-LOAD-DISK] (a disk fault during an artifact-cache commit; the
+      [E-LOAD-DISK] (a disk fault during a session-cache commit; the
       server degrades to cacheless operation and keeps answering, so
       this too is a stderr accounting entry, never a request failure).
     - [worker] / [E-WORKER-*]: the executing worker crashed

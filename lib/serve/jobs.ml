@@ -43,14 +43,13 @@ let load path =
 (* ---------------- certification ---------------- *)
 
 (* One certification verdict; the violation report goes to stderr, like
-   all error reporting.  The certify.* counter quadruple always travels
-   together — an in-band check counts as one sampled check at rate 1.0
-   with no cache involved — so every profile that mentions certification
-   carries the same schema the serve health snapshot exports. *)
+   all error reporting.  The certify.* counter triple always travels
+   together — an in-band check counts as one sampled check at rate 1.0 —
+   so every profile that mentions certification carries the same schema
+   the serve health snapshot exports. *)
 let pp_certification out err label (r : Ipcp_certify.Certify.report) =
   let module Telemetry = Ipcp_telemetry.Telemetry in
   Telemetry.add "certify.sampled" 1;
-  Telemetry.add "certify.cache_hits_checked" 0;
   let passed = Ipcp_certify.Certify.ok r in
   Telemetry.add "certify.passed" (if passed then 1 else 0);
   Telemetry.add "certify.failed" (if passed then 0 else 1);
@@ -90,7 +89,7 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
         pp_certification out err label (C.check ?fuel ?input t))
 
   let analyze ?(verbose = false) ?(complete = false) ?(certify = false)
-      ?substitute_out ?artifacts ?solved ~config ~jobs prog =
+      ?substitute_out ?solved ~config ~jobs prog =
     render @@ fun ppf err ->
     let t, degraded =
       match solved with
@@ -104,11 +103,7 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
           let o = Comp.run ~config prog in
           (o.Complete.final, o.Complete.degraded)
         else
-          let t =
-            match artifacts with
-            | Some a -> D.solve config a
-            | None -> D.analyze config prog
-          in
+          let t = D.analyze config prog in
           (t, Driver.degraded t)
     in
     if verbose then begin

@@ -24,21 +24,19 @@ val exit_internal : int
     and the exit code a direct CLI run would return. *)
 type outcome = { out : string; err : string; code : int }
 
-(** Load a source file in recovery mode.  [Ok (source, prog)] keeps the
-    raw text (the artifact-cache key); [Error outcome] carries the
-    CLI-rendered error report and [exit_input]. *)
+(** Load a source file in recovery mode.  [Ok (source, prog)] also
+    returns the raw text; [Error outcome] carries the CLI-rendered error
+    report and [exit_input]. *)
 val load : string -> (string * Prog.t, outcome) result
 
 (** The job bodies for one analysis; the toplevel values are
     [Of (Const_analysis)], and {!Copy} serves [--analysis copy]. *)
 module Of (A : Ipcp_analysis.Analysis_sig.S) : sig
-  (** The [analyze] job.  [?artifacts] supplies prepared (possibly
-      cache-roundtripped) staged artifacts — solving over them is
-      byte-identical to the fresh [Driver.analyze] path.  [?solved]
-      supplies an already-solved result (the incremental re-analysis
-      path); it takes precedence over [?artifacts]/[?complete] and
-      renders through the same pipeline, so the output stays
-      byte-identical to a from-scratch analyze of the same source.
+  (** The [analyze] job.  [?solved] supplies an already-solved result
+      (the incremental re-analysis path, or a served solution); it takes
+      precedence over [?complete] and renders through the same pipeline,
+      so the output stays byte-identical to a from-scratch analyze of the
+      same source.
       [?substitute_out] also writes the constant-substituted source to a
       file (CLI only; raises [Sys_error] like any file write). *)
   val analyze :
@@ -46,7 +44,6 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) : sig
     ?complete:bool ->
     ?certify:bool ->
     ?substitute_out:string ->
-    ?artifacts:Driver.artifacts ->
     ?solved:A.L.t Driver.analysis_result ->
     config:Config.t ->
     jobs:int ->
@@ -71,7 +68,6 @@ module Copy : sig
     ?complete:bool ->
     ?certify:bool ->
     ?substitute_out:string ->
-    ?artifacts:Driver.artifacts ->
     ?solved:Ipcp_analysis.Copy_analysis.L.t Driver.analysis_result ->
     config:Config.t ->
     jobs:int ->
@@ -105,7 +101,6 @@ val analyze :
   ?complete:bool ->
   ?certify:bool ->
   ?substitute_out:string ->
-  ?artifacts:Driver.artifacts ->
   ?solved:Driver.t ->
   config:Config.t ->
   jobs:int ->

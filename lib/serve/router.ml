@@ -83,8 +83,8 @@ let route_key (req : Request.t) =
     in
     Printf.sprintf "session:%s:%s" analysis req.rq_session
   | Request.Analyze | Request.Certify -> (
-    (* program-content affinity: same-program-different-config requests
-       co-locate, so they share one shard's prepared-artifact memo *)
+    (* program-content affinity: every request for one program reaches
+       the same shard whatever its id, path or configuration *)
     match req.rq_target with
     | None -> "op:tables"
     | Some (Request.Suite s) -> (

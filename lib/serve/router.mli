@@ -28,14 +28,13 @@
        [breaker_threshold] shard processes is quarantined at admission
        (the same [quarantined] frame a single server emits), so a
        poison input cannot crash-loop the whole fleet;}
-    {- {b affinity = batching}: requests hash by {e content} ({!route_key}
-       — program text digest, or session name for analyze-delta), so
-       same-program-different-config runs land on one shard and share
-       its prepared-artifact memo, and a session's deltas always reach
-       the shard holding that session;}
-    {- {b warm failover}: shards share one on-disk artifact cache, so a
-       respawned shard re-imports prepared artifacts and persisted
-       incremental sessions instead of recomputing them;}
+    {- {b affinity}: requests hash by {e content} ({!route_key} —
+       program text digest, or session name for analyze-delta), so every
+       request for one program lands on one shard, and a session's
+       deltas always reach the shard holding that session;}
+    {- {b warm failover}: shards share one on-disk session cache, so a
+       respawned shard re-imports persisted incremental sessions instead
+       of re-solving them;}
     {- {b merged health}: a [health] request fans out to every live
        shard and answers one [ipcp.health/1] snapshot with the shards'
        gauges and counters summed plus the router's own ([router.*]);}

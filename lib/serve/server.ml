@@ -15,14 +15,12 @@ type config = {
   cache_dir : string option;
   cache_max_entries : int option;
   certify_sample : float;
-  certify_cache_hits : bool;
   backoff_base_ms : int;
   backoff_cap_ms : int;
   seed : int;
   health_out : string option;
   read_timeout_ms : int;
   max_line : int;
-  prepare_memo : int;
 }
 
 let default_config =
@@ -35,14 +33,12 @@ let default_config =
     cache_dir = None;
     cache_max_entries = Some 4096;
     certify_sample = 0.0;
-    certify_cache_hits = true;
     backoff_base_ms = 10;
     backoff_cap_ms = 1000;
     seed = 0;
     health_out = None;
     read_timeout_ms = 10_000;
     max_line = 1 lsl 20;
-    prepare_memo = 64;
   }
 
 (* Whether the online certification policy samples response [seq] — a
@@ -118,8 +114,6 @@ type counters = {
   mutable invalid : int;
   mutable restarts_total : int;
   mutable cert_sampled : int;  (** online checks chosen by the sample rate *)
-  mutable cert_cache_checked : int;
-      (** online checks forced by the cache-hit / restored-session policy *)
   mutable cert_passed : int;
   mutable delta_updates : int;  (** analyze-delta served against a session *)
   mutable delta_fresh : int;  (** analyze-delta that started a session *)
@@ -131,9 +125,8 @@ type counters = {
       (** responses undeliverable because the client connection died *)
   mutable req_oversize : int;  (** lines refused by the length cap *)
   mutable req_timeout : int;  (** connections refused by the read deadline *)
-  mutable memo_hits : int;  (** prepare calls answered by the in-memory memo *)
   mutable cache_disk_errors : int;
-      (** artifact-cache commits refused by the disk (each one arms or
+      (** session-cache commits refused by the disk (each one arms or
           re-arms the cacheless-degradation latch) *)
 }
 
@@ -165,11 +158,6 @@ type state = {
           session is one lattice's fixpoint and must never be updated
           under the other *)
   n : counters;
-  memo_mu : Mutex.t;  (** guards the prepare memo *)
-  prep_memo : (string, string) Hashtbl.t;
-      (** serialized prepared artifacts by cache key — the same-program
-          batching layer: one [prepare], then cheap decodes *)
-  memo_order : string Queue.t;  (** FIFO eviction order of the memo *)
   kill_input : string option;
       (** test-only: SIGKILL the whole process when executing a matching
           input (IPCP_SERVE_KILL_INPUT) — how the shard-failover
@@ -350,11 +338,9 @@ let health_doc st =
             ("serve.client_gone", st.n.client_gone);
             ("serve.req_oversize", st.n.req_oversize);
             ("serve.req_timeout", st.n.req_timeout);
-            ("serve.prepare_memo_hits", st.n.memo_hits);
             ("certify.sampled", st.n.cert_sampled);
             ("certify.passed", st.n.cert_passed);
             ("certify.failed", st.n.cert_failed);
-            ("certify.cache_hits_checked", st.n.cert_cache_checked);
             ("incr.cone_size", st.n.incr_cone_size);
             ("incr.procs_reused", st.n.incr_procs_reused);
             ("incr.procs_resolved", st.n.incr_procs_resolved);
@@ -393,48 +379,11 @@ let resolve_target (req : Request.t) =
           err = Fmt.str "error: unknown suite program %S@." name;
           code = Jobs.exit_input;
         }
-    | Some e -> Ok (name, e.source, Ipcp_suite.Registry.program e))
+    | Some e -> Ok (name, Ipcp_suite.Registry.program e))
   | Some (Request.File path) -> (
     match Jobs.load path with
     | Error o -> Error o
-    | Ok (src, prog) -> Ok (path, src, prog))
-
-(* The in-memory prepare memo: serialized artifacts by cache key.  Each
-   hit decodes a private copy (the live value may carry mutable memo
-   state and must not be shared across worker domains); a decode is far
-   cheaper than a prepare, which is what batches same-program requests
-   into one [prepare] + N [solve].  Serialized-in-process bytes never
-   crossed a trust boundary, so memo hits do NOT set the from-disk flag
-   the always-certify-on-cache-hit policy keys on — response statuses
-   stay identical with the memo on or off. *)
-let memo_find st key =
-  if st.cfg.prepare_memo <= 0 then None
-  else begin
-    Mutex.lock st.memo_mu;
-    let payload = Hashtbl.find_opt st.prep_memo key in
-    Mutex.unlock st.memo_mu;
-    match payload with
-    | None -> None
-    | Some p -> (
-      match Driver.artifacts_of_string p with
-      | Some a ->
-        locked st (fun () -> st.n.memo_hits <- st.n.memo_hits + 1);
-        Some a
-      | None -> None)
-  end
-
-let memo_store st key artifacts =
-  if st.cfg.prepare_memo > 0 then begin
-    let payload = Driver.artifacts_to_string artifacts in
-    Mutex.lock st.memo_mu;
-    if not (Hashtbl.mem st.prep_memo key) then begin
-      Hashtbl.replace st.prep_memo key payload;
-      Queue.add key st.memo_order;
-      if Queue.length st.memo_order > st.cfg.prepare_memo then
-        Hashtbl.remove st.prep_memo (Queue.pop st.memo_order)
-    end;
-    Mutex.unlock st.memo_mu
-  end
+    | Ok (_src, prog) -> Ok (path, prog))
 
 (* ---------------- cacheless degradation ---------------- *)
 
@@ -466,7 +415,7 @@ let disk_entry detail =
   Request.response_to_line
     (Request.response ~id:"cache"
        ~reason:
-         "disk fault during artifact-cache commit; cache disabled, serving \
+         "disk fault during session-cache commit; cache disabled, serving \
           cacheless"
        ~error:(Err.disk detail) Request.Error_crash)
 
@@ -485,51 +434,24 @@ let note_store st = function
     in
     if newly_down then log_line (disk_entry detail)
 
-(* Prepared artifacts: first the in-memory memo, then the disk cache
-   when one is configured.  A corrupt or missing disk entry recomputes
-   silently; the recomputed result is stored back, so the next request
-   is warm again.  The returned flag says the artifacts came from disk —
-   the deserialization event the always-certify-on-cache-hit policy
-   keys on (a memo hit deliberately does not set it). *)
-let artifacts_for st ~source prog =
-  let key = Cache.key ~source in
-  match memo_find st key with
-  | Some a -> (a, false)
-  | None -> (
-    match cache_for st with
-    | None ->
-      let a = Driver.prepare prog in
-      memo_store st key a;
-      (a, false)
-    | Some c -> (
-      match Cache.find c ~key with
-      | Some a -> (a, true)
-      | None ->
-        let a = Driver.prepare prog in
-        note_store st (Cache.store c ~key a);
-        memo_store st key a;
-        (a, false)))
-
 (* ---------------- online certification ---------------- *)
 
-(* The verdict of one online certification: why the check ran, and the
-   typed cause when it failed (None = the response is certified). *)
-type verdict = {
-  vd_sampled : bool;  (** chosen by the seeded sample rate *)
-  vd_cache : bool;  (** forced by the cache-hit / restored-session policy *)
-  vd_failure : Err.t option;
-}
+(* The online certification policy's outcome for one response. *)
+type verdict =
+  | Unchecked  (** not in the seeded sample *)
+  | Certified
+  | Failed of Err.t  (** the typed cause, first violation located *)
 
 (* What executing one job produces: the rendered outcome, the typed
    budget-degradation caveat for its [ok] frame (if any), and the online
-   certification verdict (when the policy checked this response). *)
+   certification verdict. *)
 type exec = {
   ex_out : Jobs.outcome;
   ex_typed : Err.t option;
-  ex_verdict : verdict option;
+  ex_verdict : verdict;
 }
 
-let plain out = { ex_out = out; ex_typed = None; ex_verdict = None }
+let plain out = { ex_out = out; ex_typed = None; ex_verdict = Unchecked }
 
 (* Sound degradation is not an error, but it is a typed caveat: clients
    inspecting a degraded [ok] frame learn which budget bit without
@@ -560,7 +482,7 @@ let solution_fault_site seq = Printf.sprintf "serve.solution:%d" seq
 
 (* ---------------- incremental sessions ---------------- *)
 
-let proc_cache_key hash = Cache.key ~source:("incr-proc\x00" ^ hash)
+let proc_cache_key c hash = Cache.key c ~source:("incr-proc\x00" ^ hash)
 
 (* The serving path for one analysis: the analyze / analyze-delta /
    certify job bodies, the online certification policy, and the
@@ -578,12 +500,12 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
 
   (* constant propagation keeps the historical key so warm caches stay
      valid across this change; other analyses extend the namespace *)
-  let session_cache_key name =
+  let session_cache_key c name =
     let prefix =
       if A.name = "const" then "incr-session\x00"
       else "incr-session\x00" ^ A.name ^ "\x00"
     in
-    Cache.key ~source:(prefix ^ name)
+    Cache.key c ~source:(prefix ^ name)
 
   let session_get st sessions name =
     Mutex.lock st.sess_mu;
@@ -609,7 +531,7 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
       let failed =
         List.exists
           (fun (hash, payload) ->
-            let r = Cache.store_blob c ~key:(proc_cache_key hash) payload in
+            let r = Cache.store c ~key:(proc_cache_key c hash) payload in
             note_store st r;
             Result.is_error r)
           blobs
@@ -618,7 +540,7 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
          references is durable: a disk fault mid-persist must never pin
          the session name to missing pieces *)
       if not failed then
-        note_store st (Cache.store_blob c ~key:(session_cache_key name) manifest)
+        note_store st (Cache.store c ~key:(session_cache_key c name) manifest)
 
   (* A session not pinned in memory (fresh server, or evicted by restart)
      may still be reassembled from cached pieces. *)
@@ -626,34 +548,30 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
     match cache_for st with
     | None -> None
     | Some c -> (
-      match Cache.find_blob c ~key:(session_cache_key name) with
+      match Cache.find c ~key:(session_cache_key c name) with
       | None -> None
       | Some manifest ->
         I.import ~manifest ~lookup:(fun hash ->
-            Cache.find_blob c ~key:(proc_cache_key hash)))
+            Cache.find c ~key:(proc_cache_key c hash)))
 
   (* Serve analyze-delta: update the pinned session when one exists under
      the same configuration, otherwise start one.  The result is the same
      value a from-scratch solve would produce (the Incr layer's
      byte-identity contract), so the response frame does not depend on the
      session state — only the cost does. *)
-  let delta_result st sessions (req : Request.t) ~config prog :
-      A.L.t Driver.analysis_result * bool =
+  let delta_result st sessions (req : Request.t) ~config prog =
     let name = req.rq_session in
-    let prev, restored =
+    let prev =
       match session_get st sessions name with
-      | Some s -> (Some s, false)
-      | None -> (
-        match restore_session st name with
-        | Some s -> (Some s, true)
-        | None -> (None, false))
+      | Some _ as s -> s
+      | None -> restore_session st name
     in
-    let sess, stats, restored =
+    let sess, stats =
       match prev with
       | Some s when Config.equal (I.config s) config ->
         let s', stats = I.update ~prev:s prog in
-        (s', Some stats, restored)
-      | _ -> (I.start config prog, None, false)
+        (s', Some stats)
+      | _ -> (I.start config prog, None)
     in
     session_put st sessions name sess;
     persist_session st name sess;
@@ -669,7 +587,7 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
           st.n.delta_fresh <- st.n.delta_fresh + 1;
           st.n.incr_cone_size <- st.n.incr_cone_size + total;
           st.n.incr_procs_resolved <- st.n.incr_procs_resolved + total);
-    (I.result sess, restored)
+    I.result sess
 
   (* ---- the online certification policy for this analysis ---- *)
 
@@ -682,84 +600,53 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
     | None -> t
     | Some seed -> ( match C.corrupt ~seed t with Some t' -> t' | None -> t)
 
-  (* The online check.  [from_cache] marks results that went through a
-     deserialization (artifact cache hit, or a session restored from
-     cached blobs); [check_ident] additionally compares the decoded
-     artifacts' program against the freshly parsed request source — a
-     swapped-but-internally-consistent cache entry certifies cleanly,
-     so identity is its own obligation (E-CERT-ARTIFACT). *)
-  let verdict st ~seq ~from_cache ~check_ident ~prog
-      (t : A.L.t Driver.analysis_result) =
-    let sampled =
-      certify_sampled ~seed:st.cfg.seed ~rate:st.cfg.certify_sample ~seq
-    in
-    let via_cache = from_cache && st.cfg.certify_cache_hits in
-    if not (sampled || via_cache) then None
+  (* The online check, for the responses the seeded sample picks. *)
+  let verdict st ~seq (t : A.L.t Driver.analysis_result) =
+    if not (certify_sampled ~seed:st.cfg.seed ~rate:st.cfg.certify_sample ~seq)
+    then Unchecked
     else
-      let failure =
-        if
-          check_ident && from_cache
-          && Ipcp_frontend.Pretty.program_to_string t.Driver.prog
-             <> Ipcp_frontend.Pretty.program_to_string prog
-        then
-          Some
-            (Err.certification ~code:"E-CERT-ARTIFACT"
-               "cached artifacts decode cleanly but describe a different \
-                program than the submitted source")
-        else
-          let r = C.check ~inject_fault:false t in
-          if Ipcp_certify.Certify.ok r then None
-          else
-            let v = List.hd r.Ipcp_certify.Certify.violations in
-            let n = List.length r.Ipcp_certify.Certify.violations in
-            Some
-              (Err.certification
-                 ~loc:
-                   (Fmt.str "%s:%s" v.Ipcp_certify.Certify.v_proc
-                      (Ipcp_frontend.Loc.to_string v.Ipcp_certify.Certify.v_loc))
-                 ~code:v.Ipcp_certify.Certify.v_code
-                 (Fmt.str "%s (%d violation%s, %d obligations checked)"
-                    v.Ipcp_certify.Certify.v_msg n
-                    (if n = 1 then "" else "s")
-                    r.Ipcp_certify.Certify.obligations))
-      in
-      Some { vd_sampled = sampled; vd_cache = via_cache; vd_failure = failure }
+      let r = C.check ~inject_fault:false t in
+      match r.Ipcp_certify.Certify.violations with
+      | [] -> Certified
+      | v :: _ as vs ->
+        let n = List.length vs in
+        Failed
+          (Err.certification
+             ~loc:
+               (Fmt.str "%s:%s" v.Ipcp_certify.Certify.v_proc
+                  (Ipcp_frontend.Loc.to_string v.Ipcp_certify.Certify.v_loc))
+             ~code:v.Ipcp_certify.Certify.v_code
+             (Fmt.str "%s (%d violation%s, %d obligations checked)"
+                v.Ipcp_certify.Certify.v_msg n
+                (if n = 1 then "" else "s")
+                r.Ipcp_certify.Certify.obligations))
 
   (* ---- the job bodies (analyze / analyze-delta / certify) ---- *)
 
-  let analyze st ~seq (req : Request.t) ~config ~source prog =
-    let artifacts, hit = artifacts_for st ~source prog in
-    let t = D.solve config artifacts in
+  (* Render a solved result the way the CLI's analyze does, after the
+     corruption site and under the online policy. *)
+  let render_solved st ~seq (req : Request.t) ~config prog t =
     let t = corrupt_point ~seq t in
     {
       ex_out = J.analyze ~certify:req.rq_certify ~solved:t ~config ~jobs:1 prog;
       ex_typed = budget_err (Driver.degraded t);
-      ex_verdict = verdict st ~seq ~from_cache:hit ~check_ident:true ~prog t;
+      ex_verdict = verdict st ~seq t;
     }
 
-  let analyze_delta st sessions ~seq (req : Request.t) ~config prog =
-    let t, restored = delta_result st sessions req ~config prog in
-    let t = corrupt_point ~seq t in
-    {
-      ex_out = J.analyze ~certify:req.rq_certify ~solved:t ~config ~jobs:1 prog;
-      ex_typed = budget_err (Driver.degraded t);
-      ex_verdict =
-        (* a session reassembled from cached blobs is a deserialization
-           event exactly like an artifact cache hit; grafted procedures
-           from it flow into the served fixpoint, so the result is
-           certified unconditionally under the cache-hit policy *)
-        verdict st ~seq ~from_cache:restored ~check_ident:false ~prog t;
-    }
+  let analyze st ~seq req ~config prog =
+    render_solved st ~seq req ~config prog (D.solve config (Driver.prepare prog))
 
-  let certify_op st (req : Request.t) ~config ~name ~source prog =
+  let analyze_delta st sessions ~seq req ~config prog =
+    render_solved st ~seq req ~config prog
+      (delta_result st sessions req ~config prog)
+
+  let certify_op (req : Request.t) ~config ~name prog =
     (* the in-band certifier *is* this op's rendering — the online
        policy would only re-run the same check on the same solution *)
-    let artifacts, _hit = artifacts_for st ~source prog in
-    let t = D.solve config artifacts in
     plain
       (J.certification ?fuel:req.rq_fuel ~input:req.rq_input
          ~label:(Fmt.str "%s, %s" name (Config.to_string config))
-         t)
+         (D.solve config (Driver.prepare prog)))
 end
 
 module Delta_const = Analysis_serve (Ipcp_analysis.Const_analysis)
@@ -775,21 +662,17 @@ let run_job st ~seq (req : Request.t) : exec =
   | Request.Analyze | Request.Analyze_delta | Request.Certify -> (
     match resolve_target req with
     | Error o -> plain o
-    | Ok (name, source, prog) -> (
+    | Ok (name, prog) -> (
       let config = Request.config_of req in
       match (req.rq_op, config.Config.analysis) with
-      | Request.Analyze, `Const ->
-        Delta_const.analyze st ~seq req ~config ~source prog
-      | Request.Analyze, `Copy ->
-        Delta_copy.analyze st ~seq req ~config ~source prog
+      | Request.Analyze, `Const -> Delta_const.analyze st ~seq req ~config prog
+      | Request.Analyze, `Copy -> Delta_copy.analyze st ~seq req ~config prog
       | Request.Analyze_delta, `Const ->
         Delta_const.analyze_delta st st.sessions ~seq req ~config prog
       | Request.Analyze_delta, `Copy ->
         Delta_copy.analyze_delta st st.copy_sessions ~seq req ~config prog
-      | Request.Certify, `Const ->
-        Delta_const.certify_op st req ~config ~name ~source prog
-      | Request.Certify, `Copy ->
-        Delta_copy.certify_op st req ~config ~name ~source prog
+      | Request.Certify, `Const -> Delta_const.certify_op req ~config ~name prog
+      | Request.Certify, `Copy -> Delta_copy.certify_op req ~config ~name prog
       | (Request.Tables | Request.Health | Request.Ping), _ -> assert false))
 
 (* ---------------- worker supervision ---------------- *)
@@ -833,12 +716,14 @@ let certification_failed_response (req : Request.t) (e : Err.t) =
     ~error:e Request.Certification_failed
 
 (* Book-keeping of one online verdict, under the state mutex. *)
-let note_verdict n (v : verdict) =
-  if v.vd_sampled then n.cert_sampled <- n.cert_sampled + 1;
-  if v.vd_cache then n.cert_cache_checked <- n.cert_cache_checked + 1;
-  match v.vd_failure with
-  | None -> n.cert_passed <- n.cert_passed + 1
-  | Some _ -> n.cert_failed <- n.cert_failed + 1
+let note_verdict n = function
+  | Unchecked -> ()
+  | Certified ->
+    n.cert_sampled <- n.cert_sampled + 1;
+    n.cert_passed <- n.cert_passed + 1
+  | Failed _ ->
+    n.cert_sampled <- n.cert_sampled + 1;
+    n.cert_failed <- n.cert_failed + 1
 
 (* The worker-entry fault point.  Keyed on the request sequence number —
    not the worker slot or wall clock — so which requests crash is a pure
@@ -892,7 +777,7 @@ let execute st ~slot ~restarts job =
       worker_fault_point job.j_seq;
       run_job st ~seq:job.j_seq req
     with
-    | { ex_verdict = Some ({ vd_failure = Some e; _ } as v); _ } ->
+    | { ex_verdict = Failed e as v; _ } ->
       (* never emitted as [ok]: the rendered outcome is discarded, the
          client gets the typed terminal frame, and the input is
          quarantined — serving it again would serve the same corruption *)
@@ -903,7 +788,7 @@ let execute st ~slot ~restarts job =
     | o ->
       breaker_note st key false;
       locked st (fun () ->
-          Option.iter (note_verdict st.n) o.ex_verdict;
+          note_verdict st.n o.ex_verdict;
           st.n.completed <- st.n.completed + 1);
       respond st job.j_outlet
         (Request.response ~id:req.rq_id ~code:o.ex_out.Jobs.code
@@ -1135,7 +1020,6 @@ let make_state config =
         invalid = 0;
         restarts_total = 0;
         cert_sampled = 0;
-        cert_cache_checked = 0;
         cert_passed = 0;
         delta_updates = 0;
         delta_fresh = 0;
@@ -1146,12 +1030,8 @@ let make_state config =
         client_gone = 0;
         req_oversize = 0;
         req_timeout = 0;
-        memo_hits = 0;
         cache_disk_errors = 0;
       };
-    memo_mu = Mutex.create ();
-    prep_memo = Hashtbl.create 16;
-    memo_order = Queue.create ();
     kill_input = Sys.getenv_opt "IPCP_SERVE_KILL_INPUT";
     stall_input = Sys.getenv_opt "IPCP_SERVE_STALL_INPUT";
     stall_ms =

@@ -24,9 +24,7 @@
        goes half-open after that many denials, letting one probe request
        through (success closes the breaker, failure re-opens it);}
     {- {b online certification}: a seeded-deterministic
-       [certify_sample] fraction of analyze/analyze-delta responses —
-       plus, by default, {e every} response built from a deserialized
-       artifact-cache hit or a session restored from cached blobs — is
+       [certify_sample] fraction of analyze/analyze-delta responses is
        re-checked by {!Ipcp_certify.Certify} before emission; a failing
        response is never sent as [ok] but becomes a typed
        [certification_failed] frame ({!Err}) and trips the breaker.
@@ -37,13 +35,15 @@
        in-flight and queued work, answers [rejected] to lines that were
        read but not yet admitted, flushes, and returns 0;}
     {- {b byte-identity}: responses carry {!Jobs} renderings — the same
-       strings a direct CLI run prints — and neither the artifact cache
-       ({!Cache}) nor the incremental path changes them, warm or cold;}
+       strings a direct CLI run prints.  Analyze and certify requests
+       run [Driver.prepare] + [solve] afresh, and neither the session
+       cache ({!Cache}) nor the incremental path changes a byte, warm or
+       cold;}
     {- {b incrementality}: [analyze-delta] requests serve from a
        per-session-name pinned {!Ipcp_incr.Incr} session, re-solving
        only the dependence cone of what changed since the session's
-       previous version; sessions persist as per-procedure entries in
-       the artifact cache and are restored after a restart.}} *)
+       previous version; with a cache, sessions persist as
+       per-procedure entries and are restored after a restart.}} *)
 
 type config = {
   workers : int;  (** worker domains (at least 1) *)
@@ -55,7 +55,8 @@ type config = {
       (** half-open policy: after this many [quarantined] denials the
           next request for the input runs as a probe — success closes
           the breaker, failure re-opens it; 0 quarantines forever *)
-  cache_dir : string option;  (** artifact cache root; [None] disables *)
+  cache_dir : string option;
+      (** root of the incremental-session cache; [None] disables *)
   cache_max_entries : int option;
       (** cache entry cap, enforced by mtime-LRU eviction after each
           store; [None] leaves the cache unbounded *)
@@ -64,11 +65,6 @@ type config = {
           responses before emission, chosen deterministically per
           (seed, request sequence number); 0 disables sampling, 1.0
           certifies everything *)
-  certify_cache_hits : bool;
-      (** online-certify every response built from a deserialized cache
-          artifact or a restored session, whatever the sample rate —
-          deserialization is where silent corruption enters ([true] in
-          {!default_config}) *)
   backoff_base_ms : int;  (** first restart delay *)
   backoff_cap_ms : int;  (** exponential backoff ceiling *)
   seed : int;
@@ -86,15 +82,6 @@ type config = {
       (** refuse request lines longer than this many bytes
           ([E-REQ-OVERSIZE] on a socket, [invalid] on stdio); [<= 0]
           leaves them unchecked *)
-  prepare_memo : int;
-      (** capacity of the in-process memo of prepared (analysis-
-          independent) artifacts, keyed like the disk cache — this is
-          what batches same-program-different-config request runs into
-          one [prepare] + N [solve]; 0 disables.  Memo hits decode a
-          private copy per request and do {e not} count as cache hits
-          for the always-certify-on-cache-hit policy (nothing crossed a
-          process boundary), so response statuses are identical with the
-          memo on or off *)
 }
 
 val default_config : config

@@ -1,5 +1,5 @@
 (* The serving layer: wire protocol round-trips, bounded-queue policy,
-   the crash-safe artifact cache, and whole-server properties driven
+   the crash-safe session cache, and whole-server properties driven
    through in-process [Server.run] — conservation of responses under
    load shedding at several worker counts, fault containment, the
    per-input circuit breaker, and byte-identity against the direct
@@ -18,6 +18,7 @@ module Server = Ipcp_serve.Server
 module Driver = Ipcp_core.Driver
 module Config = Ipcp_core.Config
 module Registry = Ipcp_suite.Registry
+module Incr = Ipcp_incr.Incr
 
 let tmp_dir =
   let n = ref 0 in
@@ -157,44 +158,59 @@ let test_bqueue_policy_names () =
     [ Bqueue.Reject_new; Bqueue.Drop_oldest ];
   check Alcotest.bool "unknown name" true (Bqueue.policy_of_name "lifo" = None)
 
-(* ---- artifact cache ---- *)
+(* ---- the session cache ---- *)
 
 let suite_prog name =
   match Registry.find name with
-  | Some e -> (e.source, Registry.program e)
+  | Some e -> Registry.program e
   | None -> Alcotest.fail ("no suite program " ^ name)
 
+(* A session exported into the cache comes back whole: the restored
+   fixpoint renders exactly what a direct analyze prints. *)
 let test_cache_round_trip () =
   let dir = tmp_dir "cache-rt" in
   let c = Cache.create ~dir () in
-  let source, prog = suite_prog "adm" in
-  let key = Cache.key ~source in
+  let prog = suite_prog "adm" in
+  let manifest, blobs = Incr.export (Incr.start Config.default prog) in
+  let blob_key hash = Cache.key c ~source:hash in
+  let key = Cache.key c ~source:"session adm" in
   check Alcotest.bool "cold miss" true (Cache.find c ~key = None);
-  ignore (Cache.store c ~key (Driver.prepare prog));
+  List.iter
+    (fun (hash, payload) -> ignore (Cache.store c ~key:(blob_key hash) payload))
+    blobs;
+  ignore (Cache.store c ~key manifest);
   (match Cache.find c ~key with
-  | None -> Alcotest.fail "stored entry not found"
-  | Some artifacts ->
-    (* the cached artifacts must solve to the same rendering *)
-    let direct = Jobs.analyze ~config:Config.default ~jobs:1 prog in
-    let cached = Jobs.analyze ~artifacts ~config:Config.default ~jobs:1 prog in
-    check Alcotest.string "stdout identical through the cache" direct.out
-      cached.out;
-    check Alcotest.int "code identical" direct.code cached.code);
+  | None -> Alcotest.fail "stored manifest not found"
+  | Some manifest -> (
+    match
+      Incr.import ~manifest ~lookup:(fun hash ->
+          Cache.find c ~key:(blob_key hash))
+    with
+    | None -> Alcotest.fail "session did not import from the cache"
+    | Some sess ->
+      let direct = Jobs.analyze ~config:Config.default ~jobs:1 prog in
+      let cached =
+        Jobs.analyze ~solved:(Incr.result sess) ~config:Config.default ~jobs:1
+          prog
+      in
+      check Alcotest.string "stdout identical through the cache" direct.out
+        cached.out;
+      check Alcotest.int "code identical" direct.code cached.code));
+  let n = List.length blobs in
   let s = Cache.stats c in
-  check Alcotest.int "one hit" 1 s.hits;
+  check Alcotest.int "manifest and blobs hit" (1 + n) s.hits;
   check Alcotest.int "one miss" 1 s.misses;
-  check Alcotest.int "one store" 1 s.stores;
+  check Alcotest.int "manifest and blobs stored" (1 + n) s.stores;
   check Alcotest.int "nothing corrupt" 0 s.corrupt
 
 let test_cache_rejects_corruption () =
   let dir = tmp_dir "cache-corrupt" in
-  let source, prog = suite_prog "doduc" in
-  let key = Cache.key ~source in
-  let entry c = Filename.concat (Cache.dir c) (key ^ ".art") in
+  let payload = String.concat "," (List.init 64 string_of_int) in
   let store_fresh () =
     let c = Cache.create ~dir () in
-    ignore (Cache.store c ~key (Driver.prepare prog));
-    c
+    let key = Cache.key c ~source:"corruption probe" in
+    ignore (Cache.store c ~key payload);
+    (c, key)
   in
   let corruptions =
     [
@@ -211,20 +227,22 @@ let test_cache_rejects_corruption () =
   in
   List.iter
     (fun (label, corrupt) ->
-      let c = store_fresh () in
-      corrupt (entry c);
+      let c, key = store_fresh () in
+      let entry = Cache.entry_path c ~key in
+      corrupt entry;
       check Alcotest.bool (label ^ " refused") true (Cache.find c ~key = None);
       check Alcotest.int (label ^ " counted corrupt") 1 (Cache.stats c).corrupt;
       check Alcotest.bool (label ^ " entry removed") false
-        (Sys.file_exists (entry c)))
+        (Sys.file_exists entry))
     corruptions
 
 let test_cache_key_covers_build_and_source () =
-  let a = Cache.key ~source:"program one" in
-  let b = Cache.key ~source:"program two" in
+  let c = Cache.create ~dir:(tmp_dir "cache-key") () in
+  let a = Cache.key c ~source:"program one" in
+  let b = Cache.key c ~source:"program two" in
   check Alcotest.bool "distinct sources, distinct keys" true (a <> b);
   check Alcotest.bool "stable for equal source" true
-    (a = Cache.key ~source:"program one")
+    (a = Cache.key c ~source:"program one")
 
 (* ---- whole-server properties (in-process run) ---- *)
 
@@ -232,6 +250,12 @@ let analyze_line ~id ~suite =
   Json.to_string
     (Json.Obj
        [ ("id", Json.Str id); ("op", Json.Str "analyze"); ("suite", Json.Str suite) ])
+
+let delta_line ?(session = "default") ~id suite =
+  Json.to_string
+    (Json.Obj
+       [ ("id", Json.Str id); ("op", Json.Str "analyze-delta");
+         ("suite", Json.Str suite); ("session", Json.Str session) ])
 
 let run_server ?(config = Server.default_config) lines =
   let dir = tmp_dir "run" in
@@ -393,7 +417,7 @@ let test_serve_analysis_dispatch () =
   in
   let code, responses = run_server [ line "copy" "c1"; line "const" "k1" ] in
   check Alcotest.int "exit" 0 code;
-  let _, prog = suite_prog "adm" in
+  let prog = suite_prog "adm" in
   let expect id (direct : Jobs.outcome) =
     match List.find_opt (fun (r : Request.response) -> r.rs_id = id) responses with
     | None -> Alcotest.fail ("no response for " ^ id)
@@ -415,7 +439,7 @@ let test_server_matches_direct () =
   check Alcotest.int "exit" 0 code;
   match responses with
   | [ r ] ->
-    let _, prog = suite_prog "adm" in
+    let prog = suite_prog "adm" in
     let direct = Jobs.analyze ~config:Config.default ~jobs:1 prog in
     check Alcotest.bool "ok" true (r.rs_status = Request.Ok_done);
     check Alcotest.bool "stdout byte-identical" true
@@ -450,7 +474,7 @@ let test_fault_containment () =
   check Alcotest.bool "some requests crashed" true (errors > 0);
   check Alcotest.bool "some requests survived" true (oks > 0);
   check Alcotest.int "every response accounted for" n (errors + oks);
-  let _, prog = suite_prog "adm" in
+  let prog = suite_prog "adm" in
   let direct = Jobs.analyze ~config:Config.default ~jobs:1 prog in
   List.iter
     (fun (r : Request.response) ->
@@ -535,11 +559,16 @@ let test_fault_statuses_deterministic_across_workers () =
         (statuses w = s1))
     [ 2; 4 ]
 
-(* Warm cache, cold cache and no cache must be invisible in responses. *)
+(* Warm cache, cold cache and no cache must be invisible in responses:
+   the warm run restores both sessions from the cache instead of starting
+   them afresh. *)
 let test_cache_transparent_in_server () =
   let dir = tmp_dir "server-cache" in
   let lines =
-    [ analyze_line ~id:"a" ~suite:"adm"; analyze_line ~id:"b" ~suite:"adm" ]
+    [
+      delta_line ~session:"a" ~id:"a" "adm";
+      delta_line ~session:"b" ~id:"b" "doduc";
+    ]
   in
   let run cache_dir =
     let config = { Server.default_config with cache_dir } in
@@ -585,7 +614,7 @@ let test_per_request_budget_degrades () =
       go 0
     in
     check Alcotest.bool "degradation reported" true (contains "degraded" out);
-    let _, prog = suite_prog "adm" in
+    let prog = suite_prog "adm" in
     let config = Config.with_budget ~max_steps:1 Config.default in
     let direct = Jobs.analyze ~config ~jobs:1 prog in
     check Alcotest.bool "byte-identical to the direct budgeted run" true
@@ -623,23 +652,17 @@ let test_health_snapshot () =
    state: a cold session (full analysis), a warm re-serve of the same
    source, and a plain analyze must all render the same document. *)
 let test_delta_matches_analyze () =
-  let delta_line ~id ~suite =
-    Json.to_string
-      (Json.Obj
-         [ ("id", Json.Str id); ("op", Json.Str "analyze-delta");
-           ("suite", Json.Str suite) ])
-  in
   let lines =
     [
-      delta_line ~id:"cold" ~suite:"adm";
-      delta_line ~id:"warm" ~suite:"adm";
+      delta_line ~id:"cold" "adm";
+      delta_line ~id:"warm" "adm";
       analyze_line ~id:"plain" ~suite:"adm";
     ]
   in
   let code, responses = run_server lines in
   check Alcotest.int "exit" 0 code;
   check Alcotest.int "three responses" 3 (List.length responses);
-  let _, prog = suite_prog "adm" in
+  let prog = suite_prog "adm" in
   let direct = Jobs.analyze ~config:Config.default ~jobs:1 prog in
   List.iter
     (fun (r : Request.response) ->
@@ -657,7 +680,7 @@ let test_delta_matches_analyze () =
 let test_cache_eviction_lru () =
   let dir = tmp_dir "cache-lru" in
   let c = Cache.create ~max_entries:2 ~dir () in
-  let store key payload = ignore (Cache.store_blob c ~key payload) in
+  let store key payload = ignore (Cache.store c ~key payload) in
   store "aaa" "first";
   store "bbb" "second";
   check Alcotest.int "under the cap, no evictions" 0 (Cache.stats c).evictions;
@@ -667,11 +690,11 @@ let test_cache_eviction_lru () =
   store "ccc" "third";
   check Alcotest.int "one eviction at the cap" 1 (Cache.stats c).evictions;
   check Alcotest.bool "LRU entry evicted" true
-    (Cache.find_blob c ~key:"aaa" = None);
+    (Cache.find c ~key:"aaa" = None);
   check Alcotest.bool "recent entry kept" true
-    (Cache.find_blob c ~key:"bbb" = Some "second");
+    (Cache.find c ~key:"bbb" = Some "second");
   check Alcotest.bool "stored entry kept" true
-    (Cache.find_blob c ~key:"ccc" = Some "third")
+    (Cache.find c ~key:"ccc" = Some "third")
 
 (* ---- the typed error taxonomy and online certification ---- *)
 
@@ -698,14 +721,6 @@ let taxonomy_frames () =
         (Err.certification ~loc:"main:adm.mf:3:1" ~code:"E-CERT-EDGE"
            "binding not below the edge evaluation (1 violation, 120 \
             obligations checked)")
-      Request.Certification_failed;
-    Request.response ~id:"cert-artifact" ~code:4
-      ~reason:"online certification failed; response withheld and input \
-               quarantined"
-      ~error:
-        (Err.certification ~code:"E-CERT-ARTIFACT"
-           "cached artifacts decode cleanly but describe a different \
-            program than the submitted source")
       Request.Certification_failed;
     Request.response ~id:"shed" ~reason:"displaced from a full queue \
                                          (drop-oldest)"
@@ -784,7 +799,7 @@ let test_breaker_half_open_probe () =
       false
     with Fault.Injected _ -> true
   in
-  let _, prog = suite_prog "adm" in
+  let prog = suite_prog "adm" in
   (* the rate also arms the deeper engine.task:* sites, which are shared
      by every request for the same program — the seed must leave the
      whole pipeline clean or the probe would crash below the serve layer *)
@@ -872,7 +887,7 @@ let test_certify_sampling_deterministic_across_workers () =
           match Fault.corruption (Server.solution_fault_site seq) with
           | None -> false
           | Some cseed ->
-            let _, prog = suite_prog s in
+            let prog = suite_prog s in
             Ipcp_certify.Certify.corrupt ~seed:cseed
               (Driver.analyze Config.default prog)
             <> None
@@ -905,91 +920,9 @@ let test_certify_sampling_deterministic_across_workers () =
         (got = List.sort compare expected))
     [ 1; 2; 4 ]
 
-(* The cache-hit path: an artifact-cache entry that decodes cleanly
-   (checksum valid) but carries the wrong program — post-checksum
-   corruption — is caught by the always-on cache-hit certification, not
-   served; turning the policy off demonstrates it was load-bearing. *)
-let test_cache_hit_corruption_certified () =
-  let dir = tmp_dir "cache-cert" in
-  let src_a, _prog_a = suite_prog "adm" in
-  let _, prog_b = suite_prog "doduc" in
-  let c = Cache.create ~dir () in
-  ignore (Cache.store c ~key:(Cache.key ~source:src_a) (Driver.prepare prog_b));
-  let lines = [ analyze_line ~id:"hit" ~suite:"adm" ] in
-  let config = { Server.default_config with cache_dir = Some dir } in
-  let code, responses = run_server ~config lines in
-  check Alcotest.int "exit" 0 code;
-  (match responses with
-  | [ r ] ->
-    check Alcotest.bool "withheld" true
-      (r.rs_status = Request.Certification_failed);
-    check Alcotest.bool "no stdout leaks" true (r.rs_stdout = None);
-    (match r.rs_error with
-    | Some e ->
-      check Alcotest.string "artifact identity obligation" "E-CERT-ARTIFACT"
-        e.Err.e_code;
-      check Alcotest.bool "certification class" true
-        (e.Err.e_class = Err.Certification && Err.well_formed e)
-    | None -> Alcotest.fail "no typed error on the withheld frame")
-  | rs ->
-    Alcotest.fail (Printf.sprintf "%d responses for 1 request" (List.length rs)));
-  (* without the policy (and no sampling), the swapped entry is served
-     as ok — carrying the other program's rendering *)
-  let config_off = { config with certify_cache_hits = false } in
-  let _, responses_off = run_server ~config:config_off lines in
-  match responses_off with
-  | [ r ] ->
-    let direct_b = Jobs.analyze ~config:Config.default ~jobs:1 prog_b in
-    check Alcotest.bool "served as ok with the policy off" true
-      (r.rs_status = Request.Ok_done && r.rs_stdout = Some direct_b.Jobs.out)
-  | rs ->
-    Alcotest.fail (Printf.sprintf "%d responses for 1 request" (List.length rs))
-
-(* A session restored from cached blobs is a deserialization event: with
-   sampling off, only the cache-hit policy stands between a corrupted
-   grafted solution and the client. *)
-let test_restored_session_certified () =
-  let dir = tmp_dir "restore-cert" in
-  let delta_line ~id =
-    Json.to_string
-      (Json.Obj
-         [ ("id", Json.Str id); ("op", Json.Str "analyze-delta");
-           ("suite", Json.Str "adm"); ("session", Json.Str "pin") ])
-  in
-  let config = { Server.default_config with cache_dir = Some dir } in
-  (* run 1: establish and persist the session, no faults *)
-  let _, seed_rs = run_server ~config [ delta_line ~id:"seed" ] in
-  check Alcotest.int "session established" 1 (List.length seed_rs);
-  Fault.configure ~corrupt_rate:1.0 ~seed:7 ();
-  Fun.protect ~finally:Fault.clear @@ fun () ->
-  (* run 2: a fresh server restores the session from cached blobs and
-     must certify — and refuse — the corrupted result *)
-  let _, responses = run_server ~config [ delta_line ~id:"restored" ] in
-  (match responses with
-  | [ r ] ->
-    check Alcotest.bool "restored session certified and refused" true
-      (r.rs_status = Request.Certification_failed);
-    check Alcotest.bool "certification class" true
-      (match r.rs_error with
-      | Some e -> e.Err.e_class = Err.Certification
-      | None -> false)
-  | rs ->
-    Alcotest.fail (Printf.sprintf "%d responses for 1 request" (List.length rs)));
-  (* control: without a cache there is no restore, so with sampling off
-     nothing certifies the (still corrupted) response — the policy's
-     scope is exactly the deserialization path *)
-  let config_nocache = { config with cache_dir = None } in
-  let _, responses_nc = run_server ~config:config_nocache [ delta_line ~id:"fresh" ] in
-  match responses_nc with
-  | [ r ] ->
-    check Alcotest.bool "fresh session not in scope" true
-      (r.rs_status = Request.Ok_done)
-  | rs ->
-    Alcotest.fail (Printf.sprintf "%d responses for 1 request" (List.length rs))
-
 (* A certification failure quarantines the input through the breaker:
    later requests answer [quarantined] without executing, and the
-   post-drain health snapshot carries the certify counter quadruple. *)
+   post-drain health snapshot carries the certify counter triple. *)
 let test_certification_failure_quarantines () =
   Fault.configure ~corrupt_rate:1.0 ~seed:5 ();
   Fun.protect ~finally:Fault.clear @@ fun () ->
@@ -1038,8 +971,6 @@ let test_certification_failure_quarantines () =
     (health_field health_path "counters" "certify.failed");
   check Alcotest.int "certify.passed" 0
     (health_field health_path "counters" "certify.passed");
-  check Alcotest.int "certify.cache_hits_checked" 0
-    (health_field health_path "counters" "certify.cache_hits_checked");
   check Alcotest.int "serve.quarantined" 2
     (health_field health_path "counters" "serve.quarantined")
 
@@ -1185,7 +1116,7 @@ let req_of line =
 let test_route_key_content_affinity () =
   let k l = Router.route_key (req_of l) in
   (* same program under different ids and configurations lands on one
-     shard — that co-location is what makes the prepare memo pay *)
+     shard *)
   check Alcotest.string "id and configuration do not affect the key"
     (k {|{"id":"a","op":"analyze","suite":"adm"}|})
     (k {|{"id":"b","op":"analyze","suite":"adm","jf":"literal","certify":true}|});
@@ -1218,59 +1149,26 @@ let test_route_key_content_affinity () =
     (k {|{"id":"a","op":"analyze-delta","suite":"adm","session":"s1"}|}
     <> k {|{"id":"a","op":"analyze-delta","suite":"adm","session":"s2"}|})
 
-(* The prepare memo is semantically invisible: repeated service of one
-   program renders frames identical to a memo-disabled server, and the
-   post-drain counter proves the repeats actually rode the memo. *)
-let test_prepare_memo_transparent () =
-  let lines =
-    List.map (fun i -> analyze_line ~id:(Printf.sprintf "m%d" i) ~suite:"adm")
-      [ 1; 2; 3; 4 ]
-  in
-  let run memo =
-    let health = Filename.concat (tmp_dir "memo-health") "health.json" in
-    let config =
-      { Server.default_config with workers = 1; prepare_memo = memo;
-        health_out = Some health }
-    in
-    let code, responses = run_server ~config lines in
-    check Alcotest.int "clean exit" 0 code;
-    let hits =
-      match Json.of_string (read_file health) with
-      | Ok doc -> (
-        match Json.path [ "counters"; "serve.prepare_memo_hits" ] doc with
-        | Some j -> Option.value ~default:0 (Json.to_int_opt j)
-        | None -> 0)
-      | Error e -> Alcotest.fail ("unreadable health snapshot: " ^ e)
-    in
-    (List.sort compare (List.map Request.response_to_line responses), hits)
-  in
-  let with_memo, hits_on = run 8 in
-  let without_memo, hits_off = run 0 in
-  check (Alcotest.list Alcotest.string) "frames identical memo on/off"
-    without_memo with_memo;
-  check Alcotest.bool "repeats hit the memo" true (hits_on >= 3);
-  check Alcotest.int "disabled memo never hits" 0 hits_off
-
 (* Two handles on one directory — the shape of the shard fleet, where
    every worker process opens its own [Cache.t] over the shared root. *)
 let test_cache_double_commit () =
   let dir = tmp_dir "cache-share" in
   let a = Cache.create ~dir () in
   let b = Cache.create ~dir () in
-  let key = Cache.key ~source:"shared source" in
+  let key = Cache.key a ~source:"shared source" in
   (* a racing double-store commits whichever rename lands last; both
      carry identical bytes, so both handles must read them back *)
-  ignore (Cache.store_blob a ~key "payload");
-  ignore (Cache.store_blob b ~key "payload");
+  ignore (Cache.store a ~key "payload");
+  ignore (Cache.store b ~key "payload");
   check Alcotest.bool "first handle reads the entry" true
-    (Cache.find_blob a ~key = Some "payload");
+    (Cache.find a ~key = Some "payload");
   check Alcotest.bool "second handle reads the entry" true
-    (Cache.find_blob b ~key = Some "payload");
+    (Cache.find b ~key = Some "payload");
   (* a store one handle never performed is still visible to it *)
-  let key2 = Cache.key ~source:"late arrival" in
-  ignore (Cache.store_blob b ~key:key2 "late");
+  let key2 = Cache.key b ~source:"late arrival" in
+  ignore (Cache.store b ~key:key2 "late");
   check Alcotest.bool "cross-handle visibility" true
-    (Cache.find_blob a ~key:key2 = Some "late")
+    (Cache.find a ~key:key2 = Some "late")
 
 (* Readers racing the evictor: a tight find loop in one domain while
    another stores far past the cap.  Every read must return the
@@ -1280,15 +1178,15 @@ let test_cache_eviction_under_concurrent_readers () =
   let dir = tmp_dir "cache-race" in
   let writer = Cache.create ~max_entries:4 ~dir () in
   let reader = Cache.create ~dir () in
-  let hot_key = Cache.key ~source:"hot" in
-  ignore (Cache.store_blob writer ~key:hot_key "hot payload");
+  let hot_key = Cache.key writer ~source:"hot" in
+  ignore (Cache.store writer ~key:hot_key "hot payload");
   let stop = Atomic.make false in
   let torn = Atomic.make 0 in
   let reads = Atomic.make 0 in
   let d =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
-          (match Cache.find_blob reader ~key:hot_key with
+          (match Cache.find reader ~key:hot_key with
           | Some "hot payload" | None -> ()
           | Some _ -> Atomic.incr torn);
           Atomic.incr reads
@@ -1296,8 +1194,8 @@ let test_cache_eviction_under_concurrent_readers () =
   in
   for i = 1 to 200 do
     ignore
-      (Cache.store_blob writer
-         ~key:(Cache.key ~source:(string_of_int i))
+      (Cache.store writer
+         ~key:(Cache.key writer ~source:(string_of_int i))
          (String.make (16 + (i mod 32)) 'p'))
   done;
   Atomic.set stop true;
@@ -1358,24 +1256,24 @@ let test_fault_stall_disk_deterministic () =
 let test_cache_torn_commit () =
   let dir = tmp_dir "torn-commit" in
   let c = Cache.create ~dir () in
-  let key = Cache.key ~source:"torn commit probe" in
+  let key = Cache.key c ~source:"torn commit probe" in
   Fault.with_faults ~disk_rate:1.0 ~seed:5 (fun () ->
-      match Cache.store_blob c ~key "precious bytes" with
+      match Cache.store c ~key "precious bytes" with
       | Ok () -> Alcotest.fail "injected disk fault did not fail the store"
       | Error detail ->
         check Alcotest.bool "detail names the failure shape" true
           (String.length detail > 0));
-  check Alcotest.bool "no entry published" true (Cache.find_blob c ~key = None);
+  check Alcotest.bool "no entry published" true (Cache.find c ~key = None);
   Array.iter
     (fun f ->
       check Alcotest.bool ("no temp litter: " ^ f) false
         (String.length f >= 4 && String.sub f 0 4 = ".tmp"))
     (Sys.readdir dir);
-  (match Cache.store_blob c ~key "precious bytes" with
+  (match Cache.store c ~key "precious bytes" with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("healthy store failed: " ^ e));
   check Alcotest.bool "healthy store published" true
-    (Cache.find_blob c ~key = Some "precious bytes")
+    (Cache.find c ~key = Some "precious bytes")
 
 (* All three injected failure shapes exist across seeds — the chaos
    layer would silently lose coverage if one became unreachable. *)
@@ -1576,8 +1474,8 @@ let test_cacheless_degradation () =
       in
       let lines =
         [
-          analyze_line ~id:"c1" ~suite:"adm";
-          analyze_line ~id:"c2" ~suite:"doduc";
+          delta_line ~session:"c1" ~id:"c1" "adm";
+          delta_line ~session:"c2" ~id:"c2" "doduc";
         ]
       in
       let code, responses = run_server ~config lines in
@@ -1627,10 +1525,6 @@ let suite =
     ("serve breaker half-open probe", `Quick, test_breaker_half_open_probe);
     ("serve certify sampling deterministic", `Slow,
      test_certify_sampling_deterministic_across_workers);
-    ("serve cache-hit corruption certified", `Quick,
-     test_cache_hit_corruption_certified);
-    ("serve restored session certified", `Quick,
-     test_restored_session_certified);
     ("serve certification failure quarantines", `Quick,
      test_certification_failure_quarantines);
     ("serve certify-off frames unchanged", `Quick,
@@ -1645,7 +1539,6 @@ let suite =
     ("serve ring rebalance is partial", `Quick, test_ring_rebalance_is_partial);
     ("serve route key content affinity", `Quick,
      test_route_key_content_affinity);
-    ("serve prepare memo transparent", `Quick, test_prepare_memo_transparent);
     ("serve cache double commit", `Quick, test_cache_double_commit);
     ("serve cache eviction under concurrent readers", `Quick,
      test_cache_eviction_under_concurrent_readers);

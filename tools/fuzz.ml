@@ -29,9 +29,10 @@
 
    --serve-diff runs the server-vs-direct differential: generated and
    suite programs are submitted to an in-process Ipcp_serve server at
-   several worker counts, with the artifact cache cold, warm and
-   disabled, and every response frame must carry byte-identical
-   stdout/stderr/exit-code to the direct (CLI-equivalent) rendering.
+   several worker counts, as analyze and analyze-delta requests with the
+   session cache cold, warm and disabled, and every response frame must
+   carry byte-identical stdout/stderr/exit-code to the direct
+   (CLI-equivalent) rendering.
 
    --serve-cert runs the online-certification differential: with the
    served-solution corruption site armed at rate 1.0, an in-process
@@ -455,17 +456,25 @@ let diff_kinds =
     Jump_function.Polynomial;
   ]
 
-let analyze_case ~id ~path ~kind ~cert =
+(* An analyze request, or with [session] an analyze-delta request in
+   that session: either must render what a direct analyze prints. *)
+let analyze_case ?session ~id ~path ~kind ~cert () =
+  let op, session_field =
+    match session with
+    | None -> ("analyze", [])
+    | Some s -> ("analyze-delta", [ ("session", Json.Str s) ])
+  in
   let line =
     Json.to_string
       (Json.Obj
-         [
-           ("id", Json.Str id);
-           ("op", Json.Str "analyze");
-           ("file", Json.Str path);
-           ("jf", Json.Str (Jump_function.kind_name kind));
-           ("certify", Json.Bool cert);
-         ])
+         ([
+            ("id", Json.Str id);
+            ("op", Json.Str op);
+            ("file", Json.Str path);
+            ("jf", Json.Str (Jump_function.kind_name kind));
+            ("certify", Json.Bool cert);
+          ]
+         @ session_field))
   in
   let config = Config.make ~kind () in
   let expect =
@@ -525,15 +534,24 @@ let run_serve_diff () =
   let err fmt = Fmt.kstr (fun m -> incr failures; Fmt.epr "serve-diff: %s@." m) fmt in
   (* generated programs on disk, like real client inputs *)
   let gen_cases =
-    List.init (max 1 !iterations) (fun i ->
-        let iter_seed = !seed + (7919 * i) in
-        let path = Filename.concat dir (Printf.sprintf "gen%d.mf" i) in
-        write_file path (gen_source iter_seed);
-        analyze_case
-          ~id:(Printf.sprintf "gen%d" i)
-          ~path
-          ~kind:(List.nth diff_kinds (i mod List.length diff_kinds))
-          ~cert:(i mod 3 = 0))
+    List.concat
+      (List.init (max 1 !iterations) (fun i ->
+           let iter_seed = !seed + (7919 * i) in
+           let path = Filename.concat dir (Printf.sprintf "gen%d.mf" i) in
+           write_file path (gen_source iter_seed);
+           let case =
+             analyze_case ~path
+               ~kind:(List.nth diff_kinds (i mod List.length diff_kinds))
+               ~cert:(i mod 3 = 0)
+           in
+           [
+             case ~id:(Printf.sprintf "gen%d" i) ();
+             (* the same program in its own session: the request kind that
+                reads and writes the cache *)
+             case
+               ~id:(Printf.sprintf "delta%d" i)
+               ~session:(Printf.sprintf "s%d" i) ();
+           ]))
   in
   let suite_cases =
     List.concat_map
@@ -549,7 +567,7 @@ let run_serve_diff () =
     (* a load failure must round-trip too: same stderr, same exit 3 *)
     analyze_case ~id:"missing"
       ~path:(Filename.concat dir "no-such-file.mf")
-      ~kind:Jump_function.Passthrough ~cert:false
+      ~kind:Jump_function.Passthrough ~cert:false ()
   in
   let cases = gen_cases @ suite_cases @ [ tables_case ~id:"tables"; bad_case ] in
   let lines = List.map (fun c -> c.dc_line) cases in
@@ -596,7 +614,7 @@ let run_serve_diff () =
   check_run ~label:"workers1+cold-cache"
     (run_server_inproc ~workers:1 ~cache_dir:(Some cache) ~dir ~label:"w1c" lines);
   if not (Array.exists (fun f -> Filename.check_suffix f ".art") (Sys.readdir cache))
-  then err "cold-cache run stored no artifact entries in %s" cache;
+  then err "cold-cache run stored no session entries in %s" cache;
   check_run ~label:"workers4+warm-cache"
     (run_server_inproc ~workers:4 ~cache_dir:(Some cache) ~dir ~label:"w4c" lines);
   if !failures = 0 then begin
@@ -905,15 +923,8 @@ let run_serve_smoke () =
         (e.name, path))
       Ipcp_suite.Registry.entries
   in
-  (* ---- gate 1: full suite, byte-for-byte against the direct CLI ----
-     The cache is on and cold in a fresh multi-worker process, so the
-     first requests race the cache setup (a lazy build fingerprint
-     forced from two domains at once once regressed here). *)
-  let sp =
-    start_server
-      [| "--workers"; "2"; "--queue"; "256";
-         "--cache"; Filename.concat dir "suite-cache" |]
-  in
+  (* ---- gate 1: full suite, byte-for-byte against the direct CLI ---- *)
+  let sp = start_server [| "--workers"; "2"; "--queue"; "256" |] in
   List.iter (fun (name, path) -> submit sp (analyze_req ~id:name ~path)) suite_files;
   submit sp (Json.to_string (Json.Obj [ ("id", Json.Str "tables"); ("op", Json.Str "tables") ]));
   let code, out = finish_server sp in
@@ -955,12 +966,20 @@ let run_serve_smoke () =
   if code <> 0 then err "SIGTERM drain: server exited %d, expected 0" code;
   let all = List.length (parse_responses (String.concat "\n" answered ^ "\n" ^ rest)) in
   if all <> 3 then err "SIGTERM drain: %d responses for 3 requests" all;
-  (* ---- gate 3: corrupt cache entries are recomputed, not trusted ---- *)
+  (* ---- gate 3: corrupt cache entries are recomputed, not trusted ----
+     An analyze-delta session persists as checksummed cache entries that
+     the next server restores it from.  With every entry truncated the
+     restore misses, the session starts afresh and is stored back whole,
+     and the response does not change. *)
   let cache = Filename.concat dir "cache" in
   let _, first_path = List.hd suite_files in
   let one_run () =
     let sp = start_server [| "--workers"; "1"; "--cache"; cache |] in
-    submit sp (analyze_req ~id:"c" ~path:first_path);
+    submit sp
+      (Json.to_string
+         (Json.Obj
+            [ ("id", Json.Str "c"); ("op", Json.Str "analyze-delta");
+              ("file", Json.Str first_path) ]));
     let code, out = finish_server sp in
     if code <> 0 then err "cache run: server exited %d" code;
     match parse_responses out with
@@ -972,21 +991,25 @@ let run_serve_smoke () =
   let entries () =
     Sys.readdir cache |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".art")
-    |> List.map (Filename.concat cache)
+    |> List.sort compare
+    |> List.map (fun f ->
+           let e = Filename.concat cache f in
+           (e, (Unix.stat e).Unix.st_size))
   in
   (match entries () with
   | [] -> err "cache run stored no entry"
-  | e :: _ ->
-    let full = (Unix.stat e).Unix.st_size in
+  | stored ->
     (* truncate to half: valid-looking header, short payload *)
-    let data = read_file e in
-    write_file e (String.sub data 0 (String.length data / 2));
+    List.iter
+      (fun (e, _) ->
+        let data = read_file e in
+        write_file e (String.sub data 0 (String.length data / 2)))
+      stored;
     let after_corrupt = one_run () in
     if after_corrupt <> cold then
-      err "corrupt cache entry changed the response";
-    (match entries () with
-    | e2 :: _ when (Unix.stat e2).Unix.st_size = full -> ()
-    | _ -> err "corrupt cache entry was not recomputed and re-stored");
+      err "corrupt cache entries changed the response";
+    if entries () <> stored then
+      err "corrupt cache entries were not recomputed and re-stored";
     let warm = one_run () in
     if warm <> cold then err "warm cache changed the response");
   (* ---- gate 4: fault-injected crashes fail only their own request ---- *)
@@ -1189,7 +1212,7 @@ let run_serve_shard () =
     List.mapi
       (fun i (name, path) ->
         analyze_case ~id:("a-" ^ name) ~path ~kind:(kind_of i)
-          ~cert:(i mod 3 = 0))
+          ~cert:(i mod 3 = 0) ())
       suite_files
     @ [ tables_case ~id:"tables" ]
   in
@@ -1261,7 +1284,7 @@ let run_serve_shard () =
     List.mapi
       (fun i (name, path) ->
         analyze_case ~id:("k-" ^ name) ~path ~kind:(kind_of (i + 1))
-          ~cert:false)
+          ~cert:false ())
       suite_files
   in
   List.iter
@@ -1712,13 +1735,23 @@ let run_serve_gray () =
   let code, _ = finish_server sp in
   if code <> 0 then err "eject: router exited %d" code;
   (* ---- gate 3: disk faults degrade to cacheless, never to errors ----
-     With every artifact-cache commit failing (injected ENOSPC / short
-     write / fsync failure), all analyze responses must still be ok;
-     the snapshot must admit the cache is down, and a direct stdio
-     server must log the typed E-LOAD-DISK accounting frame. *)
+     With every session-cache commit failing (injected ENOSPC / short
+     write / fsync failure), all analyze-delta responses must still be
+     ok and render the analyze baseline; the snapshot must admit the
+     cache is down, and a direct stdio server must log the typed
+     E-LOAD-DISK accounting frame. *)
   let disk_env =
     Array.append (Unix.environment ())
       [| "IPCP_FAULT_DISK=" ^ string_of_int !seed |]
+  in
+  let delta_lines =
+    List.map
+      (fun n ->
+        Json.to_string
+          (Json.Obj
+             [ ("id", Json.Str ("g-" ^ n)); ("op", Json.Str "analyze-delta");
+               ("suite", Json.Str n); ("session", Json.Str n) ]))
+      names
   in
   let disk_health = health_base ^ ".disk" in
   let sp =
@@ -1727,7 +1760,7 @@ let run_serve_gray () =
          "--cache"; Filename.concat dir "gray-cache";
          "--health-out"; disk_health |]
   in
-  List.iter (submit sp) lines;
+  List.iter (submit sp) delta_lines;
   let frames = read_n_frames sp n_lines in
   check_identity ~label:"disk" frames;
   (match SReq.response_of_line (rpc sp (health_line ~id:"hd")) with
@@ -1745,7 +1778,7 @@ let run_serve_gray () =
   (* the same faults against a direct stdio server, stderr captured:
      the degradation must be accounted for as one typed frame *)
   let in_path = Filename.concat dir "disk-direct.in" in
-  write_file in_path (String.concat "\n" lines ^ "\n");
+  write_file in_path (String.concat "\n" delta_lines ^ "\n");
   let out_path = Filename.concat dir "disk-direct.out" in
   let err_path = Filename.concat dir "disk-direct.err" in
   let in_fd = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in

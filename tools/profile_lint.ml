@@ -21,9 +21,9 @@
      detail ({!Ipcp_serve.Err}).
 
    Counter-coherence rules apply wherever counters appear: the online
-   certification quadruple (certify.sampled / passed / failed /
-   cache_hits_checked) and the incremental cone triple travel together
-   or not at all — a partial set means the telemetry wiring regressed.
+   certification triple (certify.sampled / passed / failed) and the
+   incremental cone triple travel together or not at all — a partial set
+   means the telemetry wiring regressed.
    Health snapshots with router.* counters must carry the full
    gray-failure set (deadline_expired / hedged / ejections /
    late_dropped plus the heartbeat_age_ms gauge), and a snapshot with
@@ -54,20 +54,18 @@ let rec span_names (j : Json.t) =
 
 let health_schema = "ipcp.health/1"
 
-let certify_quadruple =
-  [ "certify.sampled"; "certify.passed"; "certify.failed";
-    "certify.cache_hits_checked" ]
+let certify_triple = [ "certify.sampled"; "certify.passed"; "certify.failed" ]
 
 (* the online-certification counters are recorded as a unit (creation at
-   0 keeps them together), so a partial quadruple means the serve-layer
+   0 keeps them together), so a partial triple means the serve-layer
    telemetry regressed *)
-let check_certify_quadruple (problem : string -> unit) counters =
-  if List.exists (fun c -> List.mem c certify_quadruple) counters then
+let check_certify_triple (problem : string -> unit) counters =
+  if List.exists (fun c -> List.mem c certify_triple) counters then
     List.iter
       (fun c ->
         if not (List.mem c counters) then
           problem (Printf.sprintf "certify counters present but %S missing" c))
-      certify_quadruple
+      certify_triple
 
 (* The router's gray-failure readings are created together at 0 (the
    stats record), so a merged snapshot carrying any router.* counter
@@ -130,7 +128,7 @@ let check_health_doc ~where (doc : Json.t) : string list =
   in
   let gauges = int_object "gauges" in
   let counters = int_object "counters" in
-  check_certify_quadruple (fun m -> problem "%s" m) counters;
+  check_certify_triple (fun m -> problem "%s" m) counters;
   check_router_gray (fun m -> problem "%s" m) ~gauges ~counters;
   check_cache_degradation (fun m -> problem "%s" m) ~gauges ~counters;
   List.rev !problems
@@ -214,7 +212,7 @@ let check_doc ~stages ~where (doc : Json.t) : string list =
         if not (List.mem c counters) then
           problem "incremental counters present but %S missing" c)
       incr_triple;
-  check_certify_quadruple (fun m -> problem "%s" m) counters;
+  check_certify_triple (fun m -> problem "%s" m) counters;
   if stages then
     List.iter
       (fun stage ->
