@@ -88,6 +88,27 @@ if IPCP_FAULT_CORRUPT=7 dune exec --no-build -- ipcp certify --suite > /dev/null
   exit 1
 fi
 
+echo "== oracles on a big input"
+# The certifier and the incremental path on a 1600-procedure program,
+# large enough that a whole-program walk per procedure would show: the
+# program must certify, and after a one-literal edit, re-analysis
+# against the original must print exactly what a from-scratch analyze
+# of the edited program prints.
+dune exec --no-build -- ipcp generate --seed 42 --procs 1600 --stmts 10 > "$tmpdir/big.f"
+dune exec --no-build -- ipcp certify "$tmpdir/big.f"
+sed '1,/^  lv1 = [0-9][0-9]*$/s/^\(  lv1 = [0-9][0-9]*\)$/\11/' "$tmpdir/big.f" > "$tmpdir/big_edited.f"
+if cmp -s "$tmpdir/big.f" "$tmpdir/big_edited.f"; then
+  echo "big input: the literal edit changed nothing" >&2
+  exit 1
+fi
+dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" --against "$tmpdir/big.f" > "$tmpdir/big_delta.out"
+dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" > "$tmpdir/big_scratch.out"
+if ! cmp -s "$tmpdir/big_delta.out" "$tmpdir/big_scratch.out"; then
+  echo "big input: analyze --against differs from a from-scratch analyze" >&2
+  diff "$tmpdir/big_delta.out" "$tmpdir/big_scratch.out" | head -20 >&2 || true
+  exit 1
+fi
+
 echo "== differential fuzzing"
 # The seeded oracle under two pinned seeds with full certification:
 # random terminating programs, metamorphic invariants (rename, reorder,

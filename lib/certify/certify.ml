@@ -92,9 +92,10 @@ module Make (A : Analysis_sig.S) = struct
       | Symbolic.Lformal i -> S.lookup solution caller (Prog.Pformal i)
       | Symbolic.Lglobal k -> S.lookup solution caller (Prog.Pglob k)
     in
+    let procs = Prog.proc_table t.Driver.prog in
     List.iter
       (fun (s : Jump_function.site_jf) ->
-        let caller_proc = Prog.find_proc_exn t.Driver.prog s.sf_caller in
+        let caller_proc = Hashtbl.find procs s.sf_caller in
         let loc = site_loc caller_proc s.sf_site in
         let env = lat_env s.sf_caller in
         let check param jf what =
@@ -108,7 +109,7 @@ module Make (A : Analysis_sig.S) = struct
                   call in %s (independently evaluated to %a)"
                  what
                  (Prog.param_name t.Driver.prog
-                    (Prog.find_proc_exn t.Driver.prog s.sf_callee)
+                    (Hashtbl.find procs s.sf_callee)
                     param)
                  s.sf_callee A.L.pp binding Symbolic.pp jf s.sf_caller
                  A.L.pp expected)
@@ -421,9 +422,10 @@ module Make (A : Analysis_sig.S) = struct
       Hashtbl.iter (fun _ _ -> obligation ()) expr_claims;
       Hashtbl.iter (fun _ _ -> obligation ()) cond_claims;
       (* CONSTANTS entry facts vs actual entry snapshots *)
+      let procs = Prog.proc_table prog in
       List.iter
         (fun (es : Interp.entry_snapshot) ->
-          let proc = Prog.find_proc_exn prog es.Interp.es_proc in
+          let proc = Hashtbl.find procs es.Interp.es_proc in
           List.iter
             (fun (param, c) ->
               obligation ();

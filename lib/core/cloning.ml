@@ -127,7 +127,7 @@ let clone ?(config = Config.polynomial_with_mod) ?(max_clones_per_proc = 4)
   let clones_made = ref 0 in
   Hashtbl.iter
     (fun callee sites ->
-      match Prog.find_proc t.prog callee with
+      match Driver.find_proc artifacts callee with
       | None -> ()
       | Some proc when proc.pkind = Prog.Pmain -> ()
       | Some proc ->

@@ -2,18 +2,23 @@
 
     {!prepare} builds everything that does not depend on the
     jump-function configuration — the call graph, MOD summaries, and the
-    per-procedure IR bundles (CFG/SSA/symbolic values) together with
-    return jump functions.  {!solve} runs only the config-dependent
-    stages on top of those shared artifacts: forward jump functions for
-    the configured [kind] and the interprocedural propagation.
+    per-program facts every procedure's IR reads (expression-id ceiling,
+    global list, main's load-time values, a name → procedure table), so
+    that per-procedure work touches only its procedure.  {!solve} runs
+    only the config-dependent stages on top of those shared artifacts:
+    forward jump functions for the configured [kind] and the
+    interprocedural propagation.
 
-    Stages 1–2 do depend on two of the configuration axes — whether MOD
-    summaries are available and whether return jump functions
-    participate — so artifacts memoize one stage-1/2 bundle per
-    (use_mod × return_jfs) variant, built on demand and shared by every
-    subsequent {!solve}.  Regenerating the paper's Table 2 therefore
-    builds the expensive IR exactly twice per program (with and without
-    return jump functions) instead of six times.
+    The IR of a procedure — CFG, dominators, SSA — depends on the
+    configuration only through MOD's call-kill sets, so artifacts hold
+    one IR table per MOD setting, filled on first use: each procedure's
+    IR is built once per MOD setting, whatever the number of variants
+    and stages that read it.  Stages 1–2 also depend on whether return
+    jump functions participate, so artifacts memoize one stage-1/2
+    bundle per (use_mod × return_jfs) variant, built on demand and
+    shared by every subsequent {!solve}.  Each stage of each variant
+    evaluates the shared SSA through symbolic values of its own
+    ({!Jump_function.with_oracle}), since those memoize oracle answers.
 
     {!analyze} remains as the one-shot compatibility wrapper:
     [analyze config prog = solve config (prepare prog)] — prefer the
@@ -59,27 +64,66 @@ type stage12 = {
   sg_irs : (string, Jump_function.proc_ir) Hashtbl.t;
 }
 
+(* Per-procedure IR, one table per MOD setting. *)
+type ir_tables = {
+  it_mod : (string, Jump_function.proc_ssa) Hashtbl.t;  (** computed MOD *)
+  it_worst : (string, Jump_function.proc_ssa) Hashtbl.t;  (** worst case *)
+}
+
+let ir_table (t : ir_tables) ~use_mod = if use_mod then t.it_mod else t.it_worst
+
 type artifacts = {
   a_prog : Prog.t;
   a_cg : Callgraph.t;
+  a_facts : Jump_function.facts;
   a_modref : Modref.t Lazy.t;  (** computed MOD summaries *)
   a_worst : Modref.t Lazy.t;  (** worst-case call kills *)
   a_global_keys : string list;
+  a_irs : ir_tables;
+      (** each procedure's IR per MOD setting, built on first use and
+          shared by both return-jump-function variants *)
   a_stages : (stage_key, stage12) Hashtbl.t;
       (** memoized stage-1/2 bundles, one per (use_mod × return_jfs) *)
-  a_reuse : (artifacts * (string -> bool)) option;
-      (** previous-round artifacts + per-procedure reusability (Complete) *)
+  a_reuse : reuse option;
+}
+
+(* What a rewritten program may copy from the previous round: that
+   round's tables and MOD summaries, never its artifacts — which would
+   hold the round before it, and so on back to the first. *)
+and reuse = {
+  r_unchanged : string -> bool;  (** body identical to the previous round *)
+  r_modref : Modref.t Lazy.t;
+  r_irs : ir_tables;
+  r_stages : (stage_key, stage12) Hashtbl.t;
 }
 
 let prepare_with ?reuse (prog : Prog.t) : artifacts =
   Telemetry.span "prepare" (fun () ->
       let cg = Callgraph.build prog in
+      let facts = Jump_function.facts prog in
+      let reuse =
+        match reuse with
+        | Some (prev, unchanged) when facts.f_globals = prev.a_facts.f_globals
+          ->
+          Some
+            {
+              r_unchanged = unchanged;
+              r_modref = prev.a_modref;
+              r_irs = prev.a_irs;
+              r_stages = prev.a_stages;
+            }
+        | Some _ (* every IR embeds the global list: rebuild them all *)
+        | None ->
+          None
+      in
       {
         a_prog = prog;
         a_cg = cg;
+        a_facts = facts;
         a_modref = lazy (Modref.compute cg);
         a_worst = lazy (Modref.worst_case cg);
-        a_global_keys = List.map Prog.global_key (Prog.all_globals prog);
+        a_global_keys = List.map Prog.global_key facts.f_globals;
+        a_irs = { it_mod = Hashtbl.create 64; it_worst = Hashtbl.create 64 };
         a_stages = Hashtbl.create 4;
         a_reuse = reuse;
       })
@@ -88,6 +132,7 @@ let prepare prog = prepare_with prog
 
 let artifacts_prog (a : artifacts) = a.a_prog
 let artifacts_callgraph (a : artifacts) = a.a_cg
+let find_proc (a : artifacts) name = Hashtbl.find_opt a.a_facts.f_procs name
 
 (* A procedure's callers observe it only through its summary: the MOD
    footprint (which formals and globals it may modify — the call-kill
@@ -112,112 +157,107 @@ let prepare_reusing ~prev ~unchanged prog =
 (* ------------------------------------------------------------------ *)
 (* Stages 1 and 2, per (use_mod × return_jfs) variant.                 *)
 
+(* Every procedure [name] calls, itself aside, satisfies [stable]. *)
+let callees_stable (a : artifacts) name stable =
+  List.for_all
+    (fun (e : Callgraph.edge) -> e.e_callee = name || stable e.e_callee)
+    (Callgraph.callees_of a.a_cg name)
+
+(* Under computed MOD, a callee's call kills are stable when its MOD
+   footprint equals last round's; worst-case kills are the same on both
+   sides. *)
+let mod_stable (a : artifacts) (r : reuse) ~use_mod =
+  if not use_mod then fun _ -> true
+  else
+    let pm = Lazy.force r.r_modref and cm = Lazy.force a.a_modref in
+    fun name -> mod_summary_equal pm cm name
+
+(* The IR of [name] under one MOD setting, built on first use.  A
+   procedure whose body is unchanged since the previous round keeps last
+   round's IR when every callee's call kills are unchanged too: SSA sees
+   callees only through them.  (Symbolic values, which also see the
+   return jump functions, are made fresh per stage; see below.) *)
+let ir_for (a : artifacts) ~use_mod name : Jump_function.proc_ssa =
+  let irs = ir_table a.a_irs ~use_mod in
+  match Hashtbl.find_opt irs name with
+  | Some ir -> ir
+  | None ->
+    let reused =
+      match a.a_reuse with
+      | Some r
+        when r.r_unchanged name
+             && callees_stable a name (mod_stable a r ~use_mod) ->
+        Hashtbl.find_opt (ir_table r.r_irs ~use_mod) name
+      | Some _ | None -> None
+    in
+    let ir =
+      match reused with
+      | Some ir ->
+        Telemetry.incr "driver.stage12_reused";
+        ir
+      | None ->
+        let modref = Lazy.force (if use_mod then a.a_modref else a.a_worst) in
+        Jump_function.build_ir a.a_facts ~modref
+          (Hashtbl.find a.a_facts.f_procs name)
+    in
+    Hashtbl.replace irs name ir;
+    ir
+
+(* Stage 1's return jump function of [name], copied from the previous
+   round when its body is unchanged and every callee's summary — MOD
+   footprint plus return jump function — is provably equal to last
+   round's: the values it is built from see callees only through those.
+   Return-jump-function stability is read off the new table as it fills
+   bottom-up (a copied entry is physically last round's, so it compares
+   equal for free); a callee in the same recursive cycle has no entry yet
+   and counts as unstable, which conservatively rebuilds cycle members. *)
+let reused_ret_jf (a : artifacts) (key : stage_key) ret_jfs name =
+  match a.a_reuse with
+  | None -> None
+  | Some r -> (
+    match Hashtbl.find_opt r.r_stages key with
+    | None -> None
+    | Some prev ->
+      let mod_stable = mod_stable a r ~use_mod:key.sk_use_mod in
+      let ret_stable callee =
+        match
+          ( Hashtbl.find_opt prev.sg_ret_jfs callee,
+            Hashtbl.find_opt ret_jfs callee )
+        with
+        | Some old_v, Some new_v -> ret_jf_equal old_v new_v
+        | _ -> false
+      in
+      if
+        r.r_unchanged name
+        && callees_stable a name (fun c -> mod_stable c && ret_stable c)
+      then Hashtbl.find_opt prev.sg_ret_jfs name
+      else None)
+
 let build_stage12 (a : artifacts) (key : stage_key) : stage12 =
   let modref =
     if key.sk_use_mod then Lazy.force a.a_modref else Lazy.force a.a_worst
   in
-  (* entries seeded from a previous round's artifacts (Complete's
-     re-analysis loop, the incremental session) are not rebuilt *)
-  let seed =
-    match a.a_reuse with
-    | None -> None
-    | Some (prev, unchanged) -> (
-      match Hashtbl.find_opt prev.a_stages key with
-      | None -> None
-      | Some prev_stage -> Some (prev, prev_stage, unchanged))
-  in
+  let ir_for = ir_for a ~use_mod:key.sk_use_mod in
   let ret_jfs : (string, Jump_function.ret_jf) Hashtbl.t = Hashtbl.create 16 in
-  (* A procedure's entry may be copied from the previous round when its
-     own body is unchanged and every callee's summary — MOD footprint
-     plus return jump function — is provably equal to last round's: the
-     IR sees callees only through their call-kill sets and the return
-     oracle.  Reused IRs embed the previous round's oracle closure; that
-     closure answers from the previous table, whose entries for this
-     procedure's callees are exactly the equal summaries, so evaluation
-     is unaffected.  Return-jump-function stability is read off the new
-     table as it fills bottom-up (a copied entry is physically last
-     round's, so it compares equal for free); a callee in the same
-     recursive cycle has no entry yet and counts as unstable, which
-     conservatively rebuilds cycle members. *)
-  let mod_stable =
-    match seed with
-    | None -> fun _ -> false
-    | Some (prev, _, _) ->
-      if not key.sk_use_mod then fun _ -> true (* worst case on both sides *)
-      else
-        let pm = Lazy.force prev.a_modref and cm = Lazy.force a.a_modref in
-        fun name -> mod_summary_equal pm cm name
-  in
-  let ret_stable =
-    match seed with
-    | None -> fun _ -> false
-    | Some (_, prev_stage, _) ->
-      if not key.sk_return_jfs then fun _ -> true (* no oracle in this variant *)
-      else
-        fun name ->
-        match
-          ( Hashtbl.find_opt prev_stage.sg_ret_jfs name,
-            Hashtbl.find_opt ret_jfs name )
-        with
-        | Some old_v, Some new_v -> ret_jf_equal old_v new_v
-        | _ -> false
-  in
-  let reuse_tbl : (string, bool) Hashtbl.t = Hashtbl.create 16 in
-  let classify name =
-    let ok =
-      match seed with
-      | None -> false
-      | Some (_, _, unchanged) ->
-        unchanged name
-        && List.for_all
-             (fun (e : Callgraph.edge) ->
-               e.e_callee = name
-               || (mod_stable e.e_callee && ret_stable e.e_callee))
-             (Callgraph.callees_of a.a_cg name)
-    in
-    Hashtbl.replace reuse_tbl name ok;
-    ok
-  in
-  let copy_seeded tbl prev_tbl name =
-    Hashtbl.find_opt reuse_tbl name = Some true
-    &&
-    match Hashtbl.find_opt prev_tbl name with
-    | Some v ->
-      Hashtbl.replace tbl name v;
-      Telemetry.incr "driver.stage12_reused";
-      true
-    | None ->
-      (* unchanged per the predicate but absent from the previous round:
-         rebuild, and don't let stage 2 copy either *)
-      Hashtbl.replace reuse_tbl name false;
-      false
-  in
-  let prev_ret_jfs, prev_irs =
-    match seed with
-    | Some (_, prev_stage, _) -> (prev_stage.sg_ret_jfs, prev_stage.sg_irs)
-    | None -> (Hashtbl.create 0, Hashtbl.create 0)
-  in
   (* ---- stage 1: return jump functions, bottom-up ---- *)
   Telemetry.span "stage1:return_jfs" (fun () ->
       if key.sk_return_jfs then begin
         let oracle = Jump_function.oracle_of_table ret_jfs in
         List.iter
           (fun name ->
-            if not (classify name && copy_seeded ret_jfs prev_ret_jfs name)
-            then
-              let proc = Prog.find_proc_exn a.a_prog name in
-              let ir = Jump_function.build_ir ~oracle ~modref a.a_prog proc in
-              Hashtbl.replace ret_jfs name
-                (Jump_function.build_ret_jf ~modref ir))
+            let rj =
+              match reused_ret_jf a key ret_jfs name with
+              | Some rj ->
+                Telemetry.incr "driver.stage12_reused";
+                rj
+              | None ->
+                Jump_function.build_ret_jf ~modref
+                  (Jump_function.with_oracle ~oracle (ir_for name))
+            in
+            Hashtbl.replace ret_jfs name rj)
           (Callgraph.bottom_up a.a_cg)
-      end
-      else
-        (* no stage-1 values in this variant; classify bottom-up so that
-           stage 2 below can still copy unchanged IRs *)
-        List.iter
-          (fun name -> ignore (classify name))
-          (Callgraph.bottom_up a.a_cg));
-  (* ---- stage 2: per-procedure IR, top-down ---- *)
+      end);
+  (* ---- stage 2: per-procedure IR, top-down, over the finished table ---- *)
   let oracle =
     if key.sk_return_jfs then Some (Jump_function.oracle_of_table ret_jfs)
     else None
@@ -226,10 +266,8 @@ let build_stage12 (a : artifacts) (key : stage_key) : stage12 =
   Telemetry.span "stage2:forward_jfs" (fun () ->
       List.iter
         (fun name ->
-          if not (copy_seeded irs prev_irs name) then
-            let proc = Prog.find_proc_exn a.a_prog name in
-            let ir = Jump_function.build_ir ?oracle ~modref a.a_prog proc in
-            Hashtbl.replace irs name ir)
+          Hashtbl.replace irs name
+            (Jump_function.with_oracle ?oracle (ir_for name)))
         (Callgraph.top_down a.a_cg));
   { sg_modref = modref; sg_ret_jfs = ret_jfs; sg_irs = irs }
 
@@ -400,9 +438,10 @@ module Make (A : Analysis_sig.S) = struct
       constant (if any) each formal/global holds on entry.  Facts with
       no constant reading (a copy, say) seed nothing — SCCP consumes
       integers, and [A.L.const_value] is the bridge. *)
-  let entry_env (t : A.L.t analysis_result) (proc : Prog.proc) :
+  let entry_env (t : A.L.t analysis_result) (ir : Jump_function.proc_ir) :
       Prog.var -> int option =
    fun v ->
+    let proc = ir.pi_proc in
     if v.vty <> Prog.Tint || Prog.is_array v then None
     else
       match v.vkind with
@@ -414,7 +453,7 @@ module Make (A : Analysis_sig.S) = struct
       | Prog.Klocal when proc.pkind = Prog.Pmain ->
         (* data-initialized locals of the main program hold their
            load-time values on entry *)
-        Prog.data_value_in_main t.prog v
+        ir.pi_entry_const v
       | Prog.Klocal | Prog.Kresult -> None
 
   (** Run SCCP for one procedure, seeded with the discovered entry facts.
@@ -422,22 +461,21 @@ module Make (A : Analysis_sig.S) = struct
       parallel per-procedure runs share no mutable budget state. *)
   let sccp_for (t : A.L.t analysis_result) (name : string) : Sccp.result =
     let ir = Hashtbl.find t.irs name in
-    let proc = ir.Jump_function.pi_proc in
     Sccp.run
       ~budget:(Config.budget ~label:("sccp:" ^ name) t.config)
-      ?oracle:(oracle t) ~entry_env:(entry_env t proc) ir.Jump_function.pi_ssa
+      ?oracle:(oracle t) ~entry_env:(entry_env t ir) ir.Jump_function.pi_ssa
 
   let pp_constants ppf (t : A.L.t analysis_result) =
     List.iter
-      (fun (name, cs) ->
-        if cs <> [] then begin
-          let proc = Prog.find_proc_exn t.prog name in
-          Fmt.pf ppf "%s: %a@." name
+      (fun (proc : Prog.proc) ->
+        match S.constants_of t.solution proc.pname with
+        | [] -> ()
+        | cs ->
+          Fmt.pf ppf "%s: %a@." proc.pname
             (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (param, c) ->
                  Fmt.pf ppf "%s=%d" (Prog.param_name t.prog proc param) c))
-            cs
-        end)
-      (constants t)
+            cs)
+      t.prog.procs
 end
 
 include Make (Const_analysis)

@@ -2,11 +2,12 @@
     config-independent prefix and a config-dependent suffix:
 
     {ul
-    {- {!prepare} builds the shared artifacts — call graph, MOD summaries,
-       per-procedure IR (CFG/SSA/symbolic values) and return jump
-       functions.  Stage-1/2 bundles are memoized per
-       (use_mod × return_jfs) variant and built on demand, so repeated
-       solves over the same program share them;}
+    {- {!prepare} builds the shared artifacts — call graph, MOD summaries
+       and the per-program facts each procedure's IR reads — and holds
+       the per-procedure IR (CFG/dominators/SSA, built once per MOD
+       setting) and return jump functions.  Stage-1/2 bundles are
+       memoized per (use_mod × return_jfs) variant and built on demand,
+       so repeated solves over the same program share them;}
     {- {!solve} runs only the configuration-dependent stages on top:
        forward jump functions of the configured kind, then the
        interprocedural propagation;}
@@ -52,16 +53,19 @@ type artifacts
 val prepare : Prog.t -> artifacts
 
 (** [prepare_reusing ~prev ~unchanged prog] prepares artifacts for a
-    rewritten [prog], copying the per-procedure stage-1/2 artifacts from
-    [prev] for every procedure whose body is [unchanged] and whose every
-    callee has a provably equal summary (MOD footprint and return jump
-    function) in both rounds — the IR observes callees only through
-    those.  The copy walk therefore stops where an edit's effect on
-    summaries is absorbed, not merely where its call-graph reachability
-    ends.  Used by {!Complete}'s re-analysis loop between
-    dead-code-elimination rounds and by {!Ipcp_incr.Incr.update};
-    [unchanged] procedures must keep their expression/statement ids
-    (reused IR embeds them). *)
+    rewritten [prog], copying per-procedure artifacts from [prev] for
+    every procedure whose body is [unchanged]: its IR when every callee
+    has an equal MOD footprint in both rounds (SSA sees callees only
+    through their call kills), and its return jump function when every
+    callee's return jump function is provably equal too.  The copy walk
+    therefore stops where an edit's effect on summaries is absorbed, not
+    merely where its call-graph reachability ends.  Nothing is copied
+    when the program's global list changed.  The result keeps [prev]'s
+    IR and stage tables, not [prev] itself, so a chain of rounds holds
+    one previous round, not all of them.  Used by {!Complete}'s
+    re-analysis loop between dead-code-elimination rounds and by
+    {!Ipcp_incr.Incr.update}; [unchanged] procedures must keep their
+    expression/statement ids (reused IR embeds them). *)
 val prepare_reusing :
   prev:artifacts -> unchanged:(string -> bool) -> Prog.t -> artifacts
 
@@ -84,6 +88,10 @@ val site_jfs_for :
 
 val artifacts_prog : artifacts -> Prog.t
 val artifacts_callgraph : artifacts -> Callgraph.t
+
+(** The procedure of this name in the artifacts' program, from the table
+    {!prepare} builds once: no walk over the program. *)
+val find_proc : artifacts -> string -> Prog.proc option
 
 (** The return-jump-function oracle of an analysis, if enabled. *)
 val oracle : 'elt analysis_result -> Ssa_value.oracle option
@@ -116,7 +124,8 @@ module Make (A : Analysis_sig.S) : sig
 
   val constants : A.L.t analysis_result -> (string * (Prog.param * int) list) list
   val constants_count : A.L.t analysis_result -> int
-  val entry_env : A.L.t analysis_result -> Prog.proc -> Prog.var -> int option
+  val entry_env :
+    A.L.t analysis_result -> Jump_function.proc_ir -> Prog.var -> int option
   val sccp_for : A.L.t analysis_result -> string -> Sccp.result
   val pp_constants : A.L.t analysis_result Fmt.t
 end
@@ -156,8 +165,9 @@ val constants : t -> (string * (Prog.param * int) list) list
 (** Total number of (procedure, parameter) constant facts. *)
 val constants_count : t -> int
 
-(** Entry-value environment of a procedure, as consumed by SCCP. *)
-val entry_env : t -> Prog.proc -> Prog.var -> int option
+(** Entry-value environment of a procedure (given by its IR), as
+    consumed by SCCP. *)
+val entry_env : t -> Jump_function.proc_ir -> Prog.var -> int option
 
 (** SCCP for one procedure, seeded with the discovered entry facts.
     Runs under a fresh per-call budget built from the configuration. *)

@@ -63,6 +63,16 @@ type site_jf = {
   sf_globals : (string * Symbolic.t) list;  (** per global key *)
 }
 
+(** A procedure's IR up to SSA: what one MOD setting determines. *)
+type proc_ssa = {
+  ps_proc : Prog.proc;
+  ps_cfg : Cfg.t;
+  ps_dom : Dom.t;
+  ps_ssa : Ssa.t;
+  ps_global_vars : (string * Prog.var) list;  (** global key → var in this proc *)
+  ps_entry_const : Prog.var -> int option;  (** load-time values on entry *)
+}
+
 (** Per-procedure IR bundle: CFG, dominators, SSA and symbolic values. *)
 type proc_ir = {
   pi_proc : Prog.proc;
@@ -70,8 +80,27 @@ type proc_ir = {
   pi_dom : Dom.t;
   pi_ssa : Ssa.t;
   pi_sv : Ssa_value.t;
-  pi_global_vars : (string * Prog.var) list;  (** global key → var in this proc *)
+  pi_global_vars : (string * Prog.var) list;
+  pi_entry_const : Prog.var -> int option;
 }
+
+(** What every procedure's IR reads of the rest of the program, computed
+    once per program: building the IR of one procedure then touches only
+    that procedure. *)
+type facts = {
+  f_procs : (string, Prog.proc) Hashtbl.t;  (** name → procedure *)
+  f_globals : Prog.global list;  (** {!Prog.all_globals} *)
+  f_expr_ceiling : int;  (** {!Lower.expr_id_ceiling} *)
+  f_main_data : Prog.var -> int option;  (** {!Prog.main_data} *)
+}
+
+let facts (prog : Prog.t) : facts =
+  {
+    f_procs = Prog.proc_table prog;
+    f_globals = Prog.all_globals prog;
+    f_expr_ceiling = Lower.expr_id_ceiling prog;
+    f_main_data = Prog.main_data prog;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Per-procedure variables standing for globals.                        *)
@@ -80,7 +109,8 @@ type proc_ir = {
    the declared alias when the unit declares it, or a synthetic name (with
    '@', unlexable) otherwise — undeclared globals still flow through calls
    unchanged and must be representable in SSA. *)
-let global_vars_for (prog : Prog.t) (proc : Prog.proc) : (string * Prog.var) list =
+let global_vars_for (globals : Prog.global list) (proc : Prog.proc) :
+    (string * Prog.var) list =
   List.map
     (fun (g : Prog.global) ->
       let key = Prog.global_key g in
@@ -95,35 +125,35 @@ let global_vars_for (prog : Prog.t) (proc : Prog.proc) : (string * Prog.var) lis
           { Prog.vname = "@g:" ^ key; vty = g.gty; vdims = g.gdims; vkind = Kglobal g }
       in
       (key, var))
-    (Prog.all_globals prog)
+    globals
 
 (* ------------------------------------------------------------------ *)
 (* IR construction.                                                     *)
 
-(** Build the IR bundle for one procedure.
+(** Build the IR of one procedure up to SSA.
 
     [modref] drives the call-kill sets: a call (re)defines the scalar
     by-reference actuals bound to modified formals and the modified scalar
-    globals.  [oracle] plugs return-jump-function evaluation into the
-    symbolic interpretation of call definitions. *)
-let rec build_ir ?oracle ~(modref : Modref.t) (prog : Prog.t)
-    (proc : Prog.proc) : proc_ir =
+    globals. *)
+let rec build_ir (facts : facts) ~(modref : Modref.t) (proc : Prog.proc) :
+    proc_ssa =
   Ipcp_telemetry.Telemetry.span ("build_ir:" ^ proc.pname) (fun () ->
       Ipcp_telemetry.Telemetry.incr "jf.build_ir";
-      build_ir_timed ?oracle ~modref prog proc)
+      build_ir_timed facts ~modref proc)
 
-and build_ir_timed ?oracle ~(modref : Modref.t) (prog : Prog.t)
-    (proc : Prog.proc) : proc_ir =
+and build_ir_timed facts ~(modref : Modref.t) (proc : Prog.proc) : proc_ssa =
   (* data-initialized storage holds its load-time value on entry to the
      main program (and nothing has run before main) *)
-  let entry_const (v : Prog.var) =
-    if proc.pkind = Prog.Pmain && Prog.is_scalar v && v.vty = Prog.Tint then
-      Prog.data_value_in_main prog v
-    else None
+  let entry_const =
+    if proc.pkind = Prog.Pmain then
+      let main_data = facts.f_main_data in
+      fun (v : Prog.var) ->
+        if Prog.is_scalar v && v.vty = Prog.Tint then main_data v else None
+    else fun _ -> None
   in
-  let cfg = Lower.lower_proc ~next_expr_id:(Lower.expr_id_ceiling prog) proc in
+  let cfg = Lower.lower_proc ~next_expr_id:facts.f_expr_ceiling proc in
   let dom = Dom.compute cfg in
-  let global_vars = global_vars_for prog proc in
+  let global_vars = global_vars_for facts.f_globals proc in
   let scalar_globals =
     List.filter (fun (_, (v : Prog.var)) -> Prog.is_scalar v) global_vars
   in
@@ -147,9 +177,29 @@ and build_ir_timed ?oracle ~(modref : Modref.t) (prog : Prog.t)
     by_ref @ globals
   in
   let call_uses (_ : Cfg.call) : Prog.var list = List.map snd scalar_globals in
-  let ssa = Ssa.build ~call_defs ~call_uses proc cfg dom in
-  let sv = Ssa_value.create ?oracle ~entry_const ssa in
-  { pi_proc = proc; pi_cfg = cfg; pi_dom = dom; pi_ssa = ssa; pi_sv = sv; pi_global_vars = global_vars }
+  {
+    ps_proc = proc;
+    ps_cfg = cfg;
+    ps_dom = dom;
+    ps_ssa = Ssa.build ~call_defs ~call_uses proc cfg dom;
+    ps_global_vars = global_vars;
+    ps_entry_const = entry_const;
+  }
+
+(** The IR bundle over [ps], with fresh symbolic values that evaluate
+    calls through [oracle].  Fresh, because the values memoize oracle
+    answers: values shared between a stage that ran before its oracle's
+    table was complete and one that runs after would answer stale. *)
+let with_oracle ?oracle (ps : proc_ssa) : proc_ir =
+  {
+    pi_proc = ps.ps_proc;
+    pi_cfg = ps.ps_cfg;
+    pi_dom = ps.ps_dom;
+    pi_ssa = ps.ps_ssa;
+    pi_sv = Ssa_value.create ?oracle ~entry_const:ps.ps_entry_const ps.ps_ssa;
+    pi_global_vars = ps.ps_global_vars;
+    pi_entry_const = ps.ps_entry_const;
+  }
 
 (** An oracle that evaluates return jump functions from [table].
     Only constant entry values participate (paper §3.2). *)

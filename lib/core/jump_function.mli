@@ -40,8 +40,20 @@ type site_jf = {
   sf_globals : (string * Symbolic.t) list;
 }
 
-(** Per-procedure IR bundle: CFG, dominators, SSA, symbolic values, and the
-    variable standing for each program global in this procedure. *)
+(** A procedure's IR up to SSA — CFG, dominators, SSA, the variable
+    standing for each program global in this procedure, and the load-time
+    constants its variables hold on entry (main's [data]).  It depends on
+    the configuration only through MOD's call-kill sets. *)
+type proc_ssa = {
+  ps_proc : Prog.proc;
+  ps_cfg : Ipcp_ir.Cfg.t;
+  ps_dom : Ipcp_ir.Dom.t;
+  ps_ssa : Ipcp_ir.Ssa.t;
+  ps_global_vars : (string * Prog.var) list;
+  ps_entry_const : Prog.var -> int option;
+}
+
+(** Per-procedure IR bundle: a {!proc_ssa} with symbolic values. *)
 type proc_ir = {
   pi_proc : Prog.proc;
   pi_cfg : Ipcp_ir.Cfg.t;
@@ -49,12 +61,31 @@ type proc_ir = {
   pi_ssa : Ipcp_ir.Ssa.t;
   pi_sv : Ssa_value.t;
   pi_global_vars : (string * Prog.var) list;
+  pi_entry_const : Prog.var -> int option;
 }
 
-(** Build the IR bundle.  [modref] drives the call-kill sets; [oracle]
-    plugs return-jump-function evaluation into call definitions. *)
-val build_ir :
-  ?oracle:Ssa_value.oracle -> modref:Modref.t -> Prog.t -> Prog.proc -> proc_ir
+(** What every procedure's IR reads of the rest of the program — the
+    expression-id ceiling, the global list, main's load-time values and a
+    name → procedure table — computed once per program by {!facts}, so
+    that building one procedure's IR touches only that procedure. *)
+type facts = {
+  f_procs : (string, Prog.proc) Hashtbl.t;
+  f_globals : Prog.global list;
+  f_expr_ceiling : int;
+  f_main_data : Prog.var -> int option;
+}
+
+val facts : Prog.t -> facts
+
+(** Build a procedure's IR up to SSA: lowering, dominators and SSA.
+    [modref] drives the call-kill sets. *)
+val build_ir : facts -> modref:Modref.t -> Prog.proc -> proc_ssa
+
+(** The IR bundle over a {!proc_ssa}, with fresh symbolic values that
+    evaluate calls through [oracle].  Each consumer takes its own: the
+    values memoize oracle answers, so sharing them across oracle states
+    would answer stale. *)
+val with_oracle : ?oracle:Ssa_value.oracle -> proc_ssa -> proc_ir
 
 (** An oracle evaluating return jump functions from a table, over constant
     actuals only (the paper's §3.2 rule). *)

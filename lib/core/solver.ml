@@ -302,9 +302,10 @@ module Make (A : Analysis_sig.S) = struct
     solve_loop ?budget cg ~site_jfs ~vals ~work
 
   let pp_result prog ppf (r : elt generic_result) =
+    let procs = Prog.proc_table prog in
     Hashtbl.iter
       (fun name m ->
-        match Prog.find_proc prog name with
+        match Hashtbl.find_opt procs name with
         | None -> ()
         | Some proc ->
           Fmt.pf ppf "%s:@." name;

@@ -657,9 +657,8 @@ let parse_unit p : punit =
   expect_newline p;
   { ukind = kind; uname = name; uformals = formals; udecls = decls; ubody = body; uloc = l }
 
-(** Parse a whole source file into a list of program units. *)
-let parse_program ?(file = "<input>") src : program =
-  let toks = Lexer.tokenize ~file src in
+(** Parse a token list (ending with [EOF]) into program units. *)
+let parse_tokens toks : program =
   let p = { toks; recover = None } in
   let rec go acc =
     skip_newlines p;
@@ -668,16 +667,16 @@ let parse_program ?(file = "<input>") src : program =
   in
   go []
 
-(** Parse a whole source file in recovery mode: lexical and syntax
-    errors land in [diags] and parsing resynchronizes — at the next line
-    for statement-level errors, at the next unit keyword for unit-level
-    ones — so a single run reports every independent problem.  The
-    returned units are those that parsed cleanly enough to resolve. *)
-let parse_program_collect ?(file = "<input>") diags src : program =
-  let toks =
-    Lexer.tokenize_collect ~file src ~report:(fun l m ->
-        Loc.report diags ~code:"E-LEX" l m)
-  in
+(** Parse a whole source file into a list of program units. *)
+let parse_program ?(file = "<input>") src : program =
+  parse_tokens (Lexer.tokenize ~file src)
+
+(** Parse a token list in recovery mode: syntax errors land in [diags]
+    and parsing resynchronizes — at the next line for statement-level
+    errors, at the next unit keyword for unit-level ones — so a single
+    run reports every independent problem.  The returned units are those
+    that parsed cleanly enough to resolve. *)
+let parse_tokens_collect diags toks : program =
   let p = { toks; recover = Some diags } in
   (* Unit-boundary resynchronization: drop tokens until the next unit
      keyword (or EOF). *)

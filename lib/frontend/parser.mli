@@ -4,12 +4,17 @@
     Raises {!Loc.Error} on syntax errors. *)
 val parse_program : ?file:string -> string -> Ast.program
 
-(** Recovery-mode variant: lexical and syntax errors accumulate in the
-    given diagnostics (code [E-LEX] / [E-PARSE]) and parsing
-    resynchronizes at statement and unit boundaries, so one run reports
-    every independent problem.  Returns the units that parsed. *)
-val parse_program_collect :
-  ?file:string -> Ipcp_support.Diagnostics.t -> string -> Ast.program
+(** The parsing half of {!parse_program}, over the tokens of
+    {!Lexer.tokenize}. *)
+val parse_tokens : (Token.t * Loc.t) list -> Ast.program
+
+(** Recovery-mode parsing of the tokens of {!Lexer.tokenize_collect}:
+    syntax errors accumulate in the given diagnostics (code [E-PARSE])
+    and parsing resynchronizes at statement and unit boundaries, so one
+    run reports every independent problem.  Returns the units that
+    parsed. *)
+val parse_tokens_collect :
+  Ipcp_support.Diagnostics.t -> (Token.t * Loc.t) list -> Ast.program
 
 (** Parse a single expression (testing / workload-generation helper). *)
 val parse_expression : ?file:string -> string -> Ast.expr

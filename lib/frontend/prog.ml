@@ -157,15 +157,31 @@ let param_name prog proc = function
 (* ------------------------------------------------------------------ *)
 (* Lookups and traversals.                                             *)
 
-let find_proc t name = List.find_opt (fun p -> p.pname = name) t.procs
+(* Every whole-program walk below bumps the [prog.walks] counter.  Work
+   done once per procedure must not call them: a walk per procedure makes
+   the analysis quadratic, and the tier-1 complexity contract holds the
+   count flat as programs grow. *)
+let count_walk () = Ipcp_telemetry.Telemetry.incr "prog.walks"
+
+let find_proc t name =
+  count_walk ();
+  List.find_opt (fun p -> p.pname = name) t.procs
+
+(** Name → procedure for callers that look up many procedures: one walk
+    in all instead of one per {!find_proc}.  Answers as {!find_proc}
+    does (the first procedure of a name wins). *)
+let proc_table t : (string, proc) Hashtbl.t =
+  count_walk ();
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun p -> if not (Hashtbl.mem tbl p.pname) then Hashtbl.replace tbl p.pname p)
+    t.procs;
+  tbl
 
 let find_proc_exn t name =
   match find_proc t name with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Prog.find_proc_exn: no procedure %s" name)
-
-let is_function t name =
-  match find_proc t name with Some p -> p.pkind = Pfunction | None -> false
 
 (** The global (if any) that a variable of this procedure denotes. *)
 let global_of_var v = match v.vkind with Kglobal g -> Some g | _ -> None
@@ -242,6 +258,7 @@ let call_sites proc =
 
 (** All globals referenced anywhere in the program, keyed canonically. *)
 let all_globals t =
+  count_walk ();
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
@@ -257,13 +274,11 @@ let all_globals t =
     t.procs;
   List.rev !order
 
-let find_global t key =
-  List.find_opt (fun g -> global_key g = key) (all_globals t)
-
 (** The load-time [data] value of a scalar integer global, if one is
     declared anywhere in the program.  This is the initial-memory fact the
     solver may assume on entry to the main program. *)
 let data_value_of_global t key : int option =
+  count_walk ();
   List.find_map
     (fun (p : proc) ->
       List.find_map
@@ -276,21 +291,44 @@ let data_value_of_global t key : int option =
         p.pdata)
     t.procs
 
-(** The load-time [data] value of a scalar integer variable of the main
-    program (local or global), used to seed jump functions and SCCP there. *)
-let data_value_in_main t (v : var) : int option =
-  match find_proc t t.main with
-  | None -> None
-  | Some main ->
-    (match v.vkind with
-    | Kglobal g -> data_value_of_global t (global_key g)
-    | Klocal ->
-      List.find_map
+(** The load-time [data] values of the main program's scalar integer
+    variables (locals and globals), used to seed jump functions and SCCP
+    there.  Both walks — for main and over every unit's [data] statements —
+    happen here, once; the returned lookup answers from tables.  The first
+    matching initialization wins, as in {!data_value_of_global}. *)
+let main_data t : var -> int option =
+  count_walk ();
+  let globals = Hashtbl.create 8 and main = ref None in
+  List.iter
+    (fun p ->
+      if p.pname = t.main && Option.is_none !main then main := Some p;
+      List.iter
         (fun (d : data_init) ->
           match (d.di_var.vkind, d.di_values) with
-          | Klocal, [ (1, Dc_int value) ]
-            when d.di_var.vname = v.vname && is_scalar d.di_var ->
-            Some value
-          | _ -> None)
-        main.pdata
-    | Kformal _ | Kresult -> None)
+          | Kglobal g, [ (1, Dc_int v) ] when is_scalar d.di_var ->
+            let key = global_key g in
+            if not (Hashtbl.mem globals key) then Hashtbl.replace globals key v
+          | _ -> ())
+        p.pdata)
+    t.procs;
+  match !main with
+  | None -> fun _ -> None
+  | Some main ->
+    let locals = Hashtbl.create 8 in
+    List.iter
+      (fun (d : data_init) ->
+        match (d.di_var.vkind, d.di_values) with
+        | Klocal, [ (1, Dc_int v) ]
+          when is_scalar d.di_var && not (Hashtbl.mem locals d.di_var.vname) ->
+          Hashtbl.replace locals d.di_var.vname v
+        | _ -> ())
+      main.pdata;
+    fun v ->
+      match v.vkind with
+      | Kglobal g -> Hashtbl.find_opt globals (global_key g)
+      | Klocal -> Hashtbl.find_opt locals v.vname
+      | Kformal _ | Kresult -> None
+
+(** The load-time [data] value of one scalar integer variable of the main
+    program (local or global); {!main_data} answers many such queries. *)
+let data_value_in_main t (v : var) : int option = main_data t v

@@ -763,9 +763,11 @@ let resolve_collect diags (units : Ast.program) : Prog.t option =
 (** Convenience: parse and resolve a source string in one step. *)
 let parse_and_resolve ?(file = "<input>") src : Prog.t =
   Ipcp_telemetry.Telemetry.span "frontend" (fun () ->
+      let toks =
+        Ipcp_telemetry.Telemetry.span "lex" (fun () -> Lexer.tokenize ~file src)
+      in
       let ast =
-        Ipcp_telemetry.Telemetry.span "parse" (fun () ->
-            Parser.parse_program ~file src)
+        Ipcp_telemetry.Telemetry.span "parse" (fun () -> Parser.parse_tokens toks)
       in
       Ipcp_telemetry.Telemetry.span "sema" (fun () -> resolve ast))
 
@@ -776,9 +778,14 @@ let check ?(file = "<input>") src : (Prog.t, Ipcp_support.Diagnostics.t) result
     =
   Ipcp_telemetry.Telemetry.span "frontend" (fun () ->
       let diags = Ipcp_support.Diagnostics.create () in
+      let toks =
+        Ipcp_telemetry.Telemetry.span "lex" (fun () ->
+            Lexer.tokenize_collect ~file src ~report:(fun l m ->
+                Loc.report diags ~code:"E-LEX" l m))
+      in
       let ast =
         Ipcp_telemetry.Telemetry.span "parse" (fun () ->
-            Parser.parse_program_collect ~file diags src)
+            Parser.parse_tokens_collect diags toks)
       in
       let prog =
         Ipcp_telemetry.Telemetry.span "sema" (fun () ->

@@ -61,36 +61,35 @@ type t =
   | NEWLINE
   | EOF
 
-let keyword_table : (string * t) list =
-  [
-    ("program", KW_PROGRAM);
-    ("subroutine", KW_SUBROUTINE);
-    ("function", KW_FUNCTION);
-    ("integer", KW_INTEGER);
-    ("real", KW_REAL);
-    ("logical", KW_LOGICAL);
-    ("common", KW_COMMON);
-    ("parameter", KW_PARAMETER);
-    ("data", KW_DATA);
-    ("call", KW_CALL);
-    ("if", KW_IF);
-    ("then", KW_THEN);
-    ("else", KW_ELSE);
-    ("elseif", KW_ELSEIF);
-    ("endif", KW_ENDIF);
-    ("do", KW_DO);
-    ("while", KW_WHILE);
-    ("enddo", KW_ENDDO);
-    ("goto", KW_GOTO);
-    ("continue", KW_CONTINUE);
-    ("return", KW_RETURN);
-    ("stop", KW_STOP);
-    ("end", KW_END);
-    ("print", KW_PRINT);
-    ("read", KW_READ);
-  ]
-
-let of_keyword s = List.assoc_opt s keyword_table
+(* A match on the string compiles to a decision tree: no start-up work,
+   and no scan of the keyword list per identifier. *)
+let of_keyword = function
+  | "program" -> Some KW_PROGRAM
+  | "subroutine" -> Some KW_SUBROUTINE
+  | "function" -> Some KW_FUNCTION
+  | "integer" -> Some KW_INTEGER
+  | "real" -> Some KW_REAL
+  | "logical" -> Some KW_LOGICAL
+  | "common" -> Some KW_COMMON
+  | "parameter" -> Some KW_PARAMETER
+  | "data" -> Some KW_DATA
+  | "call" -> Some KW_CALL
+  | "if" -> Some KW_IF
+  | "then" -> Some KW_THEN
+  | "else" -> Some KW_ELSE
+  | "elseif" -> Some KW_ELSEIF
+  | "endif" -> Some KW_ENDIF
+  | "do" -> Some KW_DO
+  | "while" -> Some KW_WHILE
+  | "enddo" -> Some KW_ENDDO
+  | "goto" -> Some KW_GOTO
+  | "continue" -> Some KW_CONTINUE
+  | "return" -> Some KW_RETURN
+  | "stop" -> Some KW_STOP
+  | "end" -> Some KW_END
+  | "print" -> Some KW_PRINT
+  | "read" -> Some KW_READ
+  | _ -> None
 
 let pp ppf = function
   | INT n -> Fmt.pf ppf "INT(%d)" n

@@ -47,10 +47,14 @@ let compute_with ~(old_cg : Callgraph.t) ~(new_cg : Callgraph.t)
       old_names
   in
   let old_edges = edge_pairs old_cg and new_edges = edge_pairs new_cg in
-  let added_edges = List.filter (fun e -> not (List.mem e old_edges)) new_edges in
-  let removed_edges =
-    List.filter (fun e -> not (List.mem e new_edges)) old_edges
+  (* [xs] without the members of [ys], in [xs]'s order *)
+  let minus xs ys =
+    let tbl = Hashtbl.create 64 in
+    List.iter (fun y -> Hashtbl.replace tbl y ()) ys;
+    List.filter (fun x -> not (Hashtbl.mem tbl x)) xs
   in
+  let added_edges = minus new_edges old_edges in
+  let removed_edges = minus old_edges new_edges in
   { added_procs; removed_procs; changed_procs; added_edges; removed_edges }
 
 let compute (old_prog : Prog.t) (new_prog : Prog.t) : t =

@@ -177,13 +177,17 @@ module Make (A : Analysis_sig.S) = struct
     Telemetry.span "incr.update" @@ fun () ->
     let config = prev.s_config in
     let strict_new, sem_new = hash_tables prog_new in
+    (* the new artifacts keep this predicate: it must hold the previous
+       hash table only, not the previous session and all it holds *)
+    let strict_prev = prev.s_strict in
     let strict_unchanged name =
       match
-        (Hashtbl.find_opt prev.s_strict name, Hashtbl.find_opt strict_new name)
+        (Hashtbl.find_opt strict_prev name, Hashtbl.find_opt strict_new name)
       with
       | Some a, Some b -> a = b
       | _ -> false
     in
+    let prev_proc = Driver.find_proc prev.s_artifacts in
     (* graft: strictly unchanged procedures keep the previous version's
        physical value, so reused IR ids stay consistent *)
     let grafted = ref 0 in
@@ -192,8 +196,7 @@ module Make (A : Analysis_sig.S) = struct
       List.map
         (fun (p : Prog.proc) ->
           match
-            if strict_unchanged p.pname then Prog.find_proc prev.s_prog p.pname
-            else None
+            if strict_unchanged p.pname then prev_proc p.pname else None
           with
           | Some old_p ->
             incr grafted;
@@ -214,6 +217,7 @@ module Make (A : Analysis_sig.S) = struct
       Driver.prepare_reusing ~prev:prev.s_artifacts ~unchanged:strict_unchanged
         prog'
     in
+    let new_proc = Driver.find_proc artifacts in
     let cg_new = Driver.artifacts_callgraph artifacts in
     let cg_old = Driver.artifacts_callgraph prev.s_artifacts in
     let d =
@@ -244,8 +248,8 @@ module Make (A : Analysis_sig.S) = struct
         if not (Hashtbl.mem transfer_dirty name) then begin
           Hashtbl.add transfer_dirty name ();
           let stable =
-            Prog.find_proc prev.s_prog name <> None
-            && Prog.find_proc prog' name <> None
+            prev_proc name <> None
+            && new_proc name <> None
             && Driver.summary_stable config ~prev:prev.s_artifacts artifacts
                  name
           in
@@ -266,7 +270,7 @@ module Make (A : Analysis_sig.S) = struct
          differ.  A dirty procedure's VAL feeds every jump function at its
          sites, so the cone closes under new-graph callees. *)
       let rec mark name =
-        if Prog.find_proc prog' name <> None && not (Hashtbl.mem dirty name)
+        if new_proc name <> None && not (Hashtbl.mem dirty name)
         then begin
           Hashtbl.add dirty name ();
           List.iter
@@ -306,9 +310,7 @@ module Make (A : Analysis_sig.S) = struct
         (fun name () ->
           let olds = Option.value ~default:[] (Hashtbl.find_opt old_sites name)
           and news = Driver.site_jfs_for artifacts config name in
-          match
-            (Prog.find_proc prev.s_prog name, Prog.find_proc prog' name)
-          with
+          match (prev_proc name, new_proc name) with
           | Some _, Some _ when List.length olds = List.length news ->
             List.iter2
               (fun (o : Jump_function.site_jf) (n : Jump_function.site_jf) ->
@@ -330,8 +332,7 @@ module Make (A : Analysis_sig.S) = struct
       List.iter mark d.added_procs;
       List.iter
         (fun name ->
-          match (Prog.find_proc prev.s_prog name, Prog.find_proc prog' name)
-          with
+          match (prev_proc name, new_proc name) with
           | Some op, Some np
             when List.length op.Prog.pformals <> List.length np.Prog.pformals
             ->

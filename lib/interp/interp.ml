@@ -75,7 +75,7 @@ exception Return_from_proc
 exception Jump of int  (** to a statement label *)
 
 type state = {
-  prog : Prog.t;
+  procs : (string, Prog.proc) Hashtbl.t;  (** {!Prog.proc_table} *)
   globals : (string, storage) Hashtbl.t;
   mutable fuel : int;
   buf_outputs : string list ref;
@@ -367,7 +367,7 @@ and snapshot_entry st (callee : Prog.proc) vars =
   end
 
 and call_function st frame fname args : value =
-  let callee = Prog.find_proc_exn st.prog fname in
+  let callee = Hashtbl.find st.procs fname in
   let vars = bind_args st frame callee args in
   snapshot_entry st callee vars;
   let callee_frame = { vars } in
@@ -381,7 +381,7 @@ and call_function st frame fname args : value =
     | _ -> runtime "function %s did not set its result" fname)
 
 and call_subroutine st frame sname args =
-  let callee = Prog.find_proc_exn st.prog sname in
+  let callee = Hashtbl.find st.procs sname in
   let vars = bind_args st frame callee args in
   snapshot_entry st callee vars;
   let callee_frame = { vars } in
@@ -505,7 +505,7 @@ let run ?(fuel = default_fuel) ?(input = []) ?(trace_entries = true) ?on_expr
   let main = Prog.find_proc_exn prog prog.main in
   let st =
     {
-      prog;
+      procs = Prog.proc_table prog;
       globals = Hashtbl.create 32;
       fuel;
       buf_outputs = ref [];

@@ -282,6 +282,7 @@ let lower_proc ~next_expr_id (proc : Prog.proc) : Cfg.t =
 (** Highest expression id in a resolved program, plus one: the safe starting
     point for synthesized expression ids. *)
 let expr_id_ceiling (prog : Prog.t) : int =
+  Ipcp_telemetry.Telemetry.incr "prog.walks";
   let m = ref 0 in
   List.iter
     (fun (p : Prog.proc) ->

@@ -1,17 +1,26 @@
 open Ipcp_support
 
 (* Span tree node.  Children and per-call durations are stored newest-first
-   and reversed in snapshots/exports. *)
+   and reversed in snapshots/exports; [n_index] finds a child by name
+   without scanning them (a node may have a child per procedure). *)
 type node = {
   n_name : string;
   mutable n_ns : int;
   mutable n_calls : int;
   mutable n_durations : int list;
   mutable n_children : node list;
+  mutable n_index : (string, node) Hashtbl.t option;  (** from the first child *)
 }
 
 let make_node name =
-  { n_name = name; n_ns = 0; n_calls = 0; n_durations = []; n_children = [] }
+  {
+    n_name = name;
+    n_ns = 0;
+    n_calls = 0;
+    n_durations = [];
+    n_children = [];
+    n_index = None;
+  }
 
 type t = {
   clock : unit -> int;
@@ -59,11 +68,20 @@ let with_reporter t f =
 (* Recording.                                                          *)
 
 let child_named parent name =
-  match List.find_opt (fun c -> c.n_name = name) parent.n_children with
+  let index =
+    match parent.n_index with
+    | Some index -> index
+    | None ->
+      let index = Hashtbl.create 8 in
+      parent.n_index <- Some index;
+      index
+  in
+  match Hashtbl.find_opt index name with
   | Some c -> c
   | None ->
     let c = make_node name in
     parent.n_children <- c :: parent.n_children;
+    Hashtbl.replace index name c;
     c
 
 let span name f =

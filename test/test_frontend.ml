@@ -25,6 +25,44 @@ let test_lex_case_insensitive () =
   | ts ->
     fail (Fmt.str "unexpected tokens: %a" (Fmt.list ~sep:Fmt.sp Token.pp) ts)
 
+(* Every keyword, in lower and upper case, lexes to its token; a
+   near-miss — a keyword with a letter added or dropped — is an
+   identifier. *)
+let keyword_cases : (string * Token.t) list =
+  [
+    ("program", KW_PROGRAM); ("subroutine", KW_SUBROUTINE);
+    ("function", KW_FUNCTION); ("integer", KW_INTEGER); ("real", KW_REAL);
+    ("logical", KW_LOGICAL); ("common", KW_COMMON);
+    ("parameter", KW_PARAMETER); ("data", KW_DATA); ("call", KW_CALL);
+    ("if", KW_IF); ("then", KW_THEN); ("else", KW_ELSE);
+    ("elseif", KW_ELSEIF); ("endif", KW_ENDIF); ("do", KW_DO);
+    ("while", KW_WHILE); ("enddo", KW_ENDDO); ("goto", KW_GOTO);
+    ("continue", KW_CONTINUE); ("return", KW_RETURN); ("stop", KW_STOP);
+    ("end", KW_END); ("print", KW_PRINT); ("read", KW_READ);
+  ]
+
+let test_lex_keywords () =
+  let lexes_to word expected =
+    match tokens word with
+    | [ t; EOF ] when Token.equal t expected -> ()
+    | ts ->
+      fail
+        (Fmt.str "%S: expected %a, got %a" word Token.pp expected
+           (Fmt.list ~sep:Fmt.sp Token.pp) ts)
+  in
+  List.iter
+    (fun (word, tok) ->
+      lexes_to word tok;
+      lexes_to (String.uppercase_ascii word) tok;
+      lexes_to (word ^ "x") (IDENT (word ^ "x"));
+      let shorter = String.sub word 0 (String.length word - 1) in
+      if not (List.mem_assoc shorter keyword_cases) then
+        lexes_to shorter (IDENT shorter))
+    keyword_cases;
+  List.iter
+    (fun word -> lexes_to word (IDENT word))
+    [ "endx"; "dox"; "ifs"; "calls"; "programs"; "re"; "whilex" ]
+
 let test_lex_dotted_ops () =
   match tokens "a .lt. b .and. .not. c .Ge. 2" with
   | [
@@ -476,6 +514,7 @@ let suite =
   [
     ("lex simple", `Quick, test_lex_simple);
     ("lex case insensitive", `Quick, test_lex_case_insensitive);
+    ("lex keyword table", `Quick, test_lex_keywords);
     ("lex dotted operators", `Quick, test_lex_dotted_ops);
     ("lex 1.lt.2 disambiguation", `Quick, test_lex_real_vs_dotted);
     ("lex real literals", `Quick, test_lex_reals);

@@ -273,6 +273,46 @@ let test_export_import_roundtrip () =
       (Jobs.analyze ~solved:(Incr.result sess') ~config ~jobs:1 prog
       = Jobs.analyze ~solved:(Incr.result sess) ~config ~jobs:1 prog)
 
+(* A session must not keep the versions before it alive: an update
+   keeps what it may reuse of the previous round, not the previous
+   session.  The first session is held only through a weak pointer; a
+   chain back to it would keep it through three updates. *)
+let test_sessions_do_not_pin_history () =
+  let progs = List.map resolve edit_sequence in
+  let first = Weak.create 1 in
+  let start () =
+    let s = Incr.start Config.default (List.hd progs) in
+    Weak.set first 0 (Some s);
+    s
+  in
+  let sess = ref (start ()) in
+  List.iter
+    (fun prog -> sess := fst (Incr.update ~prev:!sess prog))
+    (List.tl progs);
+  Gc.full_major ();
+  check Alcotest.bool "first session collected" false (Weak.check first 0);
+  ignore (Sys.opaque_identity (Incr.result !sess))
+
+(* The same for bare artifacts, as Complete's re-analysis rounds chain
+   them: each round keeps the previous round's tables only. *)
+let test_artifacts_do_not_pin_history () =
+  let prog = resolve base_src in
+  let first = Weak.create 1 in
+  let prepare () =
+    let a = Driver.prepare prog in
+    ignore (Driver.solve Config.default a);
+    Weak.set first 0 (Some a);
+    a
+  in
+  let a = ref (prepare ()) in
+  for _ = 1 to 3 do
+    a := Driver.prepare_reusing ~prev:!a ~unchanged:(fun _ -> true) prog;
+    ignore (Driver.solve Config.default !a)
+  done;
+  Gc.full_major ();
+  check Alcotest.bool "first artifacts collected" false (Weak.check first 0);
+  ignore (Sys.opaque_identity (Driver.solve Config.default !a))
+
 let suite =
   [
     Alcotest.test_case "strict hash is stable across reparses" `Quick
@@ -297,4 +337,8 @@ let suite =
       test_invisible_edit_empty_cone;
     Alcotest.test_case "session export/import roundtrips" `Quick
       test_export_import_roundtrip;
+    Alcotest.test_case "sessions do not pin earlier versions" `Quick
+      test_sessions_do_not_pin_history;
+    Alcotest.test_case "reused artifacts do not pin earlier rounds" `Quick
+      test_artifacts_do_not_pin_history;
   ]

@@ -101,6 +101,46 @@ let test_complete_reuses_artifacts () =
   check Alcotest.int "complete result unaffected"
     (Complete.run prog).Complete.substituted outcome.Complete.substituted
 
+(* The complexity contract: analysis work per procedure stays flat as
+   programs grow.  Work counters, not wall-clock time, so the test is as
+   stable as the counters.  A quadratic term shows as a whole-program
+   walk per procedure ([prog.walks] growing with the program) or as IR
+   built more than once per procedure. *)
+let contract_counters procs =
+  let prog =
+    Ipcp_suite.Workload.generate_resolved
+      {
+        Ipcp_suite.Workload.default_spec with
+        seed = 42;
+        num_procs = procs;
+        stmts_per_proc = 10;
+      }
+  in
+  let t = Telemetry.create () in
+  Telemetry.with_reporter t (fun () ->
+      ignore (Substitute.apply (Driver.analyze Config.default prog)));
+  let counter name = Option.value ~default:0 (Telemetry.counter t name) in
+  (List.length prog.Ipcp_frontend.Prog.procs, counter)
+
+let test_complexity_contract () =
+  let small_procs, small = contract_counters 200 in
+  let large_procs, large = contract_counters 1600 in
+  check Alcotest.int "jf.build_ir = procedures (small)" small_procs
+    (small "jf.build_ir");
+  check Alcotest.int "jf.build_ir = procedures (large)" large_procs
+    (large "jf.build_ir");
+  check Alcotest.bool "prog.walks counted" true (small "prog.walks" > 0);
+  check Alcotest.int "prog.walks does not grow with the program"
+    (small "prog.walks") (large "prog.walks");
+  List.iter
+    (fun name ->
+      let per counter procs = float_of_int (counter name) /. float_of_int procs in
+      let s = per small small_procs and l = per large large_procs in
+      if s <= 0.0 || l <= 0.0 || l > 1.5 *. s || s > 1.5 *. l then
+        Alcotest.failf "%s per procedure: %.1f at %d procedures, %.1f at %d"
+          name s small_procs l large_procs)
+    [ "jf.ret_oracle.evals"; "sccp.ssa_visits"; "solver.jf_evaluations" ]
+
 let suite =
   [
     ("staged solve equals legacy analyze", `Quick, test_staged_equals_legacy);
@@ -109,4 +149,6 @@ let suite =
     ("parallel tables byte-identical", `Quick, test_tables_parallel_determinism);
     ("complete propagation reuses artifacts", `Quick,
      test_complete_reuses_artifacts);
+    ("complexity contract at 200 and 1600 procedures", `Quick,
+     test_complexity_contract);
   ]

@@ -64,7 +64,34 @@ let test_span_ordering_top_level () =
       Telemetry.span "first" ignore);
   check (Alcotest.list Alcotest.string) "first-entered order, aggregated"
     [ "first"; "second" ]
-    (List.map (fun s -> s.Telemetry.sp_name) (Telemetry.spans t))
+    (List.map (fun s -> s.Telemetry.sp_name) (Telemetry.spans t));
+  (* the same under a parent with a child per procedure *)
+  let t = Telemetry.create ~clock:(ticking_clock ()) () in
+  let names = List.init 2000 (Printf.sprintf "child%d") in
+  Telemetry.with_reporter t (fun () ->
+      Telemetry.span "parent" (fun () ->
+          List.iter (fun n -> Telemetry.span n ignore) names;
+          List.iter (fun n -> Telemetry.span n ignore) (List.rev names)));
+  let children =
+    List.concat_map (fun s -> s.Telemetry.sp_children) (Telemetry.spans t)
+  in
+  check (Alcotest.list Alcotest.string) "many children in first-entered order"
+    names
+    (List.map (fun s -> s.Telemetry.sp_name) children);
+  check Alcotest.bool "every child aggregated" true
+    (List.for_all (fun s -> s.Telemetry.sp_calls = 2) children)
+
+(* The frontend reports lexing, parsing and resolution as siblings. *)
+let test_frontend_spans () =
+  let t = Telemetry.create () in
+  Telemetry.with_reporter t (fun () ->
+      ignore (Ipcp_frontend.Sema.check "program t\nprint *, 1\nend\n"));
+  match Telemetry.spans t with
+  | [ frontend ] ->
+    check (Alcotest.list Alcotest.string) "frontend > lex, parse, sema"
+      [ "lex"; "parse"; "sema" ]
+      (List.map (fun s -> s.Telemetry.sp_name) frontend.sp_children)
+  | _ -> Alcotest.fail "expected one frontend span"
 
 let test_span_survives_exception () =
   let t = Telemetry.create ~clock:(ticking_clock ()) () in
@@ -359,6 +386,7 @@ let suite =
     ("telemetry span aggregation", `Quick, test_span_aggregation);
     ("telemetry span ordering", `Quick, test_span_ordering_top_level);
     ("telemetry span survives exception", `Quick, test_span_survives_exception);
+    ("telemetry frontend spans lex, parse, sema", `Quick, test_frontend_spans);
     ("telemetry reporter restored", `Quick, test_reporter_restored);
     ("telemetry fresh domain has no sink", `Quick,
      test_fresh_domain_has_no_sink);
