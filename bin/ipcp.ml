@@ -618,15 +618,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 3 & info [ "breaker" ] ~docv:"N" ~doc)
   in
-  let cache =
-    let doc =
-      "Persist analyze-delta sessions in a crash-safe on-disk cache rooted \
-       at $(docv), so a restarted server resumes them without re-solving.  \
-       Corrupt or truncated entries are recomputed, never trusted; \
-       responses are byte-identical warm or cold."
-    in
-    Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
-  in
   let backoff_ms =
     let doc = "First worker-restart delay after a crash, in milliseconds." in
     Arg.(value & opt int 10 & info [ "backoff-ms" ] ~docv:"MS" ~doc)
@@ -634,14 +625,6 @@ let serve_cmd =
   let backoff_cap_ms =
     let doc = "Exponential restart-backoff ceiling, in milliseconds." in
     Arg.(value & opt int 1000 & info [ "backoff-cap-ms" ] ~docv:"MS" ~doc)
-  in
-  let cache_max_entries =
-    let doc =
-      "Entry cap of the session cache; the oldest entries (by mtime) are \
-       evicted after each store once the cap is exceeded.  0 leaves the \
-       cache unbounded."
-    in
-    Arg.(value & opt int 4096 & info [ "cache-max-entries" ] ~docv:"N" ~doc)
   in
   let seed =
     let doc =
@@ -722,8 +705,8 @@ let serve_cmd =
     let doc = "Seed of the fault-injection draws." in
     Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"N" ~doc)
   in
-  let run workers queue queue_policy breaker breaker_reset_after cache
-      cache_max certify_sample backoff_ms backoff_cap_ms seed input listen
+  let run workers queue queue_policy breaker breaker_reset_after
+      certify_sample backoff_ms backoff_cap_ms seed input listen
       read_timeout_ms max_line health_out fault_rate fault_seed =
     if fault_rate > 0.0 then
       Ipcp_support.Fault.configure ~raise_rate:fault_rate ~seed:fault_seed ();
@@ -734,8 +717,6 @@ let serve_cmd =
         queue_policy;
         breaker_threshold = breaker;
         breaker_reset_after;
-        cache_dir = cache;
-        cache_max_entries = (if cache_max <= 0 then None else Some cache_max);
         certify_sample;
         backoff_base_ms = backoff_ms;
         backoff_cap_ms;
@@ -793,9 +774,9 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const run $ workers $ queue $ queue_policy $ breaker
-      $ breaker_reset_after $ cache $ cache_max_entries $ certify_sample
-      $ backoff_ms $ backoff_cap_ms $ seed $ input $ listen $ read_timeout_ms
-      $ max_line $ health_out $ fault_rate $ fault_seed)
+      $ breaker_reset_after $ certify_sample $ backoff_ms $ backoff_cap_ms
+      $ seed $ input $ listen $ read_timeout_ms $ max_line $ health_out
+      $ fault_rate $ fault_seed)
 
 (* ---------------- route ---------------- *)
 
@@ -815,18 +796,6 @@ let route_cmd =
        batch waits instead of being shed."
     in
     Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
-  in
-  let cache =
-    let doc =
-      "Session cache root shared by every shard — what makes failover \
-       warm: a respawned shard re-imports persisted analyze-delta \
-       sessions instead of re-solving them."
-    in
-    Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
-  in
-  let cache_max_entries =
-    let doc = "Entry cap of the shared session cache; 0 unbounded." in
-    Arg.(value & opt int 4096 & info [ "cache-max-entries" ] ~docv:"N" ~doc)
   in
   let certify_sample =
     let doc =
@@ -913,15 +882,13 @@ let route_cmd =
     let doc = "Consecutive unanswered heartbeats before ejection." in
     Arg.(value & opt int 3 & info [ "heartbeat-misses" ] ~docv:"N" ~doc)
   in
-  let run shards workers queue cache cache_max certify_sample breaker
-      backoff_ms backoff_cap_ms seed runtime_dir health_out shard_pids
-      connect_timeout_ms route_deadline_ms heartbeat_ms heartbeat_misses =
+  let run shards workers queue certify_sample breaker backoff_ms
+      backoff_cap_ms seed runtime_dir health_out shard_pids connect_timeout_ms
+      route_deadline_ms heartbeat_ms heartbeat_misses =
     let shard_args =
       [ "--workers"; string_of_int workers;
         "--breaker"; string_of_int breaker;
-        "--seed"; string_of_int seed;
-        "--cache-max-entries"; string_of_int cache_max ]
-      @ (match cache with Some d -> [ "--cache"; d ] | None -> [])
+        "--seed"; string_of_int seed ]
       @
       if certify_sample > 0.0 then
         [ "--certify-sample"; string_of_float certify_sample ]
@@ -959,10 +926,10 @@ let route_cmd =
   Cmd.v
     (Cmd.info "route" ~doc)
     Term.(
-      const run $ shards $ workers $ queue $ cache $ cache_max_entries
-      $ certify_sample $ breaker $ backoff_ms $ backoff_cap_ms $ seed
-      $ runtime_dir $ health_out $ shard_pids $ connect_timeout_ms
-      $ route_deadline_ms $ heartbeat_ms $ heartbeat_misses)
+      const run $ shards $ workers $ queue $ certify_sample $ breaker
+      $ backoff_ms $ backoff_cap_ms $ seed $ runtime_dir $ health_out
+      $ shard_pids $ connect_timeout_ms $ route_deadline_ms $ heartbeat_ms
+      $ heartbeat_misses)
 
 (* ---------------- broken-pipe handling ---------------- *)
 
@@ -998,17 +965,6 @@ let () =
   | Some s -> (
     match int_of_string_opt s with
     | Some seed -> Ipcp_support.Fault.configure ~corrupt_rate:1.0 ~seed ()
-    | None -> ())
-  | None -> ());
-  (* Test-only hook: IPCP_FAULT_DISK=<seed> arms the disk-fault site in
-     the session cache's commit path (ENOSPC / short write / fsync
-     failure, shape chosen by the seeded draw), so CI can prove the
-     server degrades to cacheless operation instead of failing
-     requests. *)
-  (match Sys.getenv_opt "IPCP_FAULT_DISK" with
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some seed -> Ipcp_support.Fault.configure ~disk_rate:1.0 ~seed ()
     | None -> ())
   | None -> ());
   (* Test-only hook: IPCP_TEST_EINTR_MS=<ms> installs a no-op SIGALRM

@@ -9,8 +9,15 @@ cd "$(dirname "$0")"
 
 echo "== fmt"
 # Portable lint: no tabs, no trailing whitespace in OCaml sources.
-if grep -rlP '\t| +$' --include='*.ml' --include='*.mli' lib bin bench test tools; then
+if grep -rlP '\t| +$' --include='*.ml' --include='*.mli' lib bin bench test tools examples; then
   echo "fmt: tabs or trailing whitespace found in the files above" >&2
+  exit 1
+fi
+# Nothing the program runs decodes bytes with Marshal: its readers
+# trust their input's layout, so a corrupt or foreign file can crash
+# the process instead of raising.
+if grep -rnF 'Marshal.from_' lib bin; then
+  echo "lint: Marshal decoding found in lib/ or bin/ (lines above)" >&2
   exit 1
 fi
 if command -v ocamlformat >/dev/null 2>&1 && [ -f .ocamlformat ]; then
@@ -157,9 +164,9 @@ fi
 echo "== serve differential"
 # Server-vs-direct at a pinned seed: generated and suite programs
 # through the in-process serving layer at workers 1 and 4, as analyze
-# and analyze-delta requests with the session cache off, cold and warm —
-# every response frame byte-identical to the direct CLI-equivalent
-# rendering, every request answered exactly once.
+# and analyze-delta requests — every response frame byte-identical to
+# the direct CLI-equivalent rendering, every request answered exactly
+# once.
 dune exec --no-build tools/fuzz.exe -- --seed 7 --iterations 5 --serve-diff
 
 echo "== serve online certification"
@@ -209,12 +216,10 @@ dune exec --no-build tools/profile_lint.exe -- "$tmpdir/certid.plain.jsonl"
 
 echo "== serve smoke"
 # A real `ipcp serve` subprocess: full-suite byte-diff against direct
-# CLI runs, graceful SIGTERM drain (exit 0), truncated session-cache
-# entries recomputed instead of trusted, fault-injected worker crashes
-# failing only their own requests with statuses identical across worker
-# counts,
-# and — with IPCP_FAULT_CORRUPT armed — certified serving that never
-# lets a corrupted solution out as an ok frame.
+# CLI runs, graceful SIGTERM drain (exit 0), fault-injected worker
+# crashes failing only their own requests with statuses identical
+# across worker counts, and — with IPCP_FAULT_CORRUPT armed — certified
+# serving that never lets a corrupted solution out as an ok frame.
 dune exec --no-build tools/fuzz.exe -- --serve-smoke \
   --ipcp "$(pwd)/_build/default/bin/ipcp.exe"
 
@@ -223,9 +228,10 @@ echo "== serve shard fleet"
 # byte-identical to a single-process server at shards 1/2/4, exactly one
 # terminal response per request with a shard SIGKILLed mid-stream, the
 # router-scope breaker quarantining a poison input that kills two shard
-# processes, a respawned shard re-importing its incremental session from
-# the shared on-disk cache, and the socket listener's oversize /
-# slow-loris / client-gone defenses driven over a real unix socket.
+# processes, a respawned shard starting a lost incremental session again
+# (the next delta byte-identical to a from-scratch analyze, counted in
+# serve.delta_fresh), and the socket listener's oversize / slow-loris /
+# client-gone defenses driven over a real unix socket.
 for seed in 7 11; do
   echo "-- seed $seed"
   dune exec --no-build tools/fuzz.exe -- --serve-shard --seed "$seed" \
@@ -236,30 +242,23 @@ echo "== serve gray failures"
 # IPCP_SERVE_STALL_INPUT must be hedged at the route deadline with the
 # stream staying byte-identical to a healthy run and no id answered
 # twice (ledger dedupe); a SIGSTOPped shard must be ejected after
-# missed heartbeats and respawned with no frame lost; injected disk
-# faults (ENOSPC / short write / fsync failure) during session-cache commits
-# must degrade the shards to cacheless operation with every response
-# still ok; and a 2ms EINTR storm must not change a byte.  The
-# post-drain snapshots must lint as ipcp.health/1 (router gray-counter
-# coherence included) and carry the new readings.
+# missed heartbeats and respawned with no frame lost; and a 2ms EINTR
+# storm must not change a byte.  The post-drain ejection snapshot must
+# lint as ipcp.health/1 (router gray-counter coherence included) and
+# carry the gray-failure readings.
 for seed in 7 11; do
   echo "-- seed $seed"
   dune exec --no-build tools/fuzz.exe -- --serve-gray --seed "$seed" \
     --ipcp "$(pwd)/_build/default/bin/ipcp.exe" \
     --health-out "$tmpdir/gray_health_$seed"
 done
-dune exec --no-build tools/profile_lint.exe -- \
-  "$tmpdir/gray_health_7.eject" "$tmpdir/gray_health_7.disk"
+dune exec --no-build tools/profile_lint.exe -- "$tmpdir/gray_health_7.eject"
 if ! grep -q 'router\.ejections' "$tmpdir/gray_health_7.eject"; then
   echo "serve-gray: ejection snapshot carries no router.ejections counter" >&2
   exit 1
 fi
 if ! grep -q 'router\.hedged' "$tmpdir/gray_health_7.eject"; then
   echo "serve-gray: ejection snapshot carries no router.hedged counter" >&2
-  exit 1
-fi
-if ! grep -q 'serve\.cache_disabled' "$tmpdir/gray_health_7.disk"; then
-  echo "serve-gray: disk snapshot carries no serve.cache_disabled gauge" >&2
   exit 1
 fi
 

@@ -56,10 +56,6 @@ end
     certifier need.  Everything else — worklists, staging, budgets,
     telemetry, incremental re-solving — is shared machinery. *)
 module type S = sig
-  val name : string
-  (** Stable lower-case name ("const", "copy"); the CLI/serve dispatch
-      token and the incremental-manifest tag. *)
-
   module L : LATTICE
 
   val eval_jf : env:(Symbolic.leaf -> L.t) -> Symbolic.t -> L.t

@@ -4,8 +4,6 @@
     moved here verbatim so every const-analysis output stays
     byte-identical across the API redesign. *)
 
-let name = "const"
-
 module L = Const_lattice
 
 (* The solver's rule: no support is ⊥; any ⊥ input forces ⊥; then any ⊤

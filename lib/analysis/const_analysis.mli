@@ -6,8 +6,6 @@
     [Solver.Make (Const_analysis)] reproduces the historical results
     byte-for-byte (pinned by the tables golden in CI). *)
 
-val name : string
-
 module L : Analysis_sig.LATTICE with type t = Const_lattice.t
 
 val eval_jf : env:(Symbolic.leaf -> L.t) -> Symbolic.t -> L.t

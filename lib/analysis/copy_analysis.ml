@@ -8,8 +8,6 @@
     ⊥ is checked in the constant rule, which is what makes
     {!Copy_lattice.project} commute with evaluation. *)
 
-let name = "copy"
-
 module L = Copy_lattice
 
 let eval_jf ~(env : Symbolic.leaf -> Copy_lattice.t) (jf : Symbolic.t) :

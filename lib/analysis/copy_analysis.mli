@@ -7,8 +7,6 @@
     {!Copy_lattice.project} a transfer-function homomorphism onto the
     constant analysis — the basis of the subsumption experiment. *)
 
-val name : string
-
 module L : Analysis_sig.LATTICE with type t = Copy_lattice.t
 
 val eval_jf : env:(Symbolic.leaf -> L.t) -> Symbolic.t -> L.t

@@ -19,10 +19,12 @@ type violation = {
   v_msg : string;
 }
 
+type witness = Witnessed | Not_witnessed of string
+
 type report = {
   violations : violation list;
   obligations : int;
-  exec_checked : bool;
+  witness : witness;
 }
 
 let ok r = r.violations = []
@@ -59,8 +61,10 @@ let to_diagnostics (r : report) : Diagnostics.t =
 
 let pp_report ppf (r : report) =
   if ok r then
-    Fmt.pf ppf "certified (%d obligations%s)" r.obligations
-      (if r.exec_checked then ", execution witnessed" else "")
+    Fmt.pf ppf "certified (%d obligations, execution %s)" r.obligations
+      (match r.witness with
+      | Witnessed -> "witnessed"
+      | Not_witnessed why -> "not witnessed: " ^ why)
   else
     Fmt.pf ppf "%d violation(s) in %d obligations:@.%a"
       (List.length r.violations) r.obligations Diagnostics.pp
@@ -95,15 +99,16 @@ module Make (A : Analysis_sig.S) = struct
     let procs = Prog.proc_table t.Driver.prog in
     List.iter
       (fun (s : Jump_function.site_jf) ->
-        let caller_proc = Hashtbl.find procs s.sf_caller in
-        let loc = site_loc caller_proc s.sf_site in
+        (* rescanning the caller's body per site is quadratic in a
+           procedure's call count: locate only a violating site *)
+        let loc = lazy (site_loc (Hashtbl.find procs s.sf_caller) s.sf_site) in
         let env = lat_env s.sf_caller in
         let check param jf what =
           obligation ();
           let binding = S.lookup solution s.sf_callee param in
           let expected = A.certify_eval ~env jf in
           if not (A.L.le binding expected) then
-            add ~code:"E-CERT-EDGE" ~proc:s.sf_callee ~loc
+            add ~code:"E-CERT-EDGE" ~proc:s.sf_callee ~loc:(Lazy.force loc)
               (Fmt.str
                  "%s %s of %s holds %a, above the jump function %a of the \
                   call in %s (independently evaluated to %a)"
@@ -366,7 +371,7 @@ module Make (A : Analysis_sig.S) = struct
   (* E-CERT-EXEC: the interpreter as execution witness.                  *)
 
   let check_exec (t : t) ~(sccps : (string * Sccp.result) list) ~fuel
-      ~input ~add ~obligation : bool =
+      ~input ~add ~obligation : witness =
     let prog = t.Driver.prog in
     let main = Prog.find_proc_exn prog prog.main in
     (* claimed facts, keyed by program-wide expression id *)
@@ -417,7 +422,9 @@ module Make (A : Analysis_sig.S) = struct
     in
     let res = Interp.run ~fuel ~input ~trace_entries:true ~on_expr prog in
     match res.Interp.outcome with
-    | Interp.Out_of_fuel | Interp.Failed _ -> false
+    | Interp.Out_of_fuel ->
+      Not_witnessed (Fmt.str "out of fuel after %d steps" res.Interp.steps)
+    | Interp.Failed msg -> Not_witnessed ("runtime error: " ^ msg)
     | Interp.Finished ->
       Hashtbl.iter (fun _ _ -> obligation ()) expr_claims;
       Hashtbl.iter (fun _ _ -> obligation ()) cond_claims;
@@ -459,7 +466,7 @@ module Make (A : Analysis_sig.S) = struct
         add ~code:"E-CERT-EXEC" ~proc:main.pname ~loc:main.ploc
           (Fmt.str "substituted program failed (%s) while the original \
                     finished" msg));
-      true
+      Witnessed
 
   (* ------------------------------------------------------------------ *)
   (* Deliberate corruption (the test-only hook).                         *)
@@ -541,12 +548,8 @@ module Make (A : Analysis_sig.S) = struct
         | Prog.Klocal | Prog.Kresult -> None
     in
     Sccp_check.check t ~entry_const ~sccps ~add ~obligation;
-    let exec_checked = check_exec t ~sccps ~fuel ~input ~add ~obligation in
-    {
-      violations = List.rev !violations;
-      obligations = !obligations;
-      exec_checked;
-    }
+    let witness = check_exec t ~sccps ~fuel ~input ~add ~obligation in
+    { violations = List.rev !violations; obligations = !obligations; witness }
 
   let check_program ?fuel ?input ?(configs = default_configs) (prog : Prog.t) :
       (string * report) list =

@@ -50,13 +50,16 @@ type violation = {
   v_msg : string;
 }
 
+(** Whether the interpreter witness ran the program to completion.
+    When it ran out of fuel or failed at runtime, the execution
+    obligations are vacuous, not violated, and [Not_witnessed] says why
+    (["out of fuel after F steps"] or ["runtime error: ..."]). *)
+type witness = Witnessed | Not_witnessed of string
+
 type report = {
   violations : violation list;  (** in discovery order *)
   obligations : int;  (** obligations discharged (attempted) *)
-  exec_checked : bool;
-      (** the interpreter witness ran the program to completion; [false]
-          when it ran out of fuel or failed at runtime (those obligations
-          are then vacuous, not violated) *)
+  witness : witness;
 }
 
 val ok : report -> bool
@@ -65,7 +68,9 @@ val ok : report -> bool
     procedure name). *)
 val to_diagnostics : report -> Ipcp_support.Diagnostics.t
 
-(** ["certified (N obligations)"] or the violation list. *)
+(** ["certified (N obligations, execution witnessed)"] — or
+    ["execution not witnessed: REASON"] in place of the last part — or
+    the violation list. *)
 val pp_report : report Fmt.t
 
 (** The configuration sweep of {!check_program}: the six Table 2

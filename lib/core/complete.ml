@@ -45,7 +45,7 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
           Telemetry.span "complete:round" (fun () ->
               let t = D.solve config artifacts in
               (* fold constant branches per procedure using the seeded SCCP *)
-              let changed = ref [] in
+              let changed = Hashtbl.create 16 in
               let procs =
                 List.map
                   (fun (proc : Prog.proc) ->
@@ -53,18 +53,19 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
                     let proc', ch =
                       Ipcp_analysis.Dce.run ~cond_consts:sccp.cond_consts proc
                     in
-                    if ch then changed := proc.pname :: !changed;
+                    if ch then Hashtbl.replace changed proc.pname ();
                     proc')
                   prog.Prog.procs
               in
-              (t, !changed, procs))
+              (t, changed, procs))
         in
         if
-          changed_procs <> [] && rounds < max_rounds
+          Hashtbl.length changed_procs > 0
+          && rounds < max_rounds
           && Ipcp_support.Budget.tick budget
         then begin
           let prog' = { prog with Prog.procs } in
-          let unchanged name = not (List.mem name changed_procs) in
+          let unchanged name = not (Hashtbl.mem changed_procs name) in
           loop
             (Driver.prepare_reusing ~prev:artifacts ~unchanged prog')
             prog' (rounds + 1)

@@ -42,7 +42,6 @@ type 'elt generic_result = {
           to ⊥ — the result is sound but less precise *)
 }
 
-let vals_of (r : 'elt generic_result) = r.vals
 let stats_of (r : 'elt generic_result) = r.stats
 
 type val_map = Const_lattice.t Prog.Param_map.t

@@ -35,11 +35,6 @@ type 'elt generic_result = {
           (pending work was widened to ⊥) but may miss constants *)
 }
 
-(** The per-procedure VAL maps — what seeded re-solving and the
-    incremental manifests persist.  Prefer this accessor over the record
-    field outside the analysis layers. *)
-val vals_of : 'elt generic_result -> (string, 'elt Prog.Param_map.t) Hashtbl.t
-
 val stats_of : 'elt generic_result -> stats
 
 type val_map = Const_lattice.t Prog.Param_map.t

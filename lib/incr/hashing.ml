@@ -191,9 +191,9 @@ let hash mode (p : Prog.proc) : string =
   in
   (match h.mode with
   | Strict ->
-    (* the name is part of the strict identity: per-procedure cache
-       entries are content-addressed by this hash, and a payload must
-       determine the procedure completely *)
+    (* the name is part of the strict identity: an equal strict hash
+       must determine the procedure completely, since grafting reuses
+       the previous version's value whole *)
     addf h "proc:%s" p.pname
   | Semantic -> add h "proc");
   addf h "kind:%s"

@@ -24,8 +24,7 @@ type mode = Strict | Semantic
 val hash : mode -> Prog.proc -> string
 
 (** [hash Strict] — includes the procedure name, so the hash determines
-    the procedure completely (content-addressed cache entries rely on
-    this). *)
+    the procedure completely (grafting relies on this). *)
 val strict : Prog.proc -> string
 
 (** [hash Semantic] — the α-insensitive body hash; excludes the

@@ -3,9 +3,13 @@
     A session holds one analyzed program version: the (grafted) resolved
     program, its prepared artifacts, the per-procedure strict/semantic
     hashes, and the solved {!Ipcp_core.Driver.t}.  {!update} analyzes
-    the next version at a cost proportional to the {e dependence cone}
-    of the edit rather than the program size, with output byte-identical
-    to a from-scratch {!Ipcp_core.Driver.analyze} of the same source:
+    the next version with output byte-identical to a from-scratch
+    {!Ipcp_core.Driver.analyze} of the same source.  Only propagation is
+    bounded by the {e dependence cone} of the edit.  Hashing every
+    procedure, the call graph, the diff, MOD/REF and the forward jump
+    functions of every site stay whole-program, so an update of a
+    1600-procedure program costs about 80% of a fresh {!start}
+    (DESIGN.md §10 has the split).  The steps:
 
     {ol
     {- {b Grafting.}  Procedures whose strict hash is unchanged keep the
@@ -290,13 +294,15 @@ module Make (A : Analysis_sig.S) = struct
       let old_sites : (string, Jump_function.site_jf list) Hashtbl.t =
         Hashtbl.create 16
       in
+      (* consed in reverse so each caller's list keeps site order
+         without an append per site *)
       List.iter
         (fun (sf : Jump_function.site_jf) ->
           Hashtbl.replace old_sites sf.sf_caller
-            (Option.value ~default:[]
-               (Hashtbl.find_opt old_sites sf.sf_caller)
-            @ [ sf ]))
-        prev.s_result.Driver.site_jfs;
+            (sf
+            :: Option.value ~default:[]
+                 (Hashtbl.find_opt old_sites sf.sf_caller)))
+        (List.rev prev.s_result.Driver.site_jfs);
       let site_jf_equal (x : Jump_function.site_jf)
           (y : Jump_function.site_jf) =
         x.Jump_function.sf_callee = y.Jump_function.sf_callee
@@ -371,106 +377,6 @@ module Make (A : Analysis_sig.S) = struct
     ( session_of ~config ~prog:prog' ~artifacts ~strict:strict_new ~sem:sem_new
         ~t,
       stats )
-
-  (* ------------------------------------------------------------------ *)
-  (* Session persistence.
-
-     A session exports as a manifest plus per-procedure payloads that are
-     content-addressed by strict hash — the serve layer stores each piece
-     as its own crash-safe cache entry, so consecutive sessions of the
-     same connection share the blobs of their unchanged procedures.  Only
-     closure-free data travels (resolved procedures, the solution
-     fixpoint, the configuration): stage-1/2 bundles embed oracle
-     closures and are rebuilt on demand after import.  Importing seeds
-     the solve entirely from the persisted fixpoint (empty dirty set), so
-     it skips the propagation stage; budgeted configurations re-solve
-     from scratch instead, since their degradation state is not
-     persisted. *)
-
-  type manifest = {
-    m_config : Config.t;
-    m_main : string;
-    m_procs : (string * string * string) list;
-        (** (name, strict hash, semantic hash) in program order *)
-    m_vals : (string * A.L.t Prog.Param_map.t) list;
-  }
-
-  let export (s : session) : string * (string * string) list =
-    let blobs =
-      List.map
-        (fun (p : Prog.proc) ->
-          (Hashtbl.find s.s_strict p.pname, Marshal.to_string p []))
-        s.s_prog.procs
-    in
-    let manifest =
-      {
-        m_config = s.s_config;
-        m_main = s.s_prog.main;
-        m_procs =
-          List.map
-            (fun (p : Prog.proc) ->
-              ( p.pname,
-                Hashtbl.find s.s_strict p.pname,
-                Hashtbl.find s.s_sem p.pname ))
-            s.s_prog.procs;
-        m_vals =
-          Hashtbl.fold
-            (fun name m acc -> (name, m) :: acc)
-            s.s_result.Driver.solution.Solver.vals []
-          |> List.sort compare;
-      }
-    in
-    (Marshal.to_string manifest [], blobs)
-
-  let import ~(manifest : string) ~(lookup : string -> string option) :
-      session option =
-    match (Marshal.from_string manifest 0 : manifest) with
-    | exception _ -> None
-    | m when Config.analysis_name m.m_config.Config.analysis <> A.name ->
-      (* a manifest persisted by a different analysis: [m_vals] would be
-         read at the wrong lattice type — refuse before touching it *)
-      None
-    | m -> (
-      let procs =
-        List.map
-          (fun (_, strict_hash, _) ->
-            match lookup strict_hash with
-            | None -> None
-            | Some blob -> (
-              match (Marshal.from_string blob 0 : Prog.proc) with
-              | exception _ -> None
-              | p -> Some p))
-          m.m_procs
-      in
-      if List.exists Option.is_none procs then None
-      else
-        match
-          let prog =
-            { Prog.procs = List.map Option.get procs; main = m.m_main }
-          in
-          let artifacts = Driver.prepare prog in
-          let prev_vals : (string, A.L.t Prog.Param_map.t) Hashtbl.t =
-            Hashtbl.create 16
-          in
-          List.iter (fun (n, vm) -> Hashtbl.replace prev_vals n vm) m.m_vals;
-          let budgeted =
-            m.m_config.Config.max_steps <> None
-            || m.m_config.Config.deadline_ms <> None
-          in
-          let t =
-            if budgeted || not m.m_config.Config.interprocedural then
-              D.solve m.m_config artifacts
-            else
-              (* the persisted fixpoint with an empty dirty set: the solver
-                 verifies nothing is pending and returns it unchanged *)
-              D.solve_seeded m.m_config artifacts ~prev_vals
-                ~dirty:(fun _ -> false)
-          in
-          let strict, sem = hash_tables prog in
-          session_of ~config:m.m_config ~prog ~artifacts ~strict ~sem ~t
-        with
-        | s -> Some s
-        | exception _ -> None)
 end
 
 include Make (Const_analysis)

@@ -1,15 +1,18 @@
 (** Incremental re-analysis sessions: analyze a program version once,
-    then re-analyze successive edited versions at a cost proportional to
-    the dependence cone of each edit — with output {b byte-identical} to
-    a from-scratch {!Ipcp_core.Driver.analyze} of the same source (the
-    certifier and the [fuzz --delta] gate enforce this).
+    then re-analyze successive edited versions — with output
+    {b byte-identical} to a from-scratch {!Ipcp_core.Driver.analyze} of
+    the same source (the certifier and the [fuzz --delta] gate enforce
+    this).
 
-    Per-procedure artifacts (IR, stage-1/2 jump functions, MOD effects)
-    are reused via strict-hash grafting +
-    {!Ipcp_core.Driver.prepare_reusing}; the solution is reused via
-    {!Ipcp_core.Solver.run_seeded} over the dirty cone computed from the
-    semantic call-graph diff ({!Diff}).  See the implementation header
-    and DESIGN.md §10 for the closure rules and the fallbacks. *)
+    Unchanged procedures' IR and return jump functions are reused via
+    strict-hash grafting + {!Ipcp_core.Driver.prepare_reusing}; the
+    solution is reused via {!Ipcp_core.Solver.run_seeded} over the
+    dirty cone computed from the semantic call-graph diff ({!Diff}).
+    Only that propagation is bounded by the cone: hashing, the call
+    graph and its diff, MOD/REF and the forward jump functions are
+    recomputed for the whole program.  See the implementation header
+    and DESIGN.md §10 for the closure rules, the fallbacks and the
+    measured cost split. *)
 
 open Ipcp_frontend
 open Ipcp_core
@@ -26,9 +29,7 @@ type stats = {
 
 val pp_stats : stats Fmt.t
 
-(** Incremental sessions for one analysis.  {!import} refuses a
-    manifest persisted by a different analysis (the configuration names
-    it) — its fixpoint would be read at the wrong lattice type. *)
+(** Incremental sessions for one analysis. *)
 module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
   type session
 
@@ -37,10 +38,6 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
   val result : session -> A.L.t Driver.analysis_result
   val config : session -> Config.t
   val prog : session -> Prog.t
-  val export : session -> string * (string * string) list
-
-  val import :
-    manifest:string -> lookup:(string -> string option) -> session option
 end
 
 (** {1 The constant-propagation instantiation} *)
@@ -66,17 +63,3 @@ val config : session -> Config.t
     (grafting), so re-parsing artifacts like expression ids may differ
     from a fresh parse — semantics and printed output do not. *)
 val prog : session -> Prog.t
-
-(** [export s] is [(manifest, blobs)] where each blob is a
-    per-procedure payload content-addressed by its strict hash:
-    [(strict_hash, payload)].  Only closure-free data travels; see
-    {!import} for what a restored session costs. *)
-val export : session -> string * (string * string) list
-
-(** Rebuild a session from a manifest and a blob store ([lookup] maps a
-    strict hash to its payload, e.g. the serve layer's cache).  [None]
-    if the manifest is undecodable or any blob is missing/undecodable.
-    The solve is seeded from the persisted fixpoint (no propagation
-    cost), but stage-1/2 IR is rebuilt — closures do not persist. *)
-val import :
-  manifest:string -> lookup:(string -> string option) -> session option

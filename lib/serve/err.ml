@@ -44,7 +44,6 @@ let quarantined detail = make ~code:"E-LOAD-QUARANTINE" Load detail
 let worker_crash detail = make ~code:"E-WORKER-CRASH" Worker detail
 let worker_lost detail = make ~code:"E-WORKER-LOST" Worker detail
 let gone detail = make ~code:"E-LOAD-GONE" Load detail
-let disk detail = make ~code:"E-LOAD-DISK" Load detail
 let oversize detail = make ~code:"E-REQ-OVERSIZE" Request_error detail
 let timed_out detail = make ~code:"E-REQ-TIMEOUT" Request_error detail
 

@@ -22,12 +22,9 @@
       (displaced from a full queue), [E-LOAD-REJECT] (refused at a full
       queue), [E-LOAD-DRAIN] (read but never admitted before drain),
       [E-LOAD-QUARANTINE] (the input's circuit breaker is open),
-      [E-LOAD-GONE] (the client connection vanished before its terminal
-      response could be written — logged as a stderr accounting entry,
-      never on the wire, so conservation stays auditable), and
-      [E-LOAD-DISK] (a disk fault during a session-cache commit; the
-      server degrades to cacheless operation and keeps answering, so
-      this too is a stderr accounting entry, never a request failure).
+      and [E-LOAD-GONE] (the client connection vanished before its
+      terminal response could be written — logged as a stderr accounting
+      entry, never on the wire, so conservation stays auditable).
     - [worker] / [E-WORKER-*]: the executing worker crashed
       ([E-WORKER-CRASH]); only that request fails.  [E-WORKER-LOST] is
       the router-scope variant: the shard process serving the request
@@ -68,7 +65,6 @@ val quarantined : string -> t
 val worker_crash : string -> t
 val worker_lost : string -> t
 val gone : string -> t
-val disk : string -> t
 val oversize : string -> t
 val timed_out : string -> t
 

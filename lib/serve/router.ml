@@ -76,11 +76,10 @@ let route_key (req : Request.t) =
   | Request.Tables -> "op:tables"
   | Request.Analyze_delta ->
     (* session affinity: every delta of a session must reach the shard
-       holding (or restoring) that session's pinned fixpoint *)
-    let analysis =
-      match req.rq_analysis with `Const -> "const" | `Copy -> "copy"
-    in
-    Printf.sprintf "session:%s:%s" analysis req.rq_session
+       holding that session's pinned fixpoint *)
+    Printf.sprintf "session:%s:%s"
+      (Ipcp_core.Config.analysis_name req.rq_analysis)
+      req.rq_session
   | Request.Analyze | Request.Certify -> (
     (* program-content affinity: every request for one program reaches
        the same shard whatever its id, path or configuration *)

@@ -31,10 +31,8 @@
     {- {b affinity}: requests hash by {e content} ({!route_key} —
        program text digest, or session name for analyze-delta), so every
        request for one program lands on one shard, and a session's
-       deltas always reach the shard holding that session;}
-    {- {b warm failover}: shards share one on-disk session cache, so a
-       respawned shard re-imports persisted incremental sessions instead
-       of re-solving them;}
+       deltas always reach the shard holding that session (a respawned
+       shard starts the session again, with the same frame);}
     {- {b merged health}: a [health] request fans out to every live
        shard and answers one [ipcp.health/1] snapshot with the shards'
        gauges and counters summed plus the router's own ([router.*]);}

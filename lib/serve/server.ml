@@ -12,8 +12,6 @@ type config = {
   queue_policy : Bqueue.policy;
   breaker_threshold : int;
   breaker_reset_after : int;
-  cache_dir : string option;
-  cache_max_entries : int option;
   certify_sample : float;
   backoff_base_ms : int;
   backoff_cap_ms : int;
@@ -30,8 +28,6 @@ let default_config =
     queue_policy = Bqueue.Reject_new;
     breaker_threshold = 3;
     breaker_reset_after = 0;
-    cache_dir = None;
-    cache_max_entries = Some 4096;
     certify_sample = 0.0;
     backoff_base_ms = 10;
     backoff_cap_ms = 1000;
@@ -136,9 +132,6 @@ type counters = {
       (** responses undeliverable because the client connection died *)
   mutable req_oversize : int;  (** lines refused by the length cap *)
   mutable req_timeout : int;  (** connections refused by the read deadline *)
-  mutable cache_disk_errors : int;
-      (** session-cache commits refused by the disk (each one arms or
-          re-arms the cacheless-degradation latch) *)
 }
 
 (* One circuit-breaker entry.  [bk_denied]/[bk_probing] implement the
@@ -165,7 +158,6 @@ type state = {
   mutable draining : bool;
   breaker : (string, breaker_entry) Hashtbl.t;
       (** consecutive crashes (and half-open state) per input *)
-  cache : Cache.t option;
   sess_mu : Mutex.t;  (** guards [sessions] only: get/put, never a solve *)
   sessions : (string, Incr.session) Hashtbl.t;
       (** incremental sessions pinned per session name *)
@@ -184,12 +176,6 @@ type state = {
           [kill_input]: the worker hangs past any router deadline but
           the process stays alive and keeps answering pings *)
   stall_ms : int;  (** sleep length of a stalled input (IPCP_SERVE_STALL_MS) *)
-  mutable cache_down_since : float option;
-      (** the cacheless-degradation latch: [Some t] after a disk fault
-          during a cache commit at time [t]; guarded by [mu].  While
-          set, requests bypass the cache entirely (and keep answering
-          [ok]); after {!cache_retry_after} seconds the next store acts
-          as a probe that either closes the latch or re-arms it *)
 }
 
 (* ---------------- responses ---------------- *)
@@ -329,14 +315,6 @@ let health_doc st =
               if st.cfg.breaker_threshold > 0 then quarantined_inputs else 0 );
             ("serve.breaker_entries", Hashtbl.length st.breaker);
           ]
-          @
-          match st.cache with
-          | None -> []
-          | Some _ ->
-            [
-              ( "serve.cache_disabled",
-                if st.cache_down_since = None then 0 else 1 );
-            ]
         in
         let counters =
           [
@@ -361,19 +339,6 @@ let health_doc st =
             ("incr.procs_reused", st.n.incr_procs_reused);
             ("incr.procs_resolved", st.n.incr_procs_resolved);
           ]
-          @
-          match st.cache with
-          | None -> []
-          | Some c ->
-            let s = Cache.stats c in
-            [
-              ("serve.cache_hits", s.hits);
-              ("serve.cache_misses", s.misses);
-              ("serve.cache_corrupt", s.corrupt);
-              ("serve.cache_stores", s.stores);
-              ("serve.cache_evictions", s.evictions);
-              ("serve.cache_disk_errors", st.n.cache_disk_errors);
-            ]
         in
         (gauges, counters))
   in
@@ -400,55 +365,6 @@ let resolve_target (req : Request.t) =
     match Jobs.load path with
     | Error o -> Error o
     | Ok (_src, prog) -> Ok (path, prog))
-
-(* ---------------- cacheless degradation ---------------- *)
-
-(* How long the server stays cacheless after a disk fault before the
-   next commit is allowed to probe the device again. *)
-let cache_retry_after = 1.0
-
-(* The disk cache, unless the degradation latch is armed.  While armed
-   (and inside the retry window) every caller sees [None] and serves
-   cacheless — the cache is an accelerator, never a reason to fail a
-   request.  Once the window expires the cache comes back as a probe:
-   the next successful commit closes the latch ({!note_store}), a
-   failing one re-arms it with a fresh window. *)
-let cache_for st =
-  match st.cache with
-  | None -> None
-  | Some c ->
-    let down =
-      locked st (fun () ->
-          match st.cache_down_since with
-          | None -> false
-          | Some t0 -> Unix.gettimeofday () -. t0 < cache_retry_after)
-    in
-    if down then None else Some c
-
-(* The stderr accounting frame for a disk fault: typed E-LOAD-DISK,
-   lintable like the E-LOAD-GONE entries, never on the wire. *)
-let disk_entry detail =
-  Request.response_to_line
-    (Request.response ~id:"cache"
-       ~reason:
-         "disk fault during session-cache commit; cache disabled, serving \
-          cacheless"
-       ~error:(Err.disk detail) Request.Error_crash)
-
-(* Account one cache-commit outcome: success closes the degradation
-   latch, failure arms (or re-arms) it.  The accounting frame is logged
-   once per armed window, not once per refused commit. *)
-let note_store st = function
-  | Ok () -> locked st (fun () -> st.cache_down_since <- None)
-  | Error detail ->
-    let newly_down =
-      locked st (fun () ->
-          st.n.cache_disk_errors <- st.n.cache_disk_errors + 1;
-          let newly_down = st.cache_down_since = None in
-          st.cache_down_since <- Some (Unix.gettimeofday ());
-          newly_down)
-    in
-    if newly_down then log_line (disk_entry detail)
 
 (* ---------------- online certification ---------------- *)
 
@@ -498,30 +414,17 @@ let solution_fault_site seq = Printf.sprintf "serve.solution:%d" seq
 
 (* ---------------- incremental sessions ---------------- *)
 
-let proc_cache_key c hash = Cache.key c ~source:("incr-proc\x00" ^ hash)
-
 (* The serving path for one analysis: the analyze / analyze-delta /
    certify job bodies, the online certification policy, and the
-   analyze-delta session machinery (pinned-session lookup, persistence,
-   and the seeded update).  Each instantiation works on its own session
-   table (passed per call — [state] holds one table per analysis) and
-   its own cache namespace, so a persisted fixpoint is never decoded
-   under the wrong lattice; [Incr.Make(A).import] also refuses such a
-   manifest by configuration. *)
+   analyze-delta session machinery (pinned-session lookup and the seeded
+   update).  Each instantiation works on its own session table (passed
+   per call — [state] holds one table per analysis), so a fixpoint is
+   never updated under the wrong lattice. *)
 module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
   module I = Ipcp_incr.Incr.Make (A)
   module D = Driver.Make (A)
   module C = Ipcp_certify.Certify.Make (A)
   module J = Jobs.Of (A)
-
-  (* constant propagation keeps the historical key so warm caches stay
-     valid across this change; other analyses extend the namespace *)
-  let session_cache_key c name =
-    let prefix =
-      if A.name = "const" then "incr-session\x00"
-      else "incr-session\x00" ^ A.name ^ "\x00"
-    in
-    Cache.key c ~source:(prefix ^ name)
 
   let session_get st sessions name =
     Mutex.lock st.sess_mu;
@@ -534,42 +437,6 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
     Hashtbl.replace sessions name sess;
     Mutex.unlock st.sess_mu
 
-  (* Persist one session as per-procedure entries plus a manifest, each a
-     crash-safe cache entry.  Blobs are content-addressed by strict hash,
-     so consecutive versions share the entries of their unchanged
-     procedures; the manifest (stored last, after every blob it references
-     is durable) pins the session name to its current version. *)
-  let persist_session st name sess =
-    match cache_for st with
-    | None -> ()
-    | Some c ->
-      let manifest, blobs = I.export sess in
-      let failed =
-        List.exists
-          (fun (hash, payload) ->
-            let r = Cache.store c ~key:(proc_cache_key c hash) payload in
-            note_store st r;
-            Result.is_error r)
-          blobs
-      in
-      (* the manifest is stored last, and only if every blob it
-         references is durable: a disk fault mid-persist must never pin
-         the session name to missing pieces *)
-      if not failed then
-        note_store st (Cache.store c ~key:(session_cache_key c name) manifest)
-
-  (* A session not pinned in memory (fresh server, or evicted by restart)
-     may still be reassembled from cached pieces. *)
-  let restore_session st name =
-    match cache_for st with
-    | None -> None
-    | Some c -> (
-      match Cache.find c ~key:(session_cache_key c name) with
-      | None -> None
-      | Some manifest ->
-        I.import ~manifest ~lookup:(fun hash ->
-            Cache.find c ~key:(proc_cache_key c hash)))
-
   (* Serve analyze-delta: update the pinned session when one exists under
      the same configuration, otherwise start one.  The result is the same
      value a from-scratch solve would produce (the Incr layer's
@@ -577,20 +444,14 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
      session state — only the cost does. *)
   let delta_result st sessions (req : Request.t) ~config prog =
     let name = req.rq_session in
-    let prev =
-      match session_get st sessions name with
-      | Some _ as s -> s
-      | None -> restore_session st name
-    in
     let sess, stats =
-      match prev with
+      match session_get st sessions name with
       | Some s when Config.equal (I.config s) config ->
         let s', stats = I.update ~prev:s prog in
         (s', Some stats)
       | _ -> (I.start config prog, None)
     in
     session_put st sessions name sess;
-    persist_session st name sess;
     locked st (fun () ->
         match stats with
         | Some (s : Ipcp_incr.Incr.stats) ->
@@ -969,10 +830,6 @@ let make_state config =
     wake_w;
     draining = false;
     breaker = Hashtbl.create 16;
-    cache =
-      Option.map
-        (fun dir -> Cache.create ?max_entries:config.cache_max_entries ~dir ())
-        config.cache_dir;
     sess_mu = Mutex.create ();
     sessions = Hashtbl.create 4;
     copy_sessions = Hashtbl.create 4;
@@ -998,7 +855,6 @@ let make_state config =
         client_gone = 0;
         req_oversize = 0;
         req_timeout = 0;
-        cache_disk_errors = 0;
       };
     kill_input = Sys.getenv_opt "IPCP_SERVE_KILL_INPUT";
     stall_input = Sys.getenv_opt "IPCP_SERVE_STALL_INPUT";
@@ -1008,7 +864,6 @@ let make_state config =
        with
       | Some n when n > 0 -> n
       | _ -> 2000);
-    cache_down_since = None;
   }
 
 (* Pre-resolve every suite program in this domain: the registry's memo

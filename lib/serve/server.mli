@@ -40,14 +40,13 @@
        read but not yet admitted, flushes, and returns 0;}
     {- {b byte-identity}: responses carry {!Jobs} renderings — the same
        strings a direct CLI run prints.  Analyze and certify requests
-       run [Driver.prepare] + [solve] afresh, and neither the session
-       cache ({!Cache}) nor the incremental path changes a byte, warm or
-       cold;}
+       run [Driver.prepare] + [solve] afresh, and the incremental path
+       does not change a byte;}
     {- {b incrementality}: [analyze-delta] requests serve from a
-       per-session-name pinned {!Ipcp_incr.Incr} session, re-solving
-       only the dependence cone of what changed since the session's
-       previous version; with a cache, sessions persist as
-       per-procedure entries and are restored after a restart.}} *)
+       per-session-name {!Ipcp_incr.Incr} session held in memory,
+       re-solving only the dependence cone of what changed since the
+       session's previous version.  A session lost to a restart starts
+       again, which yields the same frame.}} *)
 
 type config = {
   workers : int;  (** worker domains (at least 1) *)
@@ -59,11 +58,6 @@ type config = {
       (** half-open policy: after this many [quarantined] denials the
           next request for the input runs as a probe — success closes
           the breaker, failure re-opens it; 0 quarantines forever *)
-  cache_dir : string option;
-      (** root of the incremental-session cache; [None] disables *)
-  cache_max_entries : int option;
-      (** cache entry cap, enforced by mtime-LRU eviction after each
-          store; [None] leaves the cache unbounded *)
   certify_sample : float;
       (** online-certify this fraction of analyze/analyze-delta
           responses before emission, chosen deterministically per

@@ -10,8 +10,6 @@
 
 exception Injected of string
 
-type disk_fault = Enospc | Short_write | Fsync_fail
-
 type config = {
   seed : int;
   raise_rate : float;  (** probability a [inject] site raises {!Injected} *)
@@ -23,14 +21,13 @@ type config = {
       (** probability a {!corruption} site yields a corruption seed *)
   stall_rate : float;  (** probability a {!stall} site sleeps *)
   stall_ms : int;  (** sleep duration of a stalled site *)
-  disk_rate : float;  (** probability a {!disk} site fails its commit *)
 }
 
 let state : config option Atomic.t = Atomic.make None
 
 let configure ?(raise_rate = 0.0) ?(spin_rate = 0.0) ?(spin_iters = 10_000)
     ?(starve_rate = 0.0) ?(starve_steps = 0) ?(corrupt_rate = 0.0)
-    ?(stall_rate = 0.0) ?(stall_ms = 0) ?(disk_rate = 0.0) ~seed () =
+    ?(stall_rate = 0.0) ?(stall_ms = 0) ~seed () =
   Atomic.set state
     (Some
        {
@@ -43,7 +40,6 @@ let configure ?(raise_rate = 0.0) ?(spin_rate = 0.0) ?(spin_iters = 10_000)
          corrupt_rate;
          stall_rate;
          stall_ms;
-         disk_rate;
        })
 
 let clear () = Atomic.set state None
@@ -53,9 +49,9 @@ let active () = Atomic.get state <> None
 let config () = Atomic.get state
 
 let with_faults ?raise_rate ?spin_rate ?spin_iters ?starve_rate ?starve_steps
-    ?corrupt_rate ?stall_rate ?stall_ms ?disk_rate ~seed f =
+    ?corrupt_rate ?stall_rate ?stall_ms ~seed f =
   configure ?raise_rate ?spin_rate ?spin_iters ?starve_rate ?starve_steps
-    ?corrupt_rate ?stall_rate ?stall_ms ?disk_rate ~seed ();
+    ?corrupt_rate ?stall_rate ?stall_ms ~seed ();
   Fun.protect ~finally:clear f
 
 (* FNV-1a over the site string, mixed with the seed through the splitmix64
@@ -124,27 +120,3 @@ let stall site =
     if c.stall_rate > 0.0 && roll c.seed (site ^ ":stall") < c.stall_rate then
       Some c.stall_ms
     else None
-
-let disk site =
-  match Atomic.get state with
-  | None -> None
-  | Some c ->
-    if c.disk_rate > 0.0 && roll c.seed (site ^ ":disk") < c.disk_rate then
-      (* which way the commit fails is itself a pure draw on the site,
-         so one armed run exercises all three failure shapes *)
-      let kind =
-        Int64.to_int
-          (Int64.logand (hash_site c.seed (site ^ ":disk-kind")) 0x7FFFFFFFL)
-        mod 3
-      in
-      Some
-        (match kind with
-        | 0 -> Enospc
-        | 1 -> Short_write
-        | _ -> Fsync_fail)
-    else None
-
-let disk_fault_name = function
-  | Enospc -> "enospc"
-  | Short_write -> "short-write"
-  | Fsync_fail -> "fsync-fail"

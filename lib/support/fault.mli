@@ -13,12 +13,6 @@
 (** Raised by {!inject} when the site's raise draw fires. *)
 exception Injected of string
 
-(** The three shapes a {!disk} commit fault takes: the filesystem is
-    full ([Enospc]), the write lands partially ([Short_write]), or the
-    data never reaches stable storage ([Fsync_fail]).  Which one a
-    firing site gets is itself a pure draw on the site string. *)
-type disk_fault = Enospc | Short_write | Fsync_fail
-
 type config = {
   seed : int;
   raise_rate : float;  (** probability an {!inject} site raises *)
@@ -30,7 +24,6 @@ type config = {
       (** probability a {!corruption} site yields a corruption seed *)
   stall_rate : float;  (** probability a {!stall} site sleeps *)
   stall_ms : int;  (** sleep duration of a stalled site *)
-  disk_rate : float;  (** probability a {!disk} site fails its commit *)
 }
 
 (** Install a fault configuration (process-wide, atomically). *)
@@ -43,7 +36,6 @@ val configure :
   ?corrupt_rate:float ->
   ?stall_rate:float ->
   ?stall_ms:int ->
-  ?disk_rate:float ->
   seed:int ->
   unit ->
   unit
@@ -65,7 +57,6 @@ val with_faults :
   ?corrupt_rate:float ->
   ?stall_rate:float ->
   ?stall_ms:int ->
-  ?disk_rate:float ->
   seed:int ->
   (unit -> 'a) ->
   'a
@@ -91,13 +82,3 @@ val corruption : string -> int option
     failure (slow, not dead) as opposed to {!inject}'s crash.  Pure in
     (seed, site) like every other draw. *)
 val stall : string -> int option
-
-(** [disk site] is [Some fault] when the site's disk draw fires: the
-    instrumented cache-commit path must fail in the returned shape
-    (report [ENOSPC], land a short write, or fail the fsync) and must
-    {b not} publish the entry.  Pure in (seed, site). *)
-val disk : string -> disk_fault option
-
-(** Stable lowercase rendering for diagnostics ([enospc],
-    [short-write], [fsync-fail]). *)
-val disk_fault_name : disk_fault -> string

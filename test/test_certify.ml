@@ -107,7 +107,7 @@ let test_exec_witnessed () =
     (fun (name, _, prog) ->
       let r = Certify.check (Driver.analyze Config.default prog) in
       check Alcotest.bool (name ^ ": execution witnessed") true
-        r.Certify.exec_checked)
+        (r.Certify.witness = Certify.Witnessed))
     (suite_programs ())
 
 (* ---- corruption is detected ---- *)
@@ -257,6 +257,20 @@ let test_cli_certify_ok () =
   check Alcotest.int "exit 0" 0 code;
   check Alcotest.bool "reports certified" true (contains "certified" lines)
 
+(* A witness cut short by its fuel is reported, not silently dropped:
+   the verdict keeps its prefix and says why execution went unchecked
+   (the interpreter counts the step that found the fuel gone). *)
+let test_cli_certify_unwitnessed () =
+  let _, source, _ = List.hd (suite_programs ()) in
+  let path = write_temp source in
+  let code, lines = run_cli [ "certify"; "--fuel"; "10"; path ] in
+  Sys.remove path;
+  check Alcotest.int "an unwitnessed certification exits 0" 0 code;
+  check Alcotest.bool "verdict keeps its prefix" true
+    (contains ": certified (" lines);
+  check Alcotest.bool "suffix names the fuel" true
+    (contains ", execution not witnessed: out of fuel after 11 steps)" lines)
+
 let test_cli_certify_corrupted_exits_4 () =
   let _, source, _ = List.hd (suite_programs ()) in
   let path = write_temp source in
@@ -306,6 +320,8 @@ let suite =
     ("rename preserves analysis", `Quick, test_rename_preserves_analysis);
     ("reorder preserves analysis", `Quick, test_reorder_preserves_analysis);
     ("cli: certify ok", `Quick, test_cli_certify_ok);
+    ("cli: certify reports an unwitnessed execution", `Quick,
+     test_cli_certify_unwitnessed);
     ("cli: corrupted solution exits 4", `Quick, test_cli_certify_corrupted_exits_4);
     ("cli: --inject-error self-test", `Quick, test_cli_inject_error_selftest);
     ("cli: analyze --certify", `Quick, test_cli_analyze_certify_flag);

@@ -260,19 +260,6 @@ let test_invisible_edit_empty_cone () =
     (Jobs.analyze ~solved:(Incr.result s') ~config ~jobs:1 prog
     = Jobs.analyze ~config ~jobs:1 prog)
 
-let test_export_import_roundtrip () =
-  let config = Config.make ~kind:Jump_function.Polynomial () in
-  let prog = resolve base_src in
-  let sess = Incr.start config prog in
-  let manifest, blobs = Incr.export sess in
-  let lookup h = List.assoc_opt h blobs in
-  match Incr.import ~manifest ~lookup with
-  | None -> fail "import of a fresh export failed"
-  | Some sess' ->
-    check Alcotest.bool "imported session serves identical output" true
-      (Jobs.analyze ~solved:(Incr.result sess') ~config ~jobs:1 prog
-      = Jobs.analyze ~solved:(Incr.result sess) ~config ~jobs:1 prog)
-
 (* A session must not keep the versions before it alive: an update
    keeps what it may reuse of the previous round, not the previous
    session.  The first session is held only through a weak pointer; a
@@ -335,8 +322,6 @@ let suite =
       test_identical_version_empty_cone;
     Alcotest.test_case "summary-invisible edit has an empty cone" `Quick
       test_invisible_edit_empty_cone;
-    Alcotest.test_case "session export/import roundtrips" `Quick
-      test_export_import_roundtrip;
     Alcotest.test_case "sessions do not pin earlier versions" `Quick
       test_sessions_do_not_pin_history;
     Alcotest.test_case "reused artifacts do not pin earlier rounds" `Quick

@@ -1,5 +1,5 @@
 (* The serving layer: wire protocol round-trips, bounded-queue policy,
-   the crash-safe session cache, and whole-server properties driven
+   and whole-server properties driven
    through in-process [Server.run] and [Server.run_listen] —
    conservation of responses under backpressure (stdio) and load
    shedding (sockets) at several worker counts, fault containment, the
@@ -14,12 +14,10 @@ module Err = Ipcp_serve.Err
 module Request = Ipcp_serve.Request
 module Jobs = Ipcp_serve.Jobs
 module Bqueue = Ipcp_serve.Bqueue
-module Cache = Ipcp_serve.Cache
 module Server = Ipcp_serve.Server
 module Driver = Ipcp_core.Driver
 module Config = Ipcp_core.Config
 module Registry = Ipcp_suite.Registry
-module Incr = Ipcp_incr.Incr
 
 let tmp_dir =
   let n = ref 0 in
@@ -159,91 +157,10 @@ let test_bqueue_policy_names () =
     [ Bqueue.Reject_new; Bqueue.Drop_oldest ];
   check Alcotest.bool "unknown name" true (Bqueue.policy_of_name "lifo" = None)
 
-(* ---- the session cache ---- *)
-
 let suite_prog name =
   match Registry.find name with
   | Some e -> Registry.program e
   | None -> Alcotest.fail ("no suite program " ^ name)
-
-(* A session exported into the cache comes back whole: the restored
-   fixpoint renders exactly what a direct analyze prints. *)
-let test_cache_round_trip () =
-  let dir = tmp_dir "cache-rt" in
-  let c = Cache.create ~dir () in
-  let prog = suite_prog "adm" in
-  let manifest, blobs = Incr.export (Incr.start Config.default prog) in
-  let blob_key hash = Cache.key c ~source:hash in
-  let key = Cache.key c ~source:"session adm" in
-  check Alcotest.bool "cold miss" true (Cache.find c ~key = None);
-  List.iter
-    (fun (hash, payload) -> ignore (Cache.store c ~key:(blob_key hash) payload))
-    blobs;
-  ignore (Cache.store c ~key manifest);
-  (match Cache.find c ~key with
-  | None -> Alcotest.fail "stored manifest not found"
-  | Some manifest -> (
-    match
-      Incr.import ~manifest ~lookup:(fun hash ->
-          Cache.find c ~key:(blob_key hash))
-    with
-    | None -> Alcotest.fail "session did not import from the cache"
-    | Some sess ->
-      let direct = Jobs.analyze ~config:Config.default ~jobs:1 prog in
-      let cached =
-        Jobs.analyze ~solved:(Incr.result sess) ~config:Config.default ~jobs:1
-          prog
-      in
-      check Alcotest.string "stdout identical through the cache" direct.out
-        cached.out;
-      check Alcotest.int "code identical" direct.code cached.code));
-  let n = List.length blobs in
-  let s = Cache.stats c in
-  check Alcotest.int "manifest and blobs hit" (1 + n) s.hits;
-  check Alcotest.int "one miss" 1 s.misses;
-  check Alcotest.int "manifest and blobs stored" (1 + n) s.stores;
-  check Alcotest.int "nothing corrupt" 0 s.corrupt
-
-let test_cache_rejects_corruption () =
-  let dir = tmp_dir "cache-corrupt" in
-  let payload = String.concat "," (List.init 64 string_of_int) in
-  let store_fresh () =
-    let c = Cache.create ~dir () in
-    let key = Cache.key c ~source:"corruption probe" in
-    ignore (Cache.store c ~key payload);
-    (c, key)
-  in
-  let corruptions =
-    [
-      ("truncated payload", fun path -> write_file path
-        (let d = read_file path in String.sub d 0 (String.length d / 2)));
-      ("flipped payload byte", fun path ->
-        let d = Bytes.of_string (read_file path) in
-        let i = Bytes.length d - 8 in
-        Bytes.set d i (Char.chr (Char.code (Bytes.get d i) lxor 0xff));
-        write_file path (Bytes.to_string d));
-      ("garbage header", fun path -> write_file path "not a cache entry\n");
-      ("empty file", fun path -> write_file path "");
-    ]
-  in
-  List.iter
-    (fun (label, corrupt) ->
-      let c, key = store_fresh () in
-      let entry = Cache.entry_path c ~key in
-      corrupt entry;
-      check Alcotest.bool (label ^ " refused") true (Cache.find c ~key = None);
-      check Alcotest.int (label ^ " counted corrupt") 1 (Cache.stats c).corrupt;
-      check Alcotest.bool (label ^ " entry removed") false
-        (Sys.file_exists entry))
-    corruptions
-
-let test_cache_key_covers_build_and_source () =
-  let c = Cache.create ~dir:(tmp_dir "cache-key") () in
-  let a = Cache.key c ~source:"program one" in
-  let b = Cache.key c ~source:"program two" in
-  check Alcotest.bool "distinct sources, distinct keys" true (a <> b);
-  check Alcotest.bool "stable for equal source" true
-    (a = Cache.key c ~source:"program one")
 
 (* ---- whole-server properties (in-process run) ---- *)
 
@@ -567,36 +484,6 @@ let test_fault_statuses_deterministic_across_workers () =
         (statuses w = s1))
     [ 2; 4 ]
 
-(* Warm cache, cold cache and no cache must be invisible in responses:
-   the warm run restores both sessions from the cache instead of starting
-   them afresh. *)
-let test_cache_transparent_in_server () =
-  let dir = tmp_dir "server-cache" in
-  let lines =
-    [
-      delta_line ~session:"a" ~id:"a" "adm";
-      delta_line ~session:"b" ~id:"b" "doduc";
-    ]
-  in
-  let run cache_dir =
-    let config = { Server.default_config with cache_dir } in
-    let _, rs = run_server ~config lines in
-    List.sort compare
-      (List.map
-         (fun (r : Request.response) ->
-           (r.rs_id, r.rs_status, r.rs_code, r.rs_stdout, r.rs_stderr))
-         rs)
-  in
-  let off = run None in
-  let cold = run (Some dir) in
-  let warm = run (Some dir) in
-  check Alcotest.bool "cold cache invisible" true (off = cold);
-  check Alcotest.bool "warm cache invisible" true (off = warm);
-  check Alcotest.bool "entries were stored" true
-    (Array.exists
-       (fun f -> Filename.check_suffix f ".art")
-       (Sys.readdir dir))
-
 (* Per-request budgets ride the request: a starvation-level step budget
    degrades soundly (ok frame, degradation banner) and still renders
    byte-identically to a direct run under the same configuration. *)
@@ -681,28 +568,6 @@ let test_delta_matches_analyze () =
       check Alcotest.bool (r.rs_id ^ " code identical") true
         (r.rs_code = Some direct.code))
     responses
-
-(* mtime-LRU eviction: a bounded cache drops the least-recently-touched
-   entries after each store, never the entry just written, and counts
-   the evictions. *)
-let test_cache_eviction_lru () =
-  let dir = tmp_dir "cache-lru" in
-  let c = Cache.create ~max_entries:2 ~dir () in
-  let store key payload = ignore (Cache.store c ~key payload) in
-  store "aaa" "first";
-  store "bbb" "second";
-  check Alcotest.int "under the cap, no evictions" 0 (Cache.stats c).evictions;
-  (* age "aaa" well into the past so it is unambiguously the LRU victim *)
-  let old = Unix.time () -. 3600.0 in
-  Unix.utimes (Cache.entry_path c ~key:"aaa") old old;
-  store "ccc" "third";
-  check Alcotest.int "one eviction at the cap" 1 (Cache.stats c).evictions;
-  check Alcotest.bool "LRU entry evicted" true
-    (Cache.find c ~key:"aaa" = None);
-  check Alcotest.bool "recent entry kept" true
-    (Cache.find c ~key:"bbb" = Some "second");
-  check Alcotest.bool "stored entry kept" true
-    (Cache.find c ~key:"ccc" = Some "third")
 
 (* ---- the typed error taxonomy and online certification ---- *)
 
@@ -983,8 +848,8 @@ let test_certification_failure_quarantines () =
     (health_field health_path "counters" "serve.quarantined")
 
 (* Certification-off serving is byte-unchanged: the same stream with
-   sampling at 0 and cache off renders exactly the PR5 frames (the
-   policy is pay-for-use). *)
+   sampling at 0 renders exactly the frames of a fully certified run
+   that passes (the policy is pay-for-use). *)
 let test_certify_off_frames_unchanged () =
   let lines =
     [ analyze_line ~id:"a" ~suite:"adm"; analyze_line ~id:"b" ~suite:"doduc" ]
@@ -1157,62 +1022,6 @@ let test_route_key_content_affinity () =
     (k {|{"id":"a","op":"analyze-delta","suite":"adm","session":"s1"}|}
     <> k {|{"id":"a","op":"analyze-delta","suite":"adm","session":"s2"}|})
 
-(* Two handles on one directory — the shape of the shard fleet, where
-   every worker process opens its own [Cache.t] over the shared root. *)
-let test_cache_double_commit () =
-  let dir = tmp_dir "cache-share" in
-  let a = Cache.create ~dir () in
-  let b = Cache.create ~dir () in
-  let key = Cache.key a ~source:"shared source" in
-  (* a racing double-store commits whichever rename lands last; both
-     carry identical bytes, so both handles must read them back *)
-  ignore (Cache.store a ~key "payload");
-  ignore (Cache.store b ~key "payload");
-  check Alcotest.bool "first handle reads the entry" true
-    (Cache.find a ~key = Some "payload");
-  check Alcotest.bool "second handle reads the entry" true
-    (Cache.find b ~key = Some "payload");
-  (* a store one handle never performed is still visible to it *)
-  let key2 = Cache.key b ~source:"late arrival" in
-  ignore (Cache.store b ~key:key2 "late");
-  check Alcotest.bool "cross-handle visibility" true
-    (Cache.find a ~key:key2 = Some "late")
-
-(* Readers racing the evictor: a tight find loop in one domain while
-   another stores far past the cap.  Every read must return the
-   committed bytes or a clean miss — never an exception, never torn or
-   foreign bytes (the checksum header turns torn reads into misses). *)
-let test_cache_eviction_under_concurrent_readers () =
-  let dir = tmp_dir "cache-race" in
-  let writer = Cache.create ~max_entries:4 ~dir () in
-  let reader = Cache.create ~dir () in
-  let hot_key = Cache.key writer ~source:"hot" in
-  ignore (Cache.store writer ~key:hot_key "hot payload");
-  let stop = Atomic.make false in
-  let torn = Atomic.make 0 in
-  let reads = Atomic.make 0 in
-  let d =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          (match Cache.find reader ~key:hot_key with
-          | Some "hot payload" | None -> ()
-          | Some _ -> Atomic.incr torn);
-          Atomic.incr reads
-        done)
-  in
-  for i = 1 to 200 do
-    ignore
-      (Cache.store writer
-         ~key:(Cache.key writer ~source:(string_of_int i))
-         (String.make (16 + (i mod 32)) 'p'))
-  done;
-  Atomic.set stop true;
-  Domain.join d;
-  check Alcotest.int "no torn or foreign bytes" 0 (Atomic.get torn);
-  check Alcotest.bool "the reader actually raced" true (Atomic.get reads > 0);
-  check Alcotest.bool "evictions happened during the race" true
-    ((Cache.stats writer).evictions > 0)
-
 (* ---- gray-failure tolerance ---- *)
 
 (* The wire op behind the router's heartbeats: parses, refuses a
@@ -1242,62 +1051,17 @@ let test_fault_stall_disk_deterministic () =
     Fault.with_faults ~stall_rate:0.5 ~stall_ms:7 ~seed (fun () ->
         Fault.stall site)
   in
-  let disk_at seed site =
-    Fault.with_faults ~disk_rate:0.5 ~seed (fun () -> Fault.disk site)
-  in
   for seed = 1 to 20 do
     let site = Printf.sprintf "serve.worker:%d" seed in
     check Alcotest.bool "stall draw is reproducible" true
-      (stall_at seed site = stall_at seed site);
-    check Alcotest.bool "disk draw is reproducible" true
-      (disk_at seed site = disk_at seed site)
+      (stall_at seed site = stall_at seed site)
   done;
   check Alcotest.bool "armed stall yields the configured pause" true
     (List.exists
        (fun seed -> stall_at seed "serve.worker:0" = Some 7)
        (List.init 50 (fun i -> i)));
   check Alcotest.bool "disarmed faults never fire" true
-    (Fault.stall "serve.worker:0" = None && Fault.disk "cache.commit:k" = None)
-
-(* Satellite: a disk fault mid-commit must surface as [Error], leave no
-   entry and no temp litter, and a later healthy store must publish. *)
-let test_cache_torn_commit () =
-  let dir = tmp_dir "torn-commit" in
-  let c = Cache.create ~dir () in
-  let key = Cache.key c ~source:"torn commit probe" in
-  Fault.with_faults ~disk_rate:1.0 ~seed:5 (fun () ->
-      match Cache.store c ~key "precious bytes" with
-      | Ok () -> Alcotest.fail "injected disk fault did not fail the store"
-      | Error detail ->
-        check Alcotest.bool "detail names the failure shape" true
-          (String.length detail > 0));
-  check Alcotest.bool "no entry published" true (Cache.find c ~key = None);
-  Array.iter
-    (fun f ->
-      check Alcotest.bool ("no temp litter: " ^ f) false
-        (String.length f >= 4 && String.sub f 0 4 = ".tmp"))
-    (Sys.readdir dir);
-  (match Cache.store c ~key "precious bytes" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("healthy store failed: " ^ e));
-  check Alcotest.bool "healthy store published" true
-    (Cache.find c ~key = Some "precious bytes")
-
-(* All three injected failure shapes exist across seeds — the chaos
-   layer would silently lose coverage if one became unreachable. *)
-let test_disk_fault_shapes_covered () =
-  let shapes =
-    List.filter_map
-      (fun seed ->
-        Fault.with_faults ~disk_rate:1.0 ~seed (fun () ->
-            Option.map Fault.disk_fault_name (Fault.disk "cache.commit:x")))
-      (List.init 64 (fun i -> i))
-  in
-  List.iter
-    (fun shape ->
-      check Alcotest.bool ("shape reachable: " ^ shape) true
-        (List.mem shape shapes))
-    [ "enospc"; "short-write"; "fsync-fail" ]
+    (Fault.stall "serve.worker:0" = None)
 
 (* Satellite: response frames survive short/partial socket writes.  A
    socketpair with a tiny send buffer forces the kernel to accept
@@ -1509,42 +1273,6 @@ let test_eintr_storm_conservation () =
         frames;
       check Alcotest.int "listener: clean exit under storm" 0 code)
 
-(* The server side of degradation: with the disk chaos armed, every
-   request still answers [ok]; the health snapshot admits the cache is
-   down ([serve.cache_disabled] with [serve.cache_disk_errors]
-   counted), and stderr carries the one typed E-LOAD-DISK accounting
-   frame per outage window. *)
-let test_cacheless_degradation () =
-  let dir = tmp_dir "cacheless" in
-  let health_path = Filename.concat dir "health.json" in
-  Fault.with_faults ~disk_rate:1.0 ~seed:11 (fun () ->
-      let config =
-        {
-          Server.default_config with
-          cache_dir = Some (Filename.concat dir "cache");
-          workers = 1;
-          health_out = Some health_path;
-        }
-      in
-      let lines =
-        [
-          delta_line ~session:"c1" ~id:"c1" "adm";
-          delta_line ~session:"c2" ~id:"c2" "doduc";
-        ]
-      in
-      let code, responses = run_server ~config lines in
-      check Alcotest.int "clean exit" 0 code;
-      List.iter
-        (fun (r : Request.response) ->
-          check Alcotest.bool (r.rs_id ^ " ok despite dead disk") true
-            (r.rs_status = Request.Ok_done))
-        responses;
-      (* the post-drain snapshot is settled: both commits have failed *)
-      check Alcotest.int "cache reported down" 1
-        (health_field health_path "gauges" "serve.cache_disabled");
-      check Alcotest.bool "disk errors counted" true
-        (health_field health_path "counters" "serve.cache_disk_errors" >= 1))
-
 let suite =
   [
     ("serve request parsing", `Quick, test_request_parse);
@@ -1552,10 +1280,6 @@ let suite =
     ("serve bqueue reject-new", `Quick, test_bqueue_reject_new);
     ("serve bqueue drop-oldest", `Quick, test_bqueue_drop_oldest);
     ("serve bqueue policy names", `Quick, test_bqueue_policy_names);
-    ("serve cache round-trip", `Quick, test_cache_round_trip);
-    ("serve cache rejects corruption", `Quick, test_cache_rejects_corruption);
-    ("serve cache key covers build and source", `Quick,
-     test_cache_key_covers_build_and_source);
     ("serve conservation under shedding", `Slow,
      test_conservation_under_shedding);
     ("serve conservation of coded invalids", `Quick,
@@ -1567,14 +1291,11 @@ let suite =
      test_breaker_quarantines_crashing_input);
     ("serve fault statuses deterministic across workers", `Slow,
      test_fault_statuses_deterministic_across_workers);
-    ("serve cache transparent in server", `Slow,
-     test_cache_transparent_in_server);
     ("serve per-request budget degrades", `Quick,
      test_per_request_budget_degrades);
     ("serve health snapshot", `Quick, test_health_snapshot);
     ("serve analyze-delta matches analyze", `Quick,
      test_delta_matches_analyze);
-    ("serve cache evicts by mtime LRU", `Quick, test_cache_eviction_lru);
     ("serve frame taxonomy golden", `Quick, test_frames_golden);
     ("serve breaker half-open probe", `Quick, test_breaker_half_open_probe);
     ("serve certify sampling deterministic", `Slow,
@@ -1593,20 +1314,13 @@ let suite =
     ("serve ring rebalance is partial", `Quick, test_ring_rebalance_is_partial);
     ("serve route key content affinity", `Quick,
      test_route_key_content_affinity);
-    ("serve cache double commit", `Quick, test_cache_double_commit);
-    ("serve cache eviction under concurrent readers", `Quick,
-     test_cache_eviction_under_concurrent_readers);
     ("serve ping request", `Quick, test_ping_request);
     ("serve stall/disk chaos deterministic", `Quick,
      test_fault_stall_disk_deterministic);
-    ("serve cache torn commit degrades", `Quick, test_cache_torn_commit);
-    ("serve disk fault shapes covered", `Quick,
-     test_disk_fault_shapes_covered);
     ("serve outbuf survives short writes", `Quick, test_outbuf_short_writes);
     ("serve outbuf latches dead peer", `Quick, test_outbuf_dead_peer_latches);
     ("serve EINTR storm conservation", `Slow, test_eintr_storm_conservation);
     ("serve socket conservation under shedding", `Slow,
      test_socket_conservation_under_shedding);
     ("serve stdio refuses an oversize line", `Quick, test_stdio_oversize_line);
-    ("serve cacheless degradation", `Quick, test_cacheless_degradation);
   ]

@@ -26,9 +26,7 @@
    means the telemetry wiring regressed.
    Health snapshots with router.* counters must carry the full
    gray-failure set (deadline_expired / hedged / ejections /
-   late_dropped plus the heartbeat_age_ms gauge), and a snapshot with
-   cache counters must expose the cacheless-degradation latch
-   (serve.cache_disabled / serve.cache_disk_errors).
+   late_dropped plus the heartbeat_age_ms gauge).
 
    Parallel runs (--jobs N) nest each worker's spans under a
    pool:domain-<i> node; the stage search is recursive, so the stages are
@@ -89,19 +87,6 @@ let check_router_gray (problem : string -> unit) ~gauges ~counters =
         "router counters present but gauge \"router.heartbeat_age_ms\" missing"
   end
 
-(* A server with a cache reports the degradation latch alongside the
-   hit/miss counters: cacheless fallback must be observable. *)
-let check_cache_degradation (problem : string -> unit) ~gauges ~counters =
-  if List.mem "serve.cache_hits" counters then begin
-    if not (List.mem "serve.cache_disabled" gauges) then
-      problem
-        "cache counters present but gauge \"serve.cache_disabled\" missing";
-    if not (List.mem "serve.cache_disk_errors" counters) then
-      problem
-        "cache counters present but counter \"serve.cache_disk_errors\" \
-         missing"
-  end
-
 (* ipcp.health/1: gauges and counters, all-integer objects. *)
 let check_health_doc ~where (doc : Json.t) : string list =
   let problems = ref [] in
@@ -130,7 +115,6 @@ let check_health_doc ~where (doc : Json.t) : string list =
   let counters = int_object "counters" in
   check_certify_triple (fun m -> problem "%s" m) counters;
   check_router_gray (fun m -> problem "%s" m) ~gauges ~counters;
-  check_cache_degradation (fun m -> problem "%s" m) ~gauges ~counters;
   List.rev !problems
 
 (* A serve response frame: "id" and "status" strings; any "error" member
