@@ -66,7 +66,25 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
   let nnames = Ssa.num_names ssa in
   let values = Array.make nnames Vtop in
   let executable = Array.make nblocks false in
-  let edge_exec : (int * int, unit) Hashtbl.t = Hashtbl.create 32 in
+  (* One int per CFG edge, so the flow worklist and the executable-edge
+     set index arrays instead of hashing (src, dst) pairs: block [b]'s
+     out-edges are [edge_base.(b)] and, for a two-way branch,
+     [edge_base.(b) + 1].  The entry pseudo-edge gets the last id, apart
+     from any real edge into the entry block. *)
+  let edge_base = Array.make (nblocks + 1) 0 in
+  for b = 0 to nblocks - 1 do
+    edge_base.(b + 1) <- edge_base.(b) + List.length (Cfg.successors cfg b)
+  done;
+  let entry_edge = edge_base.(nblocks) in
+  let edge_dst = Array.make (entry_edge + 1) cfg.entry in
+  for b = 0 to nblocks - 1 do
+    List.iteri (fun k dst -> edge_dst.(edge_base.(b) + k) <- dst) (Cfg.successors cfg b)
+  done;
+  let edge src dst =
+    if edge_dst.(edge_base.(src)) = dst then edge_base.(src)
+    else edge_base.(src) + 1
+  in
+  let edge_exec = Array.make (entry_edge + 1) false in
   (* use lists *)
   let uses : consumer list array = Array.make nnames [] in
   let add_use n c = uses.(n) <- c :: uses.(n) in
@@ -82,14 +100,13 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
         ssa.Ssa.instrs.(b);
       List.iter (fun (_, n) -> add_use n (Cterm b)) ssa.Ssa.term_uses.(b))
     ssa.Ssa.phis;
-  let flow_work : (int * int) Ipcp_support.Worklist.t =
-    Ipcp_support.Worklist.create ()
-  in
-  let ssa_work : int Ipcp_support.Worklist.t = Ipcp_support.Worklist.create () in
+  let module W = Ipcp_support.Worklist.Dense in
+  let flow_work = W.create (entry_edge + 1) in
+  let ssa_work = W.create nnames in
   let set_value n v =
     if not (equal_value values.(n) v) then begin
       values.(n) <- v;
-      Ipcp_support.Worklist.push ssa_work n
+      W.push ssa_work n
     end
   in
   (* lower only: meet with current to guarantee monotonicity *)
@@ -198,54 +215,36 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
     let incoming =
       List.filter_map
         (fun (pred, arg) ->
-          if Hashtbl.mem edge_exec (pred, b) then Some values.(arg) else None)
+          if edge_exec.(edge pred b) then Some values.(arg) else None)
         p.p_args
     in
     match incoming with
     | [] -> () (* no executable incoming edge yet *)
     | v :: rest -> lower_value p.p_dest (List.fold_left meet v rest)
   in
-  let call_def_value (c : Cfg.call) b i (name, n) =
+  (* Each call-defined name's evaluator, made on the name's first visit:
+     its call target and the oracle applied to it, which looks the
+     callee up.  A name is defined by one call, and its block may be
+     visited many times. *)
+  let call_evals = Array.make nnames None in
+  let call_eval oracle c n d_var =
+    match call_evals.(n) with
+    | Some eval -> eval
+    | None ->
+      let eval = Option.map (oracle c) (Ssa_value.call_target c d_var) in
+      call_evals.(n) <- Some eval;
+      eval
+  in
+  let call_def_value (c : Cfg.call) b i n =
     let { Ssa.d_var; _ } = Ssa.def ssa n in
-    ignore name;
     if d_var.vty <> Prog.Tint then Vbot
     else
       match oracle with
       | None -> Vbot
       | Some oracle -> (
-        let target =
-          match c.c_result with
-          | Some r when r.vname = d_var.vname -> Some Ssa_value.Tresult
-          | _ -> (
-            let positions =
-              List.filteri
-                (fun _ (a : Prog.expr) ->
-                  match a.edesc with
-                  | Prog.Evar v -> v.vname = d_var.vname && Prog.is_scalar v
-                  | _ -> false)
-                c.c_args
-            in
-            let first_pos =
-              let rec find k = function
-                | [] -> None
-                | (a : Prog.expr) :: rest -> (
-                  match a.edesc with
-                  | Prog.Evar v when v.vname = d_var.vname && Prog.is_scalar v
-                    ->
-                    Some k
-                  | _ -> find (k + 1) rest)
-              in
-              find 0 c.c_args
-            in
-            match (List.length positions, first_pos, d_var.vkind) with
-            | 1, Some pos, (Prog.Kformal _ | Prog.Klocal | Prog.Kresult) ->
-              Some (Ssa_value.Tformal pos)
-            | 0, None, Prog.Kglobal g -> Some (Ssa_value.Tglobal (Prog.global_key g))
-            | _ -> None)
-        in
-        match target with
+        match call_eval oracle c n d_var with
         | None -> Vbot
-        | Some target -> (
+        | Some eval -> (
           let lookup = function
             | Symbolic.Lformal pos -> (
               match List.nth_opt c.c_args pos with
@@ -267,7 +266,7 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
                   | _ -> None)
                 info.Ssa.ii_uses
           in
-          match oracle c target lookup with
+          match eval lookup with
           | Some cst -> Vint cst
           | None -> Vbot))
   in
@@ -284,9 +283,7 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
       in
       List.iter (fun (_, n) -> lower_value n value) info.ii_defs
     | Cfg.Icall c ->
-      List.iter
-        (fun (name, n) -> lower_value n (call_def_value c b i (name, n)))
-        info.ii_defs
+      List.iter (fun (_, n) -> lower_value n (call_def_value c b i n)) info.ii_defs
     | Cfg.Iread_scalar _ | Cfg.Iread_elem _ ->
       List.iter (fun (_, n) -> lower_value n Vbot) info.ii_defs
     | Cfg.Iastore _ | Cfg.Iprint _ -> ()
@@ -294,14 +291,14 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
   let visit_term b =
     let resolve name = List.assoc_opt name ssa.Ssa.term_uses.(b) in
     match cfg.blocks.(b).b_term with
-    | Cfg.Tgoto t -> Ipcp_support.Worklist.push flow_work (b, t)
+    | Cfg.Tgoto t -> W.push flow_work (edge b t)
     | Cfg.Tbranch (c, bt, bf) -> (
       match eval_expr resolve c with
-      | Vbool true -> Ipcp_support.Worklist.push flow_work (b, bt)
-      | Vbool false -> Ipcp_support.Worklist.push flow_work (b, bf)
+      | Vbool true -> W.push flow_work (edge b bt)
+      | Vbool false -> W.push flow_work (edge b bf)
       | Vbot | Vint _ ->
-        Ipcp_support.Worklist.push flow_work (b, bt);
-        Ipcp_support.Worklist.push flow_work (b, bf)
+        W.push flow_work (edge b bt);
+        W.push flow_work (edge b bf)
       | Vtop -> () (* not enough information yet *))
     | Cfg.Treturn | Cfg.Tstop -> ()
   in
@@ -311,15 +308,15 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
     visit_term b
   in
   (* ---- main loop ---- *)
-  Ipcp_support.Worklist.push flow_work (-1, cfg.entry);
+  W.push flow_work entry_edge;
   let rec iterate () =
     if not (Ipcp_support.Budget.tick budget) then ()
     else
-    match Ipcp_support.Worklist.pop flow_work with
-    | Some (src, dst) ->
-      let was_edge = src >= 0 && Hashtbl.mem edge_exec (src, dst) in
-      if not was_edge then begin
-        if src >= 0 then Hashtbl.replace edge_exec (src, dst) ();
+    match W.pop flow_work with
+    | Some e ->
+      if not edge_exec.(e) then begin
+        edge_exec.(e) <- true;
+        let dst = edge_dst.(e) in
         if not executable.(dst) then begin
           executable.(dst) <- true;
           visit_block dst
@@ -330,7 +327,7 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
       end;
       iterate ()
     | None -> (
-      match Ipcp_support.Worklist.pop ssa_work with
+      match W.pop ssa_work with
       | Some n ->
         List.iter
           (fun c ->
@@ -407,8 +404,8 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
       end)
     ssa.Ssa.instrs;
   if Ipcp_telemetry.Telemetry.enabled () then begin
-    let fw = Ipcp_support.Worklist.stats flow_work in
-    let sw = Ipcp_support.Worklist.stats ssa_work in
+    let fw = W.stats flow_work in
+    let sw = W.stats ssa_work in
     Ipcp_telemetry.Telemetry.incr "sccp.runs";
     Ipcp_telemetry.Telemetry.add "sccp.flow_edge_visits" fw.pops;
     Ipcp_telemetry.Telemetry.add "sccp.ssa_visits" sw.pops;

@@ -45,12 +45,43 @@ type t = {
   entry_const : Prog.var -> int option;
       (** known constant entry values — e.g. [data]-initialized variables of
           the main program, where load-time values hold on entry *)
-  memo : (int, Symbolic.t) Hashtbl.t;
-  mutable visiting : int list;  (** cycle detection stack *)
+  memo : Symbolic.t option array;  (** per SSA name *)
+  visiting : bool array;  (** per SSA name: on the evaluation stack *)
 }
 
 let create ?oracle ?(entry_const = fun (_ : Prog.var) -> None) (ssa : Ssa.t) : t =
-  { ssa; oracle; entry_const; memo = Hashtbl.create 64; visiting = [] }
+  let n = Ssa.num_names ssa in
+  {
+    ssa;
+    oracle;
+    entry_const;
+    memo = Array.make n None;
+    visiting = Array.make n false;
+  }
+
+(** What call [c] (re)defines in variable [v]: its result, the
+    by-reference actual bound to a formal position, or a global.  [None]
+    when that is not attributable — a global passed as an actual, or a
+    variable passed in several argument positions. *)
+let call_target (c : Cfg.call) (v : Prog.var) : target option =
+  match c.c_result with
+  | Some r when r.vname = v.vname -> Some Tresult
+  | _ -> (
+    (* the positions where [v] is a by-ref scalar actual: how many, and
+       the first *)
+    let rec scan pos first count = function
+      | [] -> (first, count)
+      | (a : Prog.expr) :: rest -> (
+        match a.edesc with
+        | Prog.Evar w when w.vname = v.vname && Prog.is_scalar w ->
+          scan (pos + 1) (if count = 0 then pos else first) (count + 1) rest
+        | _ -> scan (pos + 1) first count rest)
+    in
+    match (scan 0 0 0 c.c_args, v.vkind) with
+    | (pos, 1), (Prog.Kformal _ | Prog.Klocal | Prog.Kresult) ->
+      Some (Tformal pos)
+    | (_, 0), Prog.Kglobal g -> Some (Tglobal (Prog.global_key g))
+    | _ -> None)
 
 let leaf_of_var (v : Prog.var) : Symbolic.t =
   match v.vkind with
@@ -62,17 +93,17 @@ let leaf_of_var (v : Prog.var) : Symbolic.t =
     Symbolic.unknown
 
 let rec sym_of_name t (n : Ssa.ssa_name) : Symbolic.t =
-  match Hashtbl.find_opt t.memo n with
+  match t.memo.(n) with
   | Some s -> s
   | None ->
-    if List.mem n t.visiting then
+    if t.visiting.(n) then
       (* loop-carried value: conservatively unknown *)
       Symbolic.unknown
     else begin
-      t.visiting <- n :: t.visiting;
+      t.visiting.(n) <- true;
       let result = compute t n in
-      t.visiting <- List.tl t.visiting;
-      Hashtbl.replace t.memo n result;
+      t.visiting.(n) <- false;
+      t.memo.(n) <- Some result;
       result
     end
 
@@ -113,41 +144,7 @@ and compute_instr t (d_var : Prog.var) b i : Symbolic.t =
     match t.oracle with
     | None -> Symbolic.unknown
     | Some oracle -> (
-      let target =
-        match c.c_result with
-        | Some r when r.vname = d_var.vname -> Some Tresult
-        | _ -> (
-          (* positions where this variable is a by-ref scalar actual *)
-          let positions =
-            List.filteri
-              (fun _ (a : Prog.expr) ->
-                match a.edesc with
-                | Prog.Evar v -> v.vname = d_var.vname && Prog.is_scalar v
-                | _ -> false)
-              c.c_args
-            |> List.length
-          in
-          let first_pos =
-            let rec find i = function
-              | [] -> None
-              | (a : Prog.expr) :: rest -> (
-                match a.edesc with
-                | Prog.Evar v when v.vname = d_var.vname && Prog.is_scalar v ->
-                  Some i
-                | _ -> find (i + 1) rest)
-            in
-            find 0 c.c_args
-          in
-          match (positions, first_pos, d_var.vkind) with
-          | 1, Some pos, (Prog.Kformal _ | Prog.Klocal | Prog.Kresult) ->
-            Some (Tformal pos)
-          | 0, None, Prog.Kglobal g -> Some (Tglobal (Prog.global_key g))
-          | _ ->
-            (* aliased — a global passed as an actual, or a variable passed
-               in several argument positions: not attributable, ⊥ *)
-            None)
-      in
-      match target with
+      match call_target c d_var with
       | None -> Symbolic.unknown
       | Some target -> (
         let instr_index = i in

@@ -14,7 +14,9 @@ type target = Tresult | Tformal of int | Tglobal of string
     [target], by evaluating the callee's return jump function.  [lookup]
     resolves the callee's entry leaves *at this call site*, and only to
     constants — the paper's rule that return jump functions depending on
-    the caller's own parameters never evaluate as constant (§3.2). *)
+    the caller's own parameters never evaluate as constant (§3.2).  A
+    caller may keep [oracle call target] and apply it to several
+    [lookup]s, as {!Sccp} does while the oracle's table is fixed. *)
 type oracle = Cfg.call -> target -> (Symbolic.leaf -> int option) -> int option
 
 type t
@@ -25,6 +27,12 @@ type t
     entry); such variables evaluate to constants instead of leaves. *)
 val create :
   ?oracle:oracle -> ?entry_const:(Prog.var -> int option) -> Ssa.t -> t
+
+(** What call [c] (re)defines in variable [v]: [Tresult], [Tformal] for
+    the one position where [v] is a by-reference scalar actual, or
+    [Tglobal] for a global not passed as an actual.  [None] when that is
+    not attributable (aliased actuals). *)
+val call_target : Cfg.call -> Prog.var -> target option
 
 (** Symbolic value of an SSA name (memoized; loop-carried values are
     conservatively [Unknown]). *)

@@ -13,7 +13,20 @@
 (** A leaf names a value on entry to the enclosing procedure. *)
 type leaf = Lformal of int | Lglobal of string  (** global key *)
 
-let compare_leaf (a : leaf) (b : leaf) = compare a b
+(* [Stdlib.compare]'s order, by constructor: every jump-function
+   evaluation sorts its support with this. *)
+let compare_leaf (a : leaf) (b : leaf) =
+  match (a, b) with
+  | Lformal i, Lformal j -> Int.compare i j
+  | Lglobal x, Lglobal y -> String.compare x y
+  | Lformal _, Lglobal _ -> -1
+  | Lglobal _, Lformal _ -> 1
+
+module Leaf_set = Set.Make (struct
+  type t = leaf
+
+  let compare = compare_leaf
+end)
 
 type t =
   | Const of int
@@ -108,21 +121,16 @@ let is_unknown = function Unknown -> true | _ -> false
     depends on (paper §2).  Empty for constants; [None] when the expression
     is unknown. *)
 let support t : leaf list option =
-  let module S = Set.Make (struct
-    type t = leaf
-
-    let compare = compare_leaf
-  end) in
   let exception Unk in
   let rec go acc = function
     | Const _ -> acc
-    | Leaf l -> S.add l acc
+    | Leaf l -> Leaf_set.add l acc
     | Neg x -> go acc x
     | Bin (_, x, y) -> go (go acc x) y
     | Unknown -> raise Unk
   in
-  match go S.empty t with
-  | s -> Some (S.elements s)
+  match go Leaf_set.empty t with
+  | s -> Some (Leaf_set.elements s)
   | exception Unk -> None
 
 (** Number of nodes; a proxy for jump-function construction/evaluation cost

@@ -176,7 +176,8 @@ and build_ir_timed facts ~(modref : Modref.t) (proc : Prog.proc) : proc_ssa =
     in
     by_ref @ globals
   in
-  let call_uses (_ : Cfg.call) : Prog.var list = List.map snd scalar_globals in
+  let global_uses = List.map snd scalar_globals in
+  let call_uses (_ : Cfg.call) : Prog.var list = global_uses in
   {
     ps_proc = proc;
     ps_cfg = cfg;
@@ -202,22 +203,29 @@ let with_oracle ?oracle (ps : proc_ssa) : proc_ir =
   }
 
 (** An oracle that evaluates return jump functions from [table].
-    Only constant entry values participate (paper §3.2). *)
+    Only constant entry values participate (paper §3.2).  [oracle call
+    target] looks the callee's jump function up once; applying the result
+    to a [lookup] evaluates it. *)
 let oracle_of_table (table : (string, ret_jf) Hashtbl.t) : Ssa_value.oracle =
- fun call target lookup ->
-  Ipcp_telemetry.Telemetry.incr "jf.ret_oracle.evals";
-  match Hashtbl.find_opt table call.Cfg.c_callee with
-  | None -> None
-  | Some rj ->
-    let sym =
+ fun call target ->
+  let sym =
+    match Hashtbl.find_opt table call.Cfg.c_callee with
+    | None -> None
+    | Some rj -> (
       match target with
-      | Ssa_value.Tresult -> rj.rj_result
+      | Ssa_value.Tresult -> Some rj.rj_result
       | Ssa_value.Tformal i ->
-        Int_map.find_opt i rj.rj_formals |> Option.value ~default:Symbolic.unknown
+        Some
+          (Int_map.find_opt i rj.rj_formals
+          |> Option.value ~default:Symbolic.unknown)
       | Ssa_value.Tglobal k ->
-        Str_map.find_opt k rj.rj_globals |> Option.value ~default:Symbolic.unknown
-    in
-    Symbolic.eval ~env:lookup sym
+        Some
+          (Str_map.find_opt k rj.rj_globals
+          |> Option.value ~default:Symbolic.unknown))
+  in
+  fun lookup ->
+    Ipcp_telemetry.Telemetry.incr "jf.ret_oracle.evals";
+    match sym with None -> None | Some sym -> Symbolic.eval ~env:lookup sym
 
 (* ------------------------------------------------------------------ *)
 (* Return jump function construction (bottom-up pass).                  *)

@@ -14,12 +14,15 @@ type t = {
   mutable bol : int;  (** offset of beginning of current line *)
   mutable last_was_newline : bool;
       (** used to collapse runs of blank lines into one NEWLINE *)
+  report : (Loc.t -> string -> unit) option;
+      (** recovery mode: lexical errors go here instead of raising *)
 }
 
-let create ?(file = "<input>") src =
-  { src; file; pos = 0; line = 1; bol = 0; last_was_newline = true }
+let create ?(file = "<input>") ?report src =
+  { src; file; pos = 0; line = 1; bol = 0; last_was_newline = true; report }
 
-let loc t = Loc.make ~file:t.file ~line:t.line ~col:(t.pos - t.bol + 1)
+(* Built in place rather than through [Loc.make]: one location per token. *)
+let loc t = { Loc.file = t.file; line = t.line; col = t.pos - t.bol + 1 }
 
 let at_end t = t.pos >= String.length t.src
 
@@ -77,9 +80,10 @@ let rec skip_blanks t =
     end
   | _ -> ()
 
-let lex_number t =
+(* [lex_number], [lex_dotted] and [lex_string] start at the token, so
+   they report errors at its location [start_loc]. *)
+let lex_number t start_loc =
   let start = t.pos in
-  let start_loc = loc t in
   while is_digit (peek_char t) do
     advance t
   done;
@@ -119,15 +123,19 @@ let lex_number t =
 
 let lex_ident t =
   let start = t.pos in
-  while is_alnum (peek_char t) do
-    advance t
+  let upper = ref false in
+  let c = ref (peek_char t) in
+  while is_alnum !c do
+    if !c >= 'A' && !c <= 'Z' then upper := true;
+    advance t;
+    c := peek_char t
   done;
-  let text = String.lowercase_ascii (String.sub t.src start (t.pos - start)) in
+  let text = String.sub t.src start (t.pos - start) in
+  let text = if !upper then String.lowercase_ascii text else text in
   match Token.of_keyword text with Some kw -> kw | None -> Token.IDENT text
 
 (* Dotted operator or start of a real literal like ".5". *)
-let lex_dotted t =
-  let start_loc = loc t in
+let lex_dotted t start_loc =
   if is_digit (peek_char2 t) then begin
     (* .5 style real literal *)
     let start = t.pos in
@@ -165,8 +173,7 @@ let lex_dotted t =
     | w -> Loc.error start_loc "unknown dotted operator .%s." w
   end
 
-let lex_string t =
-  let start_loc = loc t in
+let lex_string t start_loc =
   let quote = peek_char t in
   advance t;
   let buf = Buffer.create 16 in
@@ -193,9 +200,9 @@ let lex_string t =
   go ();
   Token.STRING (Buffer.contents buf)
 
-(** Return the next token and its starting location.  Runs of blank lines
-    collapse into a single [NEWLINE]. *)
-let rec next t : Token.t * Loc.t =
+(* The next token and its starting location.  Runs of blank lines
+   collapse into a single [NEWLINE]. *)
+let rec scan t : Token.t * Loc.t =
   skip_blanks t;
   let l = loc t in
   if at_end t then begin
@@ -209,7 +216,7 @@ let rec next t : Token.t * Loc.t =
     let c = peek_char t in
     if c = '\n' then begin
       newline t;
-      if t.last_was_newline then next t
+      if t.last_was_newline then scan t
       else begin
         t.last_was_newline <- true;
         (Token.NEWLINE, l)
@@ -218,10 +225,10 @@ let rec next t : Token.t * Loc.t =
     else begin
       t.last_was_newline <- false;
       let tok =
-        if is_digit c then lex_number t
+        if is_digit c then lex_number t l
         else if is_alpha c then lex_ident t
-        else if c = '.' then lex_dotted t
-        else if c = '\'' || c = '"' then lex_string t
+        else if c = '.' then lex_dotted t l
+        else if c = '\'' || c = '"' then lex_string t l
         else begin
           advance t;
           match c with
@@ -240,26 +247,17 @@ let rec next t : Token.t * Loc.t =
       (tok, l)
     end
 
-(** Tokenize an entire source string; the result always ends with [EOF]. *)
-let tokenize ?(file = "<input>") src : (Token.t * Loc.t) list =
-  let t = create ~file src in
-  let rec go acc =
-    let tok, l = next t in
-    match tok with Token.EOF -> List.rev ((tok, l) :: acc) | _ -> go ((tok, l) :: acc)
-  in
-  go []
-
-(** Like {!tokenize}, but lexical errors are passed to [report] and the
-    lexer resynchronizes at the next end of line instead of aborting, so
-    one bad literal doesn't hide every later diagnostic.  The malformed
-    span contributes no tokens; the statement parser then recovers at
+(** Return the next token and its starting location.  In recovery mode a
+    lexical error is reported and the lexer resynchronizes at the next end
+    of line, so one bad literal doesn't hide every later diagnostic: the
+    malformed span contributes no tokens, and the parser then recovers at
     the NEWLINE boundary. *)
-let tokenize_collect ?(file = "<input>") ~report src : (Token.t * Loc.t) list =
-  let t = create ~file src in
-  let rec go acc =
-    match next t with
-    | (Token.EOF, _) as tl -> List.rev (tl :: acc)
-    | tl -> go (tl :: acc)
+let rec next t : Token.t * Loc.t =
+  match t.report with
+  | None -> scan t
+  | Some report -> (
+    match scan t with
+    | tl -> tl
     | exception Loc.Error (l, m) ->
       report l m;
       (* every error path has consumed at least one character, so
@@ -267,6 +265,13 @@ let tokenize_collect ?(file = "<input>") ~report src : (Token.t * Loc.t) list =
       while (not (at_end t)) && peek_char t <> '\n' do
         advance t
       done;
-      go acc
+      next t)
+
+(** Tokenize an entire source string; the result always ends with [EOF]. *)
+let tokenize ?(file = "<input>") src : (Token.t * Loc.t) list =
+  let t = create ~file src in
+  let rec go acc =
+    let tok, l = next t in
+    match tok with Token.EOF -> List.rev ((tok, l) :: acc) | _ -> go ((tok, l) :: acc)
   in
   go []

@@ -2,21 +2,16 @@
 
 type t
 
-(** Create a lexer over a whole source string. *)
-val create : ?file:string -> string -> t
+(** Create a lexer over a whole source string.  With [report], the lexer
+    is in recovery mode: {!next} passes each lexical error to [report] and
+    resynchronizes at the next end of line instead of raising. *)
+val create :
+  ?file:string -> ?report:(Loc.t -> string -> unit) -> string -> t
 
 (** Next token with its starting location.  After the end of input, returns
-    [EOF] forever.  Raises {!Loc.Error} on malformed input. *)
+    [EOF] forever.  Raises {!Loc.Error} on malformed input, unless the
+    lexer is in recovery mode. *)
 val next : t -> Token.t * Loc.t
 
 (** Tokenize an entire source string; the result ends with [EOF]. *)
 val tokenize : ?file:string -> string -> (Token.t * Loc.t) list
-
-(** Like {!tokenize}, but lexical errors are passed to [report] and the
-    lexer resynchronizes at the next end of line instead of raising, so
-    every malformed literal in the file is reported. *)
-val tokenize_collect :
-  ?file:string ->
-  report:(Loc.t -> string -> unit) ->
-  string ->
-  (Token.t * Loc.t) list

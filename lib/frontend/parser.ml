@@ -22,27 +22,45 @@
 open Ast
 
 type t = {
-  mutable toks : (Token.t * Loc.t) list;  (** remaining tokens *)
-  mutable recover : Ipcp_support.Diagnostics.t option;
+  lexer : Lexer.t;
+  mutable cur : Token.t * Loc.t;  (** the current token *)
+  mutable ahead : (Token.t * Loc.t) option;
+      (** the token after [cur], once {!peek2_tok} has fetched it *)
+  mutable consumed : int;  (** tokens consumed so far *)
+  recover : Ipcp_support.Diagnostics.t option;
       (** when set, syntax errors are accumulated here and parsing
           resynchronizes at statement / unit boundaries *)
 }
+
+let create ?recover lexer =
+  { lexer; cur = Lexer.next lexer; ahead = None; consumed = 0; recover }
 
 let report p l m =
   match p.recover with
   | Some diags -> Loc.report diags ~code:"E-PARSE" l m
   | None -> ()
 
-let peek p = match p.toks with [] -> (Token.EOF, Loc.dummy) | tl :: _ -> tl
+let peek p = p.cur
 
-let peek_tok p = fst (peek p)
+let peek_tok p = fst p.cur
 
 let peek2_tok p =
-  match p.toks with _ :: (t, _) :: _ -> t | _ -> Token.EOF
+  match p.ahead with
+  | Some (t, _) -> t
+  | None ->
+    let tl = Lexer.next p.lexer in
+    p.ahead <- Some tl;
+    fst tl
 
-let loc_of p = snd (peek p)
+let loc_of p = snd p.cur
 
-let advance p = match p.toks with [] -> () | _ :: rest -> p.toks <- rest
+let advance p =
+  (match p.ahead with
+  | Some tl ->
+    p.cur <- tl;
+    p.ahead <- None
+  | None -> p.cur <- Lexer.next p.lexer);
+  p.consumed <- p.consumed + 1
 
 let expect p tok what =
   let t, l = peek p in
@@ -657,29 +675,9 @@ let parse_unit p : punit =
   expect_newline p;
   { ukind = kind; uname = name; uformals = formals; udecls = decls; ubody = body; uloc = l }
 
-(** Parse a token list (ending with [EOF]) into program units. *)
-let parse_tokens toks : program =
-  let p = { toks; recover = None } in
-  let rec go acc =
-    skip_newlines p;
-    if Token.equal (peek_tok p) Token.EOF then List.rev acc
-    else go (parse_unit p :: acc)
-  in
-  go []
-
-(** Parse a whole source file into a list of program units. *)
-let parse_program ?(file = "<input>") src : program =
-  parse_tokens (Lexer.tokenize ~file src)
-
-(** Parse a token list in recovery mode: syntax errors land in [diags]
-    and parsing resynchronizes — at the next line for statement-level
-    errors, at the next unit keyword for unit-level ones — so a single
-    run reports every independent problem.  The returned units are those
-    that parsed cleanly enough to resolve. *)
-let parse_tokens_collect diags toks : program =
-  let p = { toks; recover = Some diags } in
-  (* Unit-boundary resynchronization: drop tokens until the next unit
-     keyword (or EOF). *)
+(* Program units up to EOF.  In recovery mode a unit-level error drops
+   tokens until the next unit keyword (or EOF). *)
+let parse_units p : program =
   let rec sync_unit () =
     match peek_tok p with
     | Token.EOF | Token.KW_PROGRAM | Token.KW_SUBROUTINE | Token.KW_FUNCTION ->
@@ -692,23 +690,44 @@ let parse_tokens_collect diags toks : program =
     skip_newlines p;
     if Token.equal (peek_tok p) Token.EOF then List.rev acc
     else
-      let before = p.toks in
+      let before = p.consumed in
       match parse_unit p with
       | u -> go (u :: acc)
-      | exception Loc.Error (l, m) ->
+      | exception Loc.Error (l, m) when p.recover <> None ->
         report p l m;
         (* the error may sit on a unit keyword with nothing consumed;
            force progress before seeking the next unit *)
-        if p.toks == before then advance p;
+        if p.consumed = before then advance p;
         sync_unit ();
         go acc
   in
   go []
 
+(** Parse a whole source file into a list of program units.  Tokens
+    stream from the lexer as the parser consumes them.  With [recover],
+    errors accumulate there instead of raising, and parsing
+    resynchronizes — at the next line for statement-level errors, at the
+    next unit keyword for unit-level ones — so a single run reports every
+    independent problem.  Lexical errors ([E-LEX]) are collected apart
+    and added ahead of the syntax errors ([E-PARSE]).  The returned units
+    are those that parsed cleanly enough to resolve. *)
+let parse_program ?(file = "<input>") ?recover src : program =
+  match recover with
+  | None -> parse_units (create (Lexer.create ~file src))
+  | Some diags ->
+    let module D = Ipcp_support.Diagnostics in
+    let lexical = D.create () and syntax = D.create () in
+    let lexer =
+      Lexer.create ~file ~report:(Loc.report lexical ~code:"E-LEX") src
+    in
+    let units = parse_units (create ~recover:syntax lexer) in
+    List.iter (D.add diags) (D.to_list lexical);
+    List.iter (D.add diags) (D.to_list syntax);
+    units
+
 (** Parse a single expression (used by tests and the workload generator). *)
 let parse_expression ?(file = "<expr>") src : expr =
-  let toks = Lexer.tokenize ~file src in
-  let p = { toks; recover = None } in
+  let p = create (Lexer.create ~file src) in
   let e = parse_expr p in
   skip_newlines p;
   (match peek p with

@@ -20,7 +20,7 @@ type global = {
   gdims : int list;  (** [[]] for scalars *)
 }
 
-let global_key g = Printf.sprintf "%s:%d" g.gblock g.gslot
+let global_key g = g.gblock ^ ":" ^ string_of_int g.gslot
 
 let equal_global a b = a.gblock = b.gblock && a.gslot = b.gslot
 
@@ -113,7 +113,14 @@ type t = { procs : proc list; main : string }
     footnote 1): a positional formal or a common-block global. *)
 type param = Pformal of int | Pglob of string  (** global key *)
 
-let compare_param (a : param) (b : param) = compare a b
+(* [Stdlib.compare]'s order, without its polymorphic traversal: every
+   Param_map and Param_set operation in the solver calls this. *)
+let compare_param (a : param) (b : param) =
+  match (a, b) with
+  | Pformal i, Pformal j -> Int.compare i j
+  | Pglob x, Pglob y -> String.compare x y
+  | Pformal _, Pglob _ -> -1
+  | Pglob _, Pformal _ -> 1
 
 let equal_param a b = compare_param a b = 0
 

@@ -763,29 +763,23 @@ let resolve_collect diags (units : Ast.program) : Prog.t option =
 (** Convenience: parse and resolve a source string in one step. *)
 let parse_and_resolve ?(file = "<input>") src : Prog.t =
   Ipcp_telemetry.Telemetry.span "frontend" (fun () ->
-      let toks =
-        Ipcp_telemetry.Telemetry.span "lex" (fun () -> Lexer.tokenize ~file src)
-      in
       let ast =
-        Ipcp_telemetry.Telemetry.span "parse" (fun () -> Parser.parse_tokens toks)
+        Ipcp_telemetry.Telemetry.span "parse" (fun () ->
+            Parser.parse_program ~file src)
       in
       Ipcp_telemetry.Telemetry.span "sema" (fun () -> resolve ast))
 
 (** Front door for batch diagnosis: parse and resolve in recovery mode.
     [Ok prog] means a clean frontend run; [Error diags] carries every
-    lexical, syntax and semantic problem found in one pass. *)
+    lexical, syntax and semantic problem found in one pass, in that
+    order. *)
 let check ?(file = "<input>") src : (Prog.t, Ipcp_support.Diagnostics.t) result
     =
   Ipcp_telemetry.Telemetry.span "frontend" (fun () ->
       let diags = Ipcp_support.Diagnostics.create () in
-      let toks =
-        Ipcp_telemetry.Telemetry.span "lex" (fun () ->
-            Lexer.tokenize_collect ~file src ~report:(fun l m ->
-                Loc.report diags ~code:"E-LEX" l m))
-      in
       let ast =
         Ipcp_telemetry.Telemetry.span "parse" (fun () ->
-            Parser.parse_tokens_collect diags toks)
+            Parser.parse_program ~file ~recover:diags src)
       in
       let prog =
         Ipcp_telemetry.Telemetry.span "sema" (fun () ->

@@ -66,7 +66,9 @@ let use_at t b i name = List.assoc_opt name t.info.(b).(i).ii_uses
 (* ------------------------------------------------------------------ *)
 (* Construction.                                                        *)
 
-(* All scalar variables of the procedure body, keyed by name. *)
+(* All scalar variables of the procedure body, keyed by name.  [call_defs]
+   and [call_uses] give each instruction's call effects, by block and
+   index. *)
 let collect_vars (cfg : Cfg.t) (proc : Prog.proc) ~call_defs ~call_uses :
     (string, Prog.var) Hashtbl.t =
   let vars = Hashtbl.create 32 in
@@ -82,19 +84,14 @@ let collect_vars (cfg : Cfg.t) (proc : Prog.proc) ~call_defs ~call_uses :
       add { Prog.vname = alias; vty = g.gty; vdims = g.gdims; vkind = Kglobal g })
     proc.pglobals;
   (* temps and any variable mentioned in the CFG *)
-  Array.iter
-    (fun (blk : Cfg.block) ->
-      List.iter
-        (fun instr ->
+  Array.iteri
+    (fun b (blk : Cfg.block) ->
+      List.iteri
+        (fun i instr ->
           List.iter add (Cfg.instr_uses instr);
           List.iter add (Cfg.instr_direct_defs instr);
-          match instr with
-          | Cfg.Icall c ->
-            List.iter add (call_defs c);
-            List.iter add (call_uses c)
-          | Cfg.Iassign _ | Cfg.Iastore _ | Cfg.Iread_scalar _
-          | Cfg.Iread_elem _ | Cfg.Iprint _ ->
-            ())
+          List.iter add call_defs.(b).(i);
+          List.iter add call_uses.(b).(i))
         blk.b_instrs;
       List.iter add (Cfg.term_uses blk.b_term))
     cfg.blocks;
@@ -114,25 +111,23 @@ let build ?(call_defs = fun (_ : Cfg.call) -> ([] : Prog.var list))
     ?(call_uses = fun (_ : Cfg.call) -> ([] : Prog.var list))
     (proc : Prog.proc) (cfg : Cfg.t) (dom : Dom.t) : t =
   let nblocks = Cfg.num_blocks cfg in
-  let vars = collect_vars cfg proc ~call_defs ~call_uses in
   let instrs = Array.map (fun (b : Cfg.block) -> Array.of_list b.b_instrs) cfg.blocks in
-  (* scalar defs of an instruction, including call effects *)
-  let all_defs instr =
-    let extra =
-      match instr with
-      | Cfg.Icall c -> List.filter Prog.is_scalar (call_defs c)
-      | _ -> []
-    in
-    Cfg.instr_direct_defs instr @ extra
+  (* the scalar call effects of every instruction, asked for once: the
+     callers' [call_defs] consult MOD summaries *)
+  let call_effects f =
+    Array.map
+      (Array.map (function
+        | Cfg.Icall c -> List.filter Prog.is_scalar (f c)
+        | Cfg.Iassign _ | Cfg.Iastore _ | Cfg.Iread_scalar _
+        | Cfg.Iread_elem _ | Cfg.Iprint _ ->
+          []))
+      instrs
   in
-  let all_uses instr =
-    let extra =
-      match instr with
-      | Cfg.Icall c -> List.filter Prog.is_scalar (call_uses c)
-      | _ -> []
-    in
-    Cfg.instr_uses instr @ extra
-  in
+  let extra_defs = call_effects call_defs and extra_uses = call_effects call_uses in
+  let vars = collect_vars cfg proc ~call_defs:extra_defs ~call_uses:extra_uses in
+  (* scalar defs and uses of an instruction, including call effects *)
+  let all_defs b i = Cfg.instr_direct_defs instrs.(b).(i) @ extra_defs.(b).(i) in
+  let all_uses b i = Cfg.instr_uses instrs.(b).(i) @ extra_uses.(b).(i) in
   (* -------- phi placement: iterated dominance frontier per variable ---- *)
   let def_blocks : (string, int list ref) Hashtbl.t = Hashtbl.create 32 in
   let add_def_block name b =
@@ -144,26 +139,43 @@ let build ?(call_defs = fun (_ : Cfg.call) -> ([] : Prog.var list))
   Array.iteri
     (fun bi arr ->
       if Dom.is_reachable dom bi then
-        Array.iter
-          (fun instr ->
-            List.iter (fun (v : Prog.var) -> add_def_block v.vname bi) (all_defs instr))
+        Array.iteri
+          (fun i _ ->
+            List.iter (fun (v : Prog.var) -> add_def_block v.vname bi) (all_defs bi i))
           arr)
     instrs;
+  (* Each variable's iterated dominance frontier.  The arrays are shared
+     by all variables and stamped with the variable's number: [queued]
+     marks the blocks already put on [stack] for it, [placed] the blocks
+     already given its phi.  A block is queued at most once per variable,
+     so [stack] never holds more than [nblocks]. *)
   let phi_vars = Array.make nblocks ([] : string list) in
+  let queued = Array.make nblocks (-1) and placed = Array.make nblocks (-1) in
+  let stack = Array.make nblocks 0 and depth = ref 0 in
+  let stamp = ref 0 in
   Hashtbl.iter
     (fun name blocks ->
-      let work = Ipcp_support.Worklist.of_list !blocks in
-      let placed = Hashtbl.create 8 in
-      Ipcp_support.Worklist.drain work (fun b ->
-          List.iter
-            (fun f ->
-              if not (Hashtbl.mem placed f) then begin
-                Hashtbl.replace placed f ();
-                phi_vars.(f) <- name :: phi_vars.(f);
-                Ipcp_support.Worklist.push work f
-              end)
-            dom.frontier.(b))
-    )
+      let s = !stamp in
+      incr stamp;
+      let queue b =
+        if queued.(b) <> s then begin
+          queued.(b) <- s;
+          stack.(!depth) <- b;
+          incr depth
+        end
+      in
+      List.iter queue !blocks;
+      while !depth > 0 do
+        decr depth;
+        List.iter
+          (fun f ->
+            if placed.(f) <> s then begin
+              placed.(f) <- s;
+              phi_vars.(f) <- name :: phi_vars.(f);
+              queue f
+            end)
+          dom.frontier.(stack.(!depth))
+      done)
     def_blocks;
   (* -------- renaming ------------------------------------------------- *)
   let defs : def_info list ref = ref [] in
@@ -209,8 +221,6 @@ let build ?(call_defs = fun (_ : Cfg.call) -> ([] : Prog.var list))
   let info = Array.map (fun arr -> Array.make (Array.length arr) { ii_uses = []; ii_defs = [] }) instrs in
   let term_uses_tbl = Array.make nblocks ([] : (string * ssa_name) list) in
   let exit_versions = ref [] in
-  let preds = Cfg.predecessors cfg in
-  ignore preds;
   let uniq_names vs =
     List.sort_uniq compare (List.map (fun (v : Prog.var) -> v.vname) vs)
   in
@@ -231,16 +241,16 @@ let build ?(call_defs = fun (_ : Cfg.call) -> ([] : Prog.var list))
       phis.(b);
     (* instructions *)
     Array.iteri
-      (fun i instr ->
+      (fun i _ ->
         let uses =
-          List.map (fun name -> (name, top name)) (uniq_names (all_uses instr))
+          List.map (fun name -> (name, top name)) (uniq_names (all_uses b i))
         in
         let dlist =
           List.map
             (fun (v : Prog.var) -> (v.vname, push_version v (Dinstr (b, i))))
             (List.sort_uniq
                (fun (a : Prog.var) b -> compare a.vname b.vname)
-               (all_defs instr))
+               (all_defs b i))
         in
         info.(b).(i) <- { ii_uses = uses; ii_defs = dlist })
       instrs.(b);

@@ -106,30 +106,32 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
           let t = D.analyze config prog in
           (t, Driver.degraded t)
     in
-    if verbose then begin
-      Fmt.pf ppf "--- call graph@.%a@." Callgraph.pp t.Driver.cg;
-      Fmt.pf ppf "--- mod/ref@.%a@." Modref.pp t.Driver.modref
-    end;
-    Fmt.pf ppf "--- configuration: %a@." Config.pp config;
-    Fmt.pf ppf "--- CONSTANTS sets@.%a" D.pp_constants t;
-    let prog', stats = Sub.apply ~jobs t in
-    Fmt.pf ppf "--- constants substituted: %d@." stats.Substitute.total;
-    List.iter
-      (fun (p, n) -> if n > 0 then Fmt.pf ppf "      %-16s %d@." p n)
-      stats.Substitute.by_proc;
-    pp_degraded ppf degraded;
-    if stats.Substitute.sccp_degraded <> [] then
-      Fmt.pf ppf
-        "--- degraded (sccp budget, no substitutions): %a@."
-        Fmt.(list ~sep:(any " ") string)
-        stats.Substitute.sccp_degraded;
-    (match substitute_out with
-    | Some out ->
-      let oc = open_out out in
-      output_string oc (Pretty.program_to_string prog');
-      close_out oc;
-      Fmt.pf ppf "--- substituted source written to %s@." out
-    | None -> ());
+    let span = Ipcp_telemetry.Telemetry.span in
+    let prog', stats = span "substitute" (fun () -> Sub.apply ~jobs t) in
+    span "render" (fun () ->
+        if verbose then begin
+          Fmt.pf ppf "--- call graph@.%a@." Callgraph.pp t.Driver.cg;
+          Fmt.pf ppf "--- mod/ref@.%a@." Modref.pp t.Driver.modref
+        end;
+        Fmt.pf ppf "--- configuration: %a@." Config.pp config;
+        Fmt.pf ppf "--- CONSTANTS sets@.%a" D.pp_constants t;
+        Fmt.pf ppf "--- constants substituted: %d@." stats.Substitute.total;
+        List.iter
+          (fun (p, n) -> if n > 0 then Fmt.pf ppf "      %-16s %d@." p n)
+          stats.Substitute.by_proc;
+        pp_degraded ppf degraded;
+        if stats.Substitute.sccp_degraded <> [] then
+          Fmt.pf ppf
+            "--- degraded (sccp budget, no substitutions): %a@."
+            Fmt.(list ~sep:(any " ") string)
+            stats.Substitute.sccp_degraded;
+        match substitute_out with
+        | Some out ->
+          let oc = open_out out in
+          output_string oc (Pretty.program_to_string prog');
+          close_out oc;
+          Fmt.pf ppf "--- substituted source written to %s@." out
+        | None -> ());
     if certify then
       pp_certification ppf err (Config.to_string config) (C.check t)
     else 0

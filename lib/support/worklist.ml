@@ -85,3 +85,62 @@ let of_list xs =
   let t = create () in
   push_list t xs;
   t
+
+(** The same FIFO over the ints [0, n), with arrays in place of the
+    membership hash table: an item is queued at most once, so a ring of
+    [n] slots holds the queue. *)
+module Dense = struct
+  type nonrec t = {
+    ring : int array;
+    queued : bool array;
+    mutable head : int;
+    mutable length : int;
+    mutable st_pushes : int;
+    mutable st_dedup_skips : int;
+    mutable st_pops : int;
+    mutable st_max_length : int;
+  }
+
+  let create n =
+    {
+      ring = Array.make n 0;
+      queued = Array.make n false;
+      head = 0;
+      length = 0;
+      st_pushes = 0;
+      st_dedup_skips = 0;
+      st_pops = 0;
+      st_max_length = 0;
+    }
+
+  let push t i =
+    if t.queued.(i) then t.st_dedup_skips <- t.st_dedup_skips + 1
+    else begin
+      t.queued.(i) <- true;
+      let n = Array.length t.ring in
+      let slot = t.head + t.length in
+      t.ring.(if slot >= n then slot - n else slot) <- i;
+      t.length <- t.length + 1;
+      t.st_pushes <- t.st_pushes + 1;
+      if t.length > t.st_max_length then t.st_max_length <- t.length
+    end
+
+  let pop t =
+    if t.length = 0 then None
+    else begin
+      let i = t.ring.(t.head) in
+      t.head <- (if t.head + 1 = Array.length t.ring then 0 else t.head + 1);
+      t.length <- t.length - 1;
+      t.queued.(i) <- false;
+      t.st_pops <- t.st_pops + 1;
+      Some i
+    end
+
+  let stats t =
+    {
+      pushes = t.st_pushes;
+      dedup_skips = t.st_dedup_skips;
+      pops = t.st_pops;
+      max_length = t.st_max_length;
+    }
+end

@@ -37,3 +37,16 @@ val drain : 'a t -> ('a -> unit) -> unit
 val elements : 'a t -> 'a list
 
 val of_list : 'a list -> 'a t
+
+(** The same FIFO and counters over the ints [[0, n)], with arrays in
+    place of the membership hash table: no hashing per push or pop. *)
+module Dense : sig
+  type t
+
+  (** An empty worklist over [[0, n)]. *)
+  val create : int -> t
+
+  val push : t -> int -> unit
+  val pop : t -> int option
+  val stats : t -> stats
+end

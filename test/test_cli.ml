@@ -160,6 +160,29 @@ let read_file path =
   close_in ic;
   s
 
+(* The report on a generated 200-procedure program, pinned byte for
+   byte: a faster frontend, IR or SCCP must not change what analyze
+   prints. *)
+let test_analyze_gen200_golden () =
+  let src = Filename.temp_file "ipcp_test" ".f" in
+  let out = Filename.temp_file "ipcp_test" ".out" in
+  let sh args = Sys.command (Fmt.str "%s %s" (Filename.quote (bin ())) args) in
+  let gen =
+    sh (Fmt.str "generate --seed 42 --procs 200 --stmts 10 > %s" (Filename.quote src))
+  in
+  let code = sh (Fmt.str "analyze %s > %s" (Filename.quote src) (Filename.quote out)) in
+  let report = read_file out in
+  Sys.remove src;
+  Sys.remove out;
+  check Alcotest.int "generate exits 0" 0 gen;
+  check Alcotest.int "analyze exits 0" 0 code;
+  check Alcotest.string "analyze report pinned"
+    (read_file
+       (Filename.concat
+          (Filename.dirname Sys.executable_name)
+          "goldens/analyze_gen200.txt"))
+    report
+
 let test_profile_json () =
   let open Ipcp_telemetry in
   let f = write_temp sample in
@@ -365,6 +388,7 @@ let suite =
     ("cli substitute round-trip", `Quick, test_analyze_substitute_roundtrip);
     ("cli lint clean and dirty", `Quick, test_lint_clean_and_dirty);
     ("cli generate then run", `Quick, test_generate_then_run);
+    ("cli analyze 200-procedure golden", `Quick, test_analyze_gen200_golden);
     ("cli tables", `Quick, test_tables);
     ("cli tables --analysis copy", `Quick, test_tables_copy_analysis);
     ("cli unknown --analysis usage exit", `Quick, test_bad_analysis_usage_exit_code);

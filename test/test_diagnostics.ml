@@ -68,6 +68,16 @@ let test_lexical_recovery () =
   in
   check Alcotest.bool "two lexical errors" true (List.length lex >= 2)
 
+(* Tokens stream into the parser, so the lexer meets line 4's bad
+   character after the parser has reported line 3; the report still lists
+   every lexical error ahead of the syntax errors. *)
+let test_lexical_errors_listed_first () =
+  let d = diags_of "program main\ninteger x\nx = )\nx = 1 @ 2\nend\n" in
+  check Alcotest.string "E-LEX first, in report order"
+    "t.f:4:7: error[E-LEX]: unexpected character '@'\n\
+     t.f:3:5: error[E-PARSE]: expected an expression but found )\n"
+    (Fmt.str "%a" D.pp d)
+
 let test_unit_boundary_recovery () =
   (* a broken subroutine header must not swallow its sibling units'
      problems: main still resolves, and the later unknown call is seen *)
@@ -143,6 +153,7 @@ let suite =
     ("diagnostics format and order", `Quick, test_report_order_and_format);
     ("multi-error program (>=3)", `Quick, test_multi_error_program);
     ("lexical recovery", `Quick, test_lexical_recovery);
+    ("lexical errors listed first", `Quick, test_lexical_errors_listed_first);
     ("unit boundary recovery", `Quick, test_unit_boundary_recovery);
     ("statement recovery keeps unit", `Quick,
      test_statement_recovery_keeps_unit);

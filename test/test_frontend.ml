@@ -510,6 +510,70 @@ let test_resolved_print_reparses () =
   check Alcotest.int "same proc count" (List.length p1.procs)
     (List.length p2.procs)
 
+(* compare_param and Symbolic.compare_leaf spell out Stdlib.compare's
+   order: formals before globals, then by position or by key. *)
+let test_param_orders () =
+  let check_order show cmp values =
+    let sign x = compare x 0 in
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            check Alcotest.int
+              (Fmt.str "compare %s %s" (show a) (show b))
+              (sign (Stdlib.compare a b))
+              (sign (cmp a b)))
+          values)
+      values
+  in
+  let positions = [ min_int; -1; 0; 1; 2; 10; max_int ] in
+  let keys = [ ""; "a"; "a:1"; "a:10"; "a:2"; "b:0"; "gc:1"; "gc:10"; "gc:9" ] in
+  check_order
+    (function
+      | Prog.Pformal i -> Fmt.str "Pformal %d" i
+      | Prog.Pglob k -> Fmt.str "Pglob %S" k)
+    Prog.compare_param
+    (List.map (fun i -> Prog.Pformal i) positions
+    @ List.map (fun k -> Prog.Pglob k) keys);
+  let module S = Ipcp_analysis.Symbolic in
+  check_order
+    (function
+      | S.Lformal i -> Fmt.str "Lformal %d" i
+      | S.Lglobal k -> Fmt.str "Lglobal %S" k)
+    S.compare_leaf
+    (List.map (fun i -> S.Lformal i) positions
+    @ List.map (fun k -> S.Lglobal k) keys)
+
+(* Tokens stream from the lexer into the parser, so the frontend's minor
+   allocation per token does not grow with the program.  Counted in
+   words, not time, so the test is as stable as the allocator: building
+   the whole token list first took 32 words per token, streaming 25. *)
+let test_frontend_allocation_contract () =
+  let bound = 30.0 in
+  List.iter
+    (fun procs ->
+      let src =
+        Ipcp_suite.Workload.generate
+          {
+            Ipcp_suite.Workload.default_spec with
+            seed = 42;
+            num_procs = procs;
+            stmts_per_proc = 10;
+          }
+      in
+      let tokens = List.length (Lexer.tokenize src) in
+      let before = Gc.minor_words () in
+      (match Sema.check src with
+      | Ok _ -> ()
+      | Error _ -> fail "generated program has diagnostics");
+      let per_token = (Gc.minor_words () -. before) /. float_of_int tokens in
+      if per_token > bound then
+        Alcotest.failf
+          "Sema.check: %.1f minor words per token at %d procedures (bound \
+           %.0f)"
+          per_token procs bound)
+    [ 200; 1600 ]
+
 let suite =
   [
     ("lex simple", `Quick, test_lex_simple);
@@ -567,4 +631,7 @@ let suite =
     ("sema call sites incl. function calls", `Quick,
       test_sema_call_sites_include_function_calls);
     ("resolved print reparses", `Quick, test_resolved_print_reparses);
+    ("param and leaf orders match Stdlib.compare", `Quick, test_param_orders);
+    ("frontend allocation contract at 200 and 1600 procedures", `Quick,
+     test_frontend_allocation_contract);
   ]

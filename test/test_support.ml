@@ -53,6 +53,24 @@ let prop_worklist_processes_each_once =
           Hashtbl.replace counts x (1 + Option.value ~default:0 (Hashtbl.find_opt counts x)));
       Hashtbl.fold (fun _ c acc -> acc && c = 1) counts true)
 
+(* the dense worklist is the hashed one over [0, n): same pops, same
+   counters *)
+let prop_dense_worklist_matches =
+  QCheck2.Test.make ~name:"dense worklist pops and counts like the hashed one"
+    ~count:200
+    QCheck2.Gen.(list_size (int_range 0 80) (option (int_range 0 15)))
+    (fun ops ->
+      let w = Worklist.create () and d = Worklist.Dense.create 16 in
+      List.for_all
+        (function
+          | Some i ->
+            Worklist.push w i;
+            Worklist.Dense.push d i;
+            true
+          | None -> Worklist.pop w = Worklist.Dense.pop d)
+        ops
+      && Worklist.stats w = Worklist.Dense.stats d)
+
 (* ------------------------------------------------------------------ *)
 (* PRNG *)
 
@@ -156,6 +174,7 @@ let suite =
     ("worklist requeue after pop", `Quick, test_worklist_reinsertion_after_pop);
     ("worklist drain with pushes", `Quick, test_worklist_drain_with_pushes);
     QCheck_alcotest.to_alcotest prop_worklist_processes_each_once;
+    QCheck_alcotest.to_alcotest prop_dense_worklist_matches;
     ("prng deterministic", `Quick, test_prng_deterministic);
     ("prng seeds differ", `Quick, test_prng_seeds_differ);
     QCheck_alcotest.to_alcotest prop_prng_int_in_bounds;

@@ -81,15 +81,16 @@ let test_span_ordering_top_level () =
   check Alcotest.bool "every child aggregated" true
     (List.for_all (fun s -> s.Telemetry.sp_calls = 2) children)
 
-(* The frontend reports lexing, parsing and resolution as siblings. *)
+(* The frontend reports parsing (which pulls its tokens from the lexer)
+   and resolution as siblings. *)
 let test_frontend_spans () =
   let t = Telemetry.create () in
   Telemetry.with_reporter t (fun () ->
       ignore (Ipcp_frontend.Sema.check "program t\nprint *, 1\nend\n"));
   match Telemetry.spans t with
   | [ frontend ] ->
-    check (Alcotest.list Alcotest.string) "frontend > lex, parse, sema"
-      [ "lex"; "parse"; "sema" ]
+    check (Alcotest.list Alcotest.string) "frontend > parse, sema"
+      [ "parse"; "sema" ]
       (List.map (fun s -> s.Telemetry.sp_name) frontend.sp_children)
   | _ -> Alcotest.fail "expected one frontend span"
 
@@ -386,7 +387,7 @@ let suite =
     ("telemetry span aggregation", `Quick, test_span_aggregation);
     ("telemetry span ordering", `Quick, test_span_ordering_top_level);
     ("telemetry span survives exception", `Quick, test_span_survives_exception);
-    ("telemetry frontend spans lex, parse, sema", `Quick, test_frontend_spans);
+    ("telemetry frontend > parse, sema", `Quick, test_frontend_spans);
     ("telemetry reporter restored", `Quick, test_reporter_restored);
     ("telemetry fresh domain has no sink", `Quick,
      test_fresh_domain_has_no_sink);

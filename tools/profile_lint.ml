@@ -11,7 +11,9 @@
      tag, and have a non-empty span tree and a counters object; with
      --stages, the four driver pipeline stages must all appear in the
      span tree (the CI smoke target runs the analyzer on the bundled
-     suite, so their absence means the wiring regressed);
+     suite, so their absence means the wiring regressed), and every
+     frontend span must have exactly the children parse and sema (the
+     parser pulls its tokens from the lexer, so there is no lex span);
    - health snapshots (schema ipcp.health/1): gauges and counters must
      be all-integer objects;
    - serve response streams (objects with "id" and "status"): one frame
@@ -40,15 +42,25 @@ let required_stages =
   [ "stage1:return_jfs"; "stage2:forward_jfs"; "stage3:propagate";
     "stage4:record" ]
 
+let span_name (j : Json.t) =
+  Option.bind (Json.member "name" j) Json.to_string_opt
+
+let span_children (j : Json.t) =
+  Option.bind (Json.member "children" j) Json.to_list_opt
+  |> Option.value ~default:[]
+
 let rec span_names (j : Json.t) =
-  let name =
-    Option.bind (Json.member "name" j) Json.to_string_opt |> Option.to_list
-  in
-  let children =
-    Option.bind (Json.member "children" j) Json.to_list_opt
-    |> Option.value ~default:[]
-  in
-  name @ List.concat_map span_names children
+  Option.to_list (span_name j) @ List.concat_map span_names (span_children j)
+
+(* The children's names of every span called [name], anywhere in the
+   tree. *)
+let rec children_of name (j : Json.t) =
+  (if span_name j = Some name then
+     [ List.filter_map span_name (span_children j) ]
+   else [])
+  @ List.concat_map (children_of name) (span_children j)
+
+let frontend_layers = [ "parse"; "sema" ]
 
 let health_schema = "ipcp.health/1"
 
@@ -156,13 +168,14 @@ let check_doc ~stages ~where (doc : Json.t) : string list =
   | Some s when s = Telemetry.schema_version -> ()
   | Some s -> problem "unexpected schema %S (want %S)" s Telemetry.schema_version
   | None -> problem "missing schema tag");
-  let names =
+  let spans =
     match Option.bind (Json.member "spans" doc) Json.to_list_opt with
     | Some [] | None ->
       problem "missing or empty span list";
       []
-    | Some spans -> List.concat_map span_names spans
+    | Some spans -> spans
   in
+  let names = List.concat_map span_names spans in
   let counters =
     match Json.member "counters" doc with
     | Some (Json.Obj (_ :: _ as fields)) -> List.map fst fields
@@ -197,12 +210,20 @@ let check_doc ~stages ~where (doc : Json.t) : string list =
           problem "incremental counters present but %S missing" c)
       incr_triple;
   check_certify_triple (fun m -> problem "%s" m) counters;
-  if stages then
+  if stages then begin
     List.iter
       (fun stage ->
         if not (List.mem stage names) then
           problem "pipeline stage %S missing from span tree" stage)
       required_stages;
+    List.iter
+      (fun children ->
+        if children <> frontend_layers then
+          problem "frontend span has children [%s], want [%s]"
+            (String.concat "; " children)
+            (String.concat "; " frontend_layers))
+      (List.concat_map (children_of "frontend") spans)
+  end;
   List.rev !problems
 
 (* A file is either one (possibly multi-line) document or one document per
