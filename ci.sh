@@ -118,11 +118,20 @@ if cmp -s "$tmpdir/big.f" "$tmpdir/big_edited.f"; then
   echo "big input: the literal edit changed nothing" >&2
   exit 1
 fi
-dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" --against "$tmpdir/big.f" > "$tmpdir/big_delta.out"
+dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" --against "$tmpdir/big.f" \
+  --profile-json "$tmpdir/big_delta_profile.json" > "$tmpdir/big_delta.out"
 dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" > "$tmpdir/big_scratch.out"
 if ! cmp -s "$tmpdir/big_delta.out" "$tmpdir/big_scratch.out"; then
   echo "big input: analyze --against differs from a from-scratch analyze" >&2
   diff "$tmpdir/big_delta.out" "$tmpdir/big_scratch.out" | head -20 >&2 || true
+  exit 1
+fi
+# Identical bytes do not show reuse: recomputing everything prints them
+# too.  The edit is in main, so every other procedure (1600 of them)
+# must keep its site jump functions from the previous version.
+site_jfs_reused=$(sed -n 's/.*"driver\.site_jfs_reused": \([0-9]*\).*/\1/p' "$tmpdir/big_delta_profile.json")
+if [ "${site_jfs_reused:-0}" -lt 1600 ]; then
+  echo "big input: --against copied the site jump functions of ${site_jfs_reused:-0} procedures, not 1600" >&2
   exit 1
 fi
 

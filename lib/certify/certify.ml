@@ -502,7 +502,13 @@ module Make (A : Analysis_sig.S) = struct
       let vals = Hashtbl.copy solution.Solver.vals in
       let m = Hashtbl.find vals pname in
       Hashtbl.replace vals pname (Prog.Param_map.add param corrupted m);
-      Some { t with Driver.solution = { solution with Solver.vals } }
+      (* the memo holds SCCP seeded from the uncorrupted solution *)
+      Some
+        {
+          t with
+          Driver.solution = { solution with Solver.vals };
+          sccps = Hashtbl.create 16;
+        }
 
   (* ------------------------------------------------------------------ *)
   (* Entry points.                                                       *)

@@ -1,10 +1,11 @@
 (** One-step re-evaluation of published SCCP results (certifier pillar,
     SCCP obligations).
 
-    For every procedure the certifier re-runs {!Ipcp_core.Driver.sccp_for}
-    (deterministic, so it reproduces exactly the facts the substitution
-    pass consumes) and checks that the published result is internally
-    consistent as a {e post-fixpoint} of the SCCP transfer functions:
+    For every procedure the certifier takes {!Ipcp_core.Driver.sccp_for}
+    — the result's memoized SCCP, so exactly the facts the substitution
+    pass consumes, including any an incremental update copied from the
+    previous version — and checks that it is internally consistent as a
+    {e post-fixpoint} of the SCCP transfer functions:
 
     - entry names hold at most their seed (the certified entry constant,
       or ⊥);
@@ -432,8 +433,9 @@ let check_proc (t : 'elt Driver.analysis_result)
   end
 
 (** Check every procedure's SCCP facts.  [sccps] carries the per-procedure
-    results the caller obtained from {!Driver.sccp_for} (shared with the
-    execution-witness check, so SCCP runs once per procedure).
+    results the caller obtained from {!Driver.sccp_for} (memoized in the
+    result, so the execution witness's substitution reuses them and SCCP
+    runs once per procedure).
     [entry_const] is the certifier's reading of the entry constant a
     formal/global holds under the (already edge-certified) solution —
     what [Driver.sccp_for] seeds — supplied by the analysis-specific

@@ -48,6 +48,11 @@ type 'elt analysis_result = {
       (** phase-2 IR (full oracle), reused by the substitution pass *)
   site_jfs : Jump_function.site_jf list;
   solution : 'elt Solver.generic_result;
+  sccps : (string, Sccp.result) Hashtbl.t;
+      (** [Make.sccp_for]'s memo; only the domain that owns the result
+          writes it *)
+  keep_sccps : bool;
+      (** whether substitution records the SCCP results it computes *)
 }
 
 type t = Const_lattice.t analysis_result
@@ -62,6 +67,11 @@ type stage12 = {
   sg_modref : Modref.t;
   sg_ret_jfs : (string, Jump_function.ret_jf) Hashtbl.t;
   sg_irs : (string, Jump_function.proc_ir) Hashtbl.t;
+  sg_sites :
+    (Jump_function.kind, (string, Jump_function.site_jf list) Hashtbl.t)
+    Hashtbl.t;
+      (** each procedure's site jump functions per kind, filled on first
+          use *)
 }
 
 (* Per-procedure IR, one table per MOD setting. *)
@@ -92,6 +102,7 @@ type artifacts = {
    hold the round before it, and so on back to the first. *)
 and reuse = {
   r_unchanged : string -> bool;  (** body identical to the previous round *)
+  r_main_data : Prog.var -> int option;  (** the previous load-time values *)
   r_modref : Modref.t Lazy.t;
   r_irs : ir_tables;
   r_stages : (stage_key, stage12) Hashtbl.t;
@@ -108,6 +119,7 @@ let prepare_with ?reuse (prog : Prog.t) : artifacts =
           Some
             {
               r_unchanged = unchanged;
+              r_main_data = prev.a_facts.f_main_data;
               r_modref = prev.a_modref;
               r_irs = prev.a_irs;
               r_stages = prev.a_stages;
@@ -141,11 +153,6 @@ let find_proc (a : artifacts) name = Hashtbl.find_opt a.a_facts.f_procs name
    IR and jump functions, which is what lets both the stage-1/2 reuse
    below and the incremental cone computation stop walking upward at a
    provably unchanged summary. *)
-let ret_jf_equal (a : Jump_function.ret_jf) (b : Jump_function.ret_jf) : bool =
-  Symbolic.equal a.rj_result b.rj_result
-  && Jump_function.Int_map.equal Symbolic.equal a.rj_formals b.rj_formals
-  && Jump_function.Str_map.equal Symbolic.equal a.rj_globals b.rj_globals
-
 let mod_summary_equal (ma : Modref.t) (mb : Modref.t) (name : string) : bool =
   let sa = Modref.summary ma name and sb = Modref.summary mb name in
   Modref.Int_set.equal sa.mod_formals sb.mod_formals
@@ -203,35 +210,102 @@ let ir_for (a : artifacts) ~use_mod name : Jump_function.proc_ssa =
     Hashtbl.replace irs name ir;
     ir
 
-(* Stage 1's return jump function of [name], copied from the previous
-   round when its body is unchanged and every callee's summary — MOD
-   footprint plus return jump function — is provably equal to last
-   round's: the values it is built from see callees only through those.
-   Return-jump-function stability is read off the new table as it fills
-   bottom-up (a copied entry is physically last round's, so it compares
-   equal for free); a callee in the same recursive cycle has no entry yet
-   and counts as unstable, which conservatively rebuilds cycle members. *)
-let reused_ret_jf (a : artifacts) (key : stage_key) ret_jfs name =
+(* Main's symbolic values read the load-time [data] values of every unit
+   (from the current facts, in {!Jump_function.with_oracle}), so for main
+   an unchanged body is not enough: every global's load-time value must
+   be unchanged too.  (Main's own locals are part of its body.) *)
+let entry_stable (a : artifacts) (r : reuse) (ps : Jump_function.proc_ssa) =
+  ps.ps_proc.pkind <> Prog.Pmain
+  || List.for_all
+       (fun (_, v) -> r.r_main_data v = a.a_facts.f_main_data v)
+       ps.ps_global_vars
+
+(* The previous round's bundle of the same variant, if any. *)
+let prev_stage (a : artifacts) (key : stage_key) =
   match a.a_reuse with
   | None -> None
-  | Some r -> (
-    match Hashtbl.find_opt r.r_stages key with
+  | Some r -> Option.map (fun p -> (r, p)) (Hashtbl.find_opt r.r_stages key)
+
+(* [name] may keep last round's stage-1/2 products: its body and entry
+   constants are unchanged, and every callee's MOD footprint and return
+   jump function (as [ret_stable] judges it) are equal to last round's —
+   the values those products are built from see callees through nothing
+   else. *)
+let copyable (a : artifacts) (r : reuse) (key : stage_key) name ~ret_stable =
+  r.r_unchanged name
+  && entry_stable a r (ir_for a ~use_mod:key.sk_use_mod name)
+  &&
+  let mod_stable = mod_stable a r ~use_mod:key.sk_use_mod in
+  callees_stable a name (fun c -> mod_stable c && ret_stable c)
+
+let ret_equal_in old_tbl new_tbl callee =
+  Option.equal Jump_function.ret_jf_equal
+    (Hashtbl.find_opt old_tbl callee)
+    (Hashtbl.find_opt new_tbl callee)
+
+(* Stage 1's return jump function of [name], copied under {!copyable}.
+   Return-jump-function stability is read off the new table as it fills
+   bottom-up (a copied entry is physically last round's, so it compares
+   equal for free).  Members of a cycle of several procedures are never
+   copied (see {!build_stage12}). *)
+let reused_ret_jf (a : artifacts) (key : stage_key) ret_jfs name =
+  match prev_stage a key with
+  | None -> None
+  | Some (r, prev) ->
+    let ret_stable callee =
+      Hashtbl.mem ret_jfs callee && ret_equal_in prev.sg_ret_jfs ret_jfs callee
+    in
+    if copyable a r key name ~ret_stable then
+      Hashtbl.find_opt prev.sg_ret_jfs name
+    else None
+
+let sites_table (s : stage12) kind =
+  match Hashtbl.find_opt s.sg_sites kind with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Hashtbl.create 64 in
+    Hashtbl.replace s.sg_sites kind tbl;
+    tbl
+
+(* Stage 2's forward jump functions of [name] for [kind], copied under
+   {!copyable}, with return-jump-function stability judged over the
+   finished tables of both rounds (a variant without return jump
+   functions has no oracle to observe them).  [name]'s own return jump
+   function must be equal too: a recursive call's sites see it, and a
+   cycle member's can change with the order stage 1 builds the cycle
+   in. *)
+let reused_sites (a : artifacts) (key : stage_key) (stage : stage12) kind name =
+  match prev_stage a key with
+  | None -> None
+  | Some (r, prev) -> (
+    match Option.bind (Hashtbl.find_opt prev.sg_sites kind) (fun tbl ->
+              Hashtbl.find_opt tbl name) with
     | None -> None
-    | Some prev ->
-      let mod_stable = mod_stable a r ~use_mod:key.sk_use_mod in
-      let ret_stable callee =
-        match
-          ( Hashtbl.find_opt prev.sg_ret_jfs callee,
-            Hashtbl.find_opt ret_jfs callee )
-        with
-        | Some old_v, Some new_v -> ret_jf_equal old_v new_v
-        | _ -> false
+    | Some _ as sites ->
+      let ret_stable =
+        if key.sk_return_jfs then ret_equal_in prev.sg_ret_jfs stage.sg_ret_jfs
+        else fun _ -> true
       in
-      if
-        r.r_unchanged name
-        && callees_stable a name (fun c -> mod_stable c && ret_stable c)
-      then Hashtbl.find_opt prev.sg_ret_jfs name
+      if ret_stable name && copyable a r key name ~ret_stable then sites
       else None)
+
+(* The site jump functions of [name] for [kind], memoized in the bundle:
+   the incremental cone walk and {!solve} ask for the same lists. *)
+let sites_for (a : artifacts) (key : stage_key) (stage : stage12) kind name =
+  let tbl = sites_table stage kind in
+  match Hashtbl.find_opt tbl name with
+  | Some sites -> sites
+  | None ->
+    let sites =
+      match reused_sites a key stage kind name with
+      | Some sites ->
+        Telemetry.incr "driver.site_jfs_reused";
+        sites
+      | None ->
+        Jump_function.build_site_jfs ~kind (Hashtbl.find stage.sg_irs name)
+    in
+    Hashtbl.replace tbl name sites;
+    sites
 
 let build_stage12 (a : artifacts) (key : stage_key) : stage12 =
   let modref =
@@ -243,19 +317,29 @@ let build_stage12 (a : artifacts) (key : stage_key) : stage12 =
   Telemetry.span "stage1:return_jfs" (fun () ->
       if key.sk_return_jfs then begin
         let oracle = Jump_function.oracle_of_table ret_jfs in
+        (* A member of a cycle of several procedures is built from the
+           entries its cycle-mates left in the table before it, and that
+           order can change with the rest of the program: never copied. *)
         List.iter
-          (fun name ->
-            let rj =
-              match reused_ret_jf a key ret_jfs name with
-              | Some rj ->
-                Telemetry.incr "driver.stage12_reused";
-                rj
-              | None ->
-                Jump_function.build_ret_jf ~modref
-                  (Jump_function.with_oracle ~oracle (ir_for name))
-            in
-            Hashtbl.replace ret_jfs name rj)
-          (Callgraph.bottom_up a.a_cg)
+          (fun scc ->
+            let cyclic = List.compare_length_with scc 1 > 0 in
+            List.iter
+              (fun name ->
+                let rj =
+                  match
+                    if cyclic then None else reused_ret_jf a key ret_jfs name
+                  with
+                  | Some rj ->
+                    Telemetry.incr "driver.stage12_reused";
+                    rj
+                  | None ->
+                    Jump_function.build_ret_jf ~modref
+                      (Jump_function.with_oracle ~oracle a.a_facts
+                         (ir_for name))
+                in
+                Hashtbl.replace ret_jfs name rj)
+              scc)
+          a.a_cg.Callgraph.sccs
       end);
   (* ---- stage 2: per-procedure IR, top-down, over the finished table ---- *)
   let oracle =
@@ -267,14 +351,20 @@ let build_stage12 (a : artifacts) (key : stage_key) : stage12 =
       List.iter
         (fun name ->
           Hashtbl.replace irs name
-            (Jump_function.with_oracle ?oracle (ir_for name)))
+            (Jump_function.with_oracle ?oracle a.a_facts (ir_for name)))
         (Callgraph.top_down a.a_cg));
-  { sg_modref = modref; sg_ret_jfs = ret_jfs; sg_irs = irs }
+  {
+    sg_modref = modref;
+    sg_ret_jfs = ret_jfs;
+    sg_irs = irs;
+    sg_sites = Hashtbl.create 4;
+  }
+
+let stage_key (config : Config.t) =
+  { sk_use_mod = config.use_mod; sk_return_jfs = config.return_jfs }
 
 let stage12_for (a : artifacts) (config : Config.t) : stage12 =
-  let key =
-    { sk_use_mod = config.use_mod; sk_return_jfs = config.return_jfs }
-  in
+  let key = stage_key config in
   match Hashtbl.find_opt a.a_stages key with
   | Some s -> s
   | None ->
@@ -294,16 +384,17 @@ let summary_stable (config : Config.t) ~(prev : artifacts) (a : artifacts)
        ( Hashtbl.find_opt (stage12_for prev config).sg_ret_jfs name,
          Hashtbl.find_opt (stage12_for a config).sg_ret_jfs name )
      with
-     | Some ra, Some rb -> ret_jf_equal ra rb
+     | Some ra, Some rb -> Jump_function.ret_jf_equal ra rb
      | _ -> false)
 
 let site_jfs_for (a : artifacts) (config : Config.t) (name : string) :
     Jump_function.site_jf list =
   if not config.interprocedural then []
   else
-    match Hashtbl.find_opt (stage12_for a config).sg_irs name with
-    | None -> []
-    | Some ir -> Jump_function.build_site_jfs ~kind:config.kind ir
+    let stage = stage12_for a config in
+    if Hashtbl.mem stage.sg_irs name then
+      sites_for a (stage_key config) stage config.kind name
+    else []
 
 (* ------------------------------------------------------------------ *)
 (* Stages 3 and 4: the config-dependent suffix, per analysis.          *)
@@ -366,10 +457,9 @@ module Make (A : Analysis_sig.S) = struct
         Telemetry.span "stage2:forward_jfs" (fun () ->
             if not config.interprocedural then []
             else
+              let key = stage_key config in
               List.concat_map
-                (fun name ->
-                  Jump_function.build_site_jfs ~kind:config.kind
-                    (Hashtbl.find stage.sg_irs name))
+                (sites_for a key stage config.kind)
                 (Callgraph.top_down a.a_cg))
       in
       (* ---- stage 3: interprocedural propagation ---- *)
@@ -390,6 +480,8 @@ module Make (A : Analysis_sig.S) = struct
               irs = stage.sg_irs;
               site_jfs;
               solution;
+              sccps = Hashtbl.create 64;
+              keep_sccps = false;
             }
           in
           if Telemetry.enabled () then begin
@@ -456,14 +548,25 @@ module Make (A : Analysis_sig.S) = struct
         ir.pi_entry_const v
       | Prog.Klocal | Prog.Kresult -> None
 
-  (** Run SCCP for one procedure, seeded with the discovered entry facts.
-      Each call creates a fresh budget from the configuration, so
-      parallel per-procedure runs share no mutable budget state. *)
-  let sccp_for (t : A.L.t analysis_result) (name : string) : Sccp.result =
-    let ir = Hashtbl.find t.irs name in
-    Sccp.run
-      ~budget:(Config.budget ~label:("sccp:" ^ name) t.config)
-      ?oracle:(oracle t) ~entry_env:(entry_env t ir) ir.Jump_function.pi_ssa
+  (** SCCP for one procedure, seeded with the discovered entry facts:
+      the memoized result when there is one, otherwise a fresh run, which
+      is recorded unless [record] is false.  Each run creates a fresh
+      budget from the configuration, so parallel per-procedure runs share
+      no mutable budget state. *)
+  let sccp_for ?(record = true) (t : A.L.t analysis_result) (name : string) :
+      Sccp.result =
+    match Hashtbl.find_opt t.sccps name with
+    | Some r -> r
+    | None ->
+      let ir = Hashtbl.find t.irs name in
+      let r =
+        Sccp.run
+          ~budget:(Config.budget ~label:("sccp:" ^ name) t.config)
+          ?oracle:(oracle t) ~entry_env:(entry_env t ir)
+          ir.Jump_function.pi_ssa
+      in
+      if record then Hashtbl.replace t.sccps name r;
+      r
 
   let pp_constants ppf (t : A.L.t analysis_result) =
     List.iter

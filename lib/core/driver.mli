@@ -42,6 +42,16 @@ type 'elt analysis_result = {
       (** per-procedure IR (CFG/SSA/symbolic values), reused downstream *)
   site_jfs : Jump_function.site_jf list;
   solution : 'elt Solver.generic_result;
+  sccps : (string, Sccp.result) Hashtbl.t;
+      (** {!Make.sccp_for}'s memo, per procedure.  Only the domain that
+          owns the result writes it; {!Ipcp_incr.Incr.update} seeds it
+          from the previous version's. *)
+  keep_sccps : bool;
+      (** whether {!Substitute.apply} records the SCCP results it
+          computes in [sccps]: false for a solved result, which is
+          rendered once, so keeping them would only cost the collector;
+          true for an incremental session's, whose next update copies
+          them. *)
 }
 
 type t = Const_lattice.t analysis_result
@@ -56,8 +66,14 @@ val prepare : Prog.t -> artifacts
     rewritten [prog], copying per-procedure artifacts from [prev] for
     every procedure whose body is [unchanged]: its IR when every callee
     has an equal MOD footprint in both rounds (SSA sees callees only
-    through their call kills), and its return jump function when every
-    callee's return jump function is provably equal too.  The copy walk
+    through their call kills), and its return jump function and the site
+    jump functions of each kind [prev] built when every callee's return
+    jump function is provably equal too and, for the main program, every
+    global's load-time [data] value is unchanged (counted in
+    [driver.site_jfs_reused] for site jump functions; a member of a
+    cycle of several procedures always rebuilds its return jump
+    function, whose value depends on the order stage 1 visits the
+    cycle in).  The copy walk
     therefore stops where an edit's effect on summaries is absorbed, not
     merely where its call-graph reachability ends.  Nothing is copied
     when the program's global list changed.  The result keeps [prev]'s
@@ -79,7 +95,7 @@ val prepare_reusing :
 val summary_stable : Config.t -> prev:artifacts -> artifacts -> string -> bool
 
 (** The forward jump functions of [name]'s call sites under [config],
-    built from the memoized stage-1/2 bundle — the same values {!solve}
+    memoized per kind in the stage-1/2 bundle — the same lists {!solve}
     aggregates, exposed so the incremental cone computation can compare
     them across versions.  Empty for an intraprocedural configuration or
     an unknown procedure. *)
@@ -126,7 +142,8 @@ module Make (A : Analysis_sig.S) : sig
   val constants_count : A.L.t analysis_result -> int
   val entry_env :
     A.L.t analysis_result -> Jump_function.proc_ir -> Prog.var -> int option
-  val sccp_for : A.L.t analysis_result -> string -> Sccp.result
+  val sccp_for :
+    ?record:bool -> A.L.t analysis_result -> string -> Sccp.result
   val pp_constants : A.L.t analysis_result Fmt.t
 end
 
@@ -169,8 +186,12 @@ val constants_count : t -> int
     consumed by SCCP. *)
 val entry_env : t -> Jump_function.proc_ir -> Prog.var -> int option
 
-(** SCCP for one procedure, seeded with the discovered entry facts.
-    Runs under a fresh per-call budget built from the configuration. *)
-val sccp_for : t -> string -> Sccp.result
+(** SCCP for one procedure, seeded with the discovered entry facts: the
+    result's memoized one ([sccps]) when there is one, otherwise a fresh
+    run under a per-call budget built from the configuration, recorded in
+    the memo unless [record] is false.  Worker domains pass
+    [~record:false]: only the domain that owns the result writes its
+    memo. *)
+val sccp_for : ?record:bool -> t -> string -> Sccp.result
 
 val pp_constants : t Fmt.t

@@ -54,6 +54,14 @@ let empty_ret_jf =
     rj_globals = Str_map.empty;
   }
 
+(* Value equality; a copied entry is physically last round's, which
+   answers at once. *)
+let ret_jf_equal (a : ret_jf) (b : ret_jf) : bool =
+  a == b
+  || Symbolic.equal a.rj_result b.rj_result
+     && Int_map.equal Symbolic.equal a.rj_formals b.rj_formals
+     && Str_map.equal Symbolic.equal a.rj_globals b.rj_globals
+
 (** Forward jump functions of one call site. *)
 type site_jf = {
   sf_caller : string;
@@ -70,7 +78,6 @@ type proc_ssa = {
   ps_dom : Dom.t;
   ps_ssa : Ssa.t;
   ps_global_vars : (string * Prog.var) list;  (** global key → var in this proc *)
-  ps_entry_const : Prog.var -> int option;  (** load-time values on entry *)
 }
 
 (** Per-procedure IR bundle: CFG, dominators, SSA and symbolic values. *)
@@ -142,15 +149,6 @@ let rec build_ir (facts : facts) ~(modref : Modref.t) (proc : Prog.proc) :
       build_ir_timed facts ~modref proc)
 
 and build_ir_timed facts ~(modref : Modref.t) (proc : Prog.proc) : proc_ssa =
-  (* data-initialized storage holds its load-time value on entry to the
-     main program (and nothing has run before main) *)
-  let entry_const =
-    if proc.pkind = Prog.Pmain then
-      let main_data = facts.f_main_data in
-      fun (v : Prog.var) ->
-        if Prog.is_scalar v && v.vty = Prog.Tint then main_data v else None
-    else fun _ -> None
-  in
   let cfg = Lower.lower_proc ~next_expr_id:facts.f_expr_ceiling proc in
   let dom = Dom.compute cfg in
   let global_vars = global_vars_for facts.f_globals proc in
@@ -184,22 +182,35 @@ and build_ir_timed facts ~(modref : Modref.t) (proc : Prog.proc) : proc_ssa =
     ps_dom = dom;
     ps_ssa = Ssa.build ~call_defs ~call_uses proc cfg dom;
     ps_global_vars = global_vars;
-    ps_entry_const = entry_const;
   }
+
+(** The load-time values [proc]'s variables hold on entry: data-initialized
+    storage holds its value on entry to the main program (nothing has run
+    before main), and no other procedure sees any.  Main's values come
+    from every unit's [data] statements, so they are read from the facts
+    of the program being analyzed, never kept with an IR that a later
+    version may copy. *)
+let entry_const (facts : facts) (proc : Prog.proc) : Prog.var -> int option =
+  if proc.pkind = Prog.Pmain then
+    let main_data = facts.f_main_data in
+    fun (v : Prog.var) ->
+      if Prog.is_scalar v && v.vty = Prog.Tint then main_data v else None
+  else fun _ -> None
 
 (** The IR bundle over [ps], with fresh symbolic values that evaluate
     calls through [oracle].  Fresh, because the values memoize oracle
     answers: values shared between a stage that ran before its oracle's
     table was complete and one that runs after would answer stale. *)
-let with_oracle ?oracle (ps : proc_ssa) : proc_ir =
+let with_oracle ?oracle (facts : facts) (ps : proc_ssa) : proc_ir =
+  let entry_const = entry_const facts ps.ps_proc in
   {
     pi_proc = ps.ps_proc;
     pi_cfg = ps.ps_cfg;
     pi_dom = ps.ps_dom;
     pi_ssa = ps.ps_ssa;
-    pi_sv = Ssa_value.create ?oracle ~entry_const:ps.ps_entry_const ps.ps_ssa;
+    pi_sv = Ssa_value.create ?oracle ~entry_const ps.ps_ssa;
     pi_global_vars = ps.ps_global_vars;
-    pi_entry_const = ps.ps_entry_const;
+    pi_entry_const = entry_const;
   }
 
 (** An oracle that evaluates return jump functions from [table].

@@ -30,6 +30,9 @@ type ret_jf = {
 
 val empty_ret_jf : ret_jf
 
+(** Structural equality of two return jump functions. *)
+val ret_jf_equal : ret_jf -> ret_jf -> bool
+
 (** Forward jump functions of one call site: one per callee formal
     position, one per program global. *)
 type site_jf = {
@@ -40,20 +43,20 @@ type site_jf = {
   sf_globals : (string * Symbolic.t) list;
 }
 
-(** A procedure's IR up to SSA — CFG, dominators, SSA, the variable
-    standing for each program global in this procedure, and the load-time
-    constants its variables hold on entry (main's [data]).  It depends on
-    the configuration only through MOD's call-kill sets. *)
+(** A procedure's IR up to SSA — CFG, dominators, SSA and the variable
+    standing for each program global in this procedure.  It depends on
+    the procedure's own body, the program's global list and, through
+    MOD's call-kill sets, its callees' MOD footprints; nothing else. *)
 type proc_ssa = {
   ps_proc : Prog.proc;
   ps_cfg : Ipcp_ir.Cfg.t;
   ps_dom : Ipcp_ir.Dom.t;
   ps_ssa : Ipcp_ir.Ssa.t;
   ps_global_vars : (string * Prog.var) list;
-  ps_entry_const : Prog.var -> int option;
 }
 
-(** Per-procedure IR bundle: a {!proc_ssa} with symbolic values. *)
+(** Per-procedure IR bundle: a {!proc_ssa} with symbolic values and the
+    load-time constants its variables hold on entry. *)
 type proc_ir = {
   pi_proc : Prog.proc;
   pi_cfg : Ipcp_ir.Cfg.t;
@@ -82,10 +85,12 @@ val facts : Prog.t -> facts
 val build_ir : facts -> modref:Modref.t -> Prog.proc -> proc_ssa
 
 (** The IR bundle over a {!proc_ssa}, with fresh symbolic values that
-    evaluate calls through [oracle].  Each consumer takes its own: the
-    values memoize oracle answers, so sharing them across oracle states
-    would answer stale. *)
-val with_oracle : ?oracle:Ssa_value.oracle -> proc_ssa -> proc_ir
+    evaluate calls through [oracle] and read load-time constants from
+    [facts], the program being analyzed (an IR copied from an earlier
+    version carries none).  Each consumer takes its own: the values
+    memoize oracle answers, so sharing them across oracle states would
+    answer stale. *)
+val with_oracle : ?oracle:Ssa_value.oracle -> facts -> proc_ssa -> proc_ir
 
 (** An oracle evaluating return jump functions from a table, over constant
     actuals only (the paper's §3.2 rule). *)

@@ -37,19 +37,35 @@ type h = {
 }
 
 (* Every token is NUL-terminated so adjacent fields can never collide
-   by concatenation ("ab"^"c" vs "a"^"bc"). *)
+   by concatenation ("ab"^"c" vs "a"^"bc").  A token is written in parts
+   ([part], [int_part]) and closed by [add]; no format strings, which
+   cost as much as the rest of the encoder. *)
+let part h s = Buffer.add_string h.buf s
+let int_part h n = Buffer.add_string h.buf (string_of_int n)
+
 let add h s =
   Buffer.add_string h.buf s;
   Buffer.add_char h.buf '\x00'
 
-let addf h fmt = Printf.ksprintf (add h) fmt
+let add_int h n = add h (string_of_int n)
+
+(* [Prog.global_key g], written in place *)
+let global_key_part h (g : Prog.global) =
+  part h g.gblock;
+  part h ":";
+  int_part h g.gslot
 
 let ty_tag = function
   | Prog.Tint -> "i"
   | Prog.Treal -> "r"
   | Prog.Tlogical -> "b"
 
-let dims_tag dims = String.concat "," (List.map string_of_int dims)
+let dims_part h dims =
+  List.iteri
+    (fun i d ->
+      if i > 0 then Buffer.add_char h.buf ',';
+      int_part h d)
+    dims
 
 let local_id h name =
   match Hashtbl.find_opt h.locals name with
@@ -61,20 +77,30 @@ let local_id h name =
     i
 
 let var h (v : Prog.var) =
-  let ident =
-    match (h.mode, v.vkind) with
-    | _, Prog.Kformal i -> Printf.sprintf "f%d" i
-    | _, Prog.Kglobal g -> "g" ^ Prog.global_key g
-    | _, Prog.Kresult -> "r"
-    | Strict, Prog.Klocal -> "l:" ^ v.vname
-    | Semantic, Prog.Klocal -> Printf.sprintf "l%d" (local_id h v.vname)
-  in
-  let name =
-    (* strict mode also pins the surface name of formals/globals — the
-       printed output (CONSTANTS sets, substituted source) uses it *)
-    match h.mode with Strict -> v.vname | Semantic -> ""
-  in
-  addf h "v:%s:%s:%s:%s" ident name (ty_tag v.vty) (dims_tag v.vdims)
+  part h "v:";
+  (match (h.mode, v.vkind) with
+  | _, Prog.Kformal i ->
+    part h "f";
+    int_part h i
+  | _, Prog.Kglobal g ->
+    part h "g";
+    global_key_part h g
+  | _, Prog.Kresult -> part h "r"
+  | Strict, Prog.Klocal ->
+    part h "l:";
+    part h v.vname
+  | Semantic, Prog.Klocal ->
+    part h "l";
+    int_part h (local_id h v.vname));
+  part h ":";
+  (* strict mode also pins the surface name of formals/globals — the
+     printed output (CONSTANTS sets, substituted source) uses it *)
+  (match h.mode with Strict -> part h v.vname | Semantic -> ());
+  part h ":";
+  part h (ty_tag v.vty);
+  part h ":";
+  dims_part h v.vdims;
+  add h ""
 
 let unop_tag : Ast.unop -> string = function Neg -> "neg" | Not -> "not"
 
@@ -95,10 +121,18 @@ let binop_tag : Ast.binop -> string = function
 
 let rec expr h (e : Prog.expr) =
   match e.edesc with
-  | Cint n -> addf h "ci%d" n
-  | Creal f -> addf h "cr%Lx" (Int64.bits_of_float f)
-  | Cbool b -> addf h "cb%b" b
-  | Cstr s -> addf h "cs%s" s
+  | Cint n ->
+    part h "ci";
+    add_int h n
+  | Creal f ->
+    part h "cr";
+    add h (Printf.sprintf "%Lx" (Int64.bits_of_float f))
+  | Cbool b ->
+    part h "cb";
+    add h (string_of_bool b)
+  | Cstr s ->
+    part h "cs";
+    add h s
   | Evar v -> var h v
   | Earr (v, idx) ->
     add h "arr(";
@@ -106,18 +140,22 @@ let rec expr h (e : Prog.expr) =
     List.iter (expr h) idx;
     add h ")"
   | Ecall (name, args) ->
-    addf h "call(%s" name;
+    part h "call(";
+    add h name;
     List.iter (expr h) args;
     add h ")"
   | Eintr (i, args) ->
-    addf h "intr(%s" (Prog.intrinsic_name i);
+    part h "intr(";
+    add h (Prog.intrinsic_name i);
     List.iter (expr h) args;
     add h ")"
   | Eun (op, a) ->
-    addf h "un:%s" (unop_tag op);
+    part h "un:";
+    add h (unop_tag op);
     expr h a
   | Ebin (op, a, b) ->
-    addf h "bin:%s" (binop_tag op);
+    part h "bin:";
+    add h (binop_tag op);
     expr h a;
     expr h b
 
@@ -131,14 +169,19 @@ let lhs h (l : Prog.lhs) =
     add h ")"
 
 let rec stmt h (s : Prog.stmt) =
-  (match s.slabel with Some l -> addf h "L%d" l | None -> ());
+  (match s.slabel with
+  | Some l ->
+    part h "L";
+    add_int h l
+  | None -> ());
   match s.sdesc with
   | Sassign (l, e) ->
     add h "assign";
     lhs h l;
     expr h e
   | Scall (name, args) ->
-    addf h "scall(%s" name;
+    part h "scall(";
+    add h name;
     List.iter (expr h) args;
     add h ")"
   | Sif (arms, els) ->
@@ -169,7 +212,9 @@ let rec stmt h (s : Prog.stmt) =
     expr h c;
     List.iter (stmt h) body;
     add h "od"
-  | Sgoto l -> addf h "goto%d" l
+  | Sgoto l ->
+    part h "goto";
+    add_int h l
   | Scontinue -> add h "continue"
   | Sreturn -> add h "return"
   | Sstop -> add h "stop"
@@ -180,28 +225,38 @@ let rec stmt h (s : Prog.stmt) =
     add h "read";
     List.iter (lhs h) ls
 
-let data_const_tag = function
-  | Prog.Dc_int n -> Printf.sprintf "i%d" n
-  | Prog.Dc_real f -> Printf.sprintf "r%Lx" (Int64.bits_of_float f)
-  | Prog.Dc_bool b -> Printf.sprintf "b%b" b
+let data_const_part h = function
+  | Prog.Dc_int n ->
+    part h "i";
+    int_part h n
+  | Prog.Dc_real f ->
+    part h "r";
+    part h (Printf.sprintf "%Lx" (Int64.bits_of_float f))
+  | Prog.Dc_bool b ->
+    part h "b";
+    part h (string_of_bool b)
 
-let hash mode (p : Prog.proc) : string =
-  let h =
-    { buf = Buffer.create 1024; mode; locals = Hashtbl.create 8; next_local = 0 }
-  in
+(* Encode [p] into [h]'s (cleared) buffer and digest it. *)
+let digest h (p : Prog.proc) : string =
+  Buffer.clear h.buf;
+  Hashtbl.reset h.locals;
+  h.next_local <- 0;
   (match h.mode with
   | Strict ->
     (* the name is part of the strict identity: an equal strict hash
        must determine the procedure completely, since grafting reuses
        the previous version's value whole *)
-    addf h "proc:%s" p.pname
+    part h "proc:";
+    add h p.pname
   | Semantic -> add h "proc");
-  addf h "kind:%s"
+  part h "kind:";
+  add h
     (match p.pkind with
     | Prog.Pmain -> "main"
     | Prog.Psubroutine -> "sub"
     | Prog.Pfunction -> "fun");
-  addf h "formals:%d" (List.length p.pformals);
+  part h "formals:";
+  add_int h (List.length p.pformals);
   List.iter (var h) p.pformals;
   (match p.presult with
   | Some v ->
@@ -221,15 +276,27 @@ let hash mode (p : Prog.proc) : string =
   in
   List.iter
     (fun (alias, (g : Prog.global)) ->
-      let alias = match h.mode with Strict -> alias | Semantic -> "" in
-      addf h "common:%s:%s:%s:%s" alias (Prog.global_key g) (ty_tag g.gty)
-        (dims_tag g.gdims))
+      part h "common:";
+      (match h.mode with Strict -> part h alias | Semantic -> ());
+      part h ":";
+      global_key_part h g;
+      part h ":";
+      part h (ty_tag g.gty);
+      part h ":";
+      dims_part h g.gdims;
+      add h "")
     commons;
   (match h.mode with
   | Strict ->
     List.iter
       (fun (v : Prog.var) ->
-        addf h "local:%s:%s:%s" v.vname (ty_tag v.vty) (dims_tag v.vdims))
+        part h "local:";
+        part h v.vname;
+        part h ":";
+        part h (ty_tag v.vty);
+        part h ":";
+        dims_part h v.vdims;
+        add h "")
       p.plocals
   | Semantic ->
     (* locals are reached through their occurrences; a declared-but-
@@ -240,18 +307,27 @@ let hash mode (p : Prog.proc) : string =
       add h "data";
       var h d.di_var;
       List.iter
-        (fun (rep, dc) -> addf h "%d*%s" rep (data_const_tag dc))
+        (fun (rep, dc) ->
+          int_part h rep;
+          part h "*";
+          data_const_part h dc;
+          add h "")
         d.di_values)
     p.pdata;
   add h "body";
   List.iter (stmt h) p.pbody;
   Digest.to_hex (Digest.string (Buffer.contents h.buf))
 
+let encoder mode =
+  { buf = Buffer.create 1024; mode; locals = Hashtbl.create 8; next_local = 0 }
+
+let hash mode p = digest (encoder mode) p
 let strict p = hash Strict p
 let semantic p = hash Semantic p
 
 let table mode (prog : Prog.t) : (string, string) Hashtbl.t =
   let tbl = Hashtbl.create (List.length prog.procs) in
-  List.iter (fun (p : Prog.proc) -> Hashtbl.replace tbl p.pname (hash mode p))
+  let h = encoder mode in
+  List.iter (fun (p : Prog.proc) -> Hashtbl.replace tbl p.pname (digest h p))
     prog.procs;
   tbl

@@ -4,17 +4,20 @@
     program, its prepared artifacts, the per-procedure strict/semantic
     hashes, and the solved {!Ipcp_core.Driver.t}.  {!update} analyzes
     the next version with output byte-identical to a from-scratch
-    {!Ipcp_core.Driver.analyze} of the same source.  Only propagation is
-    bounded by the {e dependence cone} of the edit.  Hashing every
-    procedure, the call graph, the diff, MOD/REF and the forward jump
-    functions of every site stay whole-program, so an update of a
-    1600-procedure program costs about 80% of a fresh {!start}
-    (DESIGN.md §10 has the split).  The steps:
+    {!Ipcp_core.Driver.analyze} of the same source.  Propagation is
+    bounded by the {e dependence cone} of the edit, and every
+    per-procedure product whose inputs are unchanged is copied: IR,
+    return and site jump functions ({!Ipcp_core.Driver.prepare_reusing}),
+    semantic hashes and SCCP results (here).  The strict hash of every
+    procedure, the call graph, the diff and MOD/REF stay whole-program;
+    at 1600 procedures an update costs about two thirds of a fresh
+    {!start} (DESIGN.md §10 has the split).  The steps:
 
     {ol
     {- {b Grafting.}  Procedures whose strict hash is unchanged keep the
        previous version's physical [Prog.proc] value in the analyzed
-       program.  [Sema] assigns expression/statement ids program-wide,
+       program, and their semantic hash (only the others are hashed
+       again).  [Sema] assigns expression/statement ids program-wide,
        so an edit in one procedure renumbers every later one; grafting
        keeps the ids of unchanged procedures stable, which is what lets
        {!Ipcp_core.Driver.prepare_reusing} hand their stage-1/2 IR
@@ -39,13 +42,22 @@
        edges into it.  The meet-semilattice iteration is
        order-independent, so the seeded fixpoint equals the from-scratch
        one — byte-identical output, enforced by the certifier and the
-       [fuzz --delta] gate.}}
+       [fuzz --delta] gate.}
+    {- {b SCCP seeding.}  The new result's SCCP memo takes the previous
+       result's entry for every procedure whose SSA is physically the
+       copied one, whose VAL map is equal and whose callees' return jump
+       functions are equal: SCCP reads nothing else.}}
 
-    Whole-program fallbacks (still byte-identical, just not cheaper):
-    a budgeted configuration (seeding under a step/deadline budget would
-    widen differently than a from-scratch run), the intraprocedural
-    baseline, a changed global-key set (every VAL map's domain changes),
-    and a renamed main program. *)
+    Whole-program fallbacks (still byte-identical, just not cheaper)
+    copy nothing from the previous version: a budgeted configuration
+    (seeding under a step/deadline budget would widen differently than
+    a from-scratch run), the intraprocedural baseline, a changed
+    global-key set (every VAL map's domain changes), and a renamed main
+    program.
+
+    [incr.update] has a span per phase: [incr.hash], [incr.graft],
+    [prepare], [incr.diff], [incr.cone] (which forces MOD/REF and the
+    stage-1/2 bundle) and [solve]. *)
 
 open Ipcp_frontend
 open Ipcp_analysis
@@ -99,9 +111,13 @@ module Make (A : Analysis_sig.S) = struct
       s_result = t;
     }
 
+  (* A session's result keeps the SCCP results its rendering computes:
+     the next update copies them. *)
+  let solved t = { t with Driver.keep_sccps = true }
+
   let start (config : Config.t) (prog : Prog.t) : session =
     let artifacts = Driver.prepare prog in
-    let t = D.solve config artifacts in
+    let t = solved (D.solve config artifacts) in
     let strict, sem = hash_tables prog in
     session_of ~config ~prog ~artifacts ~strict ~sem ~t
 
@@ -177,13 +193,67 @@ module Make (A : Analysis_sig.S) = struct
     in
     { p with pbody = List.map stmt p.pbody }
 
+  (* Seed [t]'s SCCP memo from [prev]'s.  A procedure's SCCP reads its
+     SSA, its entry VAL map and, through the oracle, its callees' return
+     jump functions (and the configuration, which a session keeps).
+     Where the SSA is physically the copied one and the other two are
+     equal, [prev]'s result is the one a fresh run would compute.  Returns
+     the number of results copied. *)
+  let inherit_sccps ~(prev : A.L.t Driver.analysis_result)
+      (t : A.L.t Driver.analysis_result) : int =
+    let ret_stable callee =
+      (not t.config.Config.return_jfs)
+      || Option.equal Jump_function.ret_jf_equal
+           (Hashtbl.find_opt prev.ret_jfs callee)
+           (Hashtbl.find_opt t.ret_jfs callee)
+    in
+    let vals_equal name =
+      Option.equal
+        (fun a b -> a == b || Prog.Param_map.equal A.L.equal a b)
+        (Hashtbl.find_opt prev.solution.Solver.vals name)
+        (Hashtbl.find_opt t.solution.Solver.vals name)
+    in
+    let copied = ref 0 in
+    Hashtbl.iter
+      (fun name r ->
+        match (Hashtbl.find_opt prev.irs name, Hashtbl.find_opt t.irs name) with
+        | Some (old_ir : Jump_function.proc_ir), Some ir
+          when old_ir.pi_ssa == ir.pi_ssa
+               && vals_equal name
+               && List.for_all
+                    (fun (e : Callgraph.edge) -> ret_stable e.e_callee)
+                    (Callgraph.callees_of t.cg name) ->
+          Hashtbl.replace t.sccps name r;
+          incr copied
+        | _ -> ())
+      prev.sccps;
+    !copied
+
   let update ~(prev : session) (prog_new : Prog.t) : session * stats =
     Telemetry.span "incr.update" @@ fun () ->
     let config = prev.s_config in
-    let strict_new, sem_new = hash_tables prog_new in
     (* the new artifacts keep this predicate: it must hold the previous
        hash table only, not the previous session and all it holds *)
     let strict_prev = prev.s_strict in
+    let strict_new, sem_new =
+      Telemetry.span "incr.hash" (fun () ->
+          let strict_new = Hashing.table Hashing.Strict prog_new in
+          (* a strictly unchanged procedure keeps its semantic hash *)
+          let sem_new = Hashtbl.create (Hashtbl.length strict_new) in
+          List.iter
+            (fun (p : Prog.proc) ->
+              let h =
+                match Hashtbl.find_opt prev.s_sem p.pname with
+                | Some h
+                  when Hashtbl.find_opt strict_prev p.pname
+                       = Hashtbl.find_opt strict_new p.pname ->
+                  h
+                | Some _ | None -> Hashing.semantic p
+              in
+              Hashtbl.replace sem_new p.pname h)
+            prog_new.procs;
+          (strict_new, sem_new))
+    in
     let strict_unchanged name =
       match
         (Hashtbl.find_opt strict_prev name, Hashtbl.find_opt strict_new name)
@@ -195,38 +265,31 @@ module Make (A : Analysis_sig.S) = struct
     (* graft: strictly unchanged procedures keep the previous version's
        physical value, so reused IR ids stay consistent *)
     let grafted = ref 0 in
-    let grafted_max = ref (-1) in
-    let picked =
-      List.map
-        (fun (p : Prog.proc) ->
-          match
-            if strict_unchanged p.pname then prev_proc p.pname else None
-          with
-          | Some old_p ->
-            incr grafted;
-            grafted_max := max !grafted_max (max_proc_id old_p);
-            `Grafted old_p
-          | None -> `Fresh p)
-        prog_new.procs
-    in
-    (* fresh procedures renumber above every grafted id (see the header) *)
-    let next = ref (!grafted_max + 1) in
-    let procs' =
-      List.map
-        (function `Grafted p -> p | `Fresh p -> renumber_proc next p)
-        picked
-    in
-    let prog' = { prog_new with procs = procs' } in
-    let artifacts =
-      Driver.prepare_reusing ~prev:prev.s_artifacts ~unchanged:strict_unchanged
-        prog'
-    in
-    let new_proc = Driver.find_proc artifacts in
-    let cg_new = Driver.artifacts_callgraph artifacts in
-    let cg_old = Driver.artifacts_callgraph prev.s_artifacts in
-    let d =
-      Diff.compute_with ~old_cg:cg_old ~new_cg:cg_new ~old_sem:prev.s_sem
-        ~new_sem:sem_new
+    let prog' =
+      Telemetry.span "incr.graft" (fun () ->
+          let grafted_max = ref (-1) in
+          let picked =
+            List.map
+              (fun (p : Prog.proc) ->
+                match
+                  if strict_unchanged p.pname then prev_proc p.pname else None
+                with
+                | Some old_p ->
+                  incr grafted;
+                  grafted_max := max !grafted_max (max_proc_id old_p);
+                  `Grafted old_p
+                | None -> `Fresh p)
+              prog_new.procs
+          in
+          (* fresh procedures renumber above every grafted id (see the
+             header) *)
+          let next = ref (!grafted_max + 1) in
+          let procs' =
+            List.map
+              (function `Grafted p -> p | `Fresh p -> renumber_proc next p)
+              picked
+          in
+          { prog_new with procs = procs' })
     in
     let budgeted =
       config.Config.max_steps <> None || config.Config.deadline_ms <> None
@@ -237,8 +300,24 @@ module Make (A : Analysis_sig.S) = struct
       || global_key_set prev.s_prog <> global_key_set prog_new
       || prev.s_prog.main <> prog_new.main
     in
+    (* a whole-program fallback copies nothing from the previous round *)
+    let artifacts =
+      if full then Driver.prepare prog'
+      else
+        Driver.prepare_reusing ~prev:prev.s_artifacts
+          ~unchanged:strict_unchanged prog'
+    in
+    let new_proc = Driver.find_proc artifacts in
+    let cg_new = Driver.artifacts_callgraph artifacts in
+    let cg_old = Driver.artifacts_callgraph prev.s_artifacts in
+    let d =
+      Telemetry.span "incr.diff" (fun () ->
+          Diff.compute_with ~old_cg:cg_old ~new_cg:cg_new ~old_sem:prev.s_sem
+            ~new_sem:sem_new)
+    in
     let dirty : (string, unit) Hashtbl.t = Hashtbl.create 16 in
     if not full then begin
+      Telemetry.span "incr.cone" @@ fun () ->
       (* Stage 1 — transfer-dirty: procedures whose call-site jump
          functions may differ from the previous version.  A procedure's
          transfer depends on its own body and, through the call-kill sets
@@ -348,12 +427,15 @@ module Make (A : Analysis_sig.S) = struct
       if data_map prev.s_prog <> data_map prog_new then mark prog'.main
     end;
     let t =
-      if full then D.solve config artifacts
-      else
-        D.solve_seeded config artifacts
-          ~prev_vals:prev.s_result.Driver.solution.Solver.vals
-          ~dirty:(Hashtbl.mem dirty)
+      solved
+        (if full then D.solve config artifacts
+         else
+           D.solve_seeded config artifacts
+             ~prev_vals:prev.s_result.Driver.solution.Solver.vals
+             ~dirty:(Hashtbl.mem dirty))
     in
+    if not full then
+      Telemetry.add "incr.sccp_reused" (inherit_sccps ~prev:prev.s_result t);
     let total = List.length prog'.procs in
     let cone = if full then total else Hashtbl.length dirty in
     let stats =

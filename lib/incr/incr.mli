@@ -4,14 +4,15 @@
     the same source (the certifier and the [fuzz --delta] gate enforce
     this).
 
-    Unchanged procedures' IR and return jump functions are reused via
-    strict-hash grafting + {!Ipcp_core.Driver.prepare_reusing}; the
-    solution is reused via {!Ipcp_core.Solver.run_seeded} over the
-    dirty cone computed from the semantic call-graph diff ({!Diff}).
-    Only that propagation is bounded by the cone: hashing, the call
-    graph and its diff, MOD/REF and the forward jump functions are
-    recomputed for the whole program.  See the implementation header
-    and DESIGN.md §10 for the closure rules, the fallbacks and the
+    Unchanged procedures' IR, return jump functions and site jump
+    functions are copied via strict-hash grafting +
+    {!Ipcp_core.Driver.prepare_reusing}; their semantic hashes and SCCP
+    results are copied from the previous version; the solution is
+    reused via {!Ipcp_core.Solver.run_seeded} over the dirty cone
+    computed from the semantic call-graph diff ({!Diff}).  The strict
+    hash of every procedure, the call graph and its diff and MOD/REF
+    still cover the whole program.  See the implementation header and
+    DESIGN.md §10 for the copy and closure rules, the fallbacks and the
     measured cost split. *)
 
 open Ipcp_frontend
@@ -53,7 +54,9 @@ val start : Config.t -> Prog.t -> session
 val update : prev:session -> Prog.t -> session * stats
 
 (** The full analysis result of this version — same value a from-scratch
-    [Driver.analyze] would produce. *)
+    [Driver.analyze] would produce.  Its SCCP memo starts with the
+    previous version's results that still hold; rendering it fills in
+    the rest, and the next update copies from there. *)
 val result : session -> Driver.t
 
 val config : session -> Config.t

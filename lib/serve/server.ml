@@ -441,17 +441,16 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
      the same configuration, otherwise start one.  The result is the same
      value a from-scratch solve would produce (the Incr layer's
      byte-identity contract), so the response frame does not depend on the
-     session state — only the cost does. *)
-  let delta_result st sessions (req : Request.t) ~config prog =
-    let name = req.rq_session in
+     session state — only the cost does.  The caller publishes the new
+     session once it has rendered it. *)
+  let delta_session st sessions (req : Request.t) ~config prog =
     let sess, stats =
-      match session_get st sessions name with
+      match session_get st sessions req.rq_session with
       | Some s when Config.equal (I.config s) config ->
         let s', stats = I.update ~prev:s prog in
         (s', Some stats)
       | _ -> (I.start config prog, None)
     in
-    session_put st sessions name sess;
     locked st (fun () ->
         match stats with
         | Some (s : Ipcp_incr.Incr.stats) ->
@@ -464,7 +463,7 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
           st.n.delta_fresh <- st.n.delta_fresh + 1;
           st.n.incr_cone_size <- st.n.incr_cone_size + total;
           st.n.incr_procs_resolved <- st.n.incr_procs_resolved + total);
-    I.result sess
+    sess
 
   (* ---- the online certification policy for this analysis ---- *)
 
@@ -513,9 +512,13 @@ module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
   let analyze st ~seq req ~config prog =
     render_solved st ~seq req ~config prog (D.solve config (Driver.prepare prog))
 
-  let analyze_delta st sessions ~seq req ~config prog =
-    render_solved st ~seq req ~config prog
-      (delta_result st sessions req ~config prog)
+  let analyze_delta st sessions ~seq (req : Request.t) ~config prog =
+    let sess = delta_session st sessions req ~config prog in
+    let ex = render_solved st ~seq req ~config prog (I.result sess) in
+    (* published only now: rendering fills the result's SCCP memo, which
+       the next update reads, perhaps in another worker domain *)
+    session_put st sessions req.rq_session sess;
+    ex
 
   let certify_op (req : Request.t) ~config ~name prog =
     (* the in-band certifier *is* this op's rendering — the online

@@ -110,6 +110,22 @@ let test_exec_witnessed () =
         (r.Certify.witness = Certify.Witnessed))
     (suite_programs ())
 
+(* The SCCP obligations and the execution witness's substitution share
+   one SCCP run per procedure (the result's memo). *)
+let test_exec_sccp_once () =
+  let name, _, prog = List.hd (suite_programs ()) in
+  let t = Driver.solve Config.default (Driver.prepare prog) in
+  let coll = Ipcp_telemetry.Telemetry.create () in
+  let r =
+    Ipcp_telemetry.Telemetry.with_reporter coll (fun () -> Certify.check t)
+  in
+  check Alcotest.bool (name ^ ": execution witnessed") true
+    (r.Certify.witness = Certify.Witnessed);
+  check Alcotest.int (name ^ ": sccp.runs = procedures")
+    (List.length prog.Prog.procs)
+    (Option.value ~default:0
+       (Ipcp_telemetry.Telemetry.counter coll "sccp.runs"))
+
 (* ---- corruption is detected ---- *)
 
 let test_corrupt_detected () =
@@ -313,6 +329,7 @@ let suite =
     ("copy: suite certifies under configs x budgets", `Quick, test_copy_suite_under_budgets);
     ("copy: corruption detected", `Quick, test_copy_corrupt_detected);
     ("execution witnessed on suite", `Quick, test_exec_witnessed);
+    ("certify runs SCCP once per procedure", `Quick, test_exec_sccp_once);
     ("corruption detected on every program", `Quick, test_corrupt_detected);
     ("corruption detected under many seeds", `Quick, test_corrupt_detected_every_seed);
     ("Fault hook corrupts and is caught", `Quick, test_fault_hook_corrupts);

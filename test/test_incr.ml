@@ -19,6 +19,7 @@ module Hashing = Ipcp_incr.Hashing
 module Diff = Ipcp_incr.Diff
 module Incr = Ipcp_incr.Incr
 module Metamorph = Ipcp_certify.Metamorph
+module Telemetry = Ipcp_telemetry.Telemetry
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -300,6 +301,177 @@ let test_artifacts_do_not_pin_history () =
   check Alcotest.bool "first artifacts collected" false (Weak.check first 0);
   ignore (Sys.opaque_identity (Driver.solve Config.default !a))
 
+(* Main reads a common global whose load-time value another unit's
+   [data] statement sets; the second version changes only that value.
+   Main's body is unchanged, so its IR is copied, but its entry constants
+   are not: they must come from the new version's [data]. *)
+let data_v1_src =
+  "program main\n\
+   common /c/ k\n\
+   integer j\n\
+   j = k + 1\n\
+   call s(j)\n\
+   end\n\
+   subroutine s(ia)\n\
+   integer ia\n\
+   common /c/ k\n\
+   print *, ia, k\n\
+   end\n\
+   subroutine b\n\
+   common /c/ k\n\
+   data k /5/\n\
+   end\n"
+
+let data_v2_src = replace_line ~from:"data k /5/" ~to_:"data k /6/" data_v1_src
+
+let test_data_edit_outside_main () =
+  List.iter
+    (fun kind ->
+      let config = Config.make ~kind () in
+      let kname = Jump_function.kind_name kind in
+      let v2 = resolve data_v2_src in
+      let sess, _ = Incr.update ~prev:(Incr.start config (resolve data_v1_src)) v2 in
+      let inc = Jobs.analyze ~solved:(Incr.result sess) ~config ~jobs:1 v2 in
+      check Alcotest.bool (kname ^ ": byte-identical to scratch") true
+        (inc = Jobs.analyze ~config ~jobs:1 v2))
+    Jump_function.all_kinds;
+  let v2 = resolve data_v2_src in
+  let sess, _ =
+    Incr.update ~prev:(Incr.start Config.default (resolve data_v1_src)) v2
+  in
+  let out =
+    (Jobs.analyze ~solved:(Incr.result sess) ~config:Config.default ~jobs:1 v2)
+      .Jobs.out
+  in
+  check Alcotest.bool "the new data value reaches s" true
+    (Test_interp.contains ~sub:"s: ia=7, k=6" out)
+
+(* p and q form a cycle; stage 1 builds the cycle from whichever member
+   the call-graph walk reaches first, and the second version's extra call
+   in main changes which one that is.  p's return jump function (x = 5
+   once q's is in the table) then differs although neither body changed,
+   and with it the constant r receives. *)
+let cycle_v1_src =
+  "program main\n\
+   integer a, b\n\
+   a = 1\n\
+   b = 2\n\
+   call p(a, 3)\n\
+   print *, a, b\n\
+   end\n\
+   subroutine p(x, n)\n\
+   integer x, n, u, t\n\
+   call q(x)\n\
+   if (n .gt. 0) then\n\
+   u = 0\n\
+   call p(u, n - 1)\n\
+   t = u\n\
+   call r(t)\n\
+   end if\n\
+   end\n\
+   subroutine q(y)\n\
+   integer y, w\n\
+   w = 0\n\
+   if (y .gt. 100) then\n\
+   call p(w, 0)\n\
+   end if\n\
+   y = 5\n\
+   end\n\
+   subroutine r(z)\n\
+   integer z\n\
+   print *, z\n\
+   end\n"
+
+let cycle_v2_src =
+  replace_line ~from:"call p(a, 3)" ~to_:"call p(a, 3)\ncall q(b)" cycle_v1_src
+
+let test_cycle_order_change () =
+  List.iter
+    (fun (label, before, after) ->
+      let config = Config.default in
+      let next = resolve after in
+      let sess, _ = Incr.update ~prev:(Incr.start config (resolve before)) next in
+      check Alcotest.bool (label ^ ": byte-identical to scratch") true
+        (Jobs.analyze ~solved:(Incr.result sess) ~config ~jobs:1 next
+        = Jobs.analyze ~config ~jobs:1 next))
+    [
+      ("v1 -> v2", cycle_v1_src, cycle_v2_src);
+      ("v2 -> v1", cycle_v2_src, cycle_v1_src);
+    ]
+
+(* Reuse is pinned by counters.  [prev] is rendered first, as serve
+   renders every response, so its SCCP memo is full. *)
+let update_counters ~prev_src ~next_src =
+  let config = Config.default in
+  let prev = Incr.start config (resolve prev_src) in
+  ignore
+    (Jobs.analyze ~solved:(Incr.result prev) ~config ~jobs:1 (Incr.prog prev));
+  let next = resolve next_src in
+  let coll = Telemetry.create () in
+  let rendered =
+    Telemetry.with_reporter coll (fun () ->
+        let sess, _ = Incr.update ~prev next in
+        Jobs.analyze ~solved:(Incr.result sess) ~config ~jobs:1 next)
+  in
+  check Alcotest.bool "byte-identical to scratch" true
+    (rendered = Jobs.analyze ~config ~jobs:1 next);
+  let counter name = Option.value ~default:0 (Telemetry.counter coll name) in
+  (List.length next.Prog.procs, counter)
+
+let generated_src =
+  Ipcp_suite.Workload.generate
+    { Ipcp_suite.Workload.default_spec with seed = 42; num_procs = 30 }
+
+let test_identical_update_copies_everything () =
+  let procs, counter =
+    update_counters ~prev_src:generated_src ~next_src:generated_src
+  in
+  check Alcotest.int "site jump functions copied" procs
+    (counter "driver.site_jfs_reused");
+  check Alcotest.int "SCCP copied" procs (counter "incr.sccp_reused");
+  check Alcotest.int "no SCCP run" 0 (counter "sccp.runs")
+
+(* One more operand in the last [print] changes that procedure's body
+   and nothing any other procedure can observe. *)
+let test_print_edit_copies_all_but_one () =
+  let lines = String.split_on_char '\n' generated_src in
+  let target =
+    List.find
+      (fun l ->
+        String.starts_with ~prefix:"  print *, " l && String.contains l ',')
+      (List.rev lines)
+  in
+  let args = String.sub target 11 (String.length target - 11) in
+  let edited_line = "  print *, 0, " ^ args in
+  let edited =
+    String.concat "\n"
+      (List.map (fun l -> if l == target then edited_line else l) lines)
+  in
+  let procs, counter =
+    update_counters ~prev_src:generated_src ~next_src:edited
+  in
+  check Alcotest.int "site jump functions copied" (procs - 1)
+    (counter "driver.site_jfs_reused");
+  check Alcotest.int "SCCP copied" (procs - 1) (counter "incr.sccp_reused");
+  check Alcotest.int "one SCCP run" 1 (counter "sccp.runs")
+
+(* The whole-program fallbacks copy nothing. *)
+let test_fallback_copies_nothing () =
+  let config = Config.with_budget ~max_steps:1_000_000 Config.default in
+  let prog = resolve generated_src in
+  let prev = Incr.start config prog in
+  ignore (Jobs.analyze ~solved:(Incr.result prev) ~config ~jobs:1 prog);
+  let coll = Telemetry.create () in
+  let _, stats =
+    Telemetry.with_reporter coll (fun () -> Incr.update ~prev prog)
+  in
+  check Alcotest.bool "full re-solve" true stats.Incr.full_resolve;
+  List.iter
+    (fun name ->
+      check Alcotest.int (name ^ " = 0") 0
+        (Option.value ~default:0 (Telemetry.counter coll name)))
+    [ "driver.site_jfs_reused"; "driver.stage12_reused"; "incr.sccp_reused" ]
+
 let suite =
   [
     Alcotest.test_case "strict hash is stable across reparses" `Quick
@@ -324,6 +496,16 @@ let suite =
       test_invisible_edit_empty_cone;
     Alcotest.test_case "sessions do not pin earlier versions" `Quick
       test_sessions_do_not_pin_history;
+    Alcotest.test_case "data edit outside main matches scratch" `Quick
+      test_data_edit_outside_main;
+    Alcotest.test_case "cycle built in a new order matches scratch" `Quick
+      test_cycle_order_change;
+    Alcotest.test_case "identical rendered update copies every procedure"
+      `Quick test_identical_update_copies_everything;
+    Alcotest.test_case "print edit copies all but that procedure" `Quick
+      test_print_edit_copies_all_but_one;
+    Alcotest.test_case "whole-program fallback copies nothing" `Quick
+      test_fallback_copies_nothing;
     Alcotest.test_case "reused artifacts do not pin earlier rounds" `Quick
       test_artifacts_do_not_pin_history;
   ]

@@ -569,6 +569,34 @@ let test_delta_matches_analyze () =
         (r.rs_code = Some direct.code))
     responses
 
+(* A [data] edit outside main, served as analyze-delta: the update must
+   serve the new version's constants, not the session's previous ones
+   (the pair is Test_incr's). *)
+let test_delta_data_edit_outside_main () =
+  let dir = tmp_dir "data" in
+  let v1 = Filename.concat dir "v1.f" and v2 = Filename.concat dir "v2.f" in
+  write_file v1 Test_incr.data_v1_src;
+  write_file v2 Test_incr.data_v2_src;
+  let line id path =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Str id); ("op", Json.Str "analyze-delta");
+           ("file", Json.Str path); ("session", Json.Str "d") ])
+  in
+  let code, responses = run_server [ line "v1" v1; line "v2" v2 ] in
+  check Alcotest.int "exit" 0 code;
+  let direct =
+    match Jobs.load v2 with
+    | Ok (_, prog) -> Jobs.analyze ~config:Config.default ~jobs:1 prog
+    | Error o -> Alcotest.fail o.Jobs.err
+  in
+  match responses with
+  | [ _; r ] ->
+    check Alcotest.string "v2 id" "v2" r.Request.rs_id;
+    check Alcotest.bool "v2 stdout byte-identical to analyze" true
+      (r.Request.rs_stdout = Some direct.Jobs.out)
+  | _ -> Alcotest.fail "expected two responses"
+
 (* ---- the typed error taxonomy and online certification ---- *)
 
 (* Frame rendering is golden-pinned: one frame per taxonomy class, in
@@ -1296,6 +1324,8 @@ let suite =
     ("serve health snapshot", `Quick, test_health_snapshot);
     ("serve analyze-delta matches analyze", `Quick,
      test_delta_matches_analyze);
+    ("serve analyze-delta after a data edit outside main", `Quick,
+     test_delta_data_edit_outside_main);
     ("serve frame taxonomy golden", `Quick, test_frames_golden);
     ("serve breaker half-open probe", `Quick, test_breaker_half_open_probe);
     ("serve certify sampling deterministic", `Slow,

@@ -1807,14 +1807,76 @@ let run_subsume () =
 (* ------------------------------------------------------------------ *)
 (* --delta: incremental re-analysis vs from-scratch.                   *)
 
+(* [Workload.edits] writes [data] only in main.  This appends two
+   versions to an edit sequence: one of main's [data] statements for a
+   common global moves to another unit that declares the global (with a
+   fresh value), then that value changes.  The second step leaves main's
+   body unchanged while its entry values change.  Returns [] when the
+   program has no such statement or unit. *)
+let data_edits prng src : string list =
+  let lines = String.split_on_char '\n' src in
+  (* the unit of each line: a unit header is an unindented line other
+     than [end]; the first unit is main *)
+  let units =
+    List.fold_left
+      (fun (u, acc) l ->
+        let u =
+          if l <> "" && l.[0] <> ' ' && l <> "end" then u + 1 else u
+        in
+        (u, u :: acc))
+      (-1, []) lines
+    |> snd |> List.rev
+  in
+  let numbered = List.combine units lines in
+  let data_name l =
+    match String.split_on_char ' ' (String.trim l) with
+    | [ "data"; name; _ ] -> Some name
+    | _ -> None
+  in
+  let main_data =
+    List.filter_map
+      (fun (u, l) -> if u = 0 then data_name l else None)
+      numbered
+  in
+  let declares name l =
+    match String.split_on_char '/' (String.trim l) with
+    | [ "common "; _; items ] ->
+      List.mem name (List.map String.trim (String.split_on_char ',' items))
+    | _ -> false
+  in
+  let hosts name =
+    List.filter_map
+      (fun (u, l) -> if u > 0 && declares name l then Some u else None)
+      numbered
+  in
+  match List.filter (fun name -> hosts name <> []) main_data with
+  | [] -> []
+  | movable ->
+    let name = Prng.choose prng movable in
+    let host = Prng.choose prng (hosts name) in
+    let v1 = Prng.range prng 0 20 in
+    let v2 = v1 + Prng.range prng 1 5 in
+    let with_value v =
+      List.concat_map
+        (fun (u, l) ->
+          if u = 0 && data_name l = Some name then []
+          else if u = host && declares name l then
+            [ l; Printf.sprintf "  data %s /%d/" name v ]
+          else [ l ])
+        numbered
+      |> String.concat "\n"
+    in
+    [ with_value v1; with_value v2 ]
+
 (* Each iteration draws a workload spec, derives a randomized edit
    sequence from it (constant tweaks, call duplication/deletion,
-   procedure addition/removal), and replays the sequence through an
-   {!Incr} session under all four jump-function kinds.  After every
-   update the incremental rendering must be byte-identical to a
-   from-scratch analyze of the same source, the result must pass the
-   independent certifier, and an identical-version update must report an
-   empty cone. *)
+   procedure addition/removal, then {!data_edits}), and replays the
+   sequence through an {!Incr} session under all four jump-function
+   kinds.  After every update the incremental rendering must be
+   byte-identical to a from-scratch analyze of the same source, the
+   result must pass the independent certifier (whose SCCP check vets
+   every SCCP result the update copied), and an identical-version
+   update must report an empty cone. *)
 let run_delta () =
   let failures = ref 0 in
   let checks = ref 0 in
@@ -1838,6 +1900,9 @@ let run_delta () =
       }
     in
     let versions = Workload.edits spec ~seed:iter_seed ~n:4 in
+    let versions =
+      versions @ data_edits prng (List.nth versions (List.length versions - 1))
+    in
     let progs =
       List.mapi
         (fun i src ->
