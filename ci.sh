@@ -128,12 +128,17 @@ if ! cmp -s "$tmpdir/big_delta.out" "$tmpdir/big_scratch.out"; then
 fi
 # Identical bytes do not show reuse: recomputing everything prints them
 # too.  The edit is in main, so every other procedure (1600 of them)
-# must keep its site jump functions from the previous version.
-site_jfs_reused=$(sed -n 's/.*"driver\.site_jfs_reused": \([0-9]*\).*/\1/p' "$tmpdir/big_delta_profile.json")
-if [ "${site_jfs_reused:-0}" -lt 1600 ]; then
-  echo "big input: --against copied the site jump functions of ${site_jfs_reused:-0} procedures, not 1600" >&2
-  exit 1
-fi
+# must keep its site jump functions, its call sites and its direct
+# MOD/REF effects from the previous version.
+profile="$tmpdir/big_delta_profile.json"
+for copies in driver.site_jfs_reused callgraph.sites_copied \
+  modref.effects_copied; do
+  n=$(sed -n "s/.*\"$copies\": \([0-9]*\).*/\1/p" "$profile")
+  if [ "${n:-0}" -lt 1600 ]; then
+    echo "big input: --against counted ${n:-0} $copies, not 1600" >&2
+    exit 1
+  fi
+done
 
 echo "== differential fuzzing"
 # The seeded oracle under two pinned seeds with full certification:

@@ -45,19 +45,14 @@ type t = {
   entry_const : Prog.var -> int option;
       (** known constant entry values — e.g. [data]-initialized variables of
           the main program, where load-time values hold on entry *)
-  memo : Symbolic.t option array;  (** per SSA name *)
-  visiting : bool array;  (** per SSA name: on the evaluation stack *)
+  mutable memo : Symbolic.t option array;  (** per SSA name *)
+  mutable visiting : bool array;  (** per SSA name: on the evaluation stack *)
 }
 
+(* The per-name arrays are allocated on the first query: most values of a
+   procedure whose jump functions an update copies are never asked. *)
 let create ?oracle ?(entry_const = fun (_ : Prog.var) -> None) (ssa : Ssa.t) : t =
-  let n = Ssa.num_names ssa in
-  {
-    ssa;
-    oracle;
-    entry_const;
-    memo = Array.make n None;
-    visiting = Array.make n false;
-  }
+  { ssa; oracle; entry_const; memo = [||]; visiting = [||] }
 
 (** What call [c] (re)defines in variable [v]: its result, the
     by-reference actual bound to a formal position, or a global.  [None]
@@ -93,6 +88,11 @@ let leaf_of_var (v : Prog.var) : Symbolic.t =
     Symbolic.unknown
 
 let rec sym_of_name t (n : Ssa.ssa_name) : Symbolic.t =
+  if Array.length t.memo = 0 then begin
+    let names = Ssa.num_names t.ssa in
+    t.memo <- Array.make names None;
+    t.visiting <- Array.make names false
+  end;
   match t.memo.(n) with
   | Some s -> s
   | None ->

@@ -502,12 +502,14 @@ module Make (A : Analysis_sig.S) = struct
       let vals = Hashtbl.copy solution.Solver.vals in
       let m = Hashtbl.find vals pname in
       Hashtbl.replace vals pname (Prog.Param_map.add param corrupted m);
-      (* the memo holds SCCP seeded from the uncorrupted solution *)
+      (* the memos hold SCCP seeded from the uncorrupted solution, and
+         the rewrites made from it *)
       Some
         {
           t with
           Driver.solution = { solution with Solver.vals };
           sccps = Hashtbl.create 16;
+          substs = Hashtbl.create 16;
         }
 
   (* ------------------------------------------------------------------ *)

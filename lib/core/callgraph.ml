@@ -24,31 +24,20 @@ type t = {
   out_edges : (string, edge list) Hashtbl.t;
   in_edges : (string, edge list) Hashtbl.t;
   sccs : string list list;  (** reverse topological: callees before callers *)
+  scc_index : (string, int) Hashtbl.t;  (** each node's position in [sccs] *)
 }
 
-let build (prog : Prog.t) : t =
-  let nodes = List.map (fun (p : Prog.proc) -> p.pname) prog.procs in
-  let edges =
-    List.concat_map
-      (fun (p : Prog.proc) ->
-        List.map
-          (fun (cs : Prog.call_site) ->
-            { e_caller = p.pname; e_callee = cs.cs_callee; e_site = cs })
-          (Prog.call_sites p))
-      prog.procs
-  in
-  let out_edges = Hashtbl.create 16 and in_edges = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      Hashtbl.replace out_edges n [];
-      Hashtbl.replace in_edges n [])
-    nodes;
-  List.iter
-    (fun e ->
-      Hashtbl.replace out_edges e.e_caller (e :: Hashtbl.find out_edges e.e_caller);
-      Hashtbl.replace in_edges e.e_callee (e :: Hashtbl.find in_edges e.e_callee))
-    edges;
-  (* Tarjan SCC; result naturally comes out in reverse topological order. *)
+(* A procedure's out-edges in the order the tables hold them: reverse
+   site order. *)
+let site_edges (p : Prog.proc) : edge list =
+  List.rev_map
+    (fun (cs : Prog.call_site) ->
+      { e_caller = p.pname; e_callee = cs.cs_callee; e_site = cs })
+    (Prog.call_sites p)
+
+(* Tarjan SCC over the out-edge tables; the result comes out in reverse
+   topological order. *)
+let tarjan nodes out_edges : string list list =
   let index = Hashtbl.create 16 in
   let lowlink = Hashtbl.create 16 in
   let on_stack = Hashtbl.create 16 in
@@ -86,9 +75,117 @@ let build (prog : Prog.t) : t =
     end
   in
   List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
-  (* !sccs currently has later-finished (callers) first; reverse for
-     bottom-up order. *)
-  { prog; nodes; edges; out_edges; in_edges; sccs = List.rev !sccs }
+  (* !sccs has later-finished (callers) first; reverse for bottom-up
+     order *)
+  List.rev !sccs
+
+let same_callees (a : edge list) (b : edge list) =
+  List.equal (fun x y -> String.equal x.e_callee y.e_callee) a b
+
+(* [ins] (a callee's in-edges) with [caller]'s entries replaced, in
+   order, by [news]: the caller's new edges into that callee. *)
+let patch_in_edges ~caller ins news =
+  let rec go acc ins news =
+    match (ins, news) with
+    | e :: rest, n :: news' when String.equal e.e_caller caller ->
+      go (n :: acc) rest news'
+    | e :: rest, _ -> go (e :: acc) rest news
+    | [], _ -> List.rev acc
+  in
+  go [] ins news
+
+let build_with ?reuse (prog : Prog.t) : t =
+  let nodes = List.map (fun (p : Prog.proc) -> p.pname) prog.procs in
+  let out_edges = Hashtbl.create 16 in
+  let scanned = ref [] and copied = ref 0 in
+  List.iter
+    (fun (p : Prog.proc) ->
+      let out =
+        match
+          match reuse with
+          | Some (prev, unchanged) when unchanged p.pname ->
+            Hashtbl.find_opt prev.out_edges p.pname
+          | Some _ | None -> None
+        with
+        | Some out ->
+          incr copied;
+          out
+        | None ->
+          let out = site_edges p in
+          scanned := (p.pname, out) :: !scanned;
+          out
+      in
+      Hashtbl.replace out_edges p.pname out)
+    prog.procs;
+  Ipcp_telemetry.Telemetry.add "callgraph.sites_copied" !copied;
+  Ipcp_telemetry.Telemetry.add "callgraph.sites_scanned" (List.length !scanned);
+  let edges =
+    List.concat_map (fun n -> List.rev (Hashtbl.find out_edges n)) nodes
+  in
+  (* The previous graph's shape holds when the procedures are the same,
+     in the same order, and every rescanned one calls the same callees in
+     the same order: its SCCs are then the ones Tarjan would find again,
+     and its in-edge lists need only the rescanned callers' entries
+     replaced. *)
+  let kept =
+    match reuse with
+    | Some (prev, _)
+      when List.equal String.equal nodes prev.nodes
+           && List.for_all
+                (fun (name, out) ->
+                  same_callees out (Hashtbl.find prev.out_edges name))
+                !scanned ->
+      Some prev
+    | Some _ | None -> None
+  in
+  match kept with
+  | Some prev ->
+    let in_edges = Hashtbl.copy prev.in_edges in
+    List.iter
+      (fun (caller, out) ->
+        (* the caller's new edges by callee, each list in [out]'s order *)
+        let by_callee = Hashtbl.create 8 in
+        List.iter
+          (fun e ->
+            let earlier = Hashtbl.find_opt by_callee e.e_callee in
+            Hashtbl.replace by_callee e.e_callee
+              (e :: Option.value ~default:[] earlier))
+          (List.rev out);
+        Hashtbl.iter
+          (fun callee news ->
+            Hashtbl.replace in_edges callee
+              (patch_in_edges ~caller (Hashtbl.find in_edges callee) news))
+          by_callee)
+      !scanned;
+    {
+      prog;
+      nodes;
+      edges;
+      out_edges;
+      in_edges;
+      sccs = prev.sccs;
+      scc_index = prev.scc_index;
+    }
+  | None ->
+    let in_edges = Hashtbl.create 16 in
+    List.iter (fun n -> Hashtbl.replace in_edges n []) nodes;
+    List.iter
+      (fun e ->
+        Hashtbl.replace in_edges e.e_callee
+          (e :: Hashtbl.find in_edges e.e_callee))
+      edges;
+    let sccs = tarjan nodes out_edges in
+    Ipcp_telemetry.Telemetry.add "callgraph.sccs_computed" (List.length sccs);
+    let scc_index = Hashtbl.create 16 in
+    List.iteri
+      (fun i scc -> List.iter (fun n -> Hashtbl.replace scc_index n i) scc)
+      sccs;
+    { prog; nodes; edges; out_edges; in_edges; sccs; scc_index }
+
+let build prog = build_with prog
+
+let build_reusing ~prev ~unchanged prog =
+  build_with ~reuse:(prev, unchanged) prog
 
 let callees_of t name = Hashtbl.find_opt t.out_edges name |> Option.value ~default:[]
 

@@ -51,8 +51,11 @@ type 'elt analysis_result = {
   sccps : (string, Sccp.result) Hashtbl.t;
       (** [Make.sccp_for]'s memo; only the domain that owns the result
           writes it *)
+  substs : (string, Prog.proc * int) Hashtbl.t;
+      (** substitution's memo: each procedure's rewritten body and count *)
   keep_sccps : bool;
-      (** whether substitution records the SCCP results it computes *)
+      (** whether substitution records the SCCP results and rewrites it
+          computes *)
 }
 
 type t = Const_lattice.t analysis_result
@@ -72,6 +75,12 @@ type stage12 = {
     Hashtbl.t;
       (** each procedure's site jump functions per kind, filled on first
           use *)
+  sg_ret_changed : (string, unit) Hashtbl.t;
+      (** the procedures whose return jump function differs from the
+          previous round's bundle's (empty without one: nothing is copied
+          then) *)
+  sg_ret_tainted : (string, unit) Hashtbl.t;
+      (** the callers of those, each one's recursive calls aside *)
 }
 
 (* Per-procedure IR, one table per MOD setting. *)
@@ -103,47 +112,102 @@ type artifacts = {
 and reuse = {
   r_unchanged : string -> bool;  (** body identical to the previous round *)
   r_main_data : Prog.var -> int option;  (** the previous load-time values *)
-  r_modref : Modref.t Lazy.t;
+  r_mod_stable : (string -> bool) Lazy.t;
+      (** no callee's MOD footprint changed since the previous round *)
   r_irs : ir_tables;
   r_stages : (stage_key, stage12) Hashtbl.t;
 }
 
+(* The callers of [name], its own recursive calls aside, into [tbl]. *)
+let add_callers (cg : Callgraph.t) tbl name =
+  List.iter
+    (fun (e : Callgraph.edge) ->
+      if e.e_caller <> name then Hashtbl.replace tbl e.e_caller ())
+    (Callgraph.callers_of cg name)
+
+(* One past the largest id of [prog], given the previous round's: only
+   the rewritten procedures' bodies are walked, since the unchanged ones
+   are the previous round's. *)
+let id_ceiling ~prev ~unchanged (prog : Prog.t) =
+  List.fold_left
+    (fun m (p : Prog.proc) ->
+      if unchanged p.pname then m else max m (Ipcp_ir.Lower.proc_id_ceiling p))
+    prev.a_facts.f_expr_ceiling prog.procs
+
+(* Everything per procedure is copied from the previous round or computed
+   here; a from-scratch prepare is the same code with nothing to copy.
+   The call graph copies the call sites of unchanged procedures, and MOD
+   summaries copy their direct effects and re-close only what an edit
+   can reach — provided the previous round computed them (a lazy that
+   was never forced is not kept: it would hold the round before). *)
 let prepare_with ?reuse (prog : Prog.t) : artifacts =
   Telemetry.span "prepare" (fun () ->
-      let cg = Callgraph.build prog in
-      let facts = Jump_function.facts prog in
+      let facts =
+        match reuse with
+        | Some (prev, unchanged) ->
+          Jump_function.facts
+            ~expr_ceiling:(id_ceiling ~prev ~unchanged prog)
+            prog
+        | None -> Jump_function.facts prog
+      in
       let reuse =
         match reuse with
         | Some (prev, unchanged) when facts.f_globals = prev.a_facts.f_globals
           ->
-          Some
-            {
-              r_unchanged = unchanged;
-              r_main_data = prev.a_facts.f_main_data;
-              r_modref = prev.a_modref;
-              r_irs = prev.a_irs;
-              r_stages = prev.a_stages;
-            }
+          Some (prev, unchanged)
         | Some _ (* every IR embeds the global list: rebuild them all *)
         | None ->
           None
+      in
+      let cg, modref =
+        match reuse with
+        | Some (prev, unchanged) ->
+          let cg = Callgraph.build_reusing ~prev:prev.a_cg ~unchanged prog in
+          let modref =
+            if Lazy.is_val prev.a_modref then
+              let prev_modref = Lazy.force prev.a_modref in
+              lazy (Modref.compute_reusing ~prev:prev_modref ~unchanged cg)
+            else lazy (Modref.compute cg)
+          in
+          (cg, modref)
+        | None ->
+          let cg = Callgraph.build prog in
+          (cg, lazy (Modref.compute cg))
       in
       {
         a_prog = prog;
         a_cg = cg;
         a_facts = facts;
-        a_modref = lazy (Modref.compute cg);
+        a_modref = modref;
         a_worst = lazy (Modref.worst_case cg);
         a_global_keys = List.map Prog.global_key facts.f_globals;
         a_irs = { it_mod = Hashtbl.create 64; it_worst = Hashtbl.create 64 };
         a_stages = Hashtbl.create 4;
-        a_reuse = reuse;
+        a_reuse =
+          Option.map
+            (fun (prev, unchanged) ->
+              {
+                r_unchanged = unchanged;
+                r_main_data = prev.a_facts.f_main_data;
+                r_mod_stable =
+                  lazy
+                    (match Modref.mod_changes (Lazy.force modref) with
+                    | None -> fun _ -> false
+                    | Some changed ->
+                      let tainted = Hashtbl.create 16 in
+                      List.iter (add_callers cg tainted) changed;
+                      fun name -> not (Hashtbl.mem tainted name));
+                r_irs = prev.a_irs;
+                r_stages = prev.a_stages;
+              })
+            reuse;
       })
 
 let prepare prog = prepare_with prog
 
 let artifacts_prog (a : artifacts) = a.a_prog
 let artifacts_callgraph (a : artifacts) = a.a_cg
+let expr_ceiling (a : artifacts) = a.a_facts.f_expr_ceiling
 let find_proc (a : artifacts) name = Hashtbl.find_opt a.a_facts.f_procs name
 
 (* A procedure's callers observe it only through its summary: the MOD
@@ -154,9 +218,7 @@ let find_proc (a : artifacts) name = Hashtbl.find_opt a.a_facts.f_procs name
    below and the incremental cone computation stop walking upward at a
    provably unchanged summary. *)
 let mod_summary_equal (ma : Modref.t) (mb : Modref.t) (name : string) : bool =
-  let sa = Modref.summary ma name and sb = Modref.summary mb name in
-  Modref.Int_set.equal sa.mod_formals sb.mod_formals
-  && Modref.Str_set.equal sa.mod_globals sb.mod_globals
+  Modref.mod_equal (Modref.summary ma name) (Modref.summary mb name)
 
 let prepare_reusing ~prev ~unchanged prog =
   prepare_with ~reuse:(prev, unchanged) prog
@@ -164,20 +226,11 @@ let prepare_reusing ~prev ~unchanged prog =
 (* ------------------------------------------------------------------ *)
 (* Stages 1 and 2, per (use_mod × return_jfs) variant.                 *)
 
-(* Every procedure [name] calls, itself aside, satisfies [stable]. *)
-let callees_stable (a : artifacts) name stable =
-  List.for_all
-    (fun (e : Callgraph.edge) -> e.e_callee = name || stable e.e_callee)
-    (Callgraph.callees_of a.a_cg name)
-
-(* Under computed MOD, a callee's call kills are stable when its MOD
-   footprint equals last round's; worst-case kills are the same on both
-   sides. *)
-let mod_stable (a : artifacts) (r : reuse) ~use_mod =
-  if not use_mod then fun _ -> true
-  else
-    let pm = Lazy.force r.r_modref and cm = Lazy.force a.a_modref in
-    fun name -> mod_summary_equal pm cm name
+(* Under computed MOD, [name]'s call kills are stable when no callee's
+   MOD footprint changed since last round; worst-case kills are the same
+   on both sides. *)
+let mod_stable (r : reuse) ~use_mod name =
+  (not use_mod) || Lazy.force r.r_mod_stable name
 
 (* The IR of [name] under one MOD setting, built on first use.  A
    procedure whose body is unchanged since the previous round keeps last
@@ -191,9 +244,7 @@ let ir_for (a : artifacts) ~use_mod name : Jump_function.proc_ssa =
   | None ->
     let reused =
       match a.a_reuse with
-      | Some r
-        when r.r_unchanged name
-             && callees_stable a name (mod_stable a r ~use_mod) ->
+      | Some r when r.r_unchanged name && mod_stable r ~use_mod name ->
         Hashtbl.find_opt (ir_table r.r_irs ~use_mod) name
       | Some _ | None -> None
     in
@@ -214,11 +265,11 @@ let ir_for (a : artifacts) ~use_mod name : Jump_function.proc_ssa =
    (from the current facts, in {!Jump_function.with_oracle}), so for main
    an unchanged body is not enough: every global's load-time value must
    be unchanged too.  (Main's own locals are part of its body.) *)
-let entry_stable (a : artifacts) (r : reuse) (ps : Jump_function.proc_ssa) =
-  ps.ps_proc.pkind <> Prog.Pmain
+let entry_stable (a : artifacts) (r : reuse) ~use_mod name =
+  (Hashtbl.find a.a_facts.f_procs name).pkind <> Prog.Pmain
   || List.for_all
        (fun (_, v) -> r.r_main_data v = a.a_facts.f_main_data v)
-       ps.ps_global_vars
+       (ir_for a ~use_mod name).ps_global_vars
 
 (* The previous round's bundle of the same variant, if any. *)
 let prev_stage (a : artifacts) (key : stage_key) =
@@ -227,37 +278,15 @@ let prev_stage (a : artifacts) (key : stage_key) =
   | Some r -> Option.map (fun p -> (r, p)) (Hashtbl.find_opt r.r_stages key)
 
 (* [name] may keep last round's stage-1/2 products: its body and entry
-   constants are unchanged, and every callee's MOD footprint and return
-   jump function (as [ret_stable] judges it) are equal to last round's —
-   the values those products are built from see callees through nothing
-   else. *)
-let copyable (a : artifacts) (r : reuse) (key : stage_key) name ~ret_stable =
+   constants are unchanged, and no callee's MOD footprint or return jump
+   function ([ret_tainted] holds the callers of changed ones) differs
+   from last round's — the values those products are built from see
+   callees through nothing else. *)
+let copyable (a : artifacts) (r : reuse) (key : stage_key) ~ret_tainted name =
   r.r_unchanged name
-  && entry_stable a r (ir_for a ~use_mod:key.sk_use_mod name)
-  &&
-  let mod_stable = mod_stable a r ~use_mod:key.sk_use_mod in
-  callees_stable a name (fun c -> mod_stable c && ret_stable c)
-
-let ret_equal_in old_tbl new_tbl callee =
-  Option.equal Jump_function.ret_jf_equal
-    (Hashtbl.find_opt old_tbl callee)
-    (Hashtbl.find_opt new_tbl callee)
-
-(* Stage 1's return jump function of [name], copied under {!copyable}.
-   Return-jump-function stability is read off the new table as it fills
-   bottom-up (a copied entry is physically last round's, so it compares
-   equal for free).  Members of a cycle of several procedures are never
-   copied (see {!build_stage12}). *)
-let reused_ret_jf (a : artifacts) (key : stage_key) ret_jfs name =
-  match prev_stage a key with
-  | None -> None
-  | Some (r, prev) ->
-    let ret_stable callee =
-      Hashtbl.mem ret_jfs callee && ret_equal_in prev.sg_ret_jfs ret_jfs callee
-    in
-    if copyable a r key name ~ret_stable then
-      Hashtbl.find_opt prev.sg_ret_jfs name
-    else None
+  && mod_stable r ~use_mod:key.sk_use_mod name
+  && (not (Hashtbl.mem ret_tainted name))
+  && entry_stable a r ~use_mod:key.sk_use_mod name
 
 let sites_table (s : stage12) kind =
   match Hashtbl.find_opt s.sg_sites kind with
@@ -268,12 +297,11 @@ let sites_table (s : stage12) kind =
     tbl
 
 (* Stage 2's forward jump functions of [name] for [kind], copied under
-   {!copyable}, with return-jump-function stability judged over the
-   finished tables of both rounds (a variant without return jump
-   functions has no oracle to observe them).  [name]'s own return jump
-   function must be equal too: a recursive call's sites see it, and a
-   cycle member's can change with the order stage 1 builds the cycle
-   in. *)
+   {!copyable}, with the finished return-jump-function sets (a variant
+   without return jump functions has no oracle to observe them, and
+   leaves both sets empty).  [name]'s own return jump function must be
+   equal too: a recursive call's sites see it, and a cycle member's can
+   change with the order stage 1 builds the cycle in. *)
 let reused_sites (a : artifacts) (key : stage_key) (stage : stage12) kind name =
   match prev_stage a key with
   | None -> None
@@ -282,11 +310,10 @@ let reused_sites (a : artifacts) (key : stage_key) (stage : stage12) kind name =
               Hashtbl.find_opt tbl name) with
     | None -> None
     | Some _ as sites ->
-      let ret_stable =
-        if key.sk_return_jfs then ret_equal_in prev.sg_ret_jfs stage.sg_ret_jfs
-        else fun _ -> true
-      in
-      if ret_stable name && copyable a r key name ~ret_stable then sites
+      if
+        (not (Hashtbl.mem stage.sg_ret_changed name))
+        && copyable a r key ~ret_tainted:stage.sg_ret_tainted name
+      then sites
       else None)
 
 (* The site jump functions of [name] for [kind], memoized in the bundle:
@@ -313,6 +340,17 @@ let build_stage12 (a : artifacts) (key : stage_key) : stage12 =
   in
   let ir_for = ir_for a ~use_mod:key.sk_use_mod in
   let ret_jfs : (string, Jump_function.ret_jf) Hashtbl.t = Hashtbl.create 16 in
+  let ret_changed = Hashtbl.create 16 and ret_tainted = Hashtbl.create 16 in
+  let prev = prev_stage a key in
+  (* Stage 1's return jump function of [name], copied under {!copyable}.
+     Callees come first (stage 1 runs bottom-up), so [ret_tainted] is
+     final for [name] when it is asked. *)
+  let reused_ret_jf name =
+    match prev with
+    | Some (r, prev) when copyable a r key ~ret_tainted name ->
+      Hashtbl.find_opt prev.sg_ret_jfs name
+    | Some _ | None -> None
+  in
   (* ---- stage 1: return jump functions, bottom-up ---- *)
   Telemetry.span "stage1:return_jfs" (fun () ->
       if key.sk_return_jfs then begin
@@ -326,16 +364,25 @@ let build_stage12 (a : artifacts) (key : stage_key) : stage12 =
             List.iter
               (fun name ->
                 let rj =
-                  match
-                    if cyclic then None else reused_ret_jf a key ret_jfs name
-                  with
+                  match if cyclic then None else reused_ret_jf name with
                   | Some rj ->
                     Telemetry.incr "driver.stage12_reused";
                     rj
                   | None ->
-                    Jump_function.build_ret_jf ~modref
-                      (Jump_function.with_oracle ~oracle a.a_facts
-                         (ir_for name))
+                    let rj =
+                      Jump_function.build_ret_jf ~modref
+                        (Jump_function.with_oracle ~oracle a.a_facts
+                           (ir_for name))
+                    in
+                    (match prev with
+                    | None -> ()
+                    | Some (_, prev) -> (
+                      match Hashtbl.find_opt prev.sg_ret_jfs name with
+                      | Some old when Jump_function.ret_jf_equal old rj -> ()
+                      | Some _ | None ->
+                        Hashtbl.replace ret_changed name ();
+                        add_callers a.a_cg ret_tainted name));
+                    rj
                 in
                 Hashtbl.replace ret_jfs name rj)
               scc)
@@ -358,6 +405,8 @@ let build_stage12 (a : artifacts) (key : stage_key) : stage12 =
     sg_ret_jfs = ret_jfs;
     sg_irs = irs;
     sg_sites = Hashtbl.create 4;
+    sg_ret_changed = ret_changed;
+    sg_ret_tainted = ret_tainted;
   }
 
 let stage_key (config : Config.t) =
@@ -481,6 +530,7 @@ module Make (A : Analysis_sig.S) = struct
               site_jfs;
               solution;
               sccps = Hashtbl.create 64;
+              substs = Hashtbl.create 64;
               keep_sccps = false;
             }
           in
@@ -569,6 +619,7 @@ module Make (A : Analysis_sig.S) = struct
       r
 
   let pp_constants ppf (t : A.L.t analysis_result) =
+    let param_name = Prog.param_name t.prog in
     List.iter
       (fun (proc : Prog.proc) ->
         match S.constants_of t.solution proc.pname with
@@ -576,7 +627,7 @@ module Make (A : Analysis_sig.S) = struct
         | cs ->
           Fmt.pf ppf "%s: %a@." proc.pname
             (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (param, c) ->
-                 Fmt.pf ppf "%s=%d" (Prog.param_name t.prog proc param) c))
+                 Fmt.pf ppf "%s=%d" (param_name proc param) c))
             cs)
       t.prog.procs
 end

@@ -46,12 +46,16 @@ type 'elt analysis_result = {
       (** {!Make.sccp_for}'s memo, per procedure.  Only the domain that
           owns the result writes it; {!Ipcp_incr.Incr.update} seeds it
           from the previous version's. *)
+  substs : (string, Prog.proc * int) Hashtbl.t;
+      (** {!Substitute.apply}'s memo: each procedure's rewritten body and
+          substitution count.  {!Ipcp_incr.Incr.update} copies an entry
+          together with the procedure's SCCP result. *)
   keep_sccps : bool;
-      (** whether {!Substitute.apply} records the SCCP results it
-          computes in [sccps]: false for a solved result, which is
-          rendered once, so keeping them would only cost the collector;
-          true for an incremental session's, whose next update copies
-          them. *)
+      (** whether {!Substitute.apply} records the SCCP results and
+          rewrites it computes in [sccps] and [substs]: false for a solved
+          result, which is rendered once, so keeping them would only cost
+          the collector; true for an incremental session's, whose next
+          update copies them. *)
 }
 
 type t = Const_lattice.t analysis_result
@@ -64,24 +68,29 @@ val prepare : Prog.t -> artifacts
 
 (** [prepare_reusing ~prev ~unchanged prog] prepares artifacts for a
     rewritten [prog], copying per-procedure artifacts from [prev] for
-    every procedure whose body is [unchanged]: its IR when every callee
-    has an equal MOD footprint in both rounds (SSA sees callees only
-    through their call kills), and its return jump function and the site
-    jump functions of each kind [prev] built when every callee's return
-    jump function is provably equal too and, for the main program, every
-    global's load-time [data] value is unchanged (counted in
-    [driver.site_jfs_reused] for site jump functions; a member of a
+    every procedure whose body is [unchanged]: its call sites
+    ({!Callgraph.build_reusing}, which also keeps [prev]'s SCCs when the
+    call structure held) and its direct MOD/REF effects
+    ({!Modref.compute_reusing}, which closes again only the SCCs an edit
+    reaches); its IR when no callee's MOD footprint changed (SSA sees
+    callees only through their call kills); and its return jump function
+    and the site jump functions of each kind [prev] built when no
+    callee's return jump function changed either and, for the main
+    program, every global's load-time [data] value is unchanged (counted
+    in [driver.site_jfs_reused] for site jump functions; a member of a
     cycle of several procedures always rebuilds its return jump
-    function, whose value depends on the order stage 1 visits the
-    cycle in).  The copy walk
-    therefore stops where an edit's effect on summaries is absorbed, not
-    merely where its call-graph reachability ends.  Nothing is copied
-    when the program's global list changed.  The result keeps [prev]'s
-    IR and stage tables, not [prev] itself, so a chain of rounds holds
-    one previous round, not all of them.  Used by {!Complete}'s
-    re-analysis loop between dead-code-elimination rounds and by
-    {!Ipcp_incr.Incr.update}; [unchanged] procedures must keep their
-    expression/statement ids (reused IR embeds them). *)
+    function, whose value depends on the order stage 1 visits the cycle
+    in).  The copy checks read the sets of procedures whose MOD footprint
+    or return jump function changed, so the copy walk stops where an
+    edit's effect on summaries is absorbed, not merely where its
+    call-graph reachability ends.  Only the rewritten procedures' bodies
+    are walked for the expression-id ceiling.  Nothing is copied when
+    the program's global list changed.  The result keeps [prev]'s tables,
+    not [prev] itself, so a chain of rounds holds one previous round,
+    not all of them.  Used by {!Complete}'s re-analysis loop between
+    dead-code-elimination rounds and by {!Ipcp_incr.Incr.update};
+    [unchanged] procedures must be [prev]'s, ids included (copied call
+    sites and IR embed them). *)
 val prepare_reusing :
   prev:artifacts -> unchanged:(string -> bool) -> Prog.t -> artifacts
 
@@ -104,6 +113,10 @@ val site_jfs_for :
 
 val artifacts_prog : artifacts -> Prog.t
 val artifacts_callgraph : artifacts -> Callgraph.t
+
+(** One past every expression/statement id of the artifacts' program:
+    where an update numbers its freshly parsed procedures from. *)
+val expr_ceiling : artifacts -> int
 
 (** The procedure of this name in the artifacts' program, from the table
     {!prepare} builds once: no walk over the program. *)

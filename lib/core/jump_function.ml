@@ -101,11 +101,14 @@ type facts = {
   f_main_data : Prog.var -> int option;  (** {!Prog.main_data} *)
 }
 
-let facts (prog : Prog.t) : facts =
+let facts ?expr_ceiling (prog : Prog.t) : facts =
   {
     f_procs = Prog.proc_table prog;
     f_globals = Prog.all_globals prog;
-    f_expr_ceiling = Lower.expr_id_ceiling prog;
+    f_expr_ceiling =
+      (match expr_ceiling with
+      | Some c -> c
+      | None -> Lower.expr_id_ceiling prog);
     f_main_data = Prog.main_data prog;
   }
 

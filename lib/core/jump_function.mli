@@ -78,7 +78,10 @@ type facts = {
   f_main_data : Prog.var -> int option;
 }
 
-val facts : Prog.t -> facts
+(** [expr_ceiling], when given, stands for {!Ipcp_ir.Lower.expr_id_ceiling}
+    (any bound above every id of the program will do): a rewritten
+    program knows it without walking every body. *)
+val facts : ?expr_ceiling:int -> Prog.t -> facts
 
 (** Build a procedure's IR up to SSA: lowering, dominators and SSA.
     [modref] drives the call-kill sets. *)

@@ -301,7 +301,7 @@ module Make (A : Analysis_sig.S) = struct
     solve_loop ?budget cg ~site_jfs ~vals ~work
 
   let pp_result prog ppf (r : elt generic_result) =
-    let procs = Prog.proc_table prog in
+    let procs = Prog.proc_table prog and param_name = Prog.param_name prog in
     Hashtbl.iter
       (fun name m ->
         match Hashtbl.find_opt procs name with
@@ -310,7 +310,7 @@ module Make (A : Analysis_sig.S) = struct
           Fmt.pf ppf "%s:@." name;
           Prog.Param_map.iter
             (fun param v ->
-              Fmt.pf ppf "  %s = %a@." (Prog.param_name prog proc param)
+              Fmt.pf ppf "  %s = %a@." (param_name proc param)
                 A.L.pp v)
             m)
       r.vals

@@ -112,31 +112,39 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
       per-procedure SCCP + rewrite across worker domains (procedures are
       independent once the analysis is solved); the result is identical
       to the sequential one — the engine preserves program order.  SCCP
-      results come from [t]'s memo where present; when [t.keep_sccps],
-      the ones computed here are recorded in it afterwards, by the
-      calling domain. *)
+      results and rewrites come from [t]'s memos where present; when
+      [t.keep_sccps], the ones computed here are recorded in them
+      afterwards, by the calling domain. *)
   let apply ?(jobs = 1) (t : A.L.t Driver.analysis_result) : Prog.t * stats =
     let keep = t.Driver.keep_sccps in
     let results =
       Ipcp_engine.Engine.map ~jobs
         (fun (proc : Prog.proc) ->
           let sccp = D.sccp_for ~record:false t proc.pname in
-          let proc', n = apply_proc t proc sccp in
-          ( proc',
-            (proc.pname, n),
+          let rewritten =
+            match Hashtbl.find_opt t.Driver.substs proc.pname with
+            | Some r -> r
+            | None -> apply_proc t proc sccp
+          in
+          ( rewritten,
+            proc.pname,
             sccp.Ipcp_analysis.Sccp.degraded <> [],
             if keep then Some sccp else None ))
         t.Driver.prog.procs
     in
     List.iter
-      (fun (_, (name, _), _, kept) ->
-        Option.iter (Hashtbl.replace t.Driver.sccps name) kept)
+      (fun (rewritten, name, _, kept) ->
+        Option.iter
+          (fun sccp ->
+            Hashtbl.replace t.Driver.sccps name sccp;
+            Hashtbl.replace t.Driver.substs name rewritten)
+          kept)
       results;
-    let procs = List.map (fun (p, _, _, _) -> p) results in
-    let by_proc = List.map (fun (_, pn, _, _) -> pn) results in
+    let procs = List.map (fun ((p, _), _, _, _) -> p) results in
+    let by_proc = List.map (fun ((_, n), name, _, _) -> (name, n)) results in
     let sccp_degraded =
       List.filter_map
-        (fun (_, (name, _), d, _) -> if d then Some name else None)
+        (fun (_, name, d, _) -> if d then Some name else None)
         results
     in
     let total = List.fold_left (fun acc (_, n) -> acc + n) 0 by_proc in

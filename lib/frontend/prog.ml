@@ -136,31 +136,6 @@ module Param_set = Set.Make (struct
   let compare = compare_param
 end)
 
-(** Human-readable name of a parameter of [proc]. *)
-let param_name prog proc = function
-  | Pformal i ->
-    (match List.nth_opt proc.pformals i with
-    | Some v -> v.vname
-    | None -> Printf.sprintf "<formal %d>" i)
-  | Pglob key ->
-    (* Prefer the alias used in [proc] itself, then any canonical name. *)
-    let in_proc =
-      List.find_map
-        (fun (alias, g) -> if global_key g = key then Some alias else None)
-        proc.pglobals
-    in
-    let anywhere () =
-      List.find_map
-        (fun p ->
-          List.find_map
-            (fun (_, g) -> if global_key g = key then Some g.gname else None)
-            p.pglobals)
-        prog.procs
-    in
-    (match in_proc with
-    | Some n -> n
-    | None -> ( match anywhere () with Some n -> n | None -> key))
-
 (* ------------------------------------------------------------------ *)
 (* Lookups and traversals.                                             *)
 
@@ -169,6 +144,48 @@ let param_name prog proc = function
    the analysis quadratic, and the tier-1 complexity contract holds the
    count flat as programs grow. *)
 let count_walk () = Ipcp_telemetry.Telemetry.incr "prog.walks"
+
+(** Display name of every global key: the alias its first declaring unit
+    gives it.  In a fresh parse that is the global's [gname] ([Sema] takes
+    the block layout from the first declaration); read from the units
+    themselves, it holds for a program assembled from several parses
+    too.  One walk. *)
+let global_names t : (string, string) Hashtbl.t =
+  count_walk ();
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (alias, g) ->
+          let key = global_key g in
+          if not (Hashtbl.mem tbl key) then Hashtbl.replace tbl key alias)
+        p.pglobals)
+    t.procs;
+  tbl
+
+(** Human-readable name of a parameter of [proc]: a global's alias in
+    [proc] when it declares it, otherwise its {!global_names} entry.
+    Staged: [param_name prog] builds that table once, on first need, so
+    a renderer hoists it out of its loop over procedures. *)
+let param_name prog =
+  let names = lazy (global_names prog) in
+  fun proc -> function
+    | Pformal i -> (
+      match List.nth_opt proc.pformals i with
+      | Some v -> v.vname
+      | None -> Printf.sprintf "<formal %d>" i)
+    | Pglob key -> (
+      let in_proc =
+        List.find_map
+          (fun (alias, g) -> if global_key g = key then Some alias else None)
+          proc.pglobals
+      in
+      match in_proc with
+      | Some n -> n
+      | None -> (
+        match Hashtbl.find_opt (Lazy.force names) key with
+        | Some n -> n
+        | None -> key))
 
 let find_proc t name =
   count_walk ();
@@ -339,3 +356,131 @@ let main_data t : var -> int option =
 (** The load-time [data] value of one scalar integer variable of the main
     program (local or global); {!main_data} answers many such queries. *)
 let data_value_in_main t (v : var) : int option = main_data t v
+
+(* ------------------------------------------------------------------ *)
+(* Structural identity.                                                *)
+
+(* Two procedures are the same procedure when every field agrees except
+   the artifacts of one parse: expression/statement ids and source
+   locations.  Every other field counts, display names included — the
+   printed output reads them.  Reals compare by bit pattern, so a [nan]
+   literal equals itself and [0.0] differs from [-0.0], as their printed
+   forms do.  Each level tries physical equality first. *)
+
+let equal_ty (a : ty) (b : ty) =
+  match (a, b) with
+  | Tint, Tint | Treal, Treal | Tlogical, Tlogical -> true
+  | (Tint | Treal | Tlogical), _ -> false
+
+let equal_dims = List.equal Int.equal
+
+let equal_float a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(** Every field of a global, [gname] included (unlike {!equal_global},
+    which compares storage). *)
+let same_global (a : global) (b : global) =
+  a == b
+  || String.equal a.gblock b.gblock
+     && Int.equal a.gslot b.gslot
+     && String.equal a.gname b.gname
+     && equal_ty a.gty b.gty && equal_dims a.gdims b.gdims
+
+let same_var (a : var) (b : var) =
+  a == b
+  || String.equal a.vname b.vname
+     && equal_ty a.vty b.vty && equal_dims a.vdims b.vdims
+     &&
+     match (a.vkind, b.vkind) with
+     | Kformal i, Kformal j -> Int.equal i j
+     | Klocal, Klocal | Kresult, Kresult -> true
+     | Kglobal g, Kglobal h -> same_global g h
+     | (Kformal _ | Klocal | Kglobal _ | Kresult), _ -> false
+
+let rec same_expr (a : expr) (b : expr) =
+  a == b
+  || equal_ty a.ety b.ety
+     &&
+     match (a.edesc, b.edesc) with
+     | Cint m, Cint n -> Int.equal m n
+     | Creal x, Creal y -> equal_float x y
+     | Cbool x, Cbool y -> Bool.equal x y
+     | Cstr x, Cstr y -> String.equal x y
+     | Evar v, Evar w -> same_var v w
+     | Earr (v, xs), Earr (w, ys) -> same_var v w && same_exprs xs ys
+     | Ecall (f, xs), Ecall (g, ys) -> String.equal f g && same_exprs xs ys
+     | Eintr (i, xs), Eintr (j, ys) -> i = j && same_exprs xs ys
+     | Eun (o, x), Eun (p, y) -> o = p && same_expr x y
+     | Ebin (o, x1, x2), Ebin (p, y1, y2) ->
+       o = p && same_expr x1 y1 && same_expr x2 y2
+     | ( ( Cint _ | Creal _ | Cbool _ | Cstr _ | Evar _ | Earr _ | Ecall _
+         | Eintr _ | Eun _ | Ebin _ ),
+         _ ) ->
+       false
+
+and same_exprs xs ys = List.equal same_expr xs ys
+
+let same_lhs a b =
+  match (a, b) with
+  | Lvar v, Lvar w -> same_var v w
+  | Larr (v, xs), Larr (w, ys) -> same_var v w && same_exprs xs ys
+  | (Lvar _ | Larr _), _ -> false
+
+let rec same_stmt (a : stmt) (b : stmt) =
+  a == b
+  || Option.equal Int.equal a.slabel b.slabel
+     &&
+     match (a.sdesc, b.sdesc) with
+     | Sassign (l, x), Sassign (m, y) -> same_lhs l m && same_expr x y
+     | Scall (f, xs), Scall (g, ys) -> String.equal f g && same_exprs xs ys
+     | Sif (arms, els), Sif (arms', els') ->
+       List.equal
+         (fun (c, b) (c', b') -> same_expr c c' && same_stmts b b')
+         arms arms'
+       && same_stmts els els'
+     | Sdo (v, lo, hi, st, b), Sdo (v', lo', hi', st', b') ->
+       same_var v v' && same_expr lo lo' && same_expr hi hi'
+       && Option.equal same_expr st st'
+       && same_stmts b b'
+     | Sdowhile (c, b), Sdowhile (c', b') -> same_expr c c' && same_stmts b b'
+     | Sgoto l, Sgoto l' -> Int.equal l l'
+     | Scontinue, Scontinue | Sreturn, Sreturn | Sstop, Sstop -> true
+     | Sprint xs, Sprint ys -> same_exprs xs ys
+     | Sread ls, Sread ls' -> List.equal same_lhs ls ls'
+     | ( ( Sassign _ | Scall _ | Sif _ | Sdo _ | Sdowhile _ | Sgoto _
+         | Scontinue | Sreturn | Sstop | Sprint _ | Sread _ ),
+         _ ) ->
+       false
+
+and same_stmts xs ys = List.equal same_stmt xs ys
+
+let same_data_const a b =
+  match (a, b) with
+  | Dc_int m, Dc_int n -> Int.equal m n
+  | Dc_real x, Dc_real y -> equal_float x y
+  | Dc_bool x, Dc_bool y -> Bool.equal x y
+  | (Dc_int _ | Dc_real _ | Dc_bool _), _ -> false
+
+let same_data (a : data_init) (b : data_init) =
+  same_var a.di_var b.di_var
+  && List.equal
+       (fun (r, c) (r', c') -> Int.equal r r' && same_data_const c c')
+       a.di_values b.di_values
+
+(** [a] and [b] are the same procedure up to ids and locations: equal in
+    name, kind, formals, result, locals, commons (aliases and global
+    records), [data] and body.  Grafting reuses the previous version's
+    value whole, so nothing the analysis or the printer reads may
+    differ. *)
+let equal_proc (a : proc) (b : proc) =
+  a == b
+  || String.equal a.pname b.pname
+     && a.pkind = b.pkind
+     && List.equal same_var a.pformals b.pformals
+     && Option.equal same_var a.presult b.presult
+     && List.equal same_var a.plocals b.plocals
+     && List.equal
+          (fun (x, g) (y, h) -> String.equal x y && same_global g h)
+          a.pglobals b.pglobals
+     && List.equal same_data a.pdata b.pdata
+     && same_stmts a.pbody b.pbody

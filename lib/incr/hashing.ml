@@ -1,38 +1,28 @@
 (** Canonical procedure hashing for incremental re-analysis.
 
-    Two procedures with equal hashes are interchangeable at the
-    corresponding level of the incremental pipeline:
-
-    - the {b strict} hash covers the procedure exactly as written —
-      names included — but excludes every program-wide artifact of
-      parsing (expression/statement ids, source locations).  Equal
-      strict hashes license grafting the previous version's resolved
-      [Prog.proc] into the new program, which keeps reused per-procedure
-      IR consistent with the program it is analyzed under;
-    - the {b semantic} hash is additionally α-insensitive: formals are
-      identified by position, locals by first-occurrence numbering,
-      globals by their [(block, slot)] storage key, and declaration
-      lists keep only what has meaning (an unused local is invisible).
-      Equal semantic hashes mean the analysis semantics of the body are
-      unchanged — exactly the transformations {!Ipcp_certify.Metamorph}
-      certifies as meaning-preserving (variable renaming) plus anything
-      that only moves the procedure around (unit reordering), so the
-      call-graph diff built on it reports such edits as empty.
+    The {b semantic} hash is α-insensitive: formals are identified by
+    position, locals by first-occurrence numbering, globals by their
+    [(block, slot)] storage key, and declaration lists keep only what has
+    meaning (an unused local is invisible).  Equal semantic hashes mean
+    the analysis semantics of the body are unchanged — exactly the
+    transformations {!Ipcp_certify.Metamorph} certifies as
+    meaning-preserving (variable renaming) plus anything that only moves
+    the procedure around (unit reordering), so the diff built on it
+    reports such edits as empty.  (Whether a procedure is the same as
+    written is a separate question, answered by comparing it with its
+    predecessor: {!Ipcp_frontend.Prog.equal_proc}.)
 
     Procedure names referenced in call statements/expressions are kept
-    literally in both modes: procedures are identified by name across
-    versions, so a call-target rename is a semantic change.  Statement
-    labels and [goto] targets are likewise literal — relabeling changes
-    control flow identity and is out of scope for canonicalization. *)
+    literally: procedures are identified by name across versions, so a
+    call-target rename is a semantic change.  Statement labels and
+    [goto] targets are likewise literal — relabeling changes control
+    flow identity and is out of scope for canonicalization. *)
 
 open Ipcp_frontend
 
-type mode = Strict | Semantic
-
 type h = {
   buf : Buffer.t;
-  mode : mode;
-  locals : (string, int) Hashtbl.t;  (** semantic local numbering *)
+  locals : (string, int) Hashtbl.t;  (** local numbering *)
   mutable next_local : int;
 }
 
@@ -78,25 +68,18 @@ let local_id h name =
 
 let var h (v : Prog.var) =
   part h "v:";
-  (match (h.mode, v.vkind) with
-  | _, Prog.Kformal i ->
+  (match v.vkind with
+  | Prog.Kformal i ->
     part h "f";
     int_part h i
-  | _, Prog.Kglobal g ->
+  | Prog.Kglobal g ->
     part h "g";
     global_key_part h g
-  | _, Prog.Kresult -> part h "r"
-  | Strict, Prog.Klocal ->
-    part h "l:";
-    part h v.vname
-  | Semantic, Prog.Klocal ->
+  | Prog.Kresult -> part h "r"
+  | Prog.Klocal ->
     part h "l";
     int_part h (local_id h v.vname));
-  part h ":";
-  (* strict mode also pins the surface name of formals/globals — the
-     printed output (CONSTANTS sets, substituted source) uses it *)
-  (match h.mode with Strict -> part h v.vname | Semantic -> ());
-  part h ":";
+  part h "::";
   part h (ty_tag v.vty);
   part h ":";
   dims_part h v.vdims;
@@ -241,14 +224,7 @@ let digest h (p : Prog.proc) : string =
   Buffer.clear h.buf;
   Hashtbl.reset h.locals;
   h.next_local <- 0;
-  (match h.mode with
-  | Strict ->
-    (* the name is part of the strict identity: an equal strict hash
-       must determine the procedure completely, since grafting reuses
-       the previous version's value whole *)
-    part h "proc:";
-    add h p.pname
-  | Semantic -> add h "proc");
+  add h "proc";
   part h "kind:";
   add h
     (match p.pkind with
@@ -263,21 +239,16 @@ let digest h (p : Prog.proc) : string =
     add h "result";
     var h v
   | None -> add h "noresult");
-  (* commons: strict keeps the declaration as written (aliases, order);
-     semantic keeps the set of storage keys with their shapes — the
-     local alias names and declaration order carry no meaning *)
+  (* commons: the set of storage keys with their shapes — the local alias
+     names and declaration order carry no meaning *)
   let commons =
-    match h.mode with
-    | Strict -> p.pglobals
-    | Semantic ->
-      List.sort
-        (fun (_, a) (_, b) -> compare (Prog.global_key a) (Prog.global_key b))
-        p.pglobals
+    List.sort
+      (fun (_, a) (_, b) -> compare (Prog.global_key a) (Prog.global_key b))
+      p.pglobals
   in
   List.iter
-    (fun (alias, (g : Prog.global)) ->
+    (fun (_, (g : Prog.global)) ->
       part h "common:";
-      (match h.mode with Strict -> part h alias | Semantic -> ());
       part h ":";
       global_key_part h g;
       part h ":";
@@ -286,22 +257,8 @@ let digest h (p : Prog.proc) : string =
       dims_part h g.gdims;
       add h "")
     commons;
-  (match h.mode with
-  | Strict ->
-    List.iter
-      (fun (v : Prog.var) ->
-        part h "local:";
-        part h v.vname;
-        part h ":";
-        part h (ty_tag v.vty);
-        part h ":";
-        dims_part h v.vdims;
-        add h "")
-      p.plocals
-  | Semantic ->
-    (* locals are reached through their occurrences; a declared-but-
-       unused local has no semantic footprint *)
-    ());
+  (* locals are reached through their occurrences; a declared-but-unused
+     local has no semantic footprint *)
   List.iter
     (fun (d : Prog.data_init) ->
       add h "data";
@@ -318,16 +275,14 @@ let digest h (p : Prog.proc) : string =
   List.iter (stmt h) p.pbody;
   Digest.to_hex (Digest.string (Buffer.contents h.buf))
 
-let encoder mode =
-  { buf = Buffer.create 1024; mode; locals = Hashtbl.create 8; next_local = 0 }
+let encoder () =
+  { buf = Buffer.create 1024; locals = Hashtbl.create 8; next_local = 0 }
 
-let hash mode p = digest (encoder mode) p
-let strict p = hash Strict p
-let semantic p = hash Semantic p
+let semantic p = digest (encoder ()) p
 
-let table mode (prog : Prog.t) : (string, string) Hashtbl.t =
+let table (prog : Prog.t) : (string, string) Hashtbl.t =
   let tbl = Hashtbl.create (List.length prog.procs) in
-  let h = encoder mode in
+  let h = encoder () in
   List.iter (fun (p : Prog.proc) -> Hashtbl.replace tbl p.pname (digest h p))
     prog.procs;
   tbl

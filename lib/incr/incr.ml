@@ -1,29 +1,34 @@
 (** Incremental re-analysis sessions.
 
     A session holds one analyzed program version: the (grafted) resolved
-    program, its prepared artifacts, the per-procedure strict/semantic
-    hashes, and the solved {!Ipcp_core.Driver.t}.  {!update} analyzes
-    the next version with output byte-identical to a from-scratch
+    program, its prepared artifacts, the per-procedure semantic hashes,
+    and the solved {!Ipcp_core.Driver.t}.  {!update} analyzes the next
+    version with output byte-identical to a from-scratch
     {!Ipcp_core.Driver.analyze} of the same source.  Propagation is
     bounded by the {e dependence cone} of the edit, and every
-    per-procedure product whose inputs are unchanged is copied: IR,
-    return and site jump functions ({!Ipcp_core.Driver.prepare_reusing}),
-    semantic hashes and SCCP results (here).  The strict hash of every
-    procedure, the call graph, the diff and MOD/REF stay whole-program;
-    at 1600 procedures an update costs about two thirds of a fresh
-    {!start} (DESIGN.md §10 has the split).  The steps:
+    per-procedure product whose inputs are unchanged is copied: call
+    sites, direct MOD/REF effects, IR, return and site jump functions
+    ({!Ipcp_core.Driver.prepare_reusing}), semantic hashes, SCCP results
+    and substitutions (here).  What an update still does for every
+    procedure is cheap: compare it with its predecessor, and copy or
+    look up its per-procedure entries.  At 1600 and 10000 procedures an
+    update costs about a quarter of a fresh {!start} after an edit
+    outside main, and a third after one in main, which calls half the
+    program (DESIGN.md §10 has the split).  The steps:
 
     {ol
-    {- {b Grafting.}  Procedures whose strict hash is unchanged keep the
-       previous version's physical [Prog.proc] value in the analyzed
-       program, and their semantic hash (only the others are hashed
-       again).  [Sema] assigns expression/statement ids program-wide,
-       so an edit in one procedure renumbers every later one; grafting
-       keeps the ids of unchanged procedures stable, which is what lets
-       {!Ipcp_core.Driver.prepare_reusing} hand their stage-1/2 IR
-       bundles straight to the new round (every id is only ever used
-       within its own procedure — SCCP tables, DCE, substitution and
-       cloning are all per-procedure).}
+    {- {b Grafting.}  A procedure structurally equal to its predecessor
+       ({!Ipcp_frontend.Prog.equal_proc}: every field but ids and
+       locations, display names included) keeps the previous version's
+       physical [Prog.proc] value in the analyzed program, and its
+       semantic hash (only the others are hashed).  [Sema] assigns
+       expression/statement ids program-wide, so an edit in one
+       procedure renumbers every later one; grafting keeps the ids of
+       unchanged procedures stable, which is what lets
+       {!Ipcp_core.Driver.prepare_reusing} hand their call sites, IR and
+       stage-1/2 products straight to the new round (every id is only
+       ever used within its own procedure — SCCP tables, DCE,
+       substitution and cloning are all per-procedure).}
     {- {b Cone computation.}  Two closures over the semantic diff.
        First the {e summary-dirty} set: changed/added/removed
        procedures closed under callers in both graphs — a callee's MOD
@@ -43,10 +48,12 @@
        order-independent, so the seeded fixpoint equals the from-scratch
        one — byte-identical output, enforced by the certifier and the
        [fuzz --delta] gate.}
-    {- {b SCCP seeding.}  The new result's SCCP memo takes the previous
-       result's entry for every procedure whose SSA is physically the
-       copied one, whose VAL map is equal and whose callees' return jump
-       functions are equal: SCCP reads nothing else.}}
+    {- {b SCCP seeding.}  The new result's SCCP and substitution memos
+       take the previous result's entries for every procedure whose SSA
+       is physically the copied one, whose VAL map is equal and whose
+       callees' return jump functions are equal: SCCP reads nothing
+       else, and the rewrite reads SCCP's result, the body and the
+       callees' MOD footprints, which a copied SSA already implies.}}
 
     Whole-program fallbacks (still byte-identical, just not cheaper)
     copy nothing from the previous version: a budgeted configuration
@@ -55,9 +62,10 @@
     global-key set (every VAL map's domain changes), and a renamed main
     program.
 
-    [incr.update] has a span per phase: [incr.hash], [incr.graft],
-    [prepare], [incr.diff], [incr.cone] (which forces MOD/REF and the
-    stage-1/2 bundle) and [solve]. *)
+    [incr.update] has a span per phase: [incr.hash] (identity and the
+    changed procedures' semantic hashes), [incr.graft], [prepare],
+    [incr.diff], [incr.cone] (which forces MOD/REF and the stage-1/2
+    bundle) and [solve]. *)
 
 open Ipcp_frontend
 open Ipcp_analysis
@@ -67,7 +75,8 @@ module Telemetry = Ipcp_telemetry.Telemetry
 type stats = {
   total_procs : int;
   changed_procs : int;  (** semantic-hash changes (procs present in both) *)
-  grafted_procs : int;  (** strict-hash-unchanged, physically reused *)
+  grafted_procs : int;
+      (** structurally equal to their predecessor, physically reused *)
   cone_size : int;  (** dirty procedures re-solved *)
   procs_reused : int;  (** solution maps seeded from the previous fixpoint *)
   procs_resolved : int;  (** = [cone_size] *)
@@ -89,7 +98,6 @@ module Make (A : Analysis_sig.S) = struct
     s_config : Config.t;
     s_prog : Prog.t;  (** the grafted program this version was analyzed as *)
     s_artifacts : Driver.artifacts;
-    s_strict : (string, string) Hashtbl.t;
     s_sem : (string, string) Hashtbl.t;
     s_result : A.L.t Driver.analysis_result;
   }
@@ -98,37 +106,32 @@ module Make (A : Analysis_sig.S) = struct
   let config s = s.s_config
   let prog s = s.s_prog
 
-  let hash_tables prog =
-    (Hashing.table Hashing.Strict prog, Hashing.table Hashing.Semantic prog)
-
-  let session_of ~config ~prog ~artifacts ~strict ~sem ~t =
-    {
-      s_config = config;
-      s_prog = prog;
-      s_artifacts = artifacts;
-      s_strict = strict;
-      s_sem = sem;
-      s_result = t;
-    }
-
-  (* A session's result keeps the SCCP results its rendering computes:
-     the next update copies them. *)
+  (* A session's result keeps the SCCP results and rewrites its rendering
+     computes: the next update copies them. *)
   let solved t = { t with Driver.keep_sccps = true }
 
   let start (config : Config.t) (prog : Prog.t) : session =
     let artifacts = Driver.prepare prog in
     let t = solved (D.solve config artifacts) in
-    let strict, sem = hash_tables prog in
-    session_of ~config ~prog ~artifacts ~strict ~sem ~t
+    {
+      s_config = config;
+      s_prog = prog;
+      s_artifacts = artifacts;
+      s_sem = Hashing.table prog;
+      s_result = t;
+    }
 
   (* The load-time initialization map of the globals: main's entry values
      depend on every unit's [data] statements, so a change here dirties
      main even when main's own body is untouched. *)
   let data_map (prog : Prog.t) : (string * int option) list =
+    let data = Prog.main_data prog in
     Prog.all_globals prog
-    |> List.map (fun g ->
-           let key = Prog.global_key g in
-           (key, Prog.data_value_of_global prog key))
+    |> List.map (fun (g : Prog.global) ->
+           ( Prog.global_key g,
+             data
+               { Prog.vname = g.gname; vty = g.gty; vdims = g.gdims;
+                 vkind = Kglobal g } ))
     |> List.sort compare
 
   let global_key_set prog =
@@ -143,16 +146,11 @@ module Make (A : Analysis_sig.S) = struct
      bare id program-wide (call sites in the call graph, the certifier's
      execution-witness claims), so collisions cross-wire unrelated
      procedures.  Every update therefore renumbers the {e freshly parsed}
-     procedures above the largest id of the grafted ones; grafted
-     procedures keep their ids untouched (their reused stage-1/2 bundles
-     embed them).  By induction the session invariant holds: a session's
-     program always has globally unique ids. *)
-
-  let max_proc_id (p : Prog.proc) : int =
-    let m = ref (-1) in
-    Prog.iter_stmts (fun s -> m := max !m s.Prog.sid) p.Prog.pbody;
-    Prog.iter_exprs (fun e -> m := max !m e.Prog.eid) p.Prog.pbody;
-    !m
+     procedures from the previous version's id ceiling, above every id a
+     grafted procedure can carry; grafted procedures keep their ids
+     untouched (their copied call sites and IR embed them).  By induction
+     the session invariant holds: a session's program always has globally
+     unique ids. *)
 
   let renumber_proc (next : int ref) (p : Prog.proc) : Prog.proc =
     let open Prog in
@@ -193,12 +191,14 @@ module Make (A : Analysis_sig.S) = struct
     in
     { p with pbody = List.map stmt p.pbody }
 
-  (* Seed [t]'s SCCP memo from [prev]'s.  A procedure's SCCP reads its
-     SSA, its entry VAL map and, through the oracle, its callees' return
-     jump functions (and the configuration, which a session keeps).
-     Where the SSA is physically the copied one and the other two are
-     equal, [prev]'s result is the one a fresh run would compute.  Returns
-     the number of results copied. *)
+  (* Seed [t]'s SCCP and substitution memos from [prev]'s.  A procedure's
+     SCCP reads its SSA, its entry VAL map and, through the oracle, its
+     callees' return jump functions (and the configuration, which a
+     session keeps); its rewrite reads that SCCP result, its body and its
+     callees' MOD footprints, which a physically copied SSA already
+     implies.  Where the SSA is physically the copied one and the other
+     two are equal, [prev]'s entries are the ones a fresh run would
+     compute.  Returns the number of SCCP results copied. *)
   let inherit_sccps ~(prev : A.L.t Driver.analysis_result)
       (t : A.L.t Driver.analysis_result) : int =
     let ret_stable callee =
@@ -224,6 +224,8 @@ module Make (A : Analysis_sig.S) = struct
                     (fun (e : Callgraph.edge) -> ret_stable e.e_callee)
                     (Callgraph.callees_of t.cg name) ->
           Hashtbl.replace t.sccps name r;
+          Option.iter (Hashtbl.replace t.substs name)
+            (Hashtbl.find_opt prev.substs name);
           incr copied
         | _ -> ())
       prev.sccps;
@@ -232,58 +234,38 @@ module Make (A : Analysis_sig.S) = struct
   let update ~(prev : session) (prog_new : Prog.t) : session * stats =
     Telemetry.span "incr.update" @@ fun () ->
     let config = prev.s_config in
-    (* the new artifacts keep this predicate: it must hold the previous
-       hash table only, not the previous session and all it holds *)
-    let strict_prev = prev.s_strict in
-    let strict_new, sem_new =
-      Telemetry.span "incr.hash" (fun () ->
-          let strict_new = Hashing.table Hashing.Strict prog_new in
-          (* a strictly unchanged procedure keeps its semantic hash *)
-          let sem_new = Hashtbl.create (Hashtbl.length strict_new) in
-          List.iter
-            (fun (p : Prog.proc) ->
-              let h =
-                match Hashtbl.find_opt prev.s_sem p.pname with
-                | Some h
-                  when Hashtbl.find_opt strict_prev p.pname
-                       = Hashtbl.find_opt strict_new p.pname ->
-                  h
-                | Some _ | None -> Hashing.semantic p
-              in
-              Hashtbl.replace sem_new p.pname h)
-            prog_new.procs;
-          (strict_new, sem_new))
-    in
-    let strict_unchanged name =
-      match
-        (Hashtbl.find_opt strict_prev name, Hashtbl.find_opt strict_new name)
-      with
-      | Some a, Some b -> a = b
-      | _ -> false
-    in
     let prev_proc = Driver.find_proc prev.s_artifacts in
-    (* graft: strictly unchanged procedures keep the previous version's
-       physical value, so reused IR ids stay consistent *)
-    let grafted = ref 0 in
-    let prog' =
-      Telemetry.span "incr.graft" (fun () ->
-          let grafted_max = ref (-1) in
+    (* identity: a procedure structurally equal to its predecessor is
+       grafted — the predecessor's physical value, and its semantic hash,
+       carry over; only the others are hashed *)
+    let grafted : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+    let picked, sem_new =
+      Telemetry.span "incr.hash" (fun () ->
+          let sem_new = Hashtbl.create 64 and hashed = ref 0 in
           let picked =
             List.map
               (fun (p : Prog.proc) ->
-                match
-                  if strict_unchanged p.pname then prev_proc p.pname else None
-                with
-                | Some old_p ->
-                  incr grafted;
-                  grafted_max := max !grafted_max (max_proc_id old_p);
+                match prev_proc p.pname with
+                | Some old_p when Prog.equal_proc old_p p ->
+                  Hashtbl.replace grafted p.pname ();
+                  Hashtbl.replace sem_new p.pname
+                    (Hashtbl.find prev.s_sem p.pname);
                   `Grafted old_p
-                | None -> `Fresh p)
+                | Some _ | None ->
+                  incr hashed;
+                  Hashtbl.replace sem_new p.pname (Hashing.semantic p);
+                  `Fresh p)
               prog_new.procs
           in
-          (* fresh procedures renumber above every grafted id (see the
+          Telemetry.add "incr.semantic_hashes" !hashed;
+          (picked, sem_new))
+    in
+    let unchanged name = Hashtbl.mem grafted name in
+    let prog' =
+      Telemetry.span "incr.graft" (fun () ->
+          (* fresh procedures number from the previous ceiling (see the
              header) *)
-          let next = ref (!grafted_max + 1) in
+          let next = ref (Driver.expr_ceiling prev.s_artifacts) in
           let procs' =
             List.map
               (function `Grafted p -> p | `Fresh p -> renumber_proc next p)
@@ -303,17 +285,14 @@ module Make (A : Analysis_sig.S) = struct
     (* a whole-program fallback copies nothing from the previous round *)
     let artifacts =
       if full then Driver.prepare prog'
-      else
-        Driver.prepare_reusing ~prev:prev.s_artifacts
-          ~unchanged:strict_unchanged prog'
+      else Driver.prepare_reusing ~prev:prev.s_artifacts ~unchanged prog'
     in
     let new_proc = Driver.find_proc artifacts in
     let cg_new = Driver.artifacts_callgraph artifacts in
     let cg_old = Driver.artifacts_callgraph prev.s_artifacts in
     let d =
       Telemetry.span "incr.diff" (fun () ->
-          Diff.compute_with ~old_cg:cg_old ~new_cg:cg_new ~old_sem:prev.s_sem
-            ~new_sem:sem_new)
+          Diff.compute_with ~old_sem:prev.s_sem ~new_sem:sem_new)
     in
     let dirty : (string, unit) Hashtbl.t = Hashtbl.create 16 in
     if not full then begin
@@ -363,25 +342,14 @@ module Make (A : Analysis_sig.S) = struct
       in
       (* Seeds.  A transfer-dirty procedure contributes only the callees
          whose incoming jump function actually changed: its old and new
-         site lists are compared pairwise (positionally — grafted callers
-         keep their site ids, reparsed ones are renumbered, so ids don't
-         travel across versions).  A procedure present in one version only
-         dirties all its sites in that version.  Procedures whose VAL
-         domain redraws restart themselves: an added procedure has no
-         previous fixpoint, an arity change redraws the map's keys, and
-         main restarts when the load-time [data] map changed. *)
-      let old_sites : (string, Jump_function.site_jf list) Hashtbl.t =
-        Hashtbl.create 16
-      in
-      (* consed in reverse so each caller's list keeps site order
-         without an append per site *)
-      List.iter
-        (fun (sf : Jump_function.site_jf) ->
-          Hashtbl.replace old_sites sf.sf_caller
-            (sf
-            :: Option.value ~default:[]
-                 (Hashtbl.find_opt old_sites sf.sf_caller)))
-        (List.rev prev.s_result.Driver.site_jfs);
+         site lists (each version's memoized ones) are compared pairwise
+         (positionally — grafted callers keep their site ids, reparsed
+         ones are renumbered, so ids don't travel across versions).  A
+         procedure present in one version only dirties all its sites in
+         that version.  Procedures whose VAL domain redraws restart
+         themselves: an added procedure has no previous fixpoint, an
+         arity change redraws the map's keys, and main restarts when the
+         load-time [data] map changed. *)
       let site_jf_equal (x : Jump_function.site_jf)
           (y : Jump_function.site_jf) =
         x.Jump_function.sf_callee = y.Jump_function.sf_callee
@@ -393,7 +361,7 @@ module Make (A : Analysis_sig.S) = struct
       in
       Hashtbl.iter
         (fun name () ->
-          let olds = Option.value ~default:[] (Hashtbl.find_opt old_sites name)
+          let olds = Driver.site_jfs_for prev.s_artifacts config name
           and news = Driver.site_jfs_for artifacts config name in
           match (prev_proc name, new_proc name) with
           | Some _, Some _ when List.length olds = List.length news ->
@@ -442,7 +410,7 @@ module Make (A : Analysis_sig.S) = struct
       {
         total_procs = total;
         changed_procs = List.length d.changed_procs;
-        grafted_procs = !grafted;
+        grafted_procs = Hashtbl.length grafted;
         cone_size = cone;
         procs_reused = total - cone;
         procs_resolved = cone;
@@ -456,8 +424,13 @@ module Make (A : Analysis_sig.S) = struct
       Telemetry.add "incr.procs_resolved" stats.procs_resolved;
       if full then Telemetry.incr "incr.full_resolves"
     end;
-    ( session_of ~config ~prog:prog' ~artifacts ~strict:strict_new ~sem:sem_new
-        ~t,
+    ( {
+        s_config = config;
+        s_prog = prog';
+        s_artifacts = artifacts;
+        s_sem = sem_new;
+        s_result = t;
+      },
       stats )
 end
 

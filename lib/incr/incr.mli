@@ -4,16 +4,17 @@
     the same source (the certifier and the [fuzz --delta] gate enforce
     this).
 
-    Unchanged procedures' IR, return jump functions and site jump
-    functions are copied via strict-hash grafting +
-    {!Ipcp_core.Driver.prepare_reusing}; their semantic hashes and SCCP
-    results are copied from the previous version; the solution is
-    reused via {!Ipcp_core.Solver.run_seeded} over the dirty cone
-    computed from the semantic call-graph diff ({!Diff}).  The strict
-    hash of every procedure, the call graph and its diff and MOD/REF
-    still cover the whole program.  See the implementation header and
-    DESIGN.md §10 for the copy and closure rules, the fallbacks and the
-    measured cost split. *)
+    A procedure structurally equal to its predecessor is grafted (the
+    previous physical value is kept), and its call sites, direct MOD/REF
+    effects, IR, return and site jump functions are copied via
+    {!Ipcp_core.Driver.prepare_reusing}; its semantic hash, SCCP result
+    and substitution are copied from the previous version; MOD/REF is
+    closed again only upward from what changed; the solution is reused
+    via {!Ipcp_core.Solver.run_seeded} over the dirty cone computed from
+    the semantic diff ({!Diff}).  What still visits every procedure is a
+    comparison with its predecessor and a copy of its entries.  See the
+    implementation header and DESIGN.md §10 for the copy and closure
+    rules, the fallbacks and the measured cost split. *)
 
 open Ipcp_frontend
 open Ipcp_core
@@ -21,7 +22,9 @@ open Ipcp_core
 type stats = {
   total_procs : int;
   changed_procs : int;  (** semantic-hash changes (procs present in both) *)
-  grafted_procs : int;  (** strict-hash-unchanged, physically reused *)
+  grafted_procs : int;
+      (** structurally equal to their predecessor
+          ({!Ipcp_frontend.Prog.equal_proc}), physically reused *)
   cone_size : int;  (** dirty procedures re-solved *)
   procs_reused : int;  (** solution maps seeded from the previous fixpoint *)
   procs_resolved : int;  (** = [cone_size] *)
@@ -54,9 +57,10 @@ val start : Config.t -> Prog.t -> session
 val update : prev:session -> Prog.t -> session * stats
 
 (** The full analysis result of this version — same value a from-scratch
-    [Driver.analyze] would produce.  Its SCCP memo starts with the
-    previous version's results that still hold; rendering it fills in
-    the rest, and the next update copies from there. *)
+    [Driver.analyze] would produce.  Its SCCP and substitution memos
+    start with the previous version's entries that still hold;
+    rendering it fills in the rest, and the next update copies from
+    there. *)
 val result : session -> Driver.t
 
 val config : session -> Config.t

@@ -279,17 +279,18 @@ let lower_proc ~next_expr_id (proc : Prog.proc) : Cfg.t =
     blocks;
   { Cfg.proc_name = proc.pname; entry = entry.Cfg.b_id; blocks }
 
+(** One past the highest statement/expression id of one procedure. *)
+let proc_id_ceiling (p : Prog.proc) : int =
+  let m = ref 0 in
+  Prog.iter_exprs (fun e -> if e.eid >= !m then m := e.eid + 1) p.pbody;
+  Prog.iter_stmts (fun s -> if s.sid >= !m then m := s.sid + 1) p.pbody;
+  !m
+
 (** Highest expression id in a resolved program, plus one: the safe starting
     point for synthesized expression ids. *)
 let expr_id_ceiling (prog : Prog.t) : int =
   Ipcp_telemetry.Telemetry.incr "prog.walks";
-  let m = ref 0 in
-  List.iter
-    (fun (p : Prog.proc) ->
-      Prog.iter_exprs (fun e -> if e.eid >= !m then m := e.eid + 1) p.pbody;
-      Prog.iter_stmts (fun s -> if s.sid >= !m then m := s.sid + 1) p.pbody)
-    prog.procs;
-  !m
+  List.fold_left (fun m p -> max m (proc_id_ceiling p)) 0 prog.procs
 
 (** Lower every procedure of a program. *)
 let lower_program (prog : Prog.t) : (string * Cfg.t) list =

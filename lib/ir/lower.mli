@@ -13,5 +13,8 @@ val lower_proc : next_expr_id:int -> Prog.proc -> Cfg.t
 (** One past the highest statement/expression id in a resolved program. *)
 val expr_id_ceiling : Prog.t -> int
 
+(** One past the highest statement/expression id of one procedure. *)
+val proc_id_ceiling : Prog.proc -> int
+
 (** Lower every procedure. *)
 val lower_program : Prog.t -> (string * Cfg.t) list

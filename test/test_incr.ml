@@ -1,16 +1,17 @@
-(* Tests for the incremental re-analysis subsystem: canonical procedure
-   hashing, call-graph diffing, and the session solver's byte-identity
-   with from-scratch analysis.
+(* Tests for the incremental re-analysis subsystem: structural procedure
+   identity, semantic hashing, procedure diffing, and the session
+   solver's byte-identity with from-scratch analysis.
 
-   The hashing/diff properties mirror the contracts stated in their
-   interfaces: strict hashes are parse-artifact-free (stable across
-   reparses), semantic hashes are additionally α/ordering-insensitive
-   exactly where Metamorph certifies the transformation as
-   meaning-preserving, diff is reflexively empty and symmetric up to
-   add/remove inversion.  The session tests drive [Incr.update] over a
-   handwritten edit sequence under all four jump-function kinds and
-   require the served output to be byte-identical to a from-scratch
-   [Jobs.analyze] of the same program. *)
+   The identity/hashing/diff properties mirror the contracts stated in
+   their interfaces: structural identity ignores the artifacts of a
+   parse (stable across reparses), semantic hashes are additionally
+   α/ordering-insensitive exactly where Metamorph certifies the
+   transformation as meaning-preserving, diff is reflexively empty and
+   symmetric up to add/remove inversion.  The session tests drive
+   [Incr.update] over a handwritten edit sequence under all four
+   jump-function kinds and require the served output to be
+   byte-identical to a from-scratch [Jobs.analyze] of the same
+   program. *)
 
 open Ipcp_frontend
 open Ipcp_core
@@ -45,9 +46,6 @@ let base_src =
    print *, y\n\
    end\n"
 
-let tables_of mode src =
-  let prog = resolve src in
-  (prog, Hashing.table mode prog)
 
 let assert_tables_equal label (a : (string, string) Hashtbl.t)
     (b : (string, string) Hashtbl.t) =
@@ -60,12 +58,35 @@ let assert_tables_equal label (a : (string, string) Hashtbl.t)
       | None -> fail (label ^ ": " ^ name ^ " missing from second table"))
     a
 
-(* ---- hashing ---- *)
+(* ---- identity and hashing ---- *)
 
-let test_strict_stable_across_reparse () =
-  let _, t1 = tables_of Hashing.Strict base_src in
-  let _, t2 = tables_of Hashing.Strict base_src in
-  assert_tables_equal "reparse" t1 t2
+(* Every procedure of [a] is structurally equal to the one of the same
+   name in [b]. *)
+let assert_procs_equal label (a : Prog.t) (b : Prog.t) =
+  check Alcotest.int (label ^ ": same procedure count") (List.length a.procs)
+    (List.length b.procs);
+  List.iter
+    (fun (p : Prog.proc) ->
+      match Prog.find_proc b p.pname with
+      | Some q ->
+        check Alcotest.bool (label ^ ": " ^ p.pname) true (Prog.equal_proc p q)
+      | None -> fail (label ^ ": " ^ p.pname ^ " missing from second program"))
+    a.procs
+
+(* A unit prepended to the source shifts every later id and location:
+   identity and the semantic hash must ignore both. *)
+let test_identity_stable_across_reparse () =
+  let prog = resolve base_src in
+  let shifted = resolve ("subroutine zz\nprint *, 1\nend\n" ^ base_src) in
+  let shifted =
+    {
+      shifted with
+      procs = List.filter (fun (p : Prog.proc) -> p.pname <> "zz") shifted.procs;
+    }
+  in
+  assert_procs_equal "shifted reparse" prog shifted;
+  assert_tables_equal "shifted reparse, semantic" (Hashing.table prog)
+    (Hashing.table shifted)
 
 let test_semantic_excludes_name () =
   let prog =
@@ -80,8 +101,7 @@ let test_semantic_excludes_name () =
   let p = Prog.find_proc_exn prog "p" and q = Prog.find_proc_exn prog "q" in
   check Alcotest.string "same body, same semantic hash" (Hashing.semantic p)
     (Hashing.semantic q);
-  check Alcotest.bool "strict hash covers the name" true
-    (Hashing.strict p <> Hashing.strict q)
+  check Alcotest.bool "identity covers the name" false (Prog.equal_proc p q)
 
 let transformed label transform src =
   match Sema.check ~file:label (transform src) with
@@ -93,21 +113,16 @@ let test_rename_preserves_semantic_hashes () =
   let prog_r =
     transformed "renamed" (Metamorph.rename_variables ~seed:11) base_src
   in
-  assert_tables_equal "rename"
-    (Hashing.table Hashing.Semantic prog)
-    (Hashing.table Hashing.Semantic prog_r)
+  assert_tables_equal "rename" (Hashing.table prog) (Hashing.table prog_r)
 
 let test_reorder_preserves_both_hashes () =
   let prog = resolve base_src in
   let prog_r =
     transformed "reordered" (Metamorph.reorder_procs ~seed:11) base_src
   in
-  assert_tables_equal "reorder, strict"
-    (Hashing.table Hashing.Strict prog)
-    (Hashing.table Hashing.Strict prog_r);
-  assert_tables_equal "reorder, semantic"
-    (Hashing.table Hashing.Semantic prog)
-    (Hashing.table Hashing.Semantic prog_r)
+  assert_procs_equal "reorder, identity" prog prog_r;
+  assert_tables_equal "reorder, semantic" (Hashing.table prog)
+    (Hashing.table prog_r)
 
 (* ---- diffing ---- *)
 
@@ -145,15 +160,12 @@ let v2_src =
 let test_diff_symmetry () =
   let p1 = resolve base_src and p2 = resolve v2_src in
   let d12 = Diff.compute p1 p2 and d21 = Diff.compute p2 p1 in
-  let pairs = Alcotest.(list (pair string string)) in
   check Alcotest.(list string) "added mirrors removed" d12.added_procs
     d21.removed_procs;
   check Alcotest.(list string) "removed mirrors added" d12.removed_procs
     d21.added_procs;
   check Alcotest.(list string) "changed is direction-free" d12.changed_procs
     d21.changed_procs;
-  check pairs "added edges mirror removed" d12.added_edges d21.removed_edges;
-  check pairs "removed edges mirror added" d12.removed_edges d21.added_edges;
   check Alcotest.(list string) "expected added" [ "c" ] d12.added_procs;
   check Alcotest.(list string) "expected changed" [ "a"; "b" ]
     d12.changed_procs
@@ -399,6 +411,50 @@ let test_cycle_order_change () =
       ("v2 -> v1", cycle_v2_src, cycle_v1_src);
     ]
 
+(* s0 declares the common block first, so its member's display name is
+   s0's alias [a]; the second version deletes that declaration, and main
+   becomes the first declarer although its text is unchanged: main's
+   global record changes with it, so main is not the same procedure.  s2
+   declares no common at all and prints the global by its display name,
+   which must now be main's [x]. *)
+let stale_name_v1_src =
+  "subroutine s0(p)\n\
+   integer p\n\
+   integer a\n\
+   common /c/ a\n\
+   print *, p\n\
+   end\n\
+   program main\n\
+   integer x\n\
+   common /c/ x\n\
+   data x /5/\n\
+   call s0(1)\n\
+   call s2(2)\n\
+   end\n\
+   subroutine s2(q)\n\
+   integer q\n\
+   print *, q\n\
+   end\n"
+
+let stale_name_v2_src =
+  replace_line ~from:"common /c/ a" ~to_:"" stale_name_v1_src
+
+let test_global_names_follow_the_program () =
+  let v2 = resolve stale_name_v2_src in
+  let sess, stats =
+    Incr.update ~prev:(Incr.start Config.default (resolve stale_name_v1_src)) v2
+  in
+  (* s0 changed, and main's global record now names x: only s2 is the
+     same procedure as before *)
+  check Alcotest.int "only s2 is grafted" 1 stats.Incr.grafted_procs;
+  let rendered =
+    Jobs.analyze ~solved:(Incr.result sess) ~config:Config.default ~jobs:1 v2
+  in
+  check Alcotest.bool "byte-identical to scratch" true
+    (rendered = Jobs.analyze ~config:Config.default ~jobs:1 v2);
+  check Alcotest.bool "s2 prints main's name" true
+    (Test_interp.contains ~sub:"s2: q=2, x=5" rendered.Jobs.out)
+
 (* Reuse is pinned by counters.  [prev] is rendered first, as serve
    renders every response, so its SCCP memo is full. *)
 let update_counters ~prev_src ~next_src =
@@ -429,7 +485,12 @@ let test_identical_update_copies_everything () =
   check Alcotest.int "site jump functions copied" procs
     (counter "driver.site_jfs_reused");
   check Alcotest.int "SCCP copied" procs (counter "incr.sccp_reused");
-  check Alcotest.int "no SCCP run" 0 (counter "sccp.runs")
+  check Alcotest.int "no SCCP run" 0 (counter "sccp.runs");
+  check Alcotest.int "call sites copied" procs
+    (counter "callgraph.sites_copied");
+  check Alcotest.int "MOD/REF effects copied" procs
+    (counter "modref.effects_copied");
+  check Alcotest.int "no SCC closed again" 0 (counter "modref.sccs_closed")
 
 (* One more operand in the last [print] changes that procedure's body
    and nothing any other procedure can observe. *)
@@ -470,12 +531,18 @@ let test_fallback_copies_nothing () =
     (fun name ->
       check Alcotest.int (name ^ " = 0") 0
         (Option.value ~default:0 (Telemetry.counter coll name)))
-    [ "driver.site_jfs_reused"; "driver.stage12_reused"; "incr.sccp_reused" ]
+    [
+      "driver.site_jfs_reused";
+      "driver.stage12_reused";
+      "incr.sccp_reused";
+      "callgraph.sites_copied";
+      "modref.effects_copied";
+    ]
 
 let suite =
   [
-    Alcotest.test_case "strict hash is stable across reparses" `Quick
-      test_strict_stable_across_reparse;
+    Alcotest.test_case "identity ignores ids and locations" `Quick
+      test_identity_stable_across_reparse;
     Alcotest.test_case "semantic hash excludes the procedure name" `Quick
       test_semantic_excludes_name;
     Alcotest.test_case "rename preserves semantic hashes" `Quick
@@ -500,6 +567,8 @@ let suite =
       test_data_edit_outside_main;
     Alcotest.test_case "cycle built in a new order matches scratch" `Quick
       test_cycle_order_change;
+    Alcotest.test_case "global names after an update follow the program"
+      `Quick test_global_names_follow_the_program;
     Alcotest.test_case "identical rendered update copies every procedure"
       `Quick test_identical_update_copies_everything;
     Alcotest.test_case "print edit copies all but that procedure" `Quick

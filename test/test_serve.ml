@@ -597,6 +597,39 @@ let test_delta_data_edit_outside_main () =
       (r.Request.rs_stdout = Some direct.Jobs.out)
   | _ -> Alcotest.fail "expected two responses"
 
+(* The stale-name pair of Test_incr, served as analyze-delta with every
+   response certified: the update's frame must name the global as a
+   from-scratch analyze does. *)
+let test_delta_global_names () =
+  let dir = tmp_dir "names" in
+  let v1 = Filename.concat dir "g1.f" and v2 = Filename.concat dir "g2.f" in
+  write_file v1 Test_incr.stale_name_v1_src;
+  write_file v2 Test_incr.stale_name_v2_src;
+  let line id path =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Str id); ("op", Json.Str "analyze-delta");
+           ("file", Json.Str path); ("session", Json.Str "g") ])
+  in
+  let code, responses =
+    run_server
+      ~config:{ Server.default_config with certify_sample = 1.0 }
+      [ line "g1" v1; line "g2" v2 ]
+  in
+  check Alcotest.int "exit" 0 code;
+  let direct =
+    match Jobs.load v2 with
+    | Ok (_, prog) -> Jobs.analyze ~config:Config.default ~jobs:1 prog
+    | Error o -> Alcotest.fail o.Jobs.err
+  in
+  match responses with
+  | [ _; r ] ->
+    check Alcotest.string "g2 id" "g2" r.Request.rs_id;
+    check Alcotest.bool "g2 ok" true (r.Request.rs_status = Request.Ok_done);
+    check Alcotest.bool "g2 stdout byte-identical to analyze" true
+      (r.Request.rs_stdout = Some direct.Jobs.out)
+  | _ -> Alcotest.fail "expected two responses"
+
 (* ---- the typed error taxonomy and online certification ---- *)
 
 (* Frame rendering is golden-pinned: one frame per taxonomy class, in
@@ -1326,6 +1359,8 @@ let suite =
      test_delta_matches_analyze);
     ("serve analyze-delta after a data edit outside main", `Quick,
      test_delta_data_edit_outside_main);
+    ("serve analyze-delta names globals as the new version does", `Quick,
+     test_delta_global_names);
     ("serve frame taxonomy golden", `Quick, test_frames_golden);
     ("serve breaker half-open probe", `Quick, test_breaker_half_open_probe);
     ("serve certify sampling deterministic", `Slow,

@@ -122,7 +122,36 @@ let contract_counters procs =
   let counter name = Option.value ~default:0 (Telemetry.counter t name) in
   (List.length prog.Ipcp_frontend.Prog.procs, counter)
 
+(* An [n]-procedure call chain whose only common declaration is in
+   main, which comes last: every other procedure's CONSTANTS name the
+   global by main's alias.  Rendering must find that name without a
+   scan of the program per printed constant. *)
+let chain_src n =
+  let buf = Buffer.create (64 * n) in
+  for i = 1 to n - 1 do
+    Printf.bprintf buf "subroutine p%d(k)\ninteger k\n" i;
+    if i < n - 1 then Printf.bprintf buf "call p%d(k)\n" (i + 1)
+    else Buffer.add_string buf "print *, k\n";
+    Buffer.add_string buf "end\n"
+  done;
+  Buffer.add_string buf
+    "program main\ninteger x\ncommon /c/ x\nx = 5\ncall p1(1)\nend\n";
+  Buffer.contents buf
+
+let render_counters procs =
+  let prog = Ipcp_frontend.Sema.parse_and_resolve (chain_src procs) in
+  let t = Driver.analyze Config.default prog in
+  let coll = Telemetry.create () in
+  let out =
+    Telemetry.with_reporter coll (fun () -> Fmt.str "%a" Driver.pp_constants t)
+  in
+  check Alcotest.bool "a chain procedure names main's global" true
+    (Test_interp.contains ~sub:"p1: k=1, x=5" out);
+  Option.value ~default:0 (Telemetry.counter coll "prog.walks")
+
 let test_complexity_contract () =
+  check Alcotest.int "rendering walks the program once (small, large)"
+    (render_counters 200) (render_counters 1600);
   let small_procs, small = contract_counters 200 in
   let large_procs, large = contract_counters 1600 in
   check Alcotest.int "jf.build_ir = procedures (small)" small_procs
@@ -141,6 +170,76 @@ let test_complexity_contract () =
           name s small_procs l large_procs)
     [ "jf.ret_oracle.evals"; "sccp.ssa_visits"; "solver.jf_evaluations" ]
 
+(* The update contract: a one-literal edit in one procedure other than
+   main costs that procedure's work, not the program's.  The previous
+   version is rendered first, as serve renders every session. *)
+let update_counters procs =
+  let src =
+    Ipcp_suite.Workload.generate
+      {
+        Ipcp_suite.Workload.default_spec with
+        seed = 42;
+        num_procs = procs;
+        stmts_per_proc = 10;
+      }
+  in
+  (* the first literal assignment after main's [end] gains a digit *)
+  let in_main = ref true and edited = ref false in
+  let edited_src =
+    String.split_on_char '\n' src
+    |> List.map (fun l ->
+           if l = "end" then in_main := false;
+           if
+             (not !in_main) && (not !edited)
+             && String.starts_with ~prefix:"  lv" l
+             && String.contains l '='
+             && String.for_all
+                  (fun c -> c <> '(' && c <> '+' && c <> '*' && c <> '-')
+                  l
+           then begin
+             edited := true;
+             l ^ "1"
+           end
+           else l)
+    |> String.concat "\n"
+  in
+  check Alcotest.bool "edited" true !edited;
+  let resolve = Ipcp_frontend.Sema.parse_and_resolve in
+  let config = Config.default in
+  let prev = Ipcp_incr.Incr.start config (resolve src) in
+  ignore
+    (Ipcp_serve.Jobs.analyze ~solved:(Ipcp_incr.Incr.result prev) ~config
+       ~jobs:1 (Ipcp_incr.Incr.prog prev));
+  let next = resolve edited_src in
+  let coll = Telemetry.create () in
+  let rendered =
+    Telemetry.with_reporter coll (fun () ->
+        let sess, _ = Ipcp_incr.Incr.update ~prev next in
+        Ipcp_serve.Jobs.analyze ~solved:(Ipcp_incr.Incr.result sess) ~config
+          ~jobs:1 next)
+  in
+  check Alcotest.bool "byte-identical to a fresh analyze" true
+    (rendered = Ipcp_serve.Jobs.analyze ~config ~jobs:1 next);
+  let counter name = Option.value ~default:0 (Telemetry.counter coll name) in
+  List.iter
+    (fun (name, expected) ->
+      check Alcotest.int (Printf.sprintf "%s at %d procedures" name procs)
+        expected (counter name))
+    [
+      ("callgraph.sites_scanned", 1);
+      ("callgraph.sites_copied", procs);
+      ("modref.effects_computed", 1);
+      ("modref.effects_copied", procs);
+      ("modref.sccs_closed", 1);
+      ("incr.semantic_hashes", 1);
+      ("callgraph.sccs_computed", 0);
+    ];
+  counter "prog.walks"
+
+let test_update_contract () =
+  check Alcotest.int "an update's prog.walks do not grow with the program"
+    (update_counters 200) (update_counters 1600)
+
 let suite =
   [
     ("staged solve equals legacy analyze", `Quick, test_staged_equals_legacy);
@@ -151,4 +250,6 @@ let suite =
      test_complete_reuses_artifacts);
     ("complexity contract at 200 and 1600 procedures", `Quick,
      test_complexity_contract);
+    ("update counter contract at 200 and 1600 procedures", `Quick,
+     test_update_contract);
   ]

@@ -1807,6 +1807,51 @@ let run_subsume () =
 (* ------------------------------------------------------------------ *)
 (* --delta: incremental re-analysis vs from-scratch.                   *)
 
+(* The unit of each line of a generated program: a unit header is an
+   unindented line other than [end]; the first unit (0) is main. *)
+let numbered_units src : (int * string) list =
+  let lines = String.split_on_char '\n' src in
+  let units =
+    List.fold_left
+      (fun (u, acc) l ->
+        let u = if l <> "" && l.[0] <> ' ' && l <> "end" then u + 1 else u in
+        (u, u :: acc))
+      (-1, []) lines
+    |> snd |> List.rev
+  in
+  List.combine units lines
+
+let join numbered = String.concat "\n" (List.map snd numbered)
+
+(* [common /gc/ a, b] -> Some [a; b] *)
+let common_members l =
+  match String.split_on_char '/' (String.trim l) with
+  | [ "common "; _; items ] ->
+    Some (List.map String.trim (String.split_on_char ',' items))
+  | _ -> None
+
+(* The lines of unit [u], and the units other than main. *)
+let lines_of numbered u =
+  List.filter_map (fun (v, l) -> if v = u then Some l else None) numbered
+
+let subunits numbered =
+  List.sort_uniq compare (List.filter (fun u -> u > 0) (List.map fst numbered))
+
+let is_call l = String.starts_with ~prefix:"call " (String.trim l)
+
+(* [numbered] with [extra] inserted just before unit [u]'s closing
+   [end]. *)
+let before_end numbered u extra =
+  let closed = ref false in
+  List.concat_map
+    (fun (v, l) ->
+      if v = u && l = "end" && not !closed then begin
+        closed := true;
+        List.map (fun x -> (v, x)) extra @ [ (v, l) ]
+      end
+      else [ (v, l) ])
+    numbered
+
 (* [Workload.edits] writes [data] only in main.  This appends two
    versions to an edit sequence: one of main's [data] statements for a
    common global moves to another unit that declares the global (with a
@@ -1814,20 +1859,7 @@ let run_subsume () =
    body unchanged while its entry values change.  Returns [] when the
    program has no such statement or unit. *)
 let data_edits prng src : string list =
-  let lines = String.split_on_char '\n' src in
-  (* the unit of each line: a unit header is an unindented line other
-     than [end]; the first unit is main *)
-  let units =
-    List.fold_left
-      (fun (u, acc) l ->
-        let u =
-          if l <> "" && l.[0] <> ' ' && l <> "end" then u + 1 else u
-        in
-        (u, u :: acc))
-      (-1, []) lines
-    |> snd |> List.rev
-  in
-  let numbered = List.combine units lines in
+  let numbered = numbered_units src in
   let data_name l =
     match String.split_on_char ' ' (String.trim l) with
     | [ "data"; name; _ ] -> Some name
@@ -1839,10 +1871,7 @@ let data_edits prng src : string list =
       numbered
   in
   let declares name l =
-    match String.split_on_char '/' (String.trim l) with
-    | [ "common "; _; items ] ->
-      List.mem name (List.map String.trim (String.split_on_char ',' items))
-    | _ -> false
+    match common_members l with Some ms -> List.mem name ms | None -> false
   in
   let hosts name =
     List.filter_map
@@ -1868,9 +1897,157 @@ let data_edits prng src : string list =
     in
     [ with_value v1; with_value v2 ]
 
+(* [Workload.edits] changes MOD/REF only by adding or deleting calls.
+   This writes a common global in a leaf (a unit with no call) that
+   declares the block, then takes the write out again: the leaf's
+   summary and its callers' grow, then shrink.  Returns [] when no unit
+   declares the block. *)
+let global_write_edits prng src : string list =
+  let numbered = numbered_units src in
+  let declaring =
+    List.filter_map
+      (fun u ->
+        Option.map (fun ms -> (u, ms))
+          (List.find_map common_members (lines_of numbered u)))
+      (subunits numbered)
+  in
+  let leaves =
+    List.filter
+      (fun (u, _) -> not (List.exists is_call (lines_of numbered u)))
+      declaring
+  in
+  match if leaves <> [] then leaves else declaring with
+  | [] -> []
+  | candidates ->
+    let u, members = Prng.choose prng candidates in
+    let write =
+      Printf.sprintf "  %s = %d" (Prng.choose prng members)
+        (Prng.range prng 0 20)
+    in
+    [ join (before_end numbered u [ write ]); src ]
+
+(* Generated call graphs are acyclic: a procedure calls only
+   higher-numbered ones.  This adds a call from a callee back to a caller
+   that calls it directly, under a guard no generated value reaches (the
+   interpreter witness must not recurse forever; the call graph does not
+   look at guards), then removes it: an SCC forms, then splits.  Returns
+   [] when no unit calls another. *)
+let cycle_edits prng src : string list =
+  let numbered = numbered_units src in
+  (* "subroutine p(a, b)" -> ("p", 2); "call p(x)" -> "p" *)
+  let header u = List.assoc u numbered in
+  let name_and_arity h =
+    let rest = String.sub h 11 (String.length h - 11) in
+    match String.index_opt rest '(' with
+    | None -> (String.trim rest, 0)
+    | Some i ->
+      let args = String.sub rest (i + 1) (String.length rest - i - 2) in
+      ( String.trim (String.sub rest 0 i),
+        List.length (String.split_on_char ',' args) )
+  in
+  let callee_of l =
+    let t = String.trim l in
+    let rest = String.sub t 5 (String.length t - 5) in
+    match String.index_opt rest '(' with
+    | Some i -> String.trim (String.sub rest 0 i)
+    | None -> String.trim rest
+  in
+  let units =
+    List.filter_map
+      (fun u ->
+        if String.starts_with ~prefix:"subroutine " (header u) then
+          Some (fst (name_and_arity (header u)), u)
+        else None)
+      (subunits numbered)
+  in
+  let pairs =
+    List.filter_map
+      (fun (u, l) ->
+        if u > 0 && is_call l then
+          match List.assoc_opt (callee_of l) units with
+          | Some v when v <> u -> Some (u, v)
+          | Some _ | None -> None
+        else None)
+      numbered
+  in
+  match pairs with
+  | [] -> []
+  | _ ->
+    let caller, callee = Prng.choose prng pairs in
+    let name, arity = name_and_arity (header caller) in
+    let guard =
+      if snd (name_and_arity (header callee)) = 0 then "lv1" else "ka1"
+    in
+    let args = List.init arity (fun i -> string_of_int (i + 1)) in
+    let call =
+      if arity = 0 then "call " ^ name
+      else Printf.sprintf "call %s(%s)" name (String.concat ", " args)
+    in
+    let back =
+      [ Printf.sprintf "  if (%s .gt. 100000) then" guard; "    " ^ call;
+        "  end if" ]
+    in
+    [ join (before_end numbered callee back); src ]
+
+(* [Sema] takes a common block's member names from the first unit that
+   declares it.  This calls a new unit that declares no common from main
+   (before main's first call, so the globals still hold their initial
+   values: its CONSTANTS name them), inserts ahead of main an uncalled
+   unit declaring the block under other member names, edits main, and
+   removes that unit again.  The last step leaves main's text unchanged
+   while the display names of every global change back.  Returns [] when
+   main declares no common. *)
+let first_declarer_edits prng src : string list =
+  let numbered = numbered_units src in
+  match List.find_map common_members (lines_of numbered 0) with
+  | None | Some [] -> []
+  | Some members ->
+    let call = Printf.sprintf "  call zzshow(%d)" (Prng.range prng 0 9) in
+    let first_call = ref true in
+    (* the call goes before main's first call, or else before its end *)
+    let with_show =
+      List.concat_map
+        (fun (u, l) ->
+          if u = 0 && !first_call && (is_call l || l = "end") then begin
+            first_call := false;
+            [ call; l ]
+          end
+          else [ l ])
+        numbered
+      @ [ ""; "subroutine zzshow(ka1)"; "  integer ka1"; "  print *, ka1";
+          "end" ]
+    in
+    let edit_main lines =
+      let main_end = ref false in
+      List.concat_map
+        (fun l ->
+          if l = "end" && not !main_end then begin
+            main_end := true;
+            [ "  lv1 = lv1 + 1"; l ]
+          end
+          else [ l ])
+        lines
+    in
+    let aliases =
+      List.mapi (fun i _ -> Printf.sprintf "zq%d" (i + 1)) members
+      |> String.concat ", "
+    in
+    let decl =
+      [ "subroutine zzdecl(ka1)"; "  integer ka1"; "  integer " ^ aliases;
+        "  common /gc/ " ^ aliases; "  print *, ka1"; "end"; "" ]
+    in
+    let text = String.concat "\n" in
+    [
+      text with_show;
+      text (decl @ with_show);
+      text (decl @ edit_main with_show);
+      text (edit_main with_show);
+    ]
+
 (* Each iteration draws a workload spec, derives a randomized edit
    sequence from it (constant tweaks, call duplication/deletion,
-   procedure addition/removal, then {!data_edits}), and replays the
+   procedure addition/removal, then {!data_edits}, {!global_write_edits},
+   {!cycle_edits} and {!first_declarer_edits}), and replays the
    sequence through an {!Incr} session under all four jump-function
    kinds.  After every update the incremental rendering must be
    byte-identical to a from-scratch analyze of the same source, the
@@ -1899,9 +2076,12 @@ let run_delta () =
         stmts_per_proc = Prng.range prng 5 10;
       }
     in
-    let versions = Workload.edits spec ~seed:iter_seed ~n:4 in
     let versions =
-      versions @ data_edits prng (List.nth versions (List.length versions - 1))
+      List.fold_left
+        (fun versions extend ->
+          versions @ extend prng (List.nth versions (List.length versions - 1)))
+        (Workload.edits spec ~seed:iter_seed ~n:4)
+        [ data_edits; global_write_edits; cycle_edits; first_declarer_edits ]
     in
     let progs =
       List.mapi
