@@ -293,7 +293,7 @@ let tables_regen_comparison () =
    Incr.update from the previous version's session.  Update cost tracks
    the dependence cone of the edit (printed per size), not the program
    size; the no-op update (identical source) isolates the fixed
-   incremental overhead — hashing, diffing, grafting, artifact reuse —
+   incremental overhead — identity, grafting, artifact reuse, the cone —
    which is what a cone of zero costs.  All three times land in the
    profile document as bench.incr/* observations. *)
 

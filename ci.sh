@@ -105,14 +105,24 @@ dune exec --no-build -- ipcp generate --seed 42 --procs 1600 --stmts 10 > "$tmpd
 dune exec --no-build -- ipcp certify "$tmpdir/big.f"
 # One profile must explain the run: the frontend is parse and sema (the
 # parser pulls its tokens from the lexer), the pipeline stages are all
-# there, and substitution has a span of its own.
-dune exec --no-build -- ipcp analyze "$tmpdir/big.f" \
+# there, substitution has a span of its own, and the certifier has one
+# child span per obligation family.
+dune exec --no-build -- ipcp analyze "$tmpdir/big.f" --certify \
   --profile-json "$tmpdir/big_profile.json" > /dev/null
 dune exec --no-build tools/profile_lint.exe -- --stages "$tmpdir/big_profile.json"
 if ! grep -q '"name": "substitute"' "$tmpdir/big_profile.json"; then
   echo "big input: the analyze profile has no substitute span" >&2
   exit 1
 fi
+# the top-level certify span, whose direct children sit at 10 spaces
+sed -n '/^      "name": "certify",$/,/^    }/p' "$tmpdir/big_profile.json" \
+  > "$tmpdir/big_certify_span.json"
+for family in mod exec; do
+  if ! grep -qxF "          \"name\": \"$family\"," "$tmpdir/big_certify_span.json"; then
+    echo "big input: the analyze --certify profile has no certify > $family span" >&2
+    exit 1
+  fi
+done
 sed '1,/^  lv1 = [0-9][0-9]*$/s/^\(  lv1 = [0-9][0-9]*\)$/\11/' "$tmpdir/big.f" > "$tmpdir/big_edited.f"
 if cmp -s "$tmpdir/big.f" "$tmpdir/big_edited.f"; then
   echo "big input: the literal edit changed nothing" >&2

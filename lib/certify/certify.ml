@@ -11,6 +11,8 @@ open Ipcp_interp
 module Diagnostics = Ipcp_support.Diagnostics
 module Fault = Ipcp_support.Fault
 module Prng = Ipcp_support.Prng
+module Telemetry = Ipcp_telemetry.Telemetry
+module Worklist = Ipcp_support.Worklist
 
 type violation = {
   v_code : string;
@@ -241,9 +243,12 @@ module Make (A : Analysis_sig.S) = struct
   (* E-CERT-MOD: published summaries contain the re-derived effects.     *)
 
   (* Side effects re-derived straight from the resolved bodies: direct
-     writes, then a round-robin closure translating callee effects through
-     each call site's actuals until stable.  Deliberately a different
-     algorithm (global iteration) than the worklist in [Modref.compute]. *)
+     writes, then a worklist closure over the call sites the bodies hold
+     ({!Prog.call_sites}, not the call graph): whenever a procedure's
+     effects grow, the call sites that call it are translated again into
+     their callers.  Deliberately a different algorithm than [Modref]'s,
+     which closes one SCC of the call graph at a time, callees first.
+     Each translation is counted in [certify.mod_translations]. *)
   let rederive_effects (prog : Prog.t) :
       (string, Modref.Int_set.t * Modref.Str_set.t) Hashtbl.t =
     let eff : (string, Modref.Int_set.t ref * Modref.Str_set.t ref) Hashtbl.t =
@@ -278,35 +283,52 @@ module Make (A : Analysis_sig.S) = struct
             | _ -> ())
           p.pbody)
       prog.procs;
-    (* closure: translate callee effects through actual bindings *)
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (p : Prog.proc) ->
-          let formals, globals = Hashtbl.find eff p.pname in
-          List.iter
-            (fun (cs : Prog.call_site) ->
-              match Hashtbl.find_opt eff cs.cs_callee with
-              | None -> ()
-              | Some (cf, cgl) ->
-                let before_f = !formals and before_g = !globals in
-                globals := Modref.Str_set.union !globals !cgl;
-                List.iteri
-                  (fun pos (a : Prog.expr) ->
-                    if Modref.Int_set.mem pos !cf then
-                      match a.edesc with
-                      | Prog.Evar v | Prog.Earr (v, _) -> write p.pname v
-                      | _ -> ())
-                  cs.cs_args;
-                if
-                  not
-                    (Modref.Int_set.equal !formals before_f
-                    && Modref.Str_set.equal !globals before_g)
-                then changed := true)
-            (Prog.call_sites p))
-        prog.procs
-    done;
+    (* callee -> the call sites that call it, with their callers *)
+    let sites_calling : (string, (string * Prog.call_site) list) Hashtbl.t =
+      Hashtbl.create 16
+    in
+    List.iter
+      (fun (p : Prog.proc) ->
+        List.iter
+          (fun (cs : Prog.call_site) ->
+            let sites =
+              Option.value ~default:[]
+                (Hashtbl.find_opt sites_calling cs.cs_callee)
+            in
+            Hashtbl.replace sites_calling cs.cs_callee ((p.pname, cs) :: sites))
+          (Prog.call_sites p))
+      prog.procs;
+    (* closure: translate callee effects through actual bindings; true
+       when the caller's effects grew *)
+    let translations = ref 0 in
+    let translate caller (cs : Prog.call_site) =
+      match Hashtbl.find_opt eff cs.cs_callee with
+      | None -> false
+      | Some (cf, cgl) ->
+        incr translations;
+        let formals, globals = Hashtbl.find eff caller in
+        let before_f = !formals and before_g = !globals in
+        globals := Modref.Str_set.union !globals !cgl;
+        List.iteri
+          (fun pos (a : Prog.expr) ->
+            if Modref.Int_set.mem pos !cf then
+              match a.edesc with
+              | Prog.Evar v | Prog.Earr (v, _) -> write caller v
+              | _ -> ())
+          cs.cs_args;
+        not
+          (Modref.Int_set.equal !formals before_f
+          && Modref.Str_set.equal !globals before_g)
+    in
+    let work =
+      Worklist.of_list (List.map (fun (p : Prog.proc) -> p.pname) prog.procs)
+    in
+    Worklist.drain work (fun callee ->
+        List.iter
+          (fun (caller, cs) ->
+            if translate caller cs then Worklist.push work caller)
+          (Option.value ~default:[] (Hashtbl.find_opt sites_calling callee)));
+    Telemetry.add "certify.mod_translations" !translations;
     let out = Hashtbl.create 16 in
     Hashtbl.iter (fun name (f, g) -> Hashtbl.replace out name (!f, !g)) eff;
     out
@@ -517,6 +539,7 @@ module Make (A : Analysis_sig.S) = struct
 
   let check ?(inject_fault = true) ?(fuel = Interp.default_fuel) ?(input = [])
       (t : t) : report =
+    Telemetry.span "certify" @@ fun () ->
     let t =
       if not inject_fault then t
       else
@@ -531,18 +554,17 @@ module Make (A : Analysis_sig.S) = struct
         { v_code = code; v_proc = proc; v_loc = loc; v_msg = msg } :: !violations
     in
     let obligation () = incr obligations in
-    if t.Driver.config.Config.interprocedural then begin
-      check_edges t ~add ~obligation;
-      check_entry t ~add ~obligation;
-      check_coverage t ~add ~obligation
-    end
-    else check_intra t ~add ~obligation;
-    check_mod t ~add ~obligation;
-    let sccps =
-      List.map
-        (fun (p : Prog.proc) -> (p.pname, D.sccp_for t p.pname))
-        t.Driver.prog.procs
+    (* one span per obligation family *)
+    let family name check =
+      Telemetry.span name (fun () -> check t ~add ~obligation)
     in
+    if t.Driver.config.Config.interprocedural then begin
+      family "edges" check_edges;
+      family "entry" check_entry;
+      family "coverage" check_coverage
+    end
+    else family "intra" check_intra;
+    family "mod" check_mod;
     let entry_const (proc : Prog.proc) (v : Prog.var) : int option =
       if v.Prog.vty <> Prog.Tint || Prog.is_array v then None
       else
@@ -555,8 +577,20 @@ module Make (A : Analysis_sig.S) = struct
                (Prog.Pglob (Prog.global_key g)))
         | Prog.Klocal | Prog.Kresult -> None
     in
-    Sccp_check.check t ~entry_const ~sccps ~add ~obligation;
-    let witness = check_exec t ~sccps ~fuel ~input ~add ~obligation in
+    let sccps =
+      Telemetry.span "sccp" (fun () ->
+          let sccps =
+            List.map
+              (fun (p : Prog.proc) -> (p.pname, D.sccp_for t p.pname))
+              t.Driver.prog.procs
+          in
+          Sccp_check.check t ~entry_const ~sccps ~add ~obligation;
+          sccps)
+    in
+    let witness =
+      Telemetry.span "exec" (fun () ->
+          check_exec t ~sccps ~fuel ~input ~add ~obligation)
+    in
     { violations = List.rev !violations; obligations = !obligations; witness }
 
   let check_program ?fuel ?input ?(configs = default_configs) (prog : Prog.t) :

@@ -90,7 +90,10 @@ module Make (A : Analysis_sig.S) : sig
       [~inject_fault:false] opts out of that hook: the serve layer's
       online checks verify solutions that were (possibly) corrupted
       upstream at their own site, and must not corrupt their input a
-      second time. *)
+      second time.  Under a telemetry reporter the check is a [certify]
+      span with one child per obligation family it runs: [edges],
+      [entry] and [coverage] (or [intra] for the baseline), [mod],
+      [sccp] and [exec]. *)
   val check : ?inject_fault:bool -> ?fuel:int -> ?input:int list -> t -> report
 
   (** [corrupt ~seed t] returns a copy of [t] whose solution has exactly

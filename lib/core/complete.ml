@@ -7,10 +7,16 @@
     that a single round of dead-code elimination always sufficed; the test
     suite checks the same on ours.
 
-    Re-analysis rounds reuse the staged artifacts ({!Driver.prepare}) of
-    the previous round for every procedure DCE left untouched (and whose
-    transitive callees are untouched too) — only the procedures that
-    actually shrank get their CFG/SSA/symbolic IR rebuilt. *)
+    Each re-analysis round prepares the smaller program with
+    {!Driver.prepare_reusing}, where a procedure is unchanged when DCE
+    left its body alone.  An unchanged procedure copies its call sites
+    and direct MOD/REF effects; its IR as well when no callee's MOD
+    footprint changed; and its return and site jump functions when, in
+    addition, no callee's return jump function changed (main also needs
+    every load-time [data] value unchanged, and a member of a cycle of
+    several procedures always rebuilds its return jump function).
+    Everything else is rebuilt, and every round solves the fixpoint from
+    scratch. *)
 
 open Ipcp_frontend
 

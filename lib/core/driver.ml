@@ -210,21 +210,18 @@ let artifacts_callgraph (a : artifacts) = a.a_cg
 let expr_ceiling (a : artifacts) = a.a_facts.f_expr_ceiling
 let find_proc (a : artifacts) name = Hashtbl.find_opt a.a_facts.f_procs name
 
-(* A procedure's callers observe it only through its summary: the MOD
-   footprint (which formals and globals it may modify — the call-kill
-   sets) and its return jump function (what a call leaves behind).  Two
-   versions with equal summaries are indistinguishable to every caller's
-   IR and jump functions, which is what lets both the stage-1/2 reuse
-   below and the incremental cone computation stop walking upward at a
-   provably unchanged summary. *)
-let mod_summary_equal (ma : Modref.t) (mb : Modref.t) (name : string) : bool =
-  Modref.mod_equal (Modref.summary ma name) (Modref.summary mb name)
-
 let prepare_reusing ~prev ~unchanged prog =
   prepare_with ~reuse:(prev, unchanged) prog
 
 (* ------------------------------------------------------------------ *)
 (* Stages 1 and 2, per (use_mod × return_jfs) variant.                 *)
+
+(* A procedure's callers observe it only through its summary: the MOD
+   footprint (which formals and globals it may modify — the call-kill
+   sets) and its return jump function (what a call leaves behind).  So an
+   unchanged procedure keeps last round's IR and stage-1/2 products while
+   no callee's summary changed; the checks below read the sets of callers
+   of changed summaries instead of comparing every callee's. *)
 
 (* Under computed MOD, [name]'s call kills are stable when no callee's
    MOD footprint changed since last round; worst-case kills are the same
@@ -420,21 +417,6 @@ let stage12_for (a : artifacts) (config : Config.t) : stage12 =
     let s = build_stage12 a key in
     Hashtbl.replace a.a_stages key s;
     s
-
-let summary_stable (config : Config.t) ~(prev : artifacts) (a : artifacts)
-    (name : string) : bool =
-  (if config.use_mod then
-     mod_summary_equal (Lazy.force prev.a_modref) (Lazy.force a.a_modref)
-       name
-   else true)
-  && ((not config.return_jfs)
-     ||
-     match
-       ( Hashtbl.find_opt (stage12_for prev config).sg_ret_jfs name,
-         Hashtbl.find_opt (stage12_for a config).sg_ret_jfs name )
-     with
-     | Some ra, Some rb -> Jump_function.ret_jf_equal ra rb
-     | _ -> false)
 
 let site_jfs_for (a : artifacts) (config : Config.t) (name : string) :
     Jump_function.site_jf list =

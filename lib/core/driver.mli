@@ -94,20 +94,12 @@ val prepare : Prog.t -> artifacts
 val prepare_reusing :
   prev:artifacts -> unchanged:(string -> bool) -> Prog.t -> artifacts
 
-(** [summary_stable config ~prev a name]: the procedure's caller-visible
-    summary — its MOD footprint when MOD is enabled, its return jump
-    function when those are enabled — is provably identical in [prev]
-    and [a].  No caller's IR or jump functions can observe any
-    difference in [name] when this holds; the incremental cone
-    computation uses it to stop walking toward callers.  Forces the
-    stage-1/2 bundles of both artifact sets for [config]'s variant. *)
-val summary_stable : Config.t -> prev:artifacts -> artifacts -> string -> bool
-
 (** The forward jump functions of [name]'s call sites under [config],
     memoized per kind in the stage-1/2 bundle — the same lists {!solve}
     aggregates, exposed so the incremental cone computation can compare
-    them across versions.  Empty for an intraprocedural configuration or
-    an unknown procedure. *)
+    them across versions.  A list {!prepare_reusing} copied is physically
+    [prev]'s list, so the cone skips it with [==].  Empty for an
+    intraprocedural configuration or an unknown procedure. *)
 val site_jfs_for :
   artifacts -> Config.t -> string -> Jump_function.site_jf list
 

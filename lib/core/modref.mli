@@ -16,10 +16,6 @@ type t
 
 val summary : t -> string -> summary
 
-(** Equal MOD footprints: modified formals and globals (what a caller's
-    call kills read). *)
-val mod_equal : summary -> summary -> bool
-
 (** True when built by {!worst_case}: every query answers "modified". *)
 val is_worst_case : t -> bool
 

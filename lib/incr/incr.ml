@@ -1,46 +1,53 @@
 (** Incremental re-analysis sessions.
 
     A session holds one analyzed program version: the (grafted) resolved
-    program, its prepared artifacts, the per-procedure semantic hashes,
-    and the solved {!Ipcp_core.Driver.t}.  {!update} analyzes the next
-    version with output byte-identical to a from-scratch
-    {!Ipcp_core.Driver.analyze} of the same source.  Propagation is
-    bounded by the {e dependence cone} of the edit, and every
-    per-procedure product whose inputs are unchanged is copied: call
-    sites, direct MOD/REF effects, IR, return and site jump functions
-    ({!Ipcp_core.Driver.prepare_reusing}), semantic hashes, SCCP results
-    and substitutions (here).  What an update still does for every
-    procedure is cheap: compare it with its predecessor, and copy or
-    look up its per-procedure entries.  At 1600 and 10000 procedures an
-    update costs about a quarter of a fresh {!start} after an edit
+    program, its prepared artifacts and the solved
+    {!Ipcp_core.Driver.t}.  {!update} analyzes the next version with
+    output byte-identical to a from-scratch {!Ipcp_core.Driver.analyze}
+    of the same source.  Propagation is bounded by the {e dependence
+    cone} of the edit, and every per-procedure product whose inputs are
+    unchanged is copied: call sites, direct MOD/REF effects, IR, return
+    and site jump functions ({!Ipcp_core.Driver.prepare_reusing}), SCCP
+    results and substitutions (here).  What an update still does for
+    every procedure is cheap: compare it with its predecessor, and copy
+    or look up its per-procedure entries.  At 1600 and 10000 procedures
+    an update costs about a quarter of a fresh {!start} after an edit
     outside main, and a third after one in main, which calls half the
     program (DESIGN.md §10 has the split).  The steps:
 
     {ol
-    {- {b Grafting.}  A procedure structurally equal to its predecessor
-       ({!Ipcp_frontend.Prog.equal_proc}: every field but ids and
-       locations, display names included) keeps the previous version's
-       physical [Prog.proc] value in the analyzed program, and its
-       semantic hash (only the others are hashed).  [Sema] assigns
-       expression/statement ids program-wide, so an edit in one
-       procedure renumbers every later one; grafting keeps the ids of
-       unchanged procedures stable, which is what lets
+    {- {b Identity and grafting.}  A procedure structurally equal to its
+       predecessor ({!Ipcp_frontend.Prog.equal_proc}: every field but ids
+       and locations, display names included) keeps the previous
+       version's physical [Prog.proc] value in the analyzed program.
+       This is the only procedure identity: a procedure of both versions
+       that is not grafted is {e changed}, an α-renamed one included.
+       [Sema] assigns expression/statement ids program-wide, so an edit
+       in one procedure renumbers every later one; grafting keeps the ids
+       of unchanged procedures stable, which is what lets
        {!Ipcp_core.Driver.prepare_reusing} hand their call sites, IR and
        stage-1/2 products straight to the new round (every id is only
        ever used within its own procedure — SCCP tables, DCE,
        substitution and cloning are all per-procedure).}
-    {- {b Cone computation.}  Two closures over the semantic diff.
-       First the {e summary-dirty} set: changed/added/removed
-       procedures closed under callers in both graphs — a callee's MOD
-       set and return jump-function behaviour fold into its caller's
-       summaries, so summary changes travel {e up} the graph.  Then the
-       dirty cone: the callees (old and new graphs) of every
-       summary-dirty procedure — each gains, loses or changes a meet
-       contribution — plus changed/added procedures themselves and the
-       main program when the load-time [data] map changed (main's
-       initial global values scan every unit's [data] statements),
-       closed under new-graph callees: a dirty procedure's VAL map
-       feeds its callees' jump-function evaluations.}
+    {- {b Cone computation.}  A callee learns about its callers only
+       through the jump function at each call site (paper §2), so an
+       edit can move the fixpoint only below a call site whose jump
+       function changed.  Each procedure of either version is visited
+       once.  A site list that [prepare_reusing] copied is physically
+       the previous version's ({!Ipcp_core.Driver.site_jfs_for}), and is
+       skipped: the copy rule already proved it equal.  The others are
+       compared with the previous list pairwise (positionally: grafted
+       callers keep their site ids, reparsed ones are renumbered, so ids
+       don't travel across versions), and the callees of the sites that
+       differ are seeds; a procedure present in one version only, or
+       whose site count changed, seeds every callee of its sites.
+       Procedures whose VAL domain redraws seed themselves: an added
+       procedure has no previous fixpoint, an arity change redraws the
+       map's keys, and main restarts when the load-time [data] map
+       changed (main's initial global values read every unit's [data]
+       statements).  The seeds close under new-graph callees: a dirty
+       procedure's VAL map feeds its callees' jump-function
+       evaluations.}
     {- {b Seeded solving.}  Everything outside the cone keeps the
        previous fixpoint map; the cone restarts from its optimistic
        initial values and {!Ipcp_core.Solver.run_seeded} drains only the
@@ -62,10 +69,11 @@
     global-key set (every VAL map's domain changes), and a renamed main
     program.
 
-    [incr.update] has a span per phase: [incr.hash] (identity and the
-    changed procedures' semantic hashes), [incr.graft], [prepare],
-    [incr.diff], [incr.cone] (which forces MOD/REF and the stage-1/2
-    bundle) and [solve]. *)
+    [incr.update] has a span per phase: [incr.identity] (the structural
+    comparison), [incr.graft], [prepare], [incr.cone] (which forces
+    MOD/REF and the stage-1/2 bundle) and [solve];
+    [incr.site_lists_compared] counts the site lists the cone compares
+    pairwise. *)
 
 open Ipcp_frontend
 open Ipcp_analysis
@@ -74,7 +82,7 @@ module Telemetry = Ipcp_telemetry.Telemetry
 
 type stats = {
   total_procs : int;
-  changed_procs : int;  (** semantic-hash changes (procs present in both) *)
+  changed_procs : int;  (** present in both versions, not grafted *)
   grafted_procs : int;
       (** structurally equal to their predecessor, physically reused *)
   cone_size : int;  (** dirty procedures re-solved *)
@@ -98,7 +106,6 @@ module Make (A : Analysis_sig.S) = struct
     s_config : Config.t;
     s_prog : Prog.t;  (** the grafted program this version was analyzed as *)
     s_artifacts : Driver.artifacts;
-    s_sem : (string, string) Hashtbl.t;
     s_result : A.L.t Driver.analysis_result;
   }
 
@@ -113,13 +120,7 @@ module Make (A : Analysis_sig.S) = struct
   let start (config : Config.t) (prog : Prog.t) : session =
     let artifacts = Driver.prepare prog in
     let t = solved (D.solve config artifacts) in
-    {
-      s_config = config;
-      s_prog = prog;
-      s_artifacts = artifacts;
-      s_sem = Hashing.table prog;
-      s_result = t;
-    }
+    { s_config = config; s_prog = prog; s_artifacts = artifacts; s_result = t }
 
   (* The load-time initialization map of the globals: main's entry values
      depend on every unit's [data] statements, so a change here dirties
@@ -231,34 +232,36 @@ module Make (A : Analysis_sig.S) = struct
       prev.sccps;
     !copied
 
+  (* Two versions' jump functions at one call site position agree. *)
+  let site_jf_equal (x : Jump_function.site_jf) (y : Jump_function.site_jf) =
+    x.Jump_function.sf_callee = y.Jump_function.sf_callee
+    && Array.length x.sf_formals = Array.length y.sf_formals
+    && Array.for_all2 Symbolic.equal x.sf_formals y.sf_formals
+    && List.equal
+         (fun (k1, s1) (k2, s2) -> k1 = k2 && Symbolic.equal s1 s2)
+         x.sf_globals y.sf_globals
+
   let update ~(prev : session) (prog_new : Prog.t) : session * stats =
     Telemetry.span "incr.update" @@ fun () ->
     let config = prev.s_config in
     let prev_proc = Driver.find_proc prev.s_artifacts in
     (* identity: a procedure structurally equal to its predecessor is
-       grafted — the predecessor's physical value, and its semantic hash,
-       carry over; only the others are hashed *)
+       grafted, the predecessor's physical value kept *)
     let grafted : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-    let picked, sem_new =
-      Telemetry.span "incr.hash" (fun () ->
-          let sem_new = Hashtbl.create 64 and hashed = ref 0 in
-          let picked =
-            List.map
-              (fun (p : Prog.proc) ->
-                match prev_proc p.pname with
-                | Some old_p when Prog.equal_proc old_p p ->
-                  Hashtbl.replace grafted p.pname ();
-                  Hashtbl.replace sem_new p.pname
-                    (Hashtbl.find prev.s_sem p.pname);
-                  `Grafted old_p
-                | Some _ | None ->
-                  incr hashed;
-                  Hashtbl.replace sem_new p.pname (Hashing.semantic p);
-                  `Fresh p)
-              prog_new.procs
-          in
-          Telemetry.add "incr.semantic_hashes" !hashed;
-          (picked, sem_new))
+    let changed = ref 0 in
+    let picked =
+      Telemetry.span "incr.identity" (fun () ->
+          List.map
+            (fun (p : Prog.proc) ->
+              match prev_proc p.pname with
+              | Some old_p when Prog.equal_proc old_p p ->
+                Hashtbl.replace grafted p.pname ();
+                `Grafted old_p
+              | Some _ ->
+                incr changed;
+                `Fresh p
+              | None -> `Fresh p)
+            prog_new.procs)
     in
     let unchanged name = Hashtbl.mem grafted name in
     let prog' =
@@ -288,83 +291,33 @@ module Make (A : Analysis_sig.S) = struct
       else Driver.prepare_reusing ~prev:prev.s_artifacts ~unchanged prog'
     in
     let new_proc = Driver.find_proc artifacts in
-    let cg_new = Driver.artifacts_callgraph artifacts in
-    let cg_old = Driver.artifacts_callgraph prev.s_artifacts in
-    let d =
-      Telemetry.span "incr.diff" (fun () ->
-          Diff.compute_with ~old_sem:prev.s_sem ~new_sem:sem_new)
-    in
     let dirty : (string, unit) Hashtbl.t = Hashtbl.create 16 in
     if not full then begin
       Telemetry.span "incr.cone" @@ fun () ->
-      (* Stage 1 — transfer-dirty: procedures whose call-site jump
-         functions may differ from the previous version.  A procedure's
-         transfer depends on its own body and, through the call-kill sets
-         and the return oracle, on its callees' summaries (MOD footprint +
-         return jump function); nothing else.  Walk from the
-         changed/added/removed procedures toward callers, but stop at any
-         procedure whose own summary is provably equal in both versions —
-         its callers cannot observe the edit at all. *)
-      let transfer_dirty : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-      let rec mark_transfer name =
-        if not (Hashtbl.mem transfer_dirty name) then begin
-          Hashtbl.add transfer_dirty name ();
-          let stable =
-            prev_proc name <> None
-            && new_proc name <> None
-            && Driver.summary_stable config ~prev:prev.s_artifacts artifacts
-                 name
-          in
-          if not stable then begin
-            List.iter
-              (fun (e : Callgraph.edge) -> mark_transfer e.e_caller)
-              (Callgraph.callers_of cg_new name);
-            List.iter
-              (fun (e : Callgraph.edge) -> mark_transfer e.e_caller)
-              (Callgraph.callers_of cg_old name)
-          end
-        end
-      in
-      List.iter mark_transfer d.changed_procs;
-      List.iter mark_transfer d.added_procs;
-      List.iter mark_transfer d.removed_procs;
-      (* Stage 2 — the dirty cone: procedures whose entry VAL map may
-         differ.  A dirty procedure's VAL feeds every jump function at its
+      let cg = Driver.artifacts_callgraph artifacts in
+      (* A dirty procedure's VAL map feeds every jump function at its
          sites, so the cone closes under new-graph callees. *)
       let rec mark name =
-        if new_proc name <> None && not (Hashtbl.mem dirty name)
-        then begin
+        if new_proc name <> None && not (Hashtbl.mem dirty name) then begin
           Hashtbl.add dirty name ();
           List.iter
             (fun (e : Callgraph.edge) -> mark e.e_callee)
-            (Callgraph.callees_of cg_new name)
+            (Callgraph.callees_of cg name)
         end
       in
-      (* Seeds.  A transfer-dirty procedure contributes only the callees
-         whose incoming jump function actually changed: its old and new
-         site lists (each version's memoized ones) are compared pairwise
-         (positionally — grafted callers keep their site ids, reparsed
-         ones are renumbered, so ids don't travel across versions).  A
-         procedure present in one version only dirties all its sites in
-         that version.  Procedures whose VAL domain redraws restart
-         themselves: an added procedure has no previous fixpoint, an
-         arity change redraws the map's keys, and main restarts when the
-         load-time [data] map changed. *)
-      let site_jf_equal (x : Jump_function.site_jf)
-          (y : Jump_function.site_jf) =
-        x.Jump_function.sf_callee = y.Jump_function.sf_callee
-        && Array.length x.sf_formals = Array.length y.sf_formals
-        && Array.for_all2 Symbolic.equal x.sf_formals y.sf_formals
-        && List.equal
-             (fun (k1, s1) (k2, s2) -> k1 = k2 && Symbolic.equal s1 s2)
-             x.sf_globals y.sf_globals
+      let mark_all =
+        List.iter (fun (sf : Jump_function.site_jf) -> mark sf.sf_callee)
       in
-      Hashtbl.iter
-        (fun name () ->
-          let olds = Driver.site_jfs_for prev.s_artifacts config name
-          and news = Driver.site_jfs_for artifacts config name in
-          match (prev_proc name, new_proc name) with
-          | Some _, Some _ when List.length olds = List.length news ->
+      (* Seeds: the callees of every call site whose jump function
+         differs (see the header).  A copied list is the previous one,
+         and a procedure of one version has no sites in the other. *)
+      let compared = ref 0 in
+      let seed_sites name =
+        let olds = Driver.site_jfs_for prev.s_artifacts config name
+        and news = Driver.site_jfs_for artifacts config name in
+        if olds != news then begin
+          incr compared;
+          if List.compare_lengths olds news = 0 then
             List.iter2
               (fun (o : Jump_function.site_jf) (n : Jump_function.site_jf) ->
                 if not (site_jf_equal o n) then begin
@@ -372,26 +325,28 @@ module Make (A : Analysis_sig.S) = struct
                   mark n.sf_callee
                 end)
               olds news
-          | _ ->
-            (* present in one version only, or the call sites themselves
-               were redrawn: every site in either version is dirty *)
-            List.iter
-              (fun (sf : Jump_function.site_jf) -> mark sf.sf_callee)
-              olds;
-            List.iter
-              (fun (sf : Jump_function.site_jf) -> mark sf.sf_callee)
-              news)
-        transfer_dirty;
-      List.iter mark d.added_procs;
+          else begin
+            mark_all olds;
+            mark_all news
+          end
+        end
+      in
       List.iter
-        (fun name ->
-          match (prev_proc name, new_proc name) with
-          | Some op, Some np
-            when List.length op.Prog.pformals <> List.length np.Prog.pformals
-            ->
-            mark name
-          | _ -> ())
-        d.changed_procs;
+        (fun (p : Prog.proc) ->
+          (* an added procedure has no previous VAL map, and an arity
+             change redraws its keys *)
+          (match prev_proc p.pname with
+          | Some old_p
+            when List.compare_lengths old_p.pformals p.pformals = 0 ->
+            ()
+          | Some _ | None -> mark p.pname);
+          seed_sites p.pname)
+        prog'.procs;
+      List.iter
+        (fun (p : Prog.proc) ->
+          if new_proc p.pname = None then seed_sites p.pname)
+        prev.s_prog.procs;
+      Telemetry.add "incr.site_lists_compared" !compared;
       if data_map prev.s_prog <> data_map prog_new then mark prog'.main
     end;
     let t =
@@ -409,7 +364,7 @@ module Make (A : Analysis_sig.S) = struct
     let stats =
       {
         total_procs = total;
-        changed_procs = List.length d.changed_procs;
+        changed_procs = !changed;
         grafted_procs = Hashtbl.length grafted;
         cone_size = cone;
         procs_reused = total - cone;
@@ -428,7 +383,6 @@ module Make (A : Analysis_sig.S) = struct
         s_config = config;
         s_prog = prog';
         s_artifacts = artifacts;
-        s_sem = sem_new;
         s_result = t;
       },
       stats )

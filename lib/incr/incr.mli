@@ -7,11 +7,12 @@
     A procedure structurally equal to its predecessor is grafted (the
     previous physical value is kept), and its call sites, direct MOD/REF
     effects, IR, return and site jump functions are copied via
-    {!Ipcp_core.Driver.prepare_reusing}; its semantic hash, SCCP result
-    and substitution are copied from the previous version; MOD/REF is
-    closed again only upward from what changed; the solution is reused
-    via {!Ipcp_core.Solver.run_seeded} over the dirty cone computed from
-    the semantic diff ({!Diff}).  What still visits every procedure is a
+    {!Ipcp_core.Driver.prepare_reusing}; its SCCP result and
+    substitution are copied from the previous version; MOD/REF is closed
+    again only upward from what changed.  The solution is reused via
+    {!Ipcp_core.Solver.run_seeded}: only the cone below the call sites
+    whose jump functions changed is solved again, and a copied site list
+    needs no comparison.  What still visits every procedure is a
     comparison with its predecessor and a copy of its entries.  See the
     implementation header and DESIGN.md §10 for the copy and closure
     rules, the fallbacks and the measured cost split. *)
@@ -21,7 +22,12 @@ open Ipcp_core
 
 type stats = {
   total_procs : int;
-  changed_procs : int;  (** semantic-hash changes (procs present in both) *)
+  changed_procs : int;
+      (** present in both versions and not grafted: a structural
+          change.  An update to an α-renamed version therefore reports
+          every renamed procedure as changed, with an empty cone: jump
+          functions name formals by position and globals by storage
+          key, so none of them differs. *)
   grafted_procs : int;
       (** structurally equal to their predecessor
           ({!Ipcp_frontend.Prog.equal_proc}), physically reused *)

@@ -126,6 +126,56 @@ let test_exec_sccp_once () =
     (Option.value ~default:0
        (Ipcp_telemetry.Telemetry.counter coll "sccp.runs"))
 
+(* A [depth]-deep call chain whose leaf writes its formal and a global:
+   every level's MOD grows once.  Listed callers first, a sweep over the
+   procedure list until nothing changes takes one sweep per level. *)
+let mod_chain_src ~callers_first depth =
+  let unit i =
+    if i = 0 then "program main\ninteger g\ncommon /c/ g\ncall p1(g)\nend\n"
+    else if i < depth then
+      Printf.sprintf "subroutine p%d(k)\ninteger k\ncall p%d(k)\nend\n" i
+        (i + 1)
+    else
+      Printf.sprintf
+        "subroutine p%d(k)\ninteger k\ninteger g\ncommon /c/ g\nk = k + \
+         1\ng = 2\nend\n"
+        i
+  in
+  let units = List.init (depth + 1) unit in
+  String.concat "" (if callers_first then units else List.rev units)
+
+(* MOD's re-derivation translates each call site a bounded number of
+   times, whatever the depth and the order of the chain. *)
+let test_mod_closure_linear () =
+  List.iter
+    (fun callers_first ->
+      let order = if callers_first then "callers first" else "callees first" in
+      let per_site depth =
+        let prog =
+          Ipcp_frontend.Sema.parse_and_resolve
+            (mod_chain_src ~callers_first depth)
+        in
+        let coll = Ipcp_telemetry.Telemetry.create () in
+        let r =
+          Ipcp_telemetry.Telemetry.with_reporter coll (fun () ->
+              Certify.check (Driver.analyze Config.default prog))
+        in
+        check Alcotest.bool
+          (Fmt.str "%s, depth %d: %a" order depth Certify.pp_report r)
+          true (Certify.ok r);
+        let translations =
+          Option.value ~default:0
+            (Ipcp_telemetry.Telemetry.counter coll "certify.mod_translations")
+        in
+        float_of_int translations /. float_of_int depth
+      in
+      let shallow = per_site 1250 and deep = per_site 2500 in
+      if shallow <= 0.0 || deep > 1.5 *. shallow then
+        Alcotest.failf
+          "%s: %.2f MOD translations per call site at depth 1250, %.2f at 2500"
+          order shallow deep)
+    [ true; false ]
+
 (* ---- corruption is detected ---- *)
 
 let test_corrupt_detected () =
@@ -330,6 +380,7 @@ let suite =
     ("copy: corruption detected", `Quick, test_copy_corrupt_detected);
     ("execution witnessed on suite", `Quick, test_exec_witnessed);
     ("certify runs SCCP once per procedure", `Quick, test_exec_sccp_once);
+    ("MOD closure is linear on a call chain", `Quick, test_mod_closure_linear);
     ("corruption detected on every program", `Quick, test_corrupt_detected);
     ("corruption detected under many seeds", `Quick, test_corrupt_detected_every_seed);
     ("Fault hook corrupts and is caught", `Quick, test_fault_hook_corrupts);

@@ -1,13 +1,13 @@
 (* Tests for the incremental re-analysis subsystem: structural procedure
-   identity, semantic hashing, procedure diffing, and the session
-   solver's byte-identity with from-scratch analysis.
+   identity and the session solver's byte-identity with from-scratch
+   analysis.
 
-   The identity/hashing/diff properties mirror the contracts stated in
-   their interfaces: structural identity ignores the artifacts of a
-   parse (stable across reparses), semantic hashes are additionally
-   α/ordering-insensitive exactly where Metamorph certifies the
-   transformation as meaning-preserving, diff is reflexively empty and
-   symmetric up to add/remove inversion.  The session tests drive
+   Structural identity ignores the artifacts of a parse (ids and
+   locations, which an edit elsewhere shifts) and nothing else, so a
+   unit reorder keeps every procedure's identity and an α-rename does
+   not; an update to a renamed version still has an empty cone, since
+   jump functions name formals by position and globals by storage key.
+   The session tests drive
    [Incr.update] over a handwritten edit sequence under all four
    jump-function kinds and require the served output to be
    byte-identical to a from-scratch [Jobs.analyze] of the same
@@ -16,8 +16,6 @@
 open Ipcp_frontend
 open Ipcp_core
 open Ipcp_serve
-module Hashing = Ipcp_incr.Hashing
-module Diff = Ipcp_incr.Diff
 module Incr = Ipcp_incr.Incr
 module Metamorph = Ipcp_certify.Metamorph
 module Telemetry = Ipcp_telemetry.Telemetry
@@ -46,19 +44,7 @@ let base_src =
    print *, y\n\
    end\n"
 
-
-let assert_tables_equal label (a : (string, string) Hashtbl.t)
-    (b : (string, string) Hashtbl.t) =
-  check Alcotest.int (label ^ ": same procedure set") (Hashtbl.length a)
-    (Hashtbl.length b);
-  Hashtbl.iter
-    (fun name h ->
-      match Hashtbl.find_opt b name with
-      | Some h' -> check Alcotest.string (label ^ ": " ^ name) h h'
-      | None -> fail (label ^ ": " ^ name ^ " missing from second table"))
-    a
-
-(* ---- identity and hashing ---- *)
+(* ---- identity ---- *)
 
 (* Every procedure of [a] is structurally equal to the one of the same
    name in [b]. *)
@@ -74,7 +60,7 @@ let assert_procs_equal label (a : Prog.t) (b : Prog.t) =
     a.procs
 
 (* A unit prepended to the source shifts every later id and location:
-   identity and the semantic hash must ignore both. *)
+   identity must ignore both. *)
 let test_identity_stable_across_reparse () =
   let prog = resolve base_src in
   let shifted = resolve ("subroutine zz\nprint *, 1\nend\n" ^ base_src) in
@@ -84,11 +70,9 @@ let test_identity_stable_across_reparse () =
       procs = List.filter (fun (p : Prog.proc) -> p.pname <> "zz") shifted.procs;
     }
   in
-  assert_procs_equal "shifted reparse" prog shifted;
-  assert_tables_equal "shifted reparse, semantic" (Hashing.table prog)
-    (Hashing.table shifted)
+  assert_procs_equal "shifted reparse" prog shifted
 
-let test_semantic_excludes_name () =
+let test_identity_covers_name () =
   let prog =
     resolve
       "program main\n\
@@ -99,37 +83,19 @@ let test_semantic_excludes_name () =
        subroutine q(x)\ninteger x\nprint *, x\nend\n"
   in
   let p = Prog.find_proc_exn prog "p" and q = Prog.find_proc_exn prog "q" in
-  check Alcotest.string "same body, same semantic hash" (Hashing.semantic p)
-    (Hashing.semantic q);
-  check Alcotest.bool "identity covers the name" false (Prog.equal_proc p q)
+  check Alcotest.bool "same body, other name" false (Prog.equal_proc p q)
 
 let transformed label transform src =
   match Sema.check ~file:label (transform src) with
   | Error _ -> fail (label ^ " does not resolve")
   | Ok prog -> prog
 
-let test_rename_preserves_semantic_hashes () =
-  let prog = resolve base_src in
-  let prog_r =
-    transformed "renamed" (Metamorph.rename_variables ~seed:11) base_src
-  in
-  assert_tables_equal "rename" (Hashing.table prog) (Hashing.table prog_r)
-
-let test_reorder_preserves_both_hashes () =
+let test_reorder_preserves_identity () =
   let prog = resolve base_src in
   let prog_r =
     transformed "reordered" (Metamorph.reorder_procs ~seed:11) base_src
   in
-  assert_procs_equal "reorder, identity" prog prog_r;
-  assert_tables_equal "reorder, semantic" (Hashing.table prog)
-    (Hashing.table prog_r)
-
-(* ---- diffing ---- *)
-
-let test_diff_reflexive_empty () =
-  let prog = resolve base_src in
-  check Alcotest.bool "diff (p, p) is empty" true
-    (Diff.is_empty (Diff.compute prog prog))
+  assert_procs_equal "reorder" prog prog_r
 
 let v2_src =
   (* b changed (prints a sum), c added and called from a, main unchanged *)
@@ -156,31 +122,6 @@ let v2_src =
    integer z\n\
    print *, z\n\
    end\n"
-
-let test_diff_symmetry () =
-  let p1 = resolve base_src and p2 = resolve v2_src in
-  let d12 = Diff.compute p1 p2 and d21 = Diff.compute p2 p1 in
-  check Alcotest.(list string) "added mirrors removed" d12.added_procs
-    d21.removed_procs;
-  check Alcotest.(list string) "removed mirrors added" d12.removed_procs
-    d21.added_procs;
-  check Alcotest.(list string) "changed is direction-free" d12.changed_procs
-    d21.changed_procs;
-  check Alcotest.(list string) "expected added" [ "c" ] d12.added_procs;
-  check Alcotest.(list string) "expected changed" [ "a"; "b" ]
-    d12.changed_procs
-
-let test_metamorph_diffs_empty () =
-  let prog = resolve base_src in
-  List.iter
-    (fun (label, transform) ->
-      let prog_t = transformed label transform base_src in
-      check Alcotest.bool (label ^ " diff is empty") true
-        (Diff.is_empty (Diff.compute prog prog_t)))
-    [
-      ("rename", Metamorph.rename_variables ~seed:23);
-      ("reorder", Metamorph.reorder_procs ~seed:23);
-    ]
 
 (* ---- session byte-identity ---- *)
 
@@ -256,9 +197,9 @@ let test_identical_version_empty_cone () =
   check Alcotest.bool "not a full resolve" false stats.Incr.full_resolve
 
 let test_invisible_edit_empty_cone () =
-  (* a new dead local in a leaf procedure changes its semantic hash but
+  (* a new dead local in a leaf procedure changes the procedure but
      neither its summary nor any jump function: the cone must be empty
-     even though the diff is not *)
+     even though the procedure is not grafted *)
   let with_dead_local =
     replace_line ~from:"integer y" ~to_:"integer y\ninteger t\nt = 5"
       base_src
@@ -539,22 +480,69 @@ let test_fallback_copies_nothing () =
       "modref.effects_copied";
     ]
 
+(* An α-renamed version changes every procedure it renames, and a
+   reordered one (with the original names) changes them back; neither
+   changes a jump function, so both updates have an empty cone. *)
+let test_metamorphic_versions_empty_cone () =
+  List.iter
+    (fun kind ->
+      let config = Config.make ~kind () in
+      let kname = Jump_function.kind_name kind in
+      List.iter
+        (fun src ->
+          let versions =
+            [
+              ( "renamed",
+                transformed "renamed" (Metamorph.rename_variables ~seed:23)
+                  src );
+              ( "reordered",
+                transformed "reordered" (Metamorph.reorder_procs ~seed:23) src
+              );
+            ]
+          in
+          let sess = ref (Incr.start config (resolve src)) in
+          List.iter
+            (fun (label, prog) ->
+              let s', stats = Incr.update ~prev:!sess prog in
+              sess := s';
+              let what =
+                Fmt.str "%s, %d procedures, %s" kname
+                  (List.length prog.Prog.procs)
+                  label
+              in
+              check Alcotest.bool (what ^ ": some procedure changed") true
+                (stats.Incr.changed_procs > 0);
+              check Alcotest.int (what ^ ": empty cone") 0 stats.Incr.cone_size;
+              check Alcotest.bool (what ^ ": byte-identical to scratch") true
+                (Jobs.analyze ~solved:(Incr.result s') ~config ~jobs:1 prog
+                = Jobs.analyze ~config ~jobs:1 prog))
+            versions)
+        [ base_src; generated_src ])
+    Jump_function.all_kinds
+
+(* The procedures an update counts as changed are the ones of both
+   versions it does not graft, whichever way the edit goes. *)
+let test_changed_procs_both_ways () =
+  let counts before after =
+    let _, stats =
+      Incr.update
+        ~prev:(Incr.start Config.default (resolve before))
+        (resolve after)
+    in
+    (stats.Incr.changed_procs, stats.Incr.grafted_procs)
+  in
+  (* a and b change, c is added or removed, main is grafted *)
+  check Alcotest.(pair int int) "base -> v2" (2, 1) (counts base_src v2_src);
+  check Alcotest.(pair int int) "v2 -> base" (2, 1) (counts v2_src base_src)
+
 let suite =
   [
     Alcotest.test_case "identity ignores ids and locations" `Quick
       test_identity_stable_across_reparse;
-    Alcotest.test_case "semantic hash excludes the procedure name" `Quick
-      test_semantic_excludes_name;
-    Alcotest.test_case "rename preserves semantic hashes" `Quick
-      test_rename_preserves_semantic_hashes;
-    Alcotest.test_case "reorder preserves per-procedure hashes" `Quick
-      test_reorder_preserves_both_hashes;
-    Alcotest.test_case "diff of a program with itself is empty" `Quick
-      test_diff_reflexive_empty;
-    Alcotest.test_case "diff is symmetric up to add/remove inversion" `Quick
-      test_diff_symmetry;
-    Alcotest.test_case "metamorphic transforms diff as empty" `Quick
-      test_metamorph_diffs_empty;
+    Alcotest.test_case "identity covers the procedure name" `Quick
+      test_identity_covers_name;
+    Alcotest.test_case "reorder preserves procedure identity" `Quick
+      test_reorder_preserves_identity;
     Alcotest.test_case "update is byte-identical to scratch (all kinds)"
       `Quick test_update_matches_scratch;
     Alcotest.test_case "identical version has an empty cone" `Quick
@@ -577,4 +565,8 @@ let suite =
       test_fallback_copies_nothing;
     Alcotest.test_case "reused artifacts do not pin earlier rounds" `Quick
       test_artifacts_do_not_pin_history;
+    Alcotest.test_case "renamed and reordered versions have an empty cone"
+      `Quick test_metamorphic_versions_empty_cone;
+    Alcotest.test_case "an edit and its undo change the same procedures"
+      `Quick test_changed_procs_both_ways;
   ]

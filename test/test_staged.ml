@@ -231,7 +231,7 @@ let update_counters procs =
       ("modref.effects_computed", 1);
       ("modref.effects_copied", procs);
       ("modref.sccs_closed", 1);
-      ("incr.semantic_hashes", 1);
+      ("incr.site_lists_compared", 1);
       ("callgraph.sccs_computed", 0);
     ];
   counter "prog.walks"

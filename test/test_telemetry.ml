@@ -380,6 +380,47 @@ let test_pipeline_emits_stages () =
     (Ipcp_core.Driver.constants_count plain)
     (Ipcp_core.Driver.constants_count driver)
 
+(* [analyze --certify] reports one [certify] span with a child per
+   obligation family it checked; the baseline has no edges to check. *)
+let test_certify_spans () =
+  let _, source, _ = List.hd (Test_certify.suite_programs ()) in
+  let path = Test_certify.write_temp source in
+  let children flags =
+    let json = Filename.temp_file "ipcp_certify" ".json" in
+    let code, _ =
+      Test_certify.run_cli
+        ([ "analyze"; "--certify"; "--profile-json"; json ] @ flags @ [ path ])
+    in
+    check Alcotest.int "analyze --certify exits 0" 0 code;
+    let doc = In_channel.with_open_bin json In_channel.input_all in
+    Sys.remove json;
+    let name j = Option.bind (Json.member "name" j) Json.to_string_opt in
+    match Json.of_string doc with
+    | Error e -> Alcotest.fail e
+    | Ok doc -> (
+      let spans =
+        Option.bind (Json.member "spans" doc) Json.to_list_opt
+        |> Option.value ~default:[]
+      in
+      match List.filter (fun s -> name s = Some "certify") spans with
+      | [ certify ] ->
+        Option.bind (Json.member "children" certify) Json.to_list_opt
+        |> Option.value ~default:[]
+        |> List.filter_map name
+      | _ -> Alcotest.fail "expected one top-level certify span")
+  in
+  check
+    (Alcotest.list Alcotest.string)
+    "interprocedural families"
+    [ "edges"; "entry"; "coverage"; "mod"; "sccp"; "exec" ]
+    (children []);
+  check
+    (Alcotest.list Alcotest.string)
+    "--intra-only families"
+    [ "intra"; "mod"; "sccp"; "exec" ]
+    (children [ "--intra-only" ]);
+  Sys.remove path
+
 let suite =
   [
     ("telemetry disabled is a no-op", `Quick, test_disabled_is_noop);
@@ -401,4 +442,6 @@ let suite =
     ("telemetry profile export round-trip", `Quick, test_profile_export_roundtrip);
     ("telemetry append mode", `Quick, test_append_json_mode);
     ("telemetry pipeline emits stages", `Quick, test_pipeline_emits_stages);
+    ("telemetry certify spans per obligation family", `Quick,
+     test_certify_spans);
   ]

@@ -2047,13 +2047,14 @@ let first_declarer_edits prng src : string list =
 (* Each iteration draws a workload spec, derives a randomized edit
    sequence from it (constant tweaks, call duplication/deletion,
    procedure addition/removal, then {!data_edits}, {!global_write_edits},
-   {!cycle_edits} and {!first_declarer_edits}), and replays the
-   sequence through an {!Incr} session under all four jump-function
-   kinds.  After every update the incremental rendering must be
-   byte-identical to a from-scratch analyze of the same source, the
-   result must pass the independent certifier (whose SCCP check vets
-   every SCCP result the update copied), and an identical-version
-   update must report an empty cone. *)
+   {!cycle_edits} and {!first_declarer_edits}, then the last program
+   α-renamed and reordered by {!Metamorph}), and replays the sequence
+   through an {!Incr} session under all four jump-function kinds.  After
+   every update the incremental rendering must be byte-identical to a
+   from-scratch analyze of the same source, and the result must pass the
+   independent certifier (whose SCCP check vets every SCCP result the
+   update copied).  The renamed and reordered versions, and an identical
+   version, must report an empty cone. *)
 let run_delta () =
   let failures = ref 0 in
   let checks = ref 0 in
@@ -2083,6 +2084,17 @@ let run_delta () =
         (Workload.edits spec ~seed:iter_seed ~n:4)
         [ data_edits; global_write_edits; cycle_edits; first_declarer_edits ]
     in
+    (* the last program α-renamed, then reordered under its own names:
+       both updates change procedures but no jump function *)
+    let versions =
+      let last = List.nth versions (List.length versions - 1) in
+      versions
+      @ [
+          Metamorph.rename_variables ~seed:iter_seed last;
+          Metamorph.reorder_procs ~seed:iter_seed last;
+        ]
+    in
+    let metamorphic vi = vi >= List.length versions - 2 in
     let progs =
       List.mapi
         (fun i src ->
@@ -2126,6 +2138,9 @@ let run_delta () =
                 if !verbose then
                   Fmt.pr "iteration %d %s v%d: %a@." iter kname (i + 1)
                     Incr.pp_stats stats;
+                if metamorphic (i + 1) && stats.Incr.cone_size <> 0 then
+                  err "%s: renamed or reordered version %d has a cone (%a)"
+                    kname (i + 1) Incr.pp_stats stats;
                 check_version ~vi:(i + 1) !sess prog)
               rest;
             (* an identical version must have an empty cone *)
