@@ -242,7 +242,7 @@ let tables_regen_comparison () =
         (* Table 3: the three non-iterated columns plus complete *)
         cnt ~use_mod:false Jump_function.Polynomial;
         cnt Jump_function.Polynomial;
-        ignore (Complete.run prog);
+        ignore (Ipcp_incr.Complete.run prog);
         cnt ~return_jfs:false ~interprocedural:false Jump_function.Passthrough)
       Registry.entries
   in

@@ -249,7 +249,7 @@ let analyze_cmd =
             let code =
               emit
                 (Jobs.analyze ~verbose ~complete ~certify ?substitute_out
-                   ~solved:(Incr.result sess) ~config ~jobs prog)
+                   ~session:sess ~config ~jobs prog)
             in
             Fmt.epr "--- incremental: %a@." Incr.pp_stats stats;
             code
@@ -261,7 +261,7 @@ let analyze_cmd =
             let code =
               emit
                 (Jobs.Copy.analyze ~verbose ~complete ~certify ?substitute_out
-                   ~solved:(Incr.result sess) ~config ~jobs prog)
+                   ~session:sess ~config ~jobs prog)
             in
             Fmt.epr "--- incremental: %a@." Ipcp_incr.Incr.pp_stats stats;
             code)))

@@ -123,6 +123,13 @@ for family in mod exec; do
     exit 1
   fi
 done
+# The certifier reads the SCCP results substitution computed: SCCP runs
+# once per procedure (1601 of them), not twice.
+n=$(sed -n 's/.*"sccp.runs": \([0-9]*\).*/\1/p' "$tmpdir/big_profile.json")
+if [ "${n:-0}" -ne 1601 ]; then
+  echo "big input: analyze --certify counted ${n:-0} sccp.runs, not 1601" >&2
+  exit 1
+fi
 sed '1,/^  lv1 = [0-9][0-9]*$/s/^\(  lv1 = [0-9][0-9]*\)$/\11/' "$tmpdir/big.f" > "$tmpdir/big_edited.f"
 if cmp -s "$tmpdir/big.f" "$tmpdir/big_edited.f"; then
   echo "big input: the literal edit changed nothing" >&2
@@ -134,6 +141,16 @@ dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" > "$tmpdir/big_scrat
 if ! cmp -s "$tmpdir/big_delta.out" "$tmpdir/big_scratch.out"; then
   echo "big input: analyze --against differs from a from-scratch analyze" >&2
   diff "$tmpdir/big_delta.out" "$tmpdir/big_scratch.out" | head -20 >&2 || true
+  exit 1
+fi
+# Complete propagation continues its rounds from the --against session.
+dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" --complete \
+  --against "$tmpdir/big.f" > "$tmpdir/big_complete_delta.out"
+dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" --complete \
+  > "$tmpdir/big_complete_scratch.out"
+if ! cmp -s "$tmpdir/big_complete_delta.out" "$tmpdir/big_complete_scratch.out"; then
+  echo "big input: analyze --complete --against differs from a from-scratch analyze --complete" >&2
+  diff "$tmpdir/big_complete_delta.out" "$tmpdir/big_complete_scratch.out" | head -20 >&2 || true
   exit 1
 fi
 # Identical bytes do not show reuse: recomputing everything prints them

@@ -76,7 +76,7 @@ let table2_configs =
   ]
 
 (** The four configurations of Table 3 (complete propagation is driven by
-    {!Complete} on top of [polynomial_with_mod]). *)
+    {!Ipcp_incr.Complete} on top of [polynomial_with_mod]). *)
 let polynomial_no_mod = make ~kind:Jump_function.Polynomial ~use_mod:false ()
 
 let polynomial_with_mod = make ~kind:Jump_function.Polynomial ()

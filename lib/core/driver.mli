@@ -55,7 +55,7 @@ type 'elt analysis_result = {
           rewrites it computes in [sccps] and [substs]: false for a solved
           result, which is rendered once, so keeping them would only cost
           the collector; true for an incremental session's, whose next
-          update copies them. *)
+          update copies them, and for one the certifier checks next. *)
 }
 
 type t = Const_lattice.t analysis_result
@@ -87,8 +87,8 @@ val prepare : Prog.t -> artifacts
     are walked for the expression-id ceiling.  Nothing is copied when
     the program's global list changed.  The result keeps [prev]'s tables,
     not [prev] itself, so a chain of rounds holds one previous round,
-    not all of them.  Used by {!Complete}'s re-analysis loop between
-    dead-code-elimination rounds and by {!Ipcp_incr.Incr.update};
+    not all of them.  The one caller is {!Ipcp_incr.Incr.update}, which
+    also runs complete propagation's dead-code-elimination rounds;
     [unchanged] procedures must be [prev]'s, ids included (copied call
     sites and IR embed them). *)
 val prepare_reusing :

@@ -81,7 +81,8 @@ let pp_degraded ppf reasons =
 module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
   module D = Driver.Make (A)
   module Sub = Substitute.Make (A)
-  module Comp = Complete.Make (A)
+  module I = Ipcp_incr.Incr.Make (A)
+  module Comp = Ipcp_incr.Complete.Make (A)
   module C = Ipcp_certify.Certify.Make (A)
 
   let certification ?fuel ?input ~label t =
@@ -89,23 +90,26 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
         pp_certification out err label (C.check ?fuel ?input t))
 
   let analyze ?(verbose = false) ?(complete = false) ?(certify = false)
-      ?substitute_out ?solved ~config ~jobs prog =
+      ?substitute_out ?solved ?session ~config ~jobs prog =
     render @@ fun ppf err ->
-    let t, degraded =
-      match solved with
-      | Some t ->
-        (* a precomputed result (the incremental path) renders through the
-           same pipeline below, so its frames stay byte-identical to a
-           from-scratch analyze *)
-        (t, Driver.degraded t)
-      | None ->
-        if complete then
-          let o = Comp.run ~config prog in
-          (o.Complete.final, o.Complete.degraded)
-        else
-          let t = D.analyze config prog in
-          (t, Driver.degraded t)
+    (* a precomputed result or session (the incremental path) renders
+       through the same pipeline below, so its frames stay byte-identical
+       to a from-scratch analyze *)
+    let plain t = (t, Driver.degraded t) in
+    let complete_of (o : _ Ipcp_incr.Complete.generic_outcome) =
+      (o.final, o.degraded)
     in
+    let t, degraded =
+      match (solved, session) with
+      | Some t, _ -> plain t
+      | None, Some s ->
+        if complete then complete_of (Comp.continue s) else plain (I.result s)
+      | None, None ->
+        if complete then complete_of (Comp.run ~config prog)
+        else plain (D.analyze config prog)
+    in
+    (* the certifier reads the SCCP results substitution computes *)
+    let t = if certify then { t with Driver.keep_sccps = true } else t in
     let span = Ipcp_telemetry.Telemetry.span in
     let prog', stats = span "substitute" (fun () -> Sub.apply ~jobs t) in
     span "render" (fun () ->

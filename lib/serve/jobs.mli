@@ -33,10 +33,11 @@ val load : string -> (string * Prog.t, outcome) result
     [Of (Const_analysis)], and {!Copy} serves [--analysis copy]. *)
 module Of (A : Ipcp_analysis.Analysis_sig.S) : sig
   (** The [analyze] job.  [?solved] supplies an already-solved result
-      (the incremental re-analysis path, or a served solution); it takes
-      precedence over [?complete] and renders through the same pipeline,
-      so the output stays byte-identical to a from-scratch analyze of the
-      same source.
+      (a served solution); it takes precedence over [?complete].
+      [?session] supplies an analyzed incremental session of [prog]
+      (the [--against] path), from which [?complete] continues its
+      rounds.  Both render through the same pipeline, so the output
+      stays byte-identical to a from-scratch analyze of the same source.
       [?substitute_out] also writes the constant-substituted source to a
       file (CLI only; raises [Sys_error] like any file write). *)
   val analyze :
@@ -45,6 +46,7 @@ module Of (A : Ipcp_analysis.Analysis_sig.S) : sig
     ?certify:bool ->
     ?substitute_out:string ->
     ?solved:A.L.t Driver.analysis_result ->
+    ?session:Ipcp_incr.Incr.Make(A).session ->
     config:Config.t ->
     jobs:int ->
     Prog.t ->
@@ -69,6 +71,7 @@ module Copy : sig
     ?certify:bool ->
     ?substitute_out:string ->
     ?solved:Ipcp_analysis.Copy_analysis.L.t Driver.analysis_result ->
+    ?session:Ipcp_incr.Incr.Make(Ipcp_analysis.Copy_analysis).session ->
     config:Config.t ->
     jobs:int ->
     Prog.t ->
@@ -102,6 +105,7 @@ val analyze :
   ?certify:bool ->
   ?substitute_out:string ->
   ?solved:Driver.t ->
+  ?session:Ipcp_incr.Incr.session ->
   config:Config.t ->
   jobs:int ->
   Prog.t ->

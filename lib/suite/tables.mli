@@ -1,11 +1,13 @@
 (** Regeneration harness for the paper's Tables 2 and 3: the substitution
     counts of every analyzer configuration on every suite program.
 
-    Rows solve over shared staged artifacts ({!Ipcp_core.Driver.prepare})
-    — the per-program call graph, MOD summaries and IR are built once and
-    reused across all configurations of the row — and [?jobs] fans
-    independent rows across worker domains with deterministic (input-order)
-    results, so the printed tables are byte-identical for every [jobs]. *)
+    A program's rows solve over shared staged artifacts
+    ({!Ipcp_core.Driver.prepare}) — its call graph, MOD summaries and IR
+    are built once and reused across every configuration of its Table 2
+    and Table 3 rows but complete propagation, a session of its own — and
+    [?jobs] fans programs across worker domains with deterministic
+    (input-order) results, so the printed tables are byte-identical for
+    every [jobs]. *)
 
 type table2_row = {
   t2_name : string;
@@ -67,21 +69,15 @@ val table4_row :
   Registry.entry ->
   table4_row
 
-val table2 :
+(** Tables 2 and 3: both rows of every program, from one
+    {!Ipcp_core.Driver.prepare} per program. *)
+val table23 :
   ?analysis:Ipcp_core.Config.analysis ->
   ?jobs:int ->
   ?max_steps:int ->
   ?deadline_ms:int ->
   unit ->
-  table2_row list
-
-val table3 :
-  ?analysis:Ipcp_core.Config.analysis ->
-  ?jobs:int ->
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  unit ->
-  table3_row list
+  (table2_row * table3_row) list
 
 val table4 :
   ?jobs:int -> ?max_steps:int -> ?deadline_ms:int -> unit -> table4_row list

@@ -7,6 +7,7 @@
 open Ipcp_frontend
 open Ipcp_core
 module Budget = Ipcp_support.Budget
+module Complete = Ipcp_incr.Complete
 
 let check = Alcotest.check
 

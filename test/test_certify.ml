@@ -114,17 +114,28 @@ let test_exec_witnessed () =
    one SCCP run per procedure (the result's memo). *)
 let test_exec_sccp_once () =
   let name, _, prog = List.hd (suite_programs ()) in
-  let t = Driver.solve Config.default (Driver.prepare prog) in
-  let coll = Ipcp_telemetry.Telemetry.create () in
-  let r =
-    Ipcp_telemetry.Telemetry.with_reporter coll (fun () -> Certify.check t)
+  let sccp_runs f =
+    let module Telemetry = Ipcp_telemetry.Telemetry in
+    let coll = Telemetry.create () in
+    let r = Telemetry.with_reporter coll f in
+    (r, Option.value ~default:0 (Telemetry.counter coll "sccp.runs"))
   in
+  let t = Driver.solve Config.default (Driver.prepare prog) in
+  let r, runs = sccp_runs (fun () -> Certify.check t) in
   check Alcotest.bool (name ^ ": execution witnessed") true
     (r.Certify.witness = Certify.Witnessed);
   check Alcotest.int (name ^ ": sccp.runs = procedures")
-    (List.length prog.Prog.procs)
-    (Option.value ~default:0
-       (Ipcp_telemetry.Telemetry.counter coll "sccp.runs"))
+    (List.length prog.Prog.procs) runs;
+  (* [analyze --certify]: the certifier reads what substitution ran *)
+  let o, runs =
+    sccp_runs (fun () ->
+        Ipcp_serve.Jobs.analyze ~certify:true ~config:Config.default ~jobs:1
+          prog)
+  in
+  check Alcotest.int (name ^ ": analyze --certify exits 0") 0
+    o.Ipcp_serve.Jobs.code;
+  check Alcotest.int (name ^ ": analyze --certify sccp.runs = procedures")
+    (List.length prog.Prog.procs) runs
 
 (* A [depth]-deep call chain whose leaf writes its formal and a global:
    every level's MOD grows once.  Listed callers first, a sweep over the

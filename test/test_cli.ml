@@ -359,6 +359,44 @@ let test_tiny_budget_degrades_soundly () =
   check Alcotest.bool "no constant claimed for work.k" false
     (contains "work: k=6" out)
 
+(* [analyze --complete --against PREV] continues complete propagation's
+   rounds from the incremental session, so it prints what a fresh
+   [analyze --complete] prints: against the same version, and against
+   one whose first [= 0] assignment reads [= 1], a flag that decides
+   which branches die. *)
+let test_complete_against () =
+  List.iter
+    (fun name ->
+      let src = (Option.get (Ipcp_suite.Registry.find name)).source in
+      let edited = ref false in
+      let edited_src =
+        String.split_on_char '\n' src
+        |> List.map (fun l ->
+               if (not !edited) && String.ends_with ~suffix:" = 0" l then begin
+                 edited := true;
+                 String.sub l 0 (String.length l - 1) ^ "1"
+               end
+               else l)
+        |> String.concat "\n"
+      in
+      check Alcotest.bool (name ^ ": edited") true !edited;
+      let prev = write_temp src and next = write_temp edited_src in
+      List.iter
+        (fun (label, file) ->
+          let _, fresh, _ = run_cli_full [ "analyze"; "--complete"; file ] in
+          let code, incremental, _ =
+            run_cli_full [ "analyze"; "--complete"; "--against"; prev; file ]
+          in
+          check Alcotest.int (Fmt.str "%s %s: exit 0" name label) 0 code;
+          check
+            (Alcotest.list Alcotest.string)
+            (Fmt.str "%s %s: same report as a fresh --complete" name label)
+            fresh incremental)
+        [ ("against itself", prev); ("against an edit", next) ];
+      Sys.remove prev;
+      Sys.remove next)
+    [ "ocean"; "spec77" ]
+
 (* A reader that disappears mid-stream must not kill the process with
    SIGPIPE: `ipcp tables | head` exits with the documented I/O exit
    code 3, never with a signal.  `false` closes stdin immediately, so
@@ -404,4 +442,5 @@ let suite =
     ("cli generous budget identical", `Quick, test_generous_budget_identical);
     ("cli tiny budget degrades soundly", `Quick, test_tiny_budget_degrades_soundly);
     ("cli broken output pipe exits 3", `Quick, test_broken_output_pipe_exits_3);
+    ("cli analyze --complete --against", `Quick, test_complete_against);
   ]

@@ -4,6 +4,7 @@
 
 open Ipcp_frontend
 open Ipcp_core
+module Complete = Ipcp_incr.Complete
 
 let check = Alcotest.check
 let fail = Alcotest.fail

@@ -234,8 +234,9 @@ let test_sessions_do_not_pin_history () =
   check Alcotest.bool "first session collected" false (Weak.check first 0);
   ignore (Sys.opaque_identity (Incr.result !sess))
 
-(* The same for bare artifacts, as Complete's re-analysis rounds chain
-   them: each round keeps the previous round's tables only. *)
+(* The same for bare artifacts, as the updates of a session (complete
+   propagation's rounds among them) chain them: each keeps the previous
+   version's tables only. *)
 let test_artifacts_do_not_pin_history () =
   let prog = resolve base_src in
   let first = Weak.create 1 in

@@ -14,6 +14,7 @@
 open Ipcp_frontend
 open Ipcp_core
 open Ipcp_suite
+module Complete = Ipcp_incr.Complete
 
 let spec_of_seed seed =
   (* vary the structural knobs with the seed so different shapes appear *)

@@ -11,6 +11,7 @@
 open Ipcp_core
 open Ipcp_suite
 open Ipcp_telemetry
+module Complete = Ipcp_incr.Complete
 
 let check = Alcotest.check
 
@@ -100,6 +101,49 @@ let test_complete_reuses_artifacts () =
   (* and reuse does not change the answer *)
   check Alcotest.int "complete result unaffected"
     (Complete.run prog).Complete.substituted outcome.Complete.substituted
+
+(* Complete propagation's later rounds are incremental updates: SCCP and
+   DCE run again only for a procedure whose body or SCCP result the
+   update did not copy, so over its three rounds each runs fewer than
+   twice per procedure.  A budgeted configuration makes every update
+   start over, copying nothing: the reference the copies must match. *)
+let test_complete_work_follows_the_change () =
+  List.iter
+    (fun procs ->
+      let prog =
+        Ipcp_suite.Workload.generate_resolved
+          {
+            Ipcp_suite.Workload.default_spec with
+            seed = 42;
+            num_procs = procs;
+            stmts_per_proc = 10;
+          }
+      in
+      let n = List.length prog.Ipcp_frontend.Prog.procs in
+      let t = Telemetry.create () in
+      let o = Telemetry.with_reporter t (fun () -> Complete.run prog) in
+      let scratch =
+        Complete.run
+          ~config:
+            (Config.with_budget ~max_steps:1_000_000_000
+               Config.polynomial_with_mod)
+          prog
+      in
+      let at what = Printf.sprintf "%s at %d procedures" what n in
+      check Alcotest.bool (at "same constants as starting over") true
+        (Driver.constants o.final = Driver.constants scratch.final);
+      check Alcotest.int (at "same substitutions as starting over")
+        scratch.substituted o.substituted;
+      let counter name = Option.value ~default:0 (Telemetry.counter t name) in
+      check Alcotest.int (at "complete.dce_rounds") 2
+        (counter "complete.dce_rounds");
+      List.iter
+        (fun name ->
+          if counter name >= 2 * n then
+            Alcotest.failf "%s: %d, not below %d" (at name) (counter name)
+              (2 * n))
+        [ "sccp.runs"; "dce.passes" ])
+    [ 200; 1600 ]
 
 (* The complexity contract: analysis work per procedure stays flat as
    programs grow.  Work counters, not wall-clock time, so the test is as
@@ -252,4 +296,6 @@ let suite =
      test_complexity_contract);
     ("update counter contract at 200 and 1600 procedures", `Quick,
      test_update_contract);
+    ("complete propagation work follows the change", `Quick,
+     test_complete_work_follows_the_change);
   ]

@@ -2051,10 +2051,12 @@ let first_declarer_edits prng src : string list =
    α-renamed and reordered by {!Metamorph}), and replays the sequence
    through an {!Incr} session under all four jump-function kinds.  After
    every update the incremental rendering must be byte-identical to a
-   from-scratch analyze of the same source, and the result must pass the
+   from-scratch analyze of the same source, the result must pass the
    independent certifier (whose SCCP check vets every SCCP result the
-   update copied).  The renamed and reordered versions, and an identical
-   version, must report an empty cone. *)
+   update copied), and complete propagation continued from the session
+   must render what a from-scratch [analyze --complete] does.  The
+   renamed and reordered versions, and an identical version, must report
+   an empty cone. *)
 let run_delta () =
   let failures = ref 0 in
   let checks = ref 0 in
@@ -2124,7 +2126,16 @@ let run_delta () =
             let r = Certify.check ~fuel:!fuel (Incr.result sess) in
             if not (Certify.ok r) then
               err "%s: version %d failed certification:@.%a" kname vi
-                Certify.pp_report r
+                Certify.pp_report r;
+            (* complete propagation's rounds, continued from the session *)
+            let inc =
+              Jobs.analyze ~complete:true ~session:sess ~config ~jobs:1 prog
+            and ref_ = Jobs.analyze ~complete:true ~config ~jobs:1 prog in
+            if inc <> ref_ then
+              err
+                "%s: version %d's complete propagation diverges from \
+                 from-scratch@.  incr: %S@.  scratch: %S"
+                kname vi (abbrev inc.Jobs.out) (abbrev ref_.Jobs.out)
           in
           match progs with
           | [] -> ()
