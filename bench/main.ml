@@ -286,19 +286,20 @@ let tables_regen_comparison () =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Incremental re-analysis: full analyze vs cone update.
+(* Incremental re-analysis: full analyze vs update.
 
    For each workload size, derive one small seeded edit and compare a
    from-scratch Driver.analyze of the edited version against
-   Incr.update from the previous version's session.  Update cost tracks
-   the dependence cone of the edit (printed per size), not the program
-   size; the no-op update (identical source) isolates the fixed
-   incremental overhead — identity, grafting, artifact reuse, the cone —
-   which is what a cone of zero costs.  All three times land in the
+   Incr.update from the previous version's session.  An update copies
+   what the edit left unchanged, and solves the whole program again
+   unless no jump function changed (the procedures solved again are
+   printed per size); the no-op update (identical source) isolates the
+   fixed incremental overhead — identity, grafting, artifact reuse, the
+   comparison of site jump functions.  All three times land in the
    profile document as bench.incr/* observations. *)
 
 let incr_comparison () =
-  Fmt.pr "@.--- incremental re-analysis: full vs cone update@.";
+  Fmt.pr "@.--- incremental re-analysis: full vs update@.";
   let module Incr = Ipcp_incr.Incr in
   let reps = 3 in
   let config = Config.default in
@@ -334,7 +335,7 @@ let incr_comparison () =
         record (Fmt.str "incr/update/procs=%03d" n) update_ns;
         record (Fmt.str "incr/noop_update/procs=%03d" n) noop_ns;
         Fmt.pr
-          "  procs=%03d  full %8.3f ms   update %8.3f ms (cone %d/%d, %.2fx) \
+          "  procs=%03d  full %8.3f ms   update %8.3f ms (solved %d/%d, %.2fx) \
            noop %8.3f ms@."
           n
           (float_of_int full_ns /. 1_000_000.0)

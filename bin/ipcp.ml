@@ -208,10 +208,11 @@ let analyze_cmd =
   let against =
     let doc =
       "Analyze incrementally against baseline source $(docv): solve \
-       $(docv) from scratch, then re-solve only the dependence cone of \
-       what changed between the two versions.  The report is \
-       byte-identical to a from-scratch analyze of $(i,FILE); a cone \
-       summary goes to stderr."
+       $(docv) from scratch, then update it to $(i,FILE), copying what \
+       the edit left unchanged and keeping the fixpoint of $(docv) when \
+       no jump function, arity or load-time value changed.  The report \
+       is byte-identical to a from-scratch analyze of $(i,FILE); a \
+       summary of the update goes to stderr."
     in
     Arg.(value & opt (some string) None & info [ "against" ] ~docv:"PREV" ~doc)
   in

@@ -495,14 +495,17 @@ module Make (A : Analysis_sig.S) = struct
 
   let corrupt ~seed (t : t) : t option =
     let solution = t.Driver.solution in
-    let reachable = Callgraph.reachable_from_main t.Driver.cg in
+    let reachable = Hashtbl.create 64 in
+    List.iter
+      (fun name -> Hashtbl.replace reachable name ())
+      (Callgraph.reachable_from_main t.Driver.cg);
     (* candidates whose corruption a certifier must catch: ⊥/constant
        bindings of procedures that actually execute (⊤ bindings belong to
        never-called procedures — any claim there is vacuous) *)
     let candidates =
       List.concat_map
         (fun (p : Prog.proc) ->
-          if not (List.mem p.pname reachable) then []
+          if not (Hashtbl.mem reachable p.pname) then []
           else
             match Hashtbl.find_opt solution.Solver.vals p.pname with
             | None -> []

@@ -206,7 +206,6 @@ let prepare_with ?reuse (prog : Prog.t) : artifacts =
 let prepare prog = prepare_with prog
 
 let artifacts_prog (a : artifacts) = a.a_prog
-let artifacts_callgraph (a : artifacts) = a.a_cg
 let expr_ceiling (a : artifacts) = a.a_facts.f_expr_ceiling
 let find_proc (a : artifacts) name = Hashtbl.find_opt a.a_facts.f_procs name
 
@@ -314,7 +313,8 @@ let reused_sites (a : artifacts) (key : stage_key) (stage : stage12) kind name =
       else None)
 
 (* The site jump functions of [name] for [kind], memoized in the bundle:
-   the incremental cone walk and {!solve} ask for the same lists. *)
+   {!solve} and an incremental update's comparison ask for the same
+   lists. *)
 let sites_for (a : artifacts) (key : stage_key) (stage : stage12) kind name =
   let tbl = sites_table stage kind in
   match Hashtbl.find_opt tbl name with
@@ -442,16 +442,12 @@ let degraded (t : 'elt analysis_result) : Ipcp_support.Budget.reason list =
 module Make (A : Analysis_sig.S) = struct
   module S = Solver.Make (A)
 
-  let propagate ?seed (config : Config.t) cg ~site_jfs ~global_keys :
+  let propagate (config : Config.t) cg ~site_jfs ~global_keys :
       A.L.t Solver.generic_result =
     let prog = cg.Callgraph.prog in
-    if config.interprocedural then begin
-      let budget = Config.budget ~label:"solver" config in
-      match seed with
-      | Some (prev, dirty) ->
-        S.run_seeded ~budget ~prev ~dirty cg ~site_jfs ~global_keys
-      | None -> S.run ~budget cg ~site_jfs ~global_keys
-    end
+    if config.interprocedural then
+      S.run ~budget:(Config.budget ~label:"solver" config) cg ~site_jfs
+        ~global_keys
     else begin
       (* baseline: no propagation; every parameter of every procedure is
          ⊥ so that only locally derived constants survive *)
@@ -477,10 +473,11 @@ module Make (A : Analysis_sig.S) = struct
       { Solver.vals; stats = Solver.fresh_stats (); degraded = [] }
     end
 
-  (** Run the config-dependent stages over shared artifacts; [seed]
-      switches stage 3 to the cone-restricted seeded solver. *)
-  let solve_gen ?seed (config : Config.t) (a : artifacts) :
-      A.L.t analysis_result =
+  (** Run the config-dependent stages over shared artifacts.  [kept] is
+      asked once the site jump functions are built: a fixpoint it returns
+      still holds for these artifacts and is taken as stage 3's, and no
+      propagation runs. *)
+  let solve ?kept (config : Config.t) (a : artifacts) : A.L.t analysis_result =
   Telemetry.span "solve" (fun () ->
       let stage = stage12_for a config in
       (* forward jump functions restricted to the configured kind *)
@@ -496,8 +493,15 @@ module Make (A : Analysis_sig.S) = struct
       (* ---- stage 3: interprocedural propagation ---- *)
       let solution =
         Telemetry.span "stage3:propagate" (fun () ->
-            propagate ?seed config a.a_cg ~site_jfs
-              ~global_keys:a.a_global_keys)
+            match Option.bind kept (fun kept -> kept ()) with
+            | Some solution -> solution
+            | None ->
+              let solution =
+                propagate config a.a_cg ~site_jfs ~global_keys:a.a_global_keys
+              in
+              Telemetry.add ("jf.eval." ^ Jump_function.kind_name config.kind)
+                solution.Solver.stats.jf_evaluations;
+              solution)
       in
       (* ---- stage 4: recording the results ---- *)
       Telemetry.span "stage4:record" (fun () ->
@@ -516,30 +520,13 @@ module Make (A : Analysis_sig.S) = struct
               keep_sccps = false;
             }
           in
-          if Telemetry.enabled () then begin
-            Telemetry.add ("jf.eval." ^ Jump_function.kind_name config.kind)
-              solution.Solver.stats.jf_evaluations;
+          if Telemetry.enabled () then
             Telemetry.add "driver.constants_found"
               (List.fold_left
                  (fun acc (p : Prog.proc) ->
                    acc + List.length (S.constants_of solution p.pname))
-                 0 a.a_prog.procs)
-          end;
+                 0 a.a_prog.procs);
           t))
-
-  (** Run the config-dependent stages over shared artifacts. *)
-  let solve (config : Config.t) (a : artifacts) : A.L.t analysis_result =
-    solve_gen config a
-
-  (** Like {!solve}, but stage 3 re-solves only the [dirty] cone, seeding
-      every other procedure's VAL map from [prev_vals] — the incremental
-      re-analysis path ({!Ipcp_incr.Incr.update}).  Byte-identical to
-      {!solve} when [dirty] is closed under "may be affected by the
-      change". *)
-  let solve_seeded (config : Config.t) (a : artifacts)
-      ~(prev_vals : (string, A.L.t Prog.Param_map.t) Hashtbl.t)
-      ~(dirty : string -> bool) : A.L.t analysis_result =
-    solve_gen ~seed:(prev_vals, dirty) config a
 
   (** Run the full pipeline on a resolved program (compatibility
       wrapper; prefer {!prepare} + {!solve}, which share artifacts

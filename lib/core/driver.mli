@@ -96,15 +96,15 @@ val prepare_reusing :
 
 (** The forward jump functions of [name]'s call sites under [config],
     memoized per kind in the stage-1/2 bundle — the same lists {!solve}
-    aggregates, exposed so the incremental cone computation can compare
-    them across versions.  A list {!prepare_reusing} copied is physically
-    [prev]'s list, so the cone skips it with [==].  Empty for an
-    intraprocedural configuration or an unknown procedure. *)
+    aggregates, exposed so an incremental update can compare them with
+    the previous version's.  A list {!prepare_reusing} copied is
+    physically [prev]'s list, so the comparison skips it with [==].
+    Empty for an intraprocedural configuration or an unknown
+    procedure. *)
 val site_jfs_for :
   artifacts -> Config.t -> string -> Jump_function.site_jf list
 
 val artifacts_prog : artifacts -> Prog.t
-val artifacts_callgraph : artifacts -> Callgraph.t
 
 (** One past every expression/statement id of the artifacts' program:
     where an update numbers its freshly parsed procedures from. *)
@@ -128,16 +128,17 @@ module Make (A : Analysis_sig.S) : sig
   module S : module type of Solver.Make (A)
 
   (** Run the config-dependent stages (forward jump functions +
-      interprocedural propagation) over shared artifacts. *)
-  val solve : Config.t -> artifacts -> A.L.t analysis_result
-
-  (** Like {!solve}, but stage 3 re-solves only the [dirty] cone,
-      seeding every other procedure's VAL map from [prev_vals]. *)
-  val solve_seeded :
+      interprocedural propagation) over shared artifacts.  [kept] is
+      asked once stage 2 has built every site jump function: a fixpoint
+      it returns must be the one propagation would reach on these
+      artifacts, and is taken as stage 3's result without propagating
+      (no [solver.*] or [jf.eval.*] counters).  The one caller that
+      passes it is {!Ipcp_incr.Incr.update}, which returns the previous
+      version's fixpoint when nothing propagation reads changed. *)
+  val solve :
+    ?kept:(unit -> A.L.t Solver.generic_result option) ->
     Config.t ->
     artifacts ->
-    prev_vals:(string, A.L.t Prog.Param_map.t) Hashtbl.t ->
-    dirty:(string -> bool) ->
     A.L.t analysis_result
 
   (** One-shot compatibility wrapper; prefer {!prepare} + {!solve}. *)
@@ -157,27 +158,16 @@ end
     [Make (Const_analysis)] at the historical toplevel names. *)
 
 (** Run the config-dependent stages (forward jump functions +
-    interprocedural propagation) over shared artifacts. *)
-val solve : Config.t -> artifacts -> t
-
-(** Like {!solve}, but stage 3 re-solves only the [dirty] cone, seeding
-    every other procedure's VAL map from [prev_vals] (the previous
-    program version's fixpoint) — the incremental re-analysis path.
-    Byte-identical to {!solve} provided [dirty] is closed under "may be
-    affected by the change"; {!Ipcp_incr.Incr} computes that closure. *)
-val solve_seeded :
-  Config.t ->
-  artifacts ->
-  prev_vals:(string, Solver.val_map) Hashtbl.t ->
-  dirty:(string -> bool) ->
-  t
+    interprocedural propagation) over shared artifacts; [kept] as in
+    {!Make.solve}. *)
+val solve : ?kept:(unit -> Solver.result option) -> Config.t -> artifacts -> t
 
 (** Run the full pipeline on a resolved program:
     [solve config (prepare prog)].
 
     {b Deprecated} in spirit: every production path should use the
     staged {!prepare} + {!solve} pair (artifact sharing, reuse across
-    configurations, incremental seeding all hang off [artifacts]).  This
+    configurations, incremental updates all hang off [artifacts]).  This
     wrapper remains for one-shot tools and tests. *)
 val analyze : Config.t -> Prog.t -> t
 

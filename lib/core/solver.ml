@@ -115,16 +115,24 @@ module Make (A : Analysis_sig.S) = struct
         Prog.Param_map.add (Prog.Pglob key) v m)
       m global_keys
 
-  (* The shared worklist drain: meet jump-function results into callee maps
-     until stable (or the budget runs out, widening the pending closure to
-     ⊥).  [vals] carries the initial assignment and [work] the initially
-     unstable callers; the meet-semilattice iteration converges to the same
-     fixpoint regardless of processing order, which is what makes seeded
-     re-solving byte-compatible with a from-scratch run. *)
-  let solve_loop ?budget (cg : Callgraph.t)
-      ~(site_jfs : Jump_function.site_jf list)
-      ~(vals : (string, elt Prog.Param_map.t) Hashtbl.t)
-      ~(work : string Ipcp_support.Worklist.t) : elt generic_result =
+  (** Solve.  [site_jfs] are the forward jump functions of every call site;
+      [global_keys] the keys of every common global in the program.  The
+      worklist starts with every procedure, callers first; the
+      meet-semilattice iteration converges to the same fixpoint whatever
+      the order procedures are processed in.  When [budget] runs out
+      mid-drain, every procedure transitively reachable from a
+      still-pending caller is widened to ⊥: those are exactly the maps
+      that unprocessed edges could still lower, so the answer stays a
+      sound (conservative) approximation of the fixed point. *)
+  let run ?budget (cg : Callgraph.t) ~(site_jfs : Jump_function.site_jf list)
+      ~(global_keys : string list) : elt generic_result =
+    let prog = cg.Callgraph.prog in
+    let vals : (string, elt Prog.Param_map.t) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun (p : Prog.proc) ->
+        Hashtbl.replace vals p.pname (fresh_map prog global_keys p))
+      prog.procs;
+    let work = Ipcp_support.Worklist.of_list (Callgraph.top_down cg) in
     let budget =
       match budget with
       | Some b -> b
@@ -244,61 +252,6 @@ module Make (A : Analysis_sig.S) = struct
       Telemetry.observe "solver.worklist.max_length" w.max_length
     end;
     { vals; stats; degraded }
-
-  (** Solve.  [site_jfs] are the forward jump functions of every call site;
-      [global_keys] the keys of every common global in the program.  When
-      [budget] runs out mid-drain, every procedure transitively reachable
-      from a still-pending caller is widened to ⊥: those are exactly the
-      maps that unprocessed edges could still lower, so the answer stays a
-      sound (conservative) approximation of the fixed point. *)
-  let run ?budget (cg : Callgraph.t) ~(site_jfs : Jump_function.site_jf list)
-      ~(global_keys : string list) : elt generic_result =
-    let prog = cg.Callgraph.prog in
-    let vals : (string, elt Prog.Param_map.t) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (p : Prog.proc) ->
-        Hashtbl.replace vals p.pname (fresh_map prog global_keys p))
-      prog.procs;
-    let work = Ipcp_support.Worklist.of_list (Callgraph.top_down cg) in
-    solve_loop ?budget cg ~site_jfs ~vals ~work
-
-  (** Re-solve only the [dirty] cone of a changed program, seeding every
-      other procedure's VAL map from [prev] (the previous version's
-      fixpoint).  Correct — and byte-identical to {!run} on the new
-      program — provided [dirty] is closed under "may be affected by the
-      change": it contains every procedure whose fixpoint map could differ
-      from the previous version's (see {!Ipcp_incr.Incr} for the closure
-      rules).  Dirty procedures restart from their optimistic initial
-      values; the initial worklist holds exactly the callers with an edge
-      into the dirty set, the only initially unstable edges. *)
-  let run_seeded ?budget ~(prev : (string, elt Prog.Param_map.t) Hashtbl.t)
-      ~(dirty : string -> bool) (cg : Callgraph.t)
-      ~(site_jfs : Jump_function.site_jf list) ~(global_keys : string list) :
-      elt generic_result =
-    let prog = cg.Callgraph.prog in
-    let vals : (string, elt Prog.Param_map.t) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (p : Prog.proc) ->
-        let m =
-          if dirty p.pname then fresh_map prog global_keys p
-          else
-            match Hashtbl.find_opt prev p.pname with
-            | Some m -> m
-            | None -> fresh_map prog global_keys p
-        in
-        Hashtbl.replace vals p.pname m)
-      prog.procs;
-    let work =
-      Ipcp_support.Worklist.of_list
-        (List.filter
-           (fun name ->
-             dirty name
-             || List.exists
-                  (fun (e : Callgraph.edge) -> dirty e.e_callee)
-                  (Callgraph.callees_of cg name))
-           (Callgraph.top_down cg))
-    in
-    solve_loop ?budget cg ~site_jfs ~vals ~work
 
   let pp_result prog ppf (r : elt generic_result) =
     let procs = Prog.proc_table prog and param_name = Prog.param_name prog in

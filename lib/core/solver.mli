@@ -68,21 +68,6 @@ module Make (A : Analysis_sig.S) : sig
     global_keys:string list ->
     A.L.t generic_result
 
-  (** Re-solve only the [dirty] cone of a changed program, seeding every
-      non-dirty procedure's VAL map from [prev] (the previous version's
-      fixpoint).  Byte-identical to {!run} on the new program provided
-      [dirty] is closed under "may be affected by the change" — every
-      procedure whose fixpoint could differ from the previous version's
-      is dirty (the {!Ipcp_incr.Incr} layer computes that closure). *)
-  val run_seeded :
-    ?budget:Ipcp_support.Budget.t ->
-    prev:(string, A.L.t Prog.Param_map.t) Hashtbl.t ->
-    dirty:(string -> bool) ->
-    Callgraph.t ->
-    site_jfs:Jump_function.site_jf list ->
-    global_keys:string list ->
-    A.L.t generic_result
-
   val pp_result : Prog.t -> A.L.t generic_result Fmt.t
 end
 
@@ -97,15 +82,6 @@ val eval_jf : stats -> val_map -> Symbolic.t -> Const_lattice.t
 
 val run :
   ?budget:Ipcp_support.Budget.t ->
-  Callgraph.t ->
-  site_jfs:Jump_function.site_jf list ->
-  global_keys:string list ->
-  result
-
-val run_seeded :
-  ?budget:Ipcp_support.Budget.t ->
-  prev:(string, val_map) Hashtbl.t ->
-  dirty:(string -> bool) ->
   Callgraph.t ->
   site_jfs:Jump_function.site_jf list ->
   global_keys:string list ->

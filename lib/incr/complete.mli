@@ -51,3 +51,5 @@ end
 
 val run :
   ?budget:Ipcp_support.Budget.t -> ?config:Config.t -> Prog.t -> outcome
+
+val continue : ?budget:Ipcp_support.Budget.t -> Incr.session -> outcome

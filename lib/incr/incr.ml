@@ -4,16 +4,11 @@
     program, its prepared artifacts and the solved
     {!Ipcp_core.Driver.t}.  {!update} analyzes the next version with
     output byte-identical to a from-scratch {!Ipcp_core.Driver.analyze}
-    of the same source.  Propagation is bounded by the {e dependence
-    cone} of the edit, and every per-procedure product whose inputs are
+    of the same source.  Every per-procedure product whose inputs are
     unchanged is copied: call sites, direct MOD/REF effects, IR, return
     and site jump functions ({!Ipcp_core.Driver.prepare_reusing}), SCCP
-    results and substitutions (here).  What an update still does for
-    every procedure is cheap: compare it with its predecessor, and copy
-    or look up its per-procedure entries.  At 1600 and 10000 procedures
-    an update costs about a quarter of a fresh {!start} after an edit
-    outside main, and a third after one in main, which calls half the
-    program (DESIGN.md §10 has the split).  The steps:
+    results and substitutions (here).  Propagation either keeps the
+    previous fixpoint or runs again over the whole program.  The steps:
 
     {ol
     {- {b Identity and grafting.}  A procedure structurally equal to its
@@ -29,32 +24,22 @@
        stage-1/2 products straight to the new round (every id is only
        ever used within its own procedure — SCCP tables, DCE,
        substitution and cloning are all per-procedure).}
-    {- {b Cone computation.}  A callee learns about its callers only
-       through the jump function at each call site (paper §2), so an
-       edit can move the fixpoint only below a call site whose jump
-       function changed.  Each procedure of either version is visited
-       once.  A site list that [prepare_reusing] copied is physically
-       the previous version's ({!Ipcp_core.Driver.site_jfs_for}), and is
-       skipped: the copy rule already proved it equal.  The others are
-       compared with the previous list pairwise (positionally: grafted
-       callers keep their site ids, reparsed ones are renumbered, so ids
-       don't travel across versions), and the callees of the sites that
-       differ are seeds; a procedure present in one version only, or
-       whose site count changed, seeds every callee of its sites.
-       Procedures whose VAL domain redraws seed themselves: an added
-       procedure has no previous fixpoint, an arity change redraws the
-       map's keys, and main restarts when the load-time [data] map
-       changed (main's initial global values read every unit's [data]
-       statements).  The seeds close under new-graph callees: a dirty
-       procedure's VAL map feeds its callees' jump-function
-       evaluations.}
-    {- {b Seeded solving.}  Everything outside the cone keeps the
-       previous fixpoint map; the cone restarts from its optimistic
-       initial values and {!Ipcp_core.Solver.run_seeded} drains only the
-       edges into it.  The meet-semilattice iteration is
-       order-independent, so the seeded fixpoint equals the from-scratch
-       one — byte-identical output, enforced by the certifier and the
-       [fuzz --delta] gate.}
+    {- {b The fixpoint, kept or solved again.}  Propagation reads nothing
+       of a procedure but its arity, the jump functions at its call
+       sites (paper §2) and, for main, the load-time [data] values of the
+       globals.  When the procedures are the same by name and arity, the
+       [data] map is unchanged and every site jump-function list equals
+       the previous one, the previous fixpoint is this version's: stage 3
+       takes it and does no work.  A list that [prepare_reusing] copied
+       is physically the previous one ({!Ipcp_core.Driver.site_jfs_for})
+       and is skipped; the others are compared pairwise (positionally:
+       grafted callers keep their site ids, reparsed ones are renumbered,
+       so ids don't travel across versions), stopping at the first
+       difference.  Any other update solves the whole program again.  A
+       dependence cone re-solved by a seeded solver was tried and
+       deleted: apart from the empty cone, which this rule keeps, it
+       saved less propagation than working the cone out cost
+       (DESIGN.md §10).}
     {- {b SCCP seeding.}  The new result's SCCP and substitution memos
        take the previous result's entries for every procedure whose SSA
        is physically the copied one, whose VAL map is equal and whose
@@ -64,15 +49,18 @@
 
     Whole-program fallbacks (still byte-identical, just not cheaper)
     copy nothing from the previous version: a budgeted configuration
-    (seeding under a step/deadline budget would widen differently than
-    a from-scratch run), the intraprocedural baseline, a changed
-    global-key set (every VAL map's domain changes), and a renamed main
-    program.
+    (how much a budgeted run does depends on the run — a deadline reads
+    the clock — so what it computed is not copied), the
+    intraprocedural baseline (it propagates nothing, so an update has
+    nothing to keep), a changed global-key set (every IR and VAL map
+    embeds the global list), and a renamed main program (main's entry
+    values seed the whole fixpoint).
 
     [incr.update] has a span per phase: [incr.identity] (the structural
-    comparison), [incr.graft], [prepare], [incr.cone] (which forces
-    MOD/REF and the stage-1/2 bundle) and [solve];
-    [incr.site_lists_compared] counts the site lists the cone compares
+    comparison), [incr.graft], [prepare] and [solve], which builds the
+    site jump functions under its [stage2:forward_jfs] span and then
+    compares them under [incr.compare];
+    [incr.site_lists_compared] counts the site lists compared
     pairwise. *)
 
 open Ipcp_frontend
@@ -85,16 +73,17 @@ type stats = {
   changed_procs : int;  (** present in both versions, not grafted *)
   grafted_procs : int;
       (** structurally equal to their predecessor, physically reused *)
-  cone_size : int;  (** dirty procedures re-solved *)
-  procs_reused : int;  (** solution maps seeded from the previous fixpoint *)
+  cone_size : int;  (** procedures solved again: none or all *)
+  procs_reused : int;  (** procedures whose VAL map the kept fixpoint gave *)
   procs_resolved : int;  (** = [cone_size] *)
   full_resolve : bool;  (** whole-program fallback was taken *)
 }
 
 let pp_stats ppf (s : stats) =
-  Fmt.pf ppf "cone %d/%d procs (%d changed), %d reused, %d grafted%s"
-    s.cone_size s.total_procs s.changed_procs s.procs_reused s.grafted_procs
-    (if s.full_resolve then ", full re-solve" else "")
+  Fmt.pf ppf "%s, %d procs (%d changed, %d grafted)%s"
+    (if s.cone_size = 0 then "fixpoint kept" else "re-solved")
+    s.total_procs s.changed_procs s.grafted_procs
+    (if s.full_resolve then ", nothing copied" else "")
 
 (* ------------------------------------------------------------------ *)
 (* Sessions for one analysis.                                          *)
@@ -117,14 +106,20 @@ module Make (A : Analysis_sig.S) = struct
      computes: the next update copies them. *)
   let solved t = { t with Driver.keep_sccps = true }
 
-  let start (config : Config.t) (prog : Prog.t) : session =
-    let artifacts = Driver.prepare prog in
-    let t = solved (D.solve config artifacts) in
-    { s_config = config; s_prog = prog; s_artifacts = artifacts; s_result = t }
+  let start_prepared (config : Config.t) (artifacts : Driver.artifacts) :
+      session =
+    {
+      s_config = config;
+      s_prog = Driver.artifacts_prog artifacts;
+      s_artifacts = artifacts;
+      s_result = solved (D.solve config artifacts);
+    }
+
+  let start config prog = start_prepared config (Driver.prepare prog)
 
   (* The load-time initialization map of the globals: main's entry values
-     depend on every unit's [data] statements, so a change here dirties
-     main even when main's own body is untouched. *)
+     depend on every unit's [data] statements, so a change here changes
+     the fixpoint even when main's own body is untouched. *)
   let data_map (prog : Prog.t) : (string * int option) list =
     let data = Prog.main_data prog in
     Prog.all_globals prog
@@ -290,77 +285,50 @@ module Make (A : Analysis_sig.S) = struct
       if full then Driver.prepare prog'
       else Driver.prepare_reusing ~prev:prev.s_artifacts ~unchanged prog'
     in
-    let new_proc = Driver.find_proc artifacts in
-    let dirty : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-    if not full then begin
-      Telemetry.span "incr.cone" @@ fun () ->
-      let cg = Driver.artifacts_callgraph artifacts in
-      (* A dirty procedure's VAL map feeds every jump function at its
-         sites, so the cone closes under new-graph callees. *)
-      let rec mark name =
-        if new_proc name <> None && not (Hashtbl.mem dirty name) then begin
-          Hashtbl.add dirty name ();
-          List.iter
-            (fun (e : Callgraph.edge) -> mark e.e_callee)
-            (Callgraph.callees_of cg name)
-        end
-      in
-      let mark_all =
-        List.iter (fun (sf : Jump_function.site_jf) -> mark sf.sf_callee)
-      in
-      (* Seeds: the callees of every call site whose jump function
-         differs (see the header).  A copied list is the previous one,
-         and a procedure of one version has no sites in the other. *)
+    (* The previous fixpoint, if nothing propagation reads changed (see
+       the header); asked once [solve] has built the site lists. *)
+    let prev_solution = prev.s_result.Driver.solution in
+    let kept () =
+      Telemetry.span "incr.compare" @@ fun () ->
       let compared = ref 0 in
-      let seed_sites name =
+      let same_sites name =
         let olds = Driver.site_jfs_for prev.s_artifacts config name
         and news = Driver.site_jfs_for artifacts config name in
-        if olds != news then begin
-          incr compared;
-          if List.compare_lengths olds news = 0 then
-            List.iter2
-              (fun (o : Jump_function.site_jf) (n : Jump_function.site_jf) ->
-                if not (site_jf_equal o n) then begin
-                  mark o.sf_callee;
-                  mark n.sf_callee
-                end)
-              olds news
-          else begin
-            mark_all olds;
-            mark_all news
-          end
-        end
+        olds == news
+        || begin
+             incr compared;
+             List.equal site_jf_equal olds news
+           end
       in
-      List.iter
-        (fun (p : Prog.proc) ->
-          (* an added procedure has no previous VAL map, and an arity
-             change redraws its keys *)
-          (match prev_proc p.pname with
-          | Some old_p
-            when List.compare_lengths old_p.pformals p.pformals = 0 ->
-            ()
-          | Some _ | None -> mark p.pname);
-          seed_sites p.pname)
-        prog'.procs;
-      List.iter
-        (fun (p : Prog.proc) ->
-          if new_proc p.pname = None then seed_sites p.pname)
-        prev.s_prog.procs;
+      let same =
+        List.compare_lengths prog'.procs prev.s_prog.procs = 0
+        && List.for_all
+             (fun (p : Prog.proc) ->
+               match prev_proc p.pname with
+               | Some old_p ->
+                 List.compare_lengths old_p.pformals p.pformals = 0
+                 && same_sites p.pname
+               | None -> false)
+             prog'.procs
+        && data_map prev.s_prog = data_map prog_new
+      in
       Telemetry.add "incr.site_lists_compared" !compared;
-      if data_map prev.s_prog <> data_map prog_new then mark prog'.main
-    end;
+      if same then
+        (* fresh counters: keeping the fixpoint did no solver work *)
+        Some { prev_solution with Solver.stats = Solver.fresh_stats () }
+      else None
+    in
     let t =
-      solved
-        (if full then D.solve config artifacts
-         else
-           D.solve_seeded config artifacts
-             ~prev_vals:prev.s_result.Driver.solution.Solver.vals
-             ~dirty:(Hashtbl.mem dirty))
+      solved (D.solve ?kept:(if full then None else Some kept) config artifacts)
     in
     if not full then
       Telemetry.add "incr.sccp_reused" (inherit_sccps ~prev:prev.s_result t);
     let total = List.length prog'.procs in
-    let cone = if full then total else Hashtbl.length dirty in
+    (* a kept fixpoint is the previous version's table itself *)
+    let cone =
+      if t.Driver.solution.Solver.vals == prev_solution.Solver.vals then 0
+      else total
+    in
     let stats =
       {
         total_procs = total;

@@ -9,13 +9,14 @@
     effects, IR, return and site jump functions are copied via
     {!Ipcp_core.Driver.prepare_reusing}; its SCCP result and
     substitution are copied from the previous version; MOD/REF is closed
-    again only upward from what changed.  The solution is reused via
-    {!Ipcp_core.Solver.run_seeded}: only the cone below the call sites
-    whose jump functions changed is solved again, and a copied site list
-    needs no comparison.  What still visits every procedure is a
-    comparison with its predecessor and a copy of its entries.  See the
-    implementation header and DESIGN.md §10 for the copy and closure
-    rules, the fallbacks and the measured cost split. *)
+    again only upward from what changed.  Propagation keeps the previous
+    fixpoint when every procedure keeps its arity and its site
+    jump-function list and the load-time [data] map is unchanged (a
+    copied site list needs no comparison), and solves the whole program
+    again otherwise.  What still visits every procedure is a comparison
+    with its predecessor and a copy of its entries.  See the
+    implementation header and DESIGN.md §10 for the copy rules, the
+    fallbacks and the measured cost split. *)
 
 open Ipcp_frontend
 open Ipcp_core
@@ -25,16 +26,21 @@ type stats = {
   changed_procs : int;
       (** present in both versions and not grafted: a structural
           change.  An update to an α-renamed version therefore reports
-          every renamed procedure as changed, with an empty cone: jump
-          functions name formals by position and globals by storage
-          key, so none of them differs. *)
+          every renamed procedure as changed, and keeps the previous
+          fixpoint: jump functions name formals by position and globals
+          by storage key, so none of them differs. *)
   grafted_procs : int;
       (** structurally equal to their predecessor
           ({!Ipcp_frontend.Prog.equal_proc}), physically reused *)
-  cone_size : int;  (** dirty procedures re-solved *)
-  procs_reused : int;  (** solution maps seeded from the previous fixpoint *)
+  cone_size : int;
+      (** procedures solved again: 0 when the previous fixpoint was kept,
+          else [total_procs] *)
+  procs_reused : int;
+      (** procedures whose VAL map is the kept fixpoint's:
+          [total_procs - cone_size] *)
   procs_resolved : int;  (** = [cone_size] *)
-  full_resolve : bool;  (** whole-program fallback was taken *)
+  full_resolve : bool;
+      (** the whole-program fallback was taken: nothing was copied *)
 }
 
 val pp_stats : stats Fmt.t
@@ -44,6 +50,7 @@ module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
   type session
 
   val start : Config.t -> Prog.t -> session
+  val start_prepared : Config.t -> Driver.artifacts -> session
   val update : prev:session -> Prog.t -> session * stats
   val result : session -> A.L.t Driver.analysis_result
   val config : session -> Config.t
@@ -55,11 +62,17 @@ end
 (** One analyzed program version, ready to be updated from. *)
 type session = Make(Ipcp_analysis.Const_analysis).session
 
+(** [start config prog] is [start_prepared config (Driver.prepare prog)]. *)
 val start : Config.t -> Prog.t -> session
+
+(** The first version of a session, solved over artifacts already
+    prepared for it (which the session then shares). *)
+val start_prepared : Config.t -> Driver.artifacts -> session
 
 (** Analyze the next program version against [prev] (same
     configuration).  The returned session replaces [prev]; the stats
-    report cone size and reuse. *)
+    report whether the previous fixpoint was kept, and what was
+    reused. *)
 val update : prev:session -> Prog.t -> session * stats
 
 (** The full analysis result of this version — same value a from-scratch

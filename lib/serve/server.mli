@@ -44,8 +44,9 @@
        does not change a byte;}
     {- {b incrementality}: [analyze-delta] requests serve from a
        per-session-name {!Ipcp_incr.Incr} session held in memory,
-       re-solving only the dependence cone of what changed since the
-       session's previous version.  A session lost to a restart starts
+       updated from the session's previous version: what the edit left
+       unchanged is copied, and the previous fixpoint is kept when no
+       jump function changed.  A session lost to a restart starts
        again, which yields the same frame.}} *)
 
 type config = {

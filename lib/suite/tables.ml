@@ -14,6 +14,8 @@ module Copy_driver = Driver.Make (Ipcp_analysis.Copy_analysis)
 module Copy_substitute = Substitute.Make (Ipcp_analysis.Copy_analysis)
 module Complete = Ipcp_incr.Complete
 module Copy_complete = Complete.Make (Ipcp_analysis.Copy_analysis)
+module Incr = Ipcp_incr.Incr
+module Copy_incr = Incr.Make (Ipcp_analysis.Copy_analysis)
 
 type table2_row = {
   t2_name : string;
@@ -71,13 +73,15 @@ let table3_row ?(analysis = `Const) ?max_steps ?deadline_ms ?artifacts
   let budgeted c =
     Config.with_analysis analysis (Config.with_budget ?max_steps ?deadline_ms c)
   in
+  (* complete propagation's round 1 is the polynomial+MOD solve over the
+     row's artifacts *)
   let substituted =
+    let config = budgeted Config.polynomial_with_mod in
     match analysis with
     | `Const ->
-      (Complete.run ~config:(budgeted Config.polynomial_with_mod) prog)
-        .substituted
+      (Complete.continue (Incr.start_prepared config artifacts)).substituted
     | `Copy ->
-      (Copy_complete.run ~config:(budgeted Config.polynomial_with_mod) prog)
+      (Copy_complete.continue (Copy_incr.start_prepared config artifacts))
         .substituted
   in
   {

@@ -214,6 +214,48 @@ let test_invisible_edit_empty_cone () =
     (Jobs.analyze ~solved:(Incr.result s') ~config ~jobs:1 prog
     = Jobs.analyze ~config ~jobs:1 prog)
 
+(* Propagation is kept or done over the whole program, never over part
+   of it: an update that changes no site jump function, arity or
+   load-time value runs none, and one that changes the jump function at
+   a single site, [a]'s call of the leaf [b], solves every procedure
+   again. *)
+let test_update_keeps_or_solves () =
+  let config = Config.default in
+  let update after =
+    let prev = Incr.start config (resolve base_src) in
+    let next = resolve after in
+    let coll = Telemetry.create () in
+    let sess, stats =
+      Telemetry.with_reporter coll (fun () -> Incr.update ~prev next)
+    in
+    check Alcotest.bool "byte-identical to scratch" true
+      (Jobs.analyze ~solved:(Incr.result sess) ~config ~jobs:1 next
+      = Jobs.analyze ~config ~jobs:1 next);
+    let counter name = Option.value ~default:0 (Telemetry.counter coll name) in
+    (List.length next.Prog.procs, stats, counter)
+  in
+  List.iter
+    (fun (label, after) ->
+      let _, stats, counter = update after in
+      check Alcotest.int (label ^ ": no jump function evaluated") 0
+        (counter "solver.jf_evaluations");
+      check Alcotest.int (label ^ ": nothing solved again") 0
+        stats.Incr.cone_size)
+    [
+      ("identical version", base_src);
+      ( "summary-invisible edit",
+        replace_line ~from:"integer y" ~to_:"integer y\ninteger t\nt = 5"
+          base_src );
+    ];
+  let procs, stats, counter =
+    update (replace_line ~from:"call b(x)" ~to_:"call b(4)" base_src)
+  in
+  check Alcotest.int "one site changed: every procedure solved again" procs
+    stats.Incr.cone_size;
+  if counter "solver.iterations" < procs then
+    Alcotest.failf "one site changed: %d solver iterations for %d procedures"
+      (counter "solver.iterations") procs
+
 (* A session must not keep the versions before it alive: an update
    keeps what it may reuse of the previous round, not the previous
    session.  The first session is held only through a weak pointer; a
@@ -550,6 +592,8 @@ let suite =
       test_identical_version_empty_cone;
     Alcotest.test_case "summary-invisible edit has an empty cone" `Quick
       test_invisible_edit_empty_cone;
+    Alcotest.test_case "an update keeps the fixpoint or solves everything"
+      `Quick test_update_keeps_or_solves;
     Alcotest.test_case "sessions do not pin earlier versions" `Quick
       test_sessions_do_not_pin_history;
     Alcotest.test_case "data edit outside main matches scratch" `Quick

@@ -2055,8 +2055,8 @@ let first_declarer_edits prng src : string list =
    independent certifier (whose SCCP check vets every SCCP result the
    update copied), and complete propagation continued from the session
    must render what a from-scratch [analyze --complete] does.  The
-   renamed and reordered versions, and an identical version, must report
-   an empty cone. *)
+   renamed and reordered versions, and an identical version, must keep
+   the previous fixpoint (an empty cone). *)
 let run_delta () =
   let failures = ref 0 in
   let checks = ref 0 in
@@ -2150,11 +2150,11 @@ let run_delta () =
                   Fmt.pr "iteration %d %s v%d: %a@." iter kname (i + 1)
                     Incr.pp_stats stats;
                 if metamorphic (i + 1) && stats.Incr.cone_size <> 0 then
-                  err "%s: renamed or reordered version %d has a cone (%a)"
+                  err "%s: renamed or reordered version %d was re-solved (%a)"
                     kname (i + 1) Incr.pp_stats stats;
                 check_version ~vi:(i + 1) !sess prog)
               rest;
-            (* an identical version must have an empty cone *)
+            (* an identical version must keep the previous fixpoint *)
             (match
                parse ~label:"delta-same"
                  (List.nth versions (List.length versions - 1))
@@ -2164,7 +2164,7 @@ let run_delta () =
               let s', stats = Incr.update ~prev:!sess same in
               if stats.Incr.cone_size <> 0 || stats.Incr.procs_resolved <> 0
               then
-                err "%s: identical version reported a non-empty cone (%a)"
+                err "%s: identical version was re-solved (%a)"
                   kname Incr.pp_stats stats;
               if stats.Incr.changed_procs <> 0 then
                 err "%s: identical version reported %d changed procs" kname
