@@ -128,27 +128,6 @@ let propagation_tests =
         Jump_function.all_kinds)
     representative
 
-(* the binding multi-graph solver vs the iterative one (same inputs) *)
-let solver_comparison_tests =
-  List.concat_map
-    (fun (e : Registry.entry) ->
-      let prog = Registry.program e in
-      let global_keys =
-        List.map Ipcp_frontend.Prog.global_key (Ipcp_frontend.Prog.all_globals prog)
-      in
-      let t = Driver.analyze Config.polynomial_with_mod prog in
-      let cg = t.Driver.cg and site_jfs = t.Driver.site_jfs in
-      [
-        Test.make
-          ~name:(Fmt.str "solver/iterative/%s" e.name)
-          (Staged.stage (fun () -> ignore (Solver.run cg ~site_jfs ~global_keys)));
-        Test.make
-          ~name:(Fmt.str "solver/binding/%s" e.name)
-          (Staged.stage (fun () ->
-               ignore (Binding_solver.run cg ~site_jfs ~global_keys)));
-      ])
-    representative
-
 (* end-to-end: analyze + substitute, the paper's recommended configuration *)
 let end_to_end_tests =
   List.map
@@ -248,13 +227,11 @@ let tables_regen_comparison () =
   in
   (* staged: one prepare per program, shared by the Table 2 and Table 3
      rows (and, inside, one stage-1/2 build per (use_mod × return_jfs)
-     variant instead of one per configuration) *)
+     variant instead of one per configuration, and one solve per distinct
+     configuration) *)
   let staged ~jobs () =
     Ipcp_engine.Engine.iter ~jobs
-      (fun (e : Registry.entry) ->
-        let artifacts = Driver.prepare (Registry.program e) in
-        ignore (Tables.table2_row ~artifacts e);
-        ignore (Tables.table3_row ~artifacts e))
+      (fun (e : Registry.entry) -> ignore (Tables.rows e))
       Registry.entries
   in
   let jobs_n = max 4 (Ipcp_engine.Engine.default_jobs ()) in
@@ -378,8 +355,6 @@ let () =
     (run_benchmarks (Test.make_grouped ~name:"" construction_tests));
   print_results "interprocedural propagation time (§3.1.5)"
     (run_benchmarks (Test.make_grouped ~name:"" propagation_tests));
-  print_results "iterative vs binding multi-graph solver"
-    (run_benchmarks (Test.make_grouped ~name:"" solver_comparison_tests));
   print_results "end-to-end analysis time"
     (run_benchmarks (Test.make_grouped ~name:"" end_to_end_tests));
   print_results "solver scaling with program size"

@@ -180,6 +180,45 @@ for expected in incr.cone_size=0 solver.iterations=1601; do
     exit 1
   fi
 done
+# The intraprocedural baseline is updated like any configuration: the
+# same bytes as from scratch, and every procedure but the edited main
+# keeps its call sites and direct MOD/REF effects.
+dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" --against "$tmpdir/big.f" \
+  --intra-only --profile-json "$tmpdir/big_intra_profile.json" > "$tmpdir/big_intra_delta.out"
+dune exec --no-build -- ipcp analyze "$tmpdir/big_edited.f" --intra-only \
+  > "$tmpdir/big_intra_scratch.out"
+if ! cmp -s "$tmpdir/big_intra_delta.out" "$tmpdir/big_intra_scratch.out"; then
+  echo "big input: analyze --against --intra-only differs from a from-scratch analyze --intra-only" >&2
+  diff "$tmpdir/big_intra_delta.out" "$tmpdir/big_intra_scratch.out" | head -20 >&2 || true
+  exit 1
+fi
+for copies in callgraph.sites_copied modref.effects_copied; do
+  n=$(sed -n "s/.*\"$copies\": \([0-9]*\).*/\1/p" "$tmpdir/big_intra_profile.json")
+  if [ "${n:-0}" -lt 1600 ]; then
+    echo "big input: --against --intra-only counted ${n:-0} $copies, not 1600" >&2
+    exit 1
+  fi
+done
+# A print never feeds a call: a literal edit in one changes no jump
+# function, so the update keeps the previous fixpoint.
+sed '/^subroutine proc19(/,/^end$/s/^  print \*, (ng3 + 18)$/  print *, (ng3 + 19)/' \
+  "$tmpdir/big.f" > "$tmpdir/big_print.f"
+if cmp -s "$tmpdir/big.f" "$tmpdir/big_print.f"; then
+  echo "big input: the print edit changed nothing" >&2
+  exit 1
+fi
+dune exec --no-build -- ipcp analyze "$tmpdir/big_print.f" --against "$tmpdir/big.f" \
+  --profile-json "$tmpdir/big_print_profile.json" > "$tmpdir/big_print_delta.out" 2>/dev/null
+dune exec --no-build -- ipcp analyze "$tmpdir/big_print.f" > "$tmpdir/big_print_scratch.out"
+if ! cmp -s "$tmpdir/big_print_delta.out" "$tmpdir/big_print_scratch.out"; then
+  echo "big input: analyze --against after a print edit differs from a from-scratch analyze" >&2
+  exit 1
+fi
+n=$(sed -n 's/.*"incr.cone_size": \([0-9]*\).*/\1/p' "$tmpdir/big_print_profile.json")
+if [ "${n:-none}" != 0 ]; then
+  echo "big input: a print edit counted ${n:-no} incr.cone_size, not 0" >&2
+  exit 1
+fi
 
 echo "== differential fuzzing"
 # The seeded oracle under two pinned seeds with full certification:
@@ -207,9 +246,13 @@ done
 echo "== incremental delta"
 # Randomized edit sequences under two pinned seeds, all four
 # jump-function kinds: every Incr.update must render byte-identically
-# to a from-scratch analyze, pass independent certification, and keep
-# the previous fixpoint (nothing solved again) for an identical,
-# renamed or reordered version.
+# to a from-scratch analyze, and complete propagation continued from
+# the session to a from-scratch --complete; every update must pass
+# independent certification and keep the previous fixpoint (nothing
+# solved again) for an identical, renamed or reordered version.  An
+# unbudgeted update copies what the edit cannot reach whatever the
+# configuration (the intraprocedural baseline's copies are pinned on
+# the big input above).
 for seed in 7 11; do
   echo "-- seed $seed"
   dune exec --no-build tools/fuzz.exe -- --delta --seed "$seed" --iterations 8

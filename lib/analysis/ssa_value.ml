@@ -218,12 +218,6 @@ and sym_of_expr_with t resolve (e : Prog.expr) : Symbolic.t =
           (sym_of_expr_with t resolve b)
       | None -> Symbolic.unknown)
 
-(** Symbolic value of an expression used by a block's terminator. *)
-let sym_of_term_expr t ~block (e : Prog.expr) : Symbolic.t =
-  sym_of_expr_with t
-    (fun name -> List.assoc_opt name t.ssa.Ssa.term_uses.(block))
-    e
-
 (** Symbolic value of variable [name] at a procedure exit block. *)
 let sym_at_exit t ~block name : Symbolic.t =
   match List.assoc_opt block (Ssa.exits t.ssa) with

@@ -43,9 +43,6 @@ val sym_of_name : t -> Ssa.ssa_name -> Symbolic.t
     use table. *)
 val sym_of_expr : t -> block:int -> instr:int -> Prog.expr -> Symbolic.t
 
-(** Symbolic value of an expression used by a block's terminator. *)
-val sym_of_term_expr : t -> block:int -> Prog.expr -> Symbolic.t
-
 (** Symbolic value of variable [name] at a [return]/[stop] block — the raw
     material of return jump functions. *)
 val sym_at_exit : t -> block:int -> string -> Symbolic.t

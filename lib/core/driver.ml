@@ -209,6 +209,16 @@ let artifacts_prog (a : artifacts) = a.a_prog
 let expr_ceiling (a : artifacts) = a.a_facts.f_expr_ceiling
 let find_proc (a : artifacts) name = Hashtbl.find_opt a.a_facts.f_procs name
 
+let global_data (a : artifacts) : (string * int option) list =
+  List.map
+    (fun (g : Prog.global) ->
+      ( Prog.global_key g,
+        a.a_facts.f_main_data
+          { Prog.vname = g.gname; vty = g.gty; vdims = g.gdims;
+            vkind = Kglobal g } ))
+    a.a_facts.f_globals
+  |> List.sort compare
+
 let prepare_reusing ~prev ~unchanged prog =
   prepare_with ~reuse:(prev, unchanged) prog
 

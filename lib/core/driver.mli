@@ -114,6 +114,11 @@ val expr_ceiling : artifacts -> int
     {!prepare} builds once: no walk over the program. *)
 val find_proc : artifacts -> string -> Prog.proc option
 
+(** Every global's key with its load-time [data] value, sorted by key:
+    what the main program's entry VAL map is seeded from.  Read off the
+    facts {!prepare} computed: no walk over the program. *)
+val global_data : artifacts -> (string * int option) list
+
 (** The return-jump-function oracle of an analysis, if enabled. *)
 val oracle : 'elt analysis_result -> Ssa_value.oracle option
 

@@ -32,8 +32,8 @@ let fresh_stats () = { iterations = 0; jf_evaluations = 0; meets = 0; widened = 
 
 (* The result record is declared once, parametric in the lattice element,
    so every [Make] instantiation shares the same nominal type: analysis-
-   independent consumers (artifact plumbing, the binding-graph solver,
-   the incremental layer) stay polymorphic instead of functorized. *)
+   independent consumers (artifact plumbing, the incremental layer) stay
+   polymorphic instead of functorized. *)
 type 'elt generic_result = {
   vals : (string, 'elt Prog.Param_map.t) Hashtbl.t;
   stats : stats;
@@ -41,8 +41,6 @@ type 'elt generic_result = {
       (** non-empty when the budget ran out and pending work was widened
           to ⊥ — the result is sound but less precise *)
 }
-
-let stats_of (r : 'elt generic_result) = r.stats
 
 type val_map = Const_lattice.t Prog.Param_map.t
 type result = Const_lattice.t generic_result

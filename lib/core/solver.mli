@@ -10,8 +10,7 @@
 open Ipcp_frontend
 open Ipcp_analysis
 
-(** Worklist-iteration counters, shared by every instantiation (and by
-    the binding-graph solver, which fills in a result of its own). *)
+(** Worklist-iteration counters, shared by every instantiation. *)
 type stats = {
   mutable iterations : int;  (** worklist pops *)
   mutable jf_evaluations : int;
@@ -20,7 +19,8 @@ type stats = {
 }
 
 (** All-zero counters — for consumers that synthesize a result without
-    running the worklist (intraprocedural baseline, binding solver). *)
+    running the worklist (the intraprocedural baseline, a kept
+    fixpoint). *)
 val fresh_stats : unit -> stats
 
 (** A solved fixpoint over lattice elements ['elt].  Declared once,
@@ -34,8 +34,6 @@ type 'elt generic_result = {
       (** non-empty when the budget ran out; the result is still sound
           (pending work was widened to ⊥) but may miss constants *)
 }
-
-val stats_of : 'elt generic_result -> stats
 
 type val_map = Const_lattice.t Prog.Param_map.t
 type result = Const_lattice.t generic_result
@@ -54,7 +52,7 @@ module Make (A : Analysis_sig.S) : sig
 
   (** Evaluate a jump function under a caller's VAL map: ⊥ in ⇒ ⊥ out,
       any ⊤ in ⇒ ⊤ out (optimistic), the analysis's folding otherwise.
-      Exposed for the binding-graph solver and cloning. *)
+      Exposed for cloning. *)
   val eval_jf : stats -> A.L.t Prog.Param_map.t -> Symbolic.t -> A.L.t
 
   (** Solve.  [budget] (default: unlimited) bounds the worklist drain;

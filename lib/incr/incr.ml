@@ -27,19 +27,21 @@
     {- {b The fixpoint, kept or solved again.}  Propagation reads nothing
        of a procedure but its arity, the jump functions at its call
        sites (paper §2) and, for main, the load-time [data] values of the
-       globals.  When the procedures are the same by name and arity, the
-       [data] map is unchanged and every site jump-function list equals
-       the previous one, the previous fixpoint is this version's: stage 3
-       takes it and does no work.  A list that [prepare_reusing] copied
-       is physically the previous one ({!Ipcp_core.Driver.site_jfs_for})
-       and is skipped; the others are compared pairwise (positionally:
-       grafted callers keep their site ids, reparsed ones are renumbered,
-       so ids don't travel across versions), stopping at the first
-       difference.  Any other update solves the whole program again.  A
-       dependence cone re-solved by a seeded solver was tried and
-       deleted: apart from the empty cone, which this rule keeps, it
-       saved less propagation than working the cone out cost
-       (DESIGN.md §10).}
+       globals.  When main keeps its name, the procedures are the same
+       by name and arity, every global keeps its key and [data] value
+       (read off both versions' prepared facts,
+       {!Ipcp_core.Driver.global_data}) and every site jump-function list
+       equals the previous one, the previous fixpoint is this version's:
+       stage 3 takes it and does no work.  A list that [prepare_reusing]
+       copied is physically the previous one
+       ({!Ipcp_core.Driver.site_jfs_for}) and is skipped; the others are
+       compared pairwise (positionally: grafted callers keep their site
+       ids, reparsed ones are renumbered, so ids don't travel across
+       versions), stopping at the first difference.  Any other update
+       solves the whole program again.  A dependence cone re-solved by a
+       seeded solver was tried and deleted: apart from the empty cone,
+       which this rule keeps, it saved less propagation than working the
+       cone out cost (DESIGN.md §10).}
     {- {b SCCP seeding.}  The new result's SCCP and substitution memos
        take the previous result's entries for every procedure whose SSA
        is physically the copied one, whose VAL map is equal and whose
@@ -47,14 +49,16 @@
        else, and the rewrite reads SCCP's result, the body and the
        callees' MOD footprints, which a copied SSA already implies.}}
 
-    Whole-program fallbacks (still byte-identical, just not cheaper)
-    copy nothing from the previous version: a budgeted configuration
-    (how much a budgeted run does depends on the run — a deadline reads
-    the clock — so what it computed is not copied), the
-    intraprocedural baseline (it propagates nothing, so an update has
-    nothing to keep), a changed global-key set (every IR and VAL map
-    embeds the global list), and a renamed main program (main's entry
-    values seed the whole fixpoint).
+    A budgeted configuration is the one whole-program fallback (still
+    byte-identical, just not cheaper): it copies nothing from the
+    previous version, since how much a budgeted run does depends on the
+    run (a deadline reads the clock).  Every other update takes the
+    steps above.  A changed global list makes [prepare_reusing] copy
+    nothing (every IR embeds it), and a changed global-key set or a
+    renamed main (whose entry values seed the whole fixpoint) fails the
+    kept-fixpoint check.  The intraprocedural baseline propagates
+    nothing: its fixpoint (every entry ⊥) is kept by the same check,
+    and everything else is copied as for any configuration.
 
     [incr.update] has a span per phase: [incr.identity] (the structural
     comparison), [incr.graft], [prepare] and [solve], which builds the
@@ -76,7 +80,7 @@ type stats = {
   cone_size : int;  (** procedures solved again: none or all *)
   procs_reused : int;  (** procedures whose VAL map the kept fixpoint gave *)
   procs_resolved : int;  (** = [cone_size] *)
-  full_resolve : bool;  (** whole-program fallback was taken *)
+  full_resolve : bool;  (** the budgeted fallback was taken *)
 }
 
 let pp_stats ppf (s : stats) =
@@ -116,22 +120,6 @@ module Make (A : Analysis_sig.S) = struct
     }
 
   let start config prog = start_prepared config (Driver.prepare prog)
-
-  (* The load-time initialization map of the globals: main's entry values
-     depend on every unit's [data] statements, so a change here changes
-     the fixpoint even when main's own body is untouched. *)
-  let data_map (prog : Prog.t) : (string * int option) list =
-    let data = Prog.main_data prog in
-    Prog.all_globals prog
-    |> List.map (fun (g : Prog.global) ->
-           ( Prog.global_key g,
-             data
-               { Prog.vname = g.gname; vty = g.gty; vdims = g.gdims;
-                 vkind = Kglobal g } ))
-    |> List.sort compare
-
-  let global_key_set prog =
-    List.sort compare (List.map Prog.global_key (Prog.all_globals prog))
 
   (* ------------------------------------------------------------------ *)
   (* Id renumbering.
@@ -271,16 +259,10 @@ module Make (A : Analysis_sig.S) = struct
           in
           { prog_new with procs = procs' })
     in
-    let budgeted =
+    (* a budgeted configuration copies nothing from the previous round *)
+    let full =
       config.Config.max_steps <> None || config.Config.deadline_ms <> None
     in
-    let full =
-      budgeted
-      || (not config.Config.interprocedural)
-      || global_key_set prev.s_prog <> global_key_set prog_new
-      || prev.s_prog.main <> prog_new.main
-    in
-    (* a whole-program fallback copies nothing from the previous round *)
     let artifacts =
       if full then Driver.prepare prog'
       else Driver.prepare_reusing ~prev:prev.s_artifacts ~unchanged prog'
@@ -301,7 +283,9 @@ module Make (A : Analysis_sig.S) = struct
            end
       in
       let same =
-        List.compare_lengths prog'.procs prev.s_prog.procs = 0
+        prog'.main = prev.s_prog.main
+        && List.compare_lengths prog'.procs prev.s_prog.procs = 0
+        && Driver.global_data prev.s_artifacts = Driver.global_data artifacts
         && List.for_all
              (fun (p : Prog.proc) ->
                match prev_proc p.pname with
@@ -310,7 +294,6 @@ module Make (A : Analysis_sig.S) = struct
                  && same_sites p.pname
                | None -> false)
              prog'.procs
-        && data_map prev.s_prog = data_map prog_new
       in
       Telemetry.add "incr.site_lists_compared" !compared;
       if same then

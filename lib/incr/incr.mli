@@ -10,13 +10,14 @@
     {!Ipcp_core.Driver.prepare_reusing}; its SCCP result and
     substitution are copied from the previous version; MOD/REF is closed
     again only upward from what changed.  Propagation keeps the previous
-    fixpoint when every procedure keeps its arity and its site
-    jump-function list and the load-time [data] map is unchanged (a
-    copied site list needs no comparison), and solves the whole program
-    again otherwise.  What still visits every procedure is a comparison
+    fixpoint when main keeps its name, every procedure keeps its arity
+    and its site jump-function list and the load-time [data] map is
+    unchanged (a copied site list needs no comparison), and solves the
+    whole program again otherwise.  Only a budgeted configuration
+    copies nothing.  What still visits every procedure is a comparison
     with its predecessor and a copy of its entries.  See the
     implementation header and DESIGN.md §10 for the copy rules, the
-    fallbacks and the measured cost split. *)
+    budgeted fallback and the measured cost split. *)
 
 open Ipcp_frontend
 open Ipcp_core
@@ -40,7 +41,8 @@ type stats = {
           [total_procs - cone_size] *)
   procs_resolved : int;  (** = [cone_size] *)
   full_resolve : bool;
-      (** the whole-program fallback was taken: nothing was copied *)
+      (** the whole-program fallback of a budgeted configuration was
+          taken: nothing was copied *)
 }
 
 val pp_stats : stats Fmt.t

@@ -291,8 +291,3 @@ let proc_id_ceiling (p : Prog.proc) : int =
 let expr_id_ceiling (prog : Prog.t) : int =
   Ipcp_telemetry.Telemetry.incr "prog.walks";
   List.fold_left (fun m p -> max m (proc_id_ceiling p)) 0 prog.procs
-
-(** Lower every procedure of a program. *)
-let lower_program (prog : Prog.t) : (string * Cfg.t) list =
-  let ceiling = expr_id_ceiling prog in
-  List.map (fun (p : Prog.proc) -> (p.pname, lower_proc ~next_expr_id:ceiling p)) prog.procs

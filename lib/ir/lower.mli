@@ -15,6 +15,3 @@ val expr_id_ceiling : Prog.t -> int
 
 (** One past the highest statement/expression id of one procedure. *)
 val proc_id_ceiling : Prog.proc -> int
-
-(** Lower every procedure. *)
-val lower_program : Prog.t -> (string * Cfg.t) list

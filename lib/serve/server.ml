@@ -4,7 +4,6 @@ module Prng = Ipcp_support.Prng
 module Telemetry = Ipcp_telemetry.Telemetry
 module Incr = Ipcp_incr.Incr
 module Copy_incr = Ipcp_incr.Incr.Make (Ipcp_analysis.Copy_analysis)
-module Copy_driver = Driver.Make (Ipcp_analysis.Copy_analysis)
 
 type config = {
   workers : int;

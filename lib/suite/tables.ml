@@ -5,17 +5,17 @@
 
     Table 3: the polynomial jump function without MOD information, with MOD,
     complete propagation (iterated with dead-code elimination), and the
-    purely intraprocedural baseline. *)
+    purely intraprocedural baseline.
+
+    A program's two rows are one function ({!rows}) over one prepare,
+    solving each of the eight distinct configurations once. *)
 
 open Ipcp_core
 module Prog = Ipcp_frontend.Prog
 module Copy_lattice = Ipcp_analysis.Copy_lattice
 module Copy_driver = Driver.Make (Ipcp_analysis.Copy_analysis)
-module Copy_substitute = Substitute.Make (Ipcp_analysis.Copy_analysis)
 module Complete = Ipcp_incr.Complete
-module Copy_complete = Complete.Make (Ipcp_analysis.Copy_analysis)
 module Incr = Ipcp_incr.Incr
-module Copy_incr = Incr.Make (Ipcp_analysis.Copy_analysis)
 
 type table2_row = {
   t2_name : string;
@@ -35,79 +35,68 @@ type table3_row = {
   intra_only : int;
 }
 
-(* One row = one task: all configurations of a program solve over the same
-   staged artifacts (stages 1–2 are shared per (use_mod × return_jfs)
-   variant), so a six-column Table 2 row builds the per-procedure IR twice,
-   not six times. *)
-let count_staged analysis artifacts config =
-  match analysis with
-  | `Const -> Substitute.count_staged artifacts config
-  | `Copy -> Copy_substitute.count_staged artifacts config
+(* Both rows of a program solve over one prepare: stages 1–2 are shared
+   per (use_mod × return_jfs) variant, so the ten cells build each
+   procedure's IR twice, once per MOD setting.  Each distinct
+   configuration is solved once: Table 2's polynomial+ret cell is Table
+   3's with-MOD cell, and complete propagation's round 1.  That cell is
+   counted over an [Incr] session, whose memo keeps the SCCP results
+   substitution computes, and complete propagation continues the session:
+   its first round's dead-code elimination runs no SCCP. *)
+module Rows (A : Ipcp_analysis.Analysis_sig.S) = struct
+  module I = Incr.Make (A)
+  module C = Complete.Make (A)
+  module Sub = Substitute.Make (A)
 
-let table2_row ?(analysis = `Const) ?max_steps ?deadline_ms ?artifacts
-    (e : Registry.entry) : table2_row =
-  let prog = Registry.program e in
-  let artifacts =
-    match artifacts with Some a -> a | None -> Driver.prepare prog
-  in
-  let with_kind ?return_jfs kind =
-    count_staged analysis artifacts
-      (Config.make ~analysis ~kind ?return_jfs ?max_steps ?deadline_ms ())
-  in
-  {
-    t2_name = e.name;
-    ret_poly = with_kind Jump_function.Polynomial;
-    ret_pass = with_kind Jump_function.Passthrough;
-    ret_intra = with_kind Jump_function.Intraconst;
-    ret_lit = with_kind Jump_function.Literal;
-    noret_poly = with_kind ~return_jfs:false Jump_function.Polynomial;
-    noret_pass = with_kind ~return_jfs:false Jump_function.Passthrough;
-  }
+  let rows budgeted (e : Registry.entry) : table2_row * table3_row =
+    let artifacts = Driver.prepare (Registry.program e) in
+    let count config = Sub.count_staged artifacts (budgeted config) in
+    let with_kind ?return_jfs kind =
+      count (Config.make ~kind ?return_jfs ())
+    in
+    let s =
+      I.start_prepared (budgeted Config.polynomial_with_mod) artifacts
+    in
+    let poly_mod = (snd (Sub.apply (I.result s))).total in
+    ( {
+        t2_name = e.name;
+        ret_poly = poly_mod;
+        ret_pass = with_kind Jump_function.Passthrough;
+        ret_intra = with_kind Jump_function.Intraconst;
+        ret_lit = with_kind Jump_function.Literal;
+        noret_poly = with_kind ~return_jfs:false Jump_function.Polynomial;
+        noret_pass = with_kind ~return_jfs:false Jump_function.Passthrough;
+      },
+      {
+        t3_name = e.name;
+        poly_no_mod = count Config.polynomial_no_mod;
+        poly_mod;
+        complete = (C.continue s).substituted;
+        intra_only = count Config.intraprocedural_only;
+      } )
+end
 
-let table3_row ?(analysis = `Const) ?max_steps ?deadline_ms ?artifacts
-    (e : Registry.entry) : table3_row =
-  let prog = Registry.program e in
-  let artifacts =
-    match artifacts with Some a -> a | None -> Driver.prepare prog
-  in
+module Const_rows = Rows (Ipcp_analysis.Const_analysis)
+module Copy_rows = Rows (Ipcp_analysis.Copy_analysis)
+
+let rows ?(analysis = `Const) ?max_steps ?deadline_ms e =
   let budgeted c =
     Config.with_analysis analysis (Config.with_budget ?max_steps ?deadline_ms c)
   in
-  (* complete propagation's round 1 is the polynomial+MOD solve over the
-     row's artifacts *)
-  let substituted =
-    let config = budgeted Config.polynomial_with_mod in
-    match analysis with
-    | `Const ->
-      (Complete.continue (Incr.start_prepared config artifacts)).substituted
-    | `Copy ->
-      (Copy_complete.continue (Copy_incr.start_prepared config artifacts))
-        .substituted
-  in
-  {
-    t3_name = e.name;
-    poly_no_mod =
-      count_staged analysis artifacts (budgeted Config.polynomial_no_mod);
-    poly_mod =
-      count_staged analysis artifacts (budgeted Config.polynomial_with_mod);
-    complete = substituted;
-    intra_only =
-      count_staged analysis artifacts (budgeted Config.intraprocedural_only);
-  }
+  match analysis with
+  | `Const -> Const_rows.rows budgeted e
+  | `Copy -> Copy_rows.rows budgeted e
 
 (* Parse-and-resolve every suite program in the calling domain before any
    fan-out: Registry.program memoizes into a shared table, and pre-warming
    turns the workers' accesses into pure reads. *)
 let prewarm () = List.iter (fun e -> ignore (Registry.program e)) Registry.entries
 
-(* Both rows of a program are one task over one prepare. *)
+(* Both rows of a program are one task. *)
 let table23 ?analysis ?(jobs = 1) ?max_steps ?deadline_ms () =
   prewarm ();
   Ipcp_engine.Engine.map ~jobs
-    (fun e ->
-      let artifacts = Driver.prepare (Registry.program e) in
-      ( table2_row ?analysis ?max_steps ?deadline_ms ~artifacts e,
-        table3_row ?analysis ?max_steps ?deadline_ms ~artifacts e ))
+    (rows ?analysis ?max_steps ?deadline_ms)
     Registry.entries
 
 (* The subsumption table (after Sreekala & Paleri, "Copy Propagation
@@ -125,12 +114,8 @@ type table4_row = {
   t4_copies : int;  (** additional pure copy facts (Copy bindings) *)
 }
 
-let table4_row ?max_steps ?deadline_ms ?artifacts (e : Registry.entry) :
-    table4_row =
-  let prog = Registry.program e in
-  let artifacts =
-    match artifacts with Some a -> a | None -> Driver.prepare prog
-  in
+let table4_row ?max_steps ?deadline_ms (e : Registry.entry) : table4_row =
+  let artifacts = Driver.prepare (Registry.program e) in
   let budgeted c = Config.with_budget ?max_steps ?deadline_ms c in
   let const_t = Driver.solve (budgeted Config.polynomial_with_mod) artifacts in
   let copy_t =

@@ -1,13 +1,13 @@
 (** Regeneration harness for the paper's Tables 2 and 3: the substitution
     counts of every analyzer configuration on every suite program.
 
-    A program's rows solve over shared staged artifacts
-    ({!Ipcp_core.Driver.prepare}) — its call graph, MOD summaries and IR
-    are built once and reused across every configuration of its Table 2
-    and Table 3 rows but complete propagation, a session of its own — and
-    [?jobs] fans programs across worker domains with deterministic
-    (input-order) results, so the printed tables are byte-identical for
-    every [jobs]. *)
+    A program's two rows solve over one {!Ipcp_core.Driver.prepare} — its
+    call graph, MOD summaries and IR are built once for every cell — and
+    each distinct configuration is solved once: Table 2's polynomial+ret
+    cell is also Table 3's with-MOD cell, and complete propagation
+    continues the session that solved it.  [?jobs] fans programs across
+    worker domains with deterministic (input-order) results, so the
+    printed tables are byte-identical for every [jobs]. *)
 
 type table2_row = {
   t2_name : string;
@@ -39,38 +39,21 @@ type table4_row = {
   t4_copies : int;  (** additional pure copy facts (Copy bindings) *)
 }
 
-(** One row; [?artifacts] supplies already-prepared staged artifacts for
-    the entry's program.  [?analysis] (default [`Const]) selects the
-    lattice the counts run under.  [?max_steps]/[?deadline_ms] bound
-    every analysis pass of the row (see
+(** A program's Table 2 and Table 3 rows, from one
+    {!Ipcp_core.Driver.prepare}.  [?analysis] (default [`Const]) selects
+    the lattice the counts run under.  [?max_steps]/[?deadline_ms] bound
+    every analysis pass of the rows (see
     {!Ipcp_core.Config.with_budget}); an exhausted pass degrades
     soundly, so a generous budget reproduces the unbudgeted counts
     exactly. *)
-val table2_row :
+val rows :
   ?analysis:Ipcp_core.Config.analysis ->
   ?max_steps:int ->
   ?deadline_ms:int ->
-  ?artifacts:Ipcp_core.Driver.artifacts ->
   Registry.entry ->
-  table2_row
+  table2_row * table3_row
 
-val table3_row :
-  ?analysis:Ipcp_core.Config.analysis ->
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  ?artifacts:Ipcp_core.Driver.artifacts ->
-  Registry.entry ->
-  table3_row
-
-val table4_row :
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  ?artifacts:Ipcp_core.Driver.artifacts ->
-  Registry.entry ->
-  table4_row
-
-(** Tables 2 and 3: both rows of every program, from one
-    {!Ipcp_core.Driver.prepare} per program. *)
+(** Tables 2 and 3: {!rows} of every program. *)
 val table23 :
   ?analysis:Ipcp_core.Config.analysis ->
   ?jobs:int ->

@@ -187,6 +187,82 @@ let test_mod_closure_linear () =
           order shallow deep)
     [ true; false ]
 
+(* The stress shapes, each as a function of its size, with the counter
+   that shows the shape's own per-unit work: one procedure with [n]
+   calls, [n]-deep [if] nesting, one [n]-term expression (whose terms
+   show only as certifier obligations) and one procedure of [n]
+   statements. *)
+let stress_shapes =
+  let rep n s = String.concat "" (List.init n (fun _ -> s)) in
+  let sub = "subroutine s(a)\ninteger a\nprint *, a\nend\n" in
+  [
+    ( "calls", 20000, "solver.jf_evaluations",
+      fun n ->
+        "program main\ninteger k, i\nk = 3\ni = 5\n"
+        ^ rep n "call s(k, mod(i, 7))\n"
+        ^ "end\nsubroutine s(a, b)\ninteger a, b\nprint *, a + b\nend\n" );
+    ( "if nesting", 3000, "sccp.flow_edge_visits",
+      fun n ->
+        "program main\ninteger k\nk = 1\n"
+        ^ rep n "if (k .ge. 1) then\nk = k + 1\n"
+        ^ "call s(k)\n" ^ rep n "end if\n" ^ "end\n" ^ sub );
+    ( "expression terms", 20000, "obligations",
+      fun n ->
+        "program main\ninteger k, j\nk = 2\nj = k"
+        ^ rep (n - 1) " + k"
+        ^ "\ncall s(j)\nend\n" ^ sub );
+    ( "statements", 20000, "sccp.ssa_visits",
+      fun n ->
+        "program main\ninteger k\nk = 1\n" ^ rep n "k = k + 1\n"
+        ^ "call s(k)\nend\n" ^ sub );
+  ]
+
+(* Analyzing, substituting and certifying a shape at half and at full
+   size does work linear in the size: every counter the pipeline
+   reports, and the certifier's obligations, grow at most 1.5× faster
+   than the size, and whole-program walks not at all.  Counters, not
+   wall clock: a quadratic pass shows as a counter per unit that
+   doubles. *)
+let test_stress_shapes_linear () =
+  List.iter
+    (fun (shape, size, own, src) ->
+      let work n =
+        let coll = Ipcp_telemetry.Telemetry.create () in
+        let r =
+          Ipcp_telemetry.Telemetry.with_reporter coll (fun () ->
+              let t =
+                Driver.analyze Config.default
+                  (Sema.parse_and_resolve (src n))
+              in
+              ignore (Substitute.apply t);
+              Certify.check t)
+        in
+        check Alcotest.bool
+          (Fmt.str "%s at %d: %a" shape n Certify.pp_report r)
+          true
+          (Certify.ok r && r.witness = Certify.Witnessed);
+        ("obligations", r.obligations)
+        :: Ipcp_telemetry.Telemetry.counters coll
+      in
+      let half = work (size / 2) and full = work size in
+      let get counters name =
+        Option.value ~default:0 (List.assoc_opt name counters)
+      in
+      check Alcotest.int (shape ^ ": prog.walks do not grow")
+        (get half "prog.walks") (get full "prog.walks");
+      if get full own < size then
+        Alcotest.failf "%s: %s is %d at size %d" shape own (get full own) size;
+      List.iter
+        (fun (name, n) ->
+          let per_half =
+            float_of_int (get half name) /. float_of_int (size / 2)
+          and per_full = float_of_int n /. float_of_int size in
+          if per_full > 1.5 *. per_half then
+            Alcotest.failf "%s: %s per unit %.3f at size %d, %.3f at %d" shape
+              name per_half (size / 2) per_full size)
+        full)
+    stress_shapes
+
 (* ---- corruption is detected ---- *)
 
 let test_corrupt_detected () =
@@ -405,4 +481,6 @@ let suite =
     ("cli: --inject-error self-test", `Quick, test_cli_inject_error_selftest);
     ("cli: analyze --certify", `Quick, test_cli_analyze_certify_flag);
     ("cli: certify usage error", `Quick, test_cli_certify_usage);
+    ("stress shapes are linear in their size", `Quick,
+     test_stress_shapes_linear);
   ]

@@ -1,6 +1,4 @@
 (* Tests for the extensions beyond the paper's core study:
-   - the binding multi-graph solver (must agree exactly with the iterative
-     call-graph solver);
    - constant-driven procedure cloning;
    - the FORTRAN argument-aliasing checker. *)
 
@@ -12,56 +10,6 @@ let check = Alcotest.check
 let fail = Alcotest.fail
 
 let resolve = Sema.parse_and_resolve
-
-(* ------------------------------------------------------------------ *)
-(* Binding multi-graph solver *)
-
-let solutions_equal prog (a : Solver.result) (b : Solver.result) =
-  List.for_all
-    (fun (p : Prog.proc) ->
-      let ma = Hashtbl.find_opt a.vals p.pname
-      and mb = Hashtbl.find_opt b.vals p.pname in
-      match (ma, mb) with
-      | Some ma, Some mb -> Prog.Param_map.equal Ipcp_analysis.Const_lattice.equal ma mb
-      | None, None -> true
-      | _ -> false)
-    prog.Prog.procs
-
-let binding_matches_iterative prog =
-  let t = Driver.analyze Config.polynomial_with_mod prog in
-  let global_keys = List.map Prog.global_key (Prog.all_globals prog) in
-  let b = Binding_solver.run t.cg ~site_jfs:t.site_jfs ~global_keys in
-  solutions_equal prog t.solution b
-
-let test_binding_solver_on_suite () =
-  List.iter
-    (fun (e : Registry.entry) ->
-      if not (binding_matches_iterative (Registry.program e)) then
-        fail (e.name ^ ": binding solver disagrees with iterative solver"))
-    Registry.entries
-
-let prop_binding_solver_equivalence =
-  QCheck2.Test.make ~name:"binding solver ≡ iterative solver" ~count:80
-    (QCheck2.Gen.int_range 1 10_000) (fun seed ->
-      let prog =
-        Workload.generate_resolved
-          {
-            Workload.default_spec with
-            seed;
-            num_procs = 3 + (seed mod 5);
-            num_globals = seed mod 4;
-          }
-      in
-      binding_matches_iterative prog)
-
-let test_binding_solver_fewer_evaluations () =
-  (* the sparse formulation re-evaluates only dependent jump functions *)
-  let prog = Registry.program (Option.get (Registry.find "ocean")) in
-  let t = Driver.analyze Config.polynomial_with_mod prog in
-  let global_keys = List.map Prog.global_key (Prog.all_globals prog) in
-  let b = Binding_solver.run t.cg ~site_jfs:t.site_jfs ~global_keys in
-  check Alcotest.bool "binding does not evaluate more" true
-    (b.stats.jf_evaluations <= t.solution.stats.jf_evaluations)
 
 (* ------------------------------------------------------------------ *)
 (* Cloning *)
@@ -235,9 +183,6 @@ let prop_generated_programs_conform =
 
 let suite =
   [
-    ("binding solver on suite", `Quick, test_binding_solver_on_suite);
-    ("binding solver sparse", `Quick, test_binding_solver_fewer_evaluations);
-    QCheck_alcotest.to_alcotest prop_binding_solver_equivalence;
     ("cloning recovers constants", `Quick, test_cloning_recovers_constants);
     ("cloning preserves behaviour", `Quick, test_cloning_preserves_behaviour);
     ("cloning noop when agreeing", `Quick, test_cloning_noop_when_agreeing);

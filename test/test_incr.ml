@@ -441,30 +441,29 @@ let test_global_names_follow_the_program () =
 
 (* Reuse is pinned by counters.  [prev] is rendered first, as serve
    renders every response, so its SCCP memo is full. *)
-let update_counters ~prev_src ~next_src =
-  let config = Config.default in
+let update_counters ?(config = Config.default) ~prev_src ~next_src () =
   let prev = Incr.start config (resolve prev_src) in
   ignore
     (Jobs.analyze ~solved:(Incr.result prev) ~config ~jobs:1 (Incr.prog prev));
   let next = resolve next_src in
   let coll = Telemetry.create () in
-  let rendered =
+  let rendered, stats =
     Telemetry.with_reporter coll (fun () ->
-        let sess, _ = Incr.update ~prev next in
-        Jobs.analyze ~solved:(Incr.result sess) ~config ~jobs:1 next)
+        let sess, stats = Incr.update ~prev next in
+        (Jobs.analyze ~solved:(Incr.result sess) ~config ~jobs:1 next, stats))
   in
   check Alcotest.bool "byte-identical to scratch" true
     (rendered = Jobs.analyze ~config ~jobs:1 next);
   let counter name = Option.value ~default:0 (Telemetry.counter coll name) in
-  (List.length next.Prog.procs, counter)
+  (List.length next.Prog.procs, counter, stats)
 
 let generated_src =
   Ipcp_suite.Workload.generate
     { Ipcp_suite.Workload.default_spec with seed = 42; num_procs = 30 }
 
 let test_identical_update_copies_everything () =
-  let procs, counter =
-    update_counters ~prev_src:generated_src ~next_src:generated_src
+  let procs, counter, _ =
+    update_counters ~prev_src:generated_src ~next_src:generated_src ()
   in
   check Alcotest.int "site jump functions copied" procs
     (counter "driver.site_jfs_reused");
@@ -478,7 +477,7 @@ let test_identical_update_copies_everything () =
 
 (* One more operand in the last [print] changes that procedure's body
    and nothing any other procedure can observe. *)
-let test_print_edit_copies_all_but_one () =
+let print_edited =
   let lines = String.split_on_char '\n' generated_src in
   let target =
     List.find
@@ -488,19 +487,50 @@ let test_print_edit_copies_all_but_one () =
   in
   let args = String.sub target 11 (String.length target - 11) in
   let edited_line = "  print *, 0, " ^ args in
-  let edited =
-    String.concat "\n"
-      (List.map (fun l -> if l == target then edited_line else l) lines)
-  in
-  let procs, counter =
-    update_counters ~prev_src:generated_src ~next_src:edited
+  String.concat "\n"
+    (List.map (fun l -> if l == target then edited_line else l) lines)
+
+let test_print_edit_copies_all_but_one () =
+  let procs, counter, _ =
+    update_counters ~prev_src:generated_src ~next_src:print_edited ()
   in
   check Alcotest.int "site jump functions copied" (procs - 1)
     (counter "driver.site_jfs_reused");
   check Alcotest.int "SCCP copied" (procs - 1) (counter "incr.sccp_reused");
   check Alcotest.int "one SCCP run" 1 (counter "sccp.runs")
 
-(* The whole-program fallbacks copy nothing. *)
+(* The intraprocedural baseline is updated like any configuration: the
+   edited procedure is the only one whose call sites and MOD/REF effects
+   are computed again, and the baseline's fixpoint (every entry ⊥) is
+   kept. *)
+let test_intraprocedural_update_copies () =
+  let procs, counter, stats =
+    update_counters ~config:Config.intraprocedural_only
+      ~prev_src:generated_src ~next_src:print_edited ()
+  in
+  check Alcotest.bool "not a full resolve" false stats.Incr.full_resolve;
+  check Alcotest.int "fixpoint kept" 0 stats.Incr.cone_size;
+  check Alcotest.int "call sites copied" (procs - 1)
+    (counter "callgraph.sites_copied");
+  check Alcotest.int "MOD/REF effects copied" (procs - 1)
+    (counter "modref.effects_copied");
+  check Alcotest.int "SCCP copied" (procs - 1) (counter "incr.sccp_reused")
+
+(* Main's entry values seed the whole fixpoint: a version whose main
+   program is renamed, all else equal, copies what it can and solves
+   every procedure again. *)
+let test_renamed_main_solves_again () =
+  let renamed =
+    replace_line ~from:"program main" ~to_:"program other" base_src
+  in
+  let procs, _, stats =
+    update_counters ~prev_src:base_src ~next_src:renamed ()
+  in
+  check Alcotest.bool "not a full resolve" false stats.Incr.full_resolve;
+  check Alcotest.int "every procedure solved again" procs
+    stats.Incr.cone_size
+
+(* The budgeted fallback copies nothing. *)
 let test_fallback_copies_nothing () =
   let config = Config.with_budget ~max_steps:1_000_000 Config.default in
   let prog = resolve generated_src in
@@ -614,4 +644,8 @@ let suite =
       `Quick test_metamorphic_versions_empty_cone;
     Alcotest.test_case "an edit and its undo change the same procedures"
       `Quick test_changed_procs_both_ways;
+    Alcotest.test_case "intraprocedural update copies all but the edit"
+      `Quick test_intraprocedural_update_copies;
+    Alcotest.test_case "renamed main solves again" `Quick
+      test_renamed_main_solves_again;
   ]

@@ -67,6 +67,29 @@ let test_tables_parallel_determinism () =
   check Alcotest.bool "tables render non-empty" true
     (String.length sequential > 0)
 
+(* The tables solve each distinct configuration of a program once, over
+   one prepare: eight solves per program (Table 2's six configurations,
+   then no-MOD and intraprocedural; with-MOD is Table 2's polynomial+ret
+   cell and complete propagation's round 1).  Complete propagation
+   continues that cell's session, so its first round runs no SCCP. *)
+let test_tables_solve_each_configuration_once () =
+  let coll = Telemetry.create () in
+  let o =
+    Telemetry.with_reporter coll (fun () -> Ipcp_serve.Jobs.tables ~jobs:1 ())
+  in
+  check Alcotest.int "tables exit 0" 0 o.Ipcp_serve.Jobs.code;
+  let counter name = Option.value ~default:0 (Telemetry.counter coll name) in
+  let solves =
+    List.fold_left
+      (fun acc (s : Telemetry.span_snapshot) ->
+        if s.sp_name = "solve" then acc + s.sp_calls else acc)
+      0 (Telemetry.spans coll)
+  in
+  check Alcotest.int "top-level solves" (8 * List.length Registry.entries)
+    solves;
+  check Alcotest.int "sccp.runs" 1077 (counter "sccp.runs");
+  check Alcotest.int "jf.build_ir" 271 (counter "jf.build_ir")
+
 (* the DCE example: the else-branch of [conf] is dead once mode=1 is
    known, so complete propagation iterates, and [sink] — unchanged by the
    elimination — must have its stage-1/2 artifacts reused *)
@@ -298,4 +321,6 @@ let suite =
      test_update_contract);
     ("complete propagation work follows the change", `Quick,
      test_complete_work_follows_the_change);
+    ("tables solve each configuration once", `Quick,
+     test_tables_solve_each_configuration_once);
   ]

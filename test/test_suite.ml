@@ -88,15 +88,13 @@ let test_substitution_preserves name () =
 (* ------------------------------------------------------------------ *)
 (* Shape assertions: the paper's orderings per program *)
 
-let t2 name = Tables.table2_row (entry name)
-let t3 name = Tables.table3_row (entry name)
+let rows name = Tables.rows (entry name)
 
 (* Shared invariants that the paper reports for every program. *)
 let test_global_invariants () =
   List.iter
     (fun e ->
-      let r2 = Tables.table2_row e in
-      let r3 = Tables.table3_row e in
+      let r2, r3 = Tables.rows e in
       (* the paper's headline: pass-through and polynomial found the same
          constants on the whole suite *)
       check Alcotest.int (e.name ^ ": pass = poly") r2.ret_poly r2.ret_pass;
@@ -115,7 +113,7 @@ let test_global_invariants () =
     Registry.entries
 
 let test_shape_adm () =
-  let r2 = t2 "adm" and r3 = t3 "adm" in
+  let r2, r3 = rows "adm" in
   (* all four jump functions tie *)
   check Alcotest.int "lit = poly" r2.ret_poly r2.ret_lit;
   (* MOD is decisive *)
@@ -126,7 +124,7 @@ let test_shape_adm () =
     (r3.intra_only * 2 > r3.poly_mod)
 
 let test_shape_doduc () =
-  let r2 = t2 "doduc" and r3 = t3 "doduc" in
+  let r2, r3 = rows "doduc" in
   (* literal catches nearly everything *)
   check Alcotest.bool "literal close to poly" true
     (r2.ret_poly - r2.ret_lit <= 8);
@@ -139,32 +137,32 @@ let test_shape_doduc () =
   check Alcotest.bool "intra-only tiny" true (r3.intra_only <= 3)
 
 let test_shape_fpppp () =
-  let r2 = t2 "fpppp" in
+  let r2, _ = rows "fpppp" in
   check Alcotest.bool "lit < intra" true (r2.ret_lit < r2.ret_intra);
   check Alcotest.bool "intra < pass" true (r2.ret_intra < r2.ret_pass);
   check Alcotest.bool "ret jfs help" true (r2.noret_poly < r2.ret_poly)
 
 let test_shape_linpackd () =
-  let r2 = t2 "linpackd" and r3 = t3 "linpackd" in
+  let r2, r3 = rows "linpackd" in
   check Alcotest.bool "lit well below" true (r2.ret_lit < r2.ret_intra);
   check Alcotest.int "intra = pass" r2.ret_pass r2.ret_intra;
   check Alcotest.bool "no-mod collapses" true (r3.poly_no_mod * 3 < r3.poly_mod)
 
 let test_shape_matrix300 () =
-  let r2 = t2 "matrix300" and r3 = t3 "matrix300" in
+  let r2, r3 = rows "matrix300" in
   check Alcotest.bool "lit < intra" true (r2.ret_lit < r2.ret_intra);
   check Alcotest.bool "intra < pass (chains)" true (r2.ret_intra < r2.ret_pass);
   check Alcotest.bool "no-mod collapses" true (r3.poly_no_mod * 3 < r3.poly_mod)
 
 let test_shape_mdg () =
-  let r2 = t2 "mdg" in
+  let r2, _ = rows "mdg" in
   check Alcotest.bool "lit < intra" true (r2.ret_lit < r2.ret_intra);
   check Alcotest.bool "intra < pass" true (r2.ret_intra < r2.ret_pass);
   check Alcotest.bool "ret jfs help a little" true
     (r2.ret_poly > r2.noret_poly && r2.ret_poly - r2.noret_poly <= 4)
 
 let test_shape_ocean () =
-  let r2 = t2 "ocean" and r3 = t3 "ocean" in
+  let r2, r3 = rows "ocean" in
   (* the headline: return jump functions at least double the count
      (the paper saw more than 3x) *)
   check Alcotest.bool "ret jfs dominate" true (r2.noret_poly * 2 < r2.ret_poly);
@@ -176,13 +174,13 @@ let test_shape_ocean () =
   check Alcotest.bool "complete gains" true (r3.complete > r3.poly_mod)
 
 let test_shape_qcd () =
-  let r2 = t2 "qcd" and r3 = t3 "qcd" in
+  let r2, r3 = rows "qcd" in
   check Alcotest.bool "all nearly tie" true (r2.ret_poly - r2.ret_lit <= 2);
   check Alcotest.bool "intra-only nearly ties" true
     (r3.poly_mod - r3.intra_only <= 3)
 
 let test_shape_simple () =
-  let r2 = t2 "simple" and r3 = t3 "simple" in
+  let r2, r3 = rows "simple" in
   check Alcotest.bool "lit < intra" true (r2.ret_lit < r2.ret_intra);
   check Alcotest.bool "intra < pass" true (r2.ret_intra < r2.ret_pass);
   (* catastrophic without MOD *)
@@ -190,18 +188,18 @@ let test_shape_simple () =
     (r3.poly_no_mod * 4 < r3.poly_mod)
 
 let test_shape_snasa7 () =
-  let r2 = t2 "snasa7" and r3 = t3 "snasa7" in
+  let r2, r3 = rows "snasa7" in
   check Alcotest.bool "lit well below" true (r2.ret_lit < r2.ret_intra);
   (* no literal actuals: the literal JF run equals the intra-only baseline *)
   check Alcotest.int "lit = intra-only" r3.intra_only r2.ret_lit
 
 let test_shape_spec77 () =
-  let r2 = t2 "spec77" and r3 = t3 "spec77" in
+  let r2, r3 = rows "spec77" in
   check Alcotest.bool "lit < rest" true (r2.ret_lit < r2.ret_poly);
   check Alcotest.bool "complete gains" true (r3.complete > r3.poly_mod)
 
 let test_shape_trfd () =
-  let r2 = t2 "trfd" and r3 = t3 "trfd" in
+  let r2, r3 = rows "trfd" in
   check Alcotest.bool "small spread" true (r2.ret_poly - r2.ret_lit <= 4);
   check Alcotest.bool "intra-only close" true (r3.poly_mod - r3.intra_only <= 8)
 
