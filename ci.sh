@@ -9,7 +9,7 @@ cd "$(dirname "$0")"
 
 echo "== fmt"
 # Portable lint: no tabs, no trailing whitespace in OCaml sources.
-if grep -rlP '\t| +$' --include='*.ml' --include='*.mli' lib bin bench test tools examples; then
+if grep -rlP '\t| +$' --include='*.ml' --include='*.mli' lib bin test tools examples; then
   echo "fmt: tabs or trailing whitespace found in the files above" >&2
   exit 1
 fi
@@ -130,6 +130,26 @@ if [ "${n:-0}" -ne 1601 ]; then
   echo "big input: analyze --certify counted ${n:-0} sccp.runs, not 1601" >&2
   exit 1
 fi
+# The cost per jump-function kind (the paper's §3.1.5) is read off
+# these profiles: each kind builds its forward jump functions under a
+# stage2:forward_jfs span, one per call site, so every kind counts the
+# same sites.
+sites=
+for kind in literal intraconst passthrough polynomial; do
+  dune exec --no-build -- ipcp analyze "$tmpdir/big.f" -j "$kind" \
+    --profile-json "$tmpdir/big_$kind.json" > /dev/null
+  if ! grep -q '"name": "stage2:forward_jfs"' "$tmpdir/big_$kind.json"; then
+    echo "big input: the -j $kind profile has no stage2:forward_jfs span" >&2
+    exit 1
+  fi
+  n=$(sed -n "s/.*\"jf.sites.$kind\": \([0-9]*\).*/\1/p" "$tmpdir/big_$kind.json")
+  if [ "${n:-0}" -eq 0 ] || [ "$n" != "${sites:-$n}" ]; then
+    echo "big input: -j $kind counted ${n:-no} jf.sites.$kind," \
+      "where the kinds before it counted ${sites:-none}" >&2
+    exit 1
+  fi
+  sites=$n
+done
 sed '1,/^  lv1 = [0-9][0-9]*$/s/^\(  lv1 = [0-9][0-9]*\)$/\11/' "$tmpdir/big.f" > "$tmpdir/big_edited.f"
 if cmp -s "$tmpdir/big.f" "$tmpdir/big_edited.f"; then
   echo "big input: the literal edit changed nothing" >&2

@@ -56,8 +56,8 @@ val is_unknown : t -> bool
     free. *)
 val support : t -> leaf list option
 
-(** Node count — the construction/evaluation cost proxy used by the
-    benches (§3.1.5). *)
+(** Node count — the construction/evaluation cost proxy of §3.1.5
+    ([Jump_function.site_cost]). *)
 val size : t -> int
 
 (** {2 Evaluation} *)

@@ -140,12 +140,20 @@ module Make (A : Analysis_sig.S) = struct
             (Fmt.str "main formal %s claims %a; nothing is known on entry"
                v.vname A.L.pp binding))
       main.pformals;
+    (* the load-time values, from this module's own walk of the program
+       rather than the facts the analysis seeded main with *)
+    let main_data = Prog.main_data prog in
     List.iter
       (fun (g : Prog.global) ->
         let key = Prog.global_key g in
         obligation ();
         let binding = S.lookup solution main.pname (Prog.Pglob key) in
-        let seed = A.global_seed ~data:(Prog.data_value_of_global prog key) ~key in
+        let data =
+          main_data
+            { Prog.vname = g.gname; vty = g.gty; vdims = g.gdims;
+              vkind = Kglobal g }
+        in
+        let seed = A.global_seed ~data ~key in
         if not (A.L.le binding seed) then
           add ~code:"E-CERT-ENTRY" ~proc:main.pname ~loc:main.ploc
             (Fmt.str

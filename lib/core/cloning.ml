@@ -6,7 +6,8 @@
     them all; duplicating the procedure per constant signature recovers
     them.  Metzger & Stroud report that goal-directed cloning
     "substantially increases the number of interprocedural constants
-    available" — the cloning example and bench reproduce that effect.
+    available" — the cloning example and the suite's cloning-ablation
+    test reproduce that effect.
 
     The transformation is source-level-faithful: clones are real procedures
     with fresh statement/expression ids, and call sites are retargeted, so

@@ -97,7 +97,6 @@ type artifacts = {
   a_facts : Jump_function.facts;
   a_modref : Modref.t Lazy.t;  (** computed MOD summaries *)
   a_worst : Modref.t Lazy.t;  (** worst-case call kills *)
-  a_global_keys : string list;
   a_irs : ir_tables;
       (** each procedure's IR per MOD setting, built on first use and
           shared by both return-jump-function variants *)
@@ -180,7 +179,6 @@ let prepare_with ?reuse (prog : Prog.t) : artifacts =
         a_facts = facts;
         a_modref = modref;
         a_worst = lazy (Modref.worst_case cg);
-        a_global_keys = List.map Prog.global_key facts.f_globals;
         a_irs = { it_mod = Hashtbl.create 64; it_worst = Hashtbl.create 64 };
         a_stages = Hashtbl.create 4;
         a_reuse =
@@ -452,12 +450,12 @@ let degraded (t : 'elt analysis_result) : Ipcp_support.Budget.reason list =
 module Make (A : Analysis_sig.S) = struct
   module S = Solver.Make (A)
 
-  let propagate (config : Config.t) cg ~site_jfs ~global_keys :
+  let propagate (config : Config.t) cg ~site_jfs ~global_data :
       A.L.t Solver.generic_result =
     let prog = cg.Callgraph.prog in
     if config.interprocedural then
       S.run ~budget:(Config.budget ~label:"solver" config) cg ~site_jfs
-        ~global_keys
+        ~global_data
     else begin
       (* baseline: no propagation; every parameter of every procedure is
          ⊥ so that only locally derived constants survive *)
@@ -475,8 +473,9 @@ module Make (A : Analysis_sig.S) = struct
           in
           let m =
             List.fold_left
-              (fun m key -> Prog.Param_map.add (Prog.Pglob key) A.L.bottom m)
-              m global_keys
+              (fun m (key, _) ->
+                Prog.Param_map.add (Prog.Pglob key) A.L.bottom m)
+              m global_data
           in
           Hashtbl.replace vals p.pname m)
         prog.procs;
@@ -507,7 +506,8 @@ module Make (A : Analysis_sig.S) = struct
             | Some solution -> solution
             | None ->
               let solution =
-                propagate config a.a_cg ~site_jfs ~global_keys:a.a_global_keys
+                propagate config a.a_cg ~site_jfs
+                  ~global_data:(global_data a)
               in
               Telemetry.add ("jf.eval." ^ Jump_function.kind_name config.kind)
                 solution.Solver.stats.jf_evaluations;

@@ -89,8 +89,8 @@ module Make (A : Analysis_sig.S) = struct
      at ⊥ and globals at the analysis's entry fact (load-time DATA
      constants for constant propagation, self-copies for copy
      propagation). *)
-  let fresh_map (prog : Prog.t) (global_keys : string list) (p : Prog.proc) :
-      elt Prog.Param_map.t =
+  let fresh_map (prog : Prog.t) (global_data : (string * int option) list)
+      (p : Prog.proc) : elt Prog.Param_map.t =
     let is_main = p.pname = prog.main in
     let initial = if is_main then A.L.bottom else A.L.top in
     let m =
@@ -102,19 +102,16 @@ module Make (A : Analysis_sig.S) = struct
         Prog.Param_map.empty p.pformals
     in
     List.fold_left
-      (fun m key ->
+      (fun m (key, data) ->
         (* on entry to main, a global still holds its load-time value;
            what that is worth is the analysis's call *)
-        let v =
-          if is_main then
-            A.global_seed ~data:(Prog.data_value_of_global prog key) ~key
-          else initial
-        in
+        let v = if is_main then A.global_seed ~data ~key else initial in
         Prog.Param_map.add (Prog.Pglob key) v m)
-      m global_keys
+      m global_data
 
   (** Solve.  [site_jfs] are the forward jump functions of every call site;
-      [global_keys] the keys of every common global in the program.  The
+      [global_data] the key of every common global in the program with its
+      load-time [data] value, which seeds main's entry.  The
       worklist starts with every procedure, callers first; the
       meet-semilattice iteration converges to the same fixpoint whatever
       the order procedures are processed in.  When [budget] runs out
@@ -123,12 +120,12 @@ module Make (A : Analysis_sig.S) = struct
       that unprocessed edges could still lower, so the answer stays a
       sound (conservative) approximation of the fixed point. *)
   let run ?budget (cg : Callgraph.t) ~(site_jfs : Jump_function.site_jf list)
-      ~(global_keys : string list) : elt generic_result =
+      ~(global_data : (string * int option) list) : elt generic_result =
     let prog = cg.Callgraph.prog in
     let vals : (string, elt Prog.Param_map.t) Hashtbl.t = Hashtbl.create 16 in
     List.iter
       (fun (p : Prog.proc) ->
-        Hashtbl.replace vals p.pname (fresh_map prog global_keys p))
+        Hashtbl.replace vals p.pname (fresh_map prog global_data p))
       prog.procs;
     let work = Ipcp_support.Worklist.of_list (Callgraph.top_down cg) in
     let budget =

@@ -55,15 +55,17 @@ module Make (A : Analysis_sig.S) : sig
       Exposed for cloning. *)
   val eval_jf : stats -> A.L.t Prog.Param_map.t -> Symbolic.t -> A.L.t
 
-  (** Solve.  [budget] (default: unlimited) bounds the worklist drain;
-      on exhaustion the transitive callee closure of every pending
-      caller is widened to ⊥ and the result is marked degraded — sound,
-      less precise. *)
+  (** Solve.  [global_data] pairs every common global's key with its
+      load-time [data] value, main's entry seed (the caller has them:
+      {!Driver.global_data}).  [budget] (default: unlimited) bounds the
+      worklist drain; on exhaustion the transitive callee closure of
+      every pending caller is widened to ⊥ and the result is marked
+      degraded — sound, less precise. *)
   val run :
     ?budget:Ipcp_support.Budget.t ->
     Callgraph.t ->
     site_jfs:Jump_function.site_jf list ->
-    global_keys:string list ->
+    global_data:(string * int option) list ->
     A.L.t generic_result
 
   val pp_result : Prog.t -> A.L.t generic_result Fmt.t
@@ -82,7 +84,7 @@ val run :
   ?budget:Ipcp_support.Budget.t ->
   Callgraph.t ->
   site_jfs:Jump_function.site_jf list ->
-  global_keys:string list ->
+  global_data:(string * int option) list ->
   result
 
 val pp_result : Prog.t -> result Fmt.t

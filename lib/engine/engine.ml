@@ -132,5 +132,3 @@ let map ?(jobs = default_jobs ()) ?(retries = 0) f items =
     in
     unwrap results
   end
-
-let iter ?jobs ?retries f items = ignore (map ?jobs ?retries f items)

@@ -77,6 +77,3 @@ val map_result_attempts :
     joined (sequential runs fail at the first raising item, so the
     surfaced error agrees). *)
 val map : ?jobs:int -> ?retries:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [iter ~jobs f items] = [ignore (map ~jobs f items)]. *)
-val iter : ?jobs:int -> ?retries:int -> ('a -> unit) -> 'a list -> unit

@@ -298,28 +298,13 @@ let all_globals t =
     t.procs;
   List.rev !order
 
-(** The load-time [data] value of a scalar integer global, if one is
-    declared anywhere in the program.  This is the initial-memory fact the
-    solver may assume on entry to the main program. *)
-let data_value_of_global t key : int option =
-  count_walk ();
-  List.find_map
-    (fun (p : proc) ->
-      List.find_map
-        (fun (d : data_init) ->
-          match (d.di_var.vkind, d.di_values) with
-          | Kglobal g, [ (1, Dc_int v) ]
-            when global_key g = key && is_scalar d.di_var ->
-            Some v
-          | _ -> None)
-        p.pdata)
-    t.procs
-
 (** The load-time [data] values of the main program's scalar integer
-    variables (locals and globals), used to seed jump functions and SCCP
-    there.  Both walks — for main and over every unit's [data] statements —
-    happen here, once; the returned lookup answers from tables.  The first
-    matching initialization wins, as in {!data_value_of_global}. *)
+    variables (locals and globals): the initial-memory facts that seed
+    main's entry in the solver, its jump functions and SCCP.  A global's
+    [data] statement may sit in any unit.  Both walks — for main and over
+    every unit's [data] statements — happen here, once; the returned
+    lookup answers from tables.  The first matching initialization
+    wins. *)
 let main_data t : var -> int option =
   count_walk ();
   let globals = Hashtbl.create 8 and main = ref None in

@@ -342,11 +342,3 @@ let write_json path t =
     (fun () ->
       output_string oc (Json.to_string_pretty (to_json t));
       output_char oc '\n')
-
-let append_json path t =
-  let oc = open_out_gen [ Open_append; Open_creat; Open_text ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json t));
-      output_char oc '\n')

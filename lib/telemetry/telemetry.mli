@@ -13,13 +13,13 @@
       per-call duration distribution);
     - {b counters}: monotonic named totals (worklist pops, meets,
       jump-function evaluations per kind, …);
-    - {b distributions}: streams of observed values (per-program timings in
-      the bench harness, worklist depths, …).
+    - {b distributions}: streams of observed values (jump-function sizes
+      per call site, worklist depths, …).
 
     Exporters: {!pp_summary} renders the human [--profile] table;
     {!to_json} produces a stable schema-versioned document (see
-    {!schema_version}) suitable for diffing across PRs; {!append_json}
-    appends one compact document per line for the bench harness. *)
+    {!schema_version}) suitable for diffing across versions, which
+    {!write_json} writes for [--profile-json]. *)
 
 type t
 (** A collector ("sink"): owns the span tree, counters and distributions. *)
@@ -115,10 +115,6 @@ val to_json : t -> Json.t
 
 (** Write an indented JSON document to [path] (truncates). *)
 val write_json : string -> t -> unit
-
-(** Append one compact JSON document as a single line to [path] —
-    the bench harness's accumulation mode. *)
-val append_json : string -> t -> unit
 
 (** Version tag of the health document ([ipcp.health/1]) served by the
     long-lived request layer. *)

@@ -190,11 +190,16 @@ let test_mod_closure_linear () =
 (* The stress shapes, each as a function of its size, with the counter
    that shows the shape's own per-unit work: one procedure with [n]
    calls, [n]-deep [if] nesting, one [n]-term expression (whose terms
-   show only as certifier obligations) and one procedure of [n]
-   statements. *)
+   show only as certifier obligations), one procedure of [n] statements,
+   and [n] common globals with load-time values, passed from main to one
+   subroutine (declared [integer]: implicit typing makes [g*] real). *)
 let stress_shapes =
   let rep n s = String.concat "" (List.init n (fun _ -> s)) in
   let sub = "subroutine s(a)\ninteger a\nprint *, a\nend\n" in
+  let globals n = String.concat ", " (List.init n (Fmt.str "g%d")) in
+  let common n =
+    Fmt.str "integer %s\ncommon /c/ %s\n" (globals n) (globals n)
+  in
   [
     ( "calls", 20000, "solver.jf_evaluations",
       fun n ->
@@ -215,6 +220,13 @@ let stress_shapes =
       fun n ->
         "program main\ninteger k\nk = 1\n" ^ rep n "k = k + 1\n"
         ^ "call s(k)\nend\n" ^ sub );
+    ( "data globals", 400, "solver.jf_evaluations",
+      fun n ->
+        "program main\n" ^ common n
+        ^ String.concat ""
+            (List.init n (fun i -> Fmt.str "data g%d /%d/\n" i i))
+        ^ "call s\nend\nsubroutine s\n" ^ common n ^ "print *, " ^ globals n
+        ^ "\nend\n" );
   ]
 
 (* Analyzing, substituting and certifying a shape at half and at full

@@ -33,15 +33,6 @@ let test_map_exception_propagates () =
   | _ -> Alcotest.fail "expected the worker exception to propagate"
   | exception Failure m -> check Alcotest.string "earliest failing item" "1" m
 
-let test_iter_runs_everything () =
-  let hits = Array.make 16 0 in
-  Ipcp_engine.Engine.iter ~jobs:4
-    (fun i -> hits.(i) <- hits.(i) + 1)
-    (List.init 16 Fun.id);
-  Array.iteri
-    (fun i n -> check Alcotest.int (Fmt.str "item %d ran once" i) 1 n)
-    hits
-
 let test_pool_merges_worker_telemetry () =
   let t = Telemetry.create () in
   let results =
@@ -219,7 +210,6 @@ let suite =
     ("engine map preserves order", `Quick, test_map_preserves_order);
     ("engine map degenerate inputs", `Quick, test_map_degenerate_inputs);
     ("engine map propagates exceptions", `Quick, test_map_exception_propagates);
-    ("engine iter runs everything", `Quick, test_iter_runs_everything);
     ("engine pool merges worker telemetry", `Quick,
      test_pool_merges_worker_telemetry);
     ("engine jobs=1 is the sequential path", `Quick,

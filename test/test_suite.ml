@@ -214,6 +214,72 @@ let test_characteristics () =
         (c.mean_lines > 3.0 && c.mean_lines < 60.0))
     (Metrics.table1 ())
 
+(* §3.1.5: "in practice, cost(J) approaches the cost of pass-through
+   jump functions and |support(J)| approaches 1".  On the suite the
+   pass-through and polynomial kinds build jump functions of equal size
+   and support — no polynomial ever has more than a pass-through's one
+   leaf — and the literal and intraconst kinds, whose jump functions are
+   constants or ⊥, have no support at all. *)
+let test_jump_function_statistics () =
+  let prepared =
+    List.map (fun e -> Driver.prepare (Registry.program e)) Registry.entries
+  in
+  let row kind =
+    List.fold_left
+      (fun (sites, size, support) a ->
+        let t = Driver.solve (Config.make ~kind ()) a in
+        List.fold_left
+          (fun (sites, size, support) s ->
+            ( sites + 1,
+              size + Jump_function.site_cost s,
+              support + Jump_function.site_support s ))
+          (sites, size, support) t.Driver.site_jfs)
+      (0, 0, 0) prepared
+  in
+  check
+    Alcotest.(list (pair string (triple int int int)))
+    "sites, total size and total support per kind"
+    [
+      ("literal", (194, 649, 0));
+      ("intraconst", (194, 649, 0));
+      ("passthrough", (194, 649, 110));
+      ("polynomial", (194, 649, 110));
+    ]
+    (List.map
+       (fun kind -> (Jump_function.kind_name kind, row kind))
+       Jump_function.all_kinds)
+
+(* The Metzger–Stroud effect: cloning a procedure per distinct constant
+   context never lowers the substitution count, and raises it on six of
+   the twelve programs. *)
+let test_cloning_ablation () =
+  check
+    Alcotest.(list (pair string (triple int int int)))
+    "constants substituted before and after cloning, and clones made"
+    [
+      ("adm", (111, 117, 12));
+      ("doduc", (201, 201, 0));
+      ("fpppp", (85, 85, 0));
+      ("linpackd", (90, 98, 12));
+      ("matrix300", (46, 56, 5));
+      ("mdg", (38, 38, 0));
+      ("ocean", (110, 126, 1));
+      ("qcd", (94, 94, 0));
+      ("simple", (101, 109, 12));
+      ("snasa7", (131, 131, 0));
+      ("spec77", (49, 65, 1));
+      ("trfd", (24, 24, 0));
+    ]
+    (List.map
+       (fun (e : Registry.entry) ->
+         let prog = Registry.program e in
+         let cloned, clones = Cloning.clone_to_fixpoint prog in
+         ( e.name,
+           ( Substitute.count Config.polynomial_with_mod prog,
+             Substitute.count Config.polynomial_with_mod cloned,
+             clones ) ))
+       Registry.entries)
+
 let test_registry_complete () =
   check
     (Alcotest.list Alcotest.string)
@@ -238,6 +304,9 @@ let suite =
       ("registry complete", `Quick, test_registry_complete);
       ("table 1 characteristics", `Quick, test_characteristics);
       ("global invariants on all programs", `Quick, test_global_invariants);
+      ("jump-function statistics per kind", `Quick,
+       test_jump_function_statistics);
+      ("cloning ablation", `Quick, test_cloning_ablation);
       ("shape: adm", `Quick, test_shape_adm);
       ("shape: doduc", `Quick, test_shape_doduc);
       ("shape: fpppp", `Quick, test_shape_fpppp);

@@ -305,38 +305,6 @@ let test_profile_export_roundtrip () =
     [ "stage1:return_jfs"; "stage2:forward_jfs" ]
     stage_names
 
-let test_append_json_mode () =
-  let path = Filename.temp_file "ipcp_telemetry" ".jsonl" in
-  let emit v =
-    let t = Telemetry.create () in
-    Telemetry.with_reporter t (fun () -> Telemetry.add "run" v);
-    Telemetry.append_json path t
-  in
-  emit 1;
-  emit 2;
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove path;
-  let lines = List.rev !lines in
-  check Alcotest.int "one document per append" 2 (List.length lines);
-  List.iteri
-    (fun i line ->
-      match Json.of_string line with
-      | Ok doc ->
-        check
-          (Alcotest.option Alcotest.int)
-          "documents in order"
-          (Some (i + 1))
-          (Option.bind (Json.path [ "counters"; "run" ] doc) Json.to_int_opt)
-      | Error m -> Alcotest.failf "line %d unparseable: %s" i m)
-    lines
-
 (* ------------------------------------------------------------------ *)
 (* The instrumented pipeline *)
 
@@ -440,7 +408,6 @@ let suite =
     ("telemetry distribution order", `Quick, test_distribution_order);
     ("telemetry json value round-trip", `Quick, test_json_roundtrip_values);
     ("telemetry profile export round-trip", `Quick, test_profile_export_roundtrip);
-    ("telemetry append mode", `Quick, test_append_json_mode);
     ("telemetry pipeline emits stages", `Quick, test_pipeline_emits_stages);
     ("telemetry certify spans per obligation family", `Quick,
      test_certify_spans);

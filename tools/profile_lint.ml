@@ -4,16 +4,15 @@
 
    Three document kinds are recognized, keyed by shape:
 
-   - profiles (schema ipcp.profile/1): both layouts the telemetry
-     subsystem emits — a single indented document (--profile-json) and
-     append-mode files with one compact document per line (the bench
-     harness).  Every document must parse, carry the expected schema
-     tag, and have a non-empty span tree and a counters object; with
-     --stages, the four driver pipeline stages must all appear in the
-     span tree (the CI smoke target runs the analyzer on the bundled
-     suite, so their absence means the wiring regressed), and every
-     frontend span must have exactly the children parse and sema (the
-     parser pulls its tokens from the lexer, so there is no lex span);
+   - profiles (schema ipcp.profile/1): the indented document
+     --profile-json writes.  Every document must parse, carry the
+     expected schema tag, and have a non-empty span tree and a counters
+     object; with --stages, the four driver pipeline stages must all
+     appear in the span tree (the CI smoke target runs the analyzer on
+     the bundled suite, so their absence means the wiring regressed),
+     and every frontend span must have exactly the children parse and
+     sema (the parser pulls its tokens from the lexer, so there is no
+     lex span);
    - health snapshots (schema ipcp.health/1): gauges and counters must
      be all-integer objects;
    - serve response streams (objects with "id" and "status"): one frame
@@ -227,7 +226,7 @@ let check_doc ~stages ~where (doc : Json.t) : string list =
   List.rev !problems
 
 (* A file is either one (possibly multi-line) document or one document per
-   line; try the whole file first. *)
+   line (a serve frame stream); try the whole file first. *)
 let docs_of_file path : (string * Json.t) list =
   let ic = open_in_bin path in
   let content =
