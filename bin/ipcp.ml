@@ -228,44 +228,24 @@ let analyze_cmd =
         config_of ~analysis kind no_ret no_mod intra max_steps deadline_ms
       in
       match against with
-      | None -> (
-        match analysis with
-        | `Const ->
-          emit
-            (Jobs.analyze ~verbose ~complete ~certify ?substitute_out ~config
-               ~jobs prog)
-        | `Copy ->
-          emit
-            (Jobs.Copy.analyze ~verbose ~complete ~certify ?substitute_out
-               ~config ~jobs prog))
+      | None ->
+        emit
+          (Jobs.analyze ~verbose ~complete ~certify ?substitute_out ~config
+             ~jobs prog)
       | Some prev_file -> (
         match Jobs.load prev_file with
         | Error o -> emit o
-        | Ok (_prev_src, prev_prog) -> (
-          match analysis with
-          | `Const ->
-            let module Incr = Ipcp_incr.Incr in
-            let prev = Incr.start config prev_prog in
-            let sess, stats = Incr.update ~prev prog in
-            let code =
-              emit
-                (Jobs.analyze ~verbose ~complete ~certify ?substitute_out
-                   ~session:sess ~config ~jobs prog)
-            in
-            Fmt.epr "--- incremental: %a@." Incr.pp_stats stats;
-            code
-          | `Copy ->
-            let module Incr = Ipcp_incr.Incr.Make (Ipcp_analysis.Copy_analysis)
-            in
-            let prev = Incr.start config prev_prog in
-            let sess, stats = Incr.update ~prev prog in
-            let code =
-              emit
-                (Jobs.Copy.analyze ~verbose ~complete ~certify ?substitute_out
-                   ~session:sess ~config ~jobs prog)
-            in
-            Fmt.epr "--- incremental: %a@." Ipcp_incr.Incr.pp_stats stats;
-            code)))
+        | Ok (_prev_src, prev_prog) ->
+          let module Incr = Ipcp_incr.Incr in
+          let prev = Incr.start config prev_prog in
+          let sess, stats = Incr.update ~prev prog in
+          let code =
+            emit
+              (Jobs.analyze ~verbose ~complete ~certify ?substitute_out
+                 ~session:sess ~config ~jobs prog)
+          in
+          Fmt.epr "--- incremental: %a@." Incr.pp_stats stats;
+          code))
   in
   let doc = "Analyze a program and report its interprocedural constants." in
   Cmd.v
@@ -322,12 +302,11 @@ let certify_cmd =
   (* Certify one prepared program under one configuration; returns [true]
      when the verdict matches expectations (certified, or rejected under
      --inject-error). *)
-  let certify_one_with ~certification ~corrupt ~check ~fuel ~input
-      ~inject_error t label =
+  let certify_one ~fuel ~input ~inject_error t label =
     match inject_error with
-    | None -> emit (certification ~fuel ~input ~label t) = 0
+    | None -> emit (Jobs.certification ~fuel ~input ~label t) = 0
     | Some seed -> (
-      match corrupt ~seed t with
+      match Ipcp_certify.Certify.corrupt ~seed t with
       | None ->
         Fmt.epr
           "inject-error [%s]: solution has no corruptible binding (nothing \
@@ -335,7 +314,7 @@ let certify_cmd =
           label;
         false
       | Some bad ->
-        let r = check ~fuel ~input bad in
+        let r = Ipcp_certify.Certify.check ~fuel ~input bad in
         if Ipcp_certify.Certify.ok r then begin
           Fmt.epr
             "inject-error [%s]: corrupted solution was NOT rejected — the \
@@ -349,23 +328,6 @@ let certify_cmd =
             (Ipcp_certify.Certify.to_diagnostics r);
           true
         end)
-  in
-  let certify_one ~fuel ~input ~inject_error (t : Driver.t) label =
-    certify_one_with
-      ~certification:(fun ~fuel ~input ~label t ->
-        Jobs.certification ~fuel ~input ~label t)
-      ~corrupt:Ipcp_certify.Certify.corrupt
-      ~check:(fun ~fuel ~input t -> Ipcp_certify.Certify.check ~fuel ~input t)
-      ~fuel ~input ~inject_error t label
-  in
-  let certify_one_copy ~fuel ~input ~inject_error t label =
-    let module C = Ipcp_certify.Certify.Make (Ipcp_analysis.Copy_analysis) in
-    certify_one_with
-      ~certification:(fun ~fuel ~input ~label t ->
-        Jobs.Copy.certification ~fuel ~input ~label t)
-      ~corrupt:C.corrupt
-      ~check:(fun ~fuel ~input t -> C.check ~fuel ~input t)
-      ~fuel ~input ~inject_error t label
   in
   let run file suite all_configs inject_error analysis kind no_ret no_mod
       intra max_steps deadline_ms input fuel profile profile_json =
@@ -423,15 +385,8 @@ let certify_cmd =
               (fun (clabel, config) ->
                 let label = Fmt.str "%s, %s" name clabel in
                 let good =
-                  match config.Config.analysis with
-                  | `Const ->
-                    certify_one ~fuel ~input ~inject_error
-                      (Driver.solve config prep) label
-                  | `Copy ->
-                    let module CD =
-                      Driver.Make (Ipcp_analysis.Copy_analysis) in
-                    certify_one_copy ~fuel ~input ~inject_error
-                      (CD.solve config prep) label
+                  certify_one ~fuel ~input ~inject_error
+                    (Driver.solve config prep) label
                 in
                 if not good then ok := false)
               configs)

@@ -47,12 +47,19 @@ if ! cmp -s "$tmpdir/jobs1.out" "$tmpdir/jobs2.out"; then
   diff "$tmpdir/jobs1.out" "$tmpdir/jobs2.out" >&2 || true
   exit 1
 fi
-# The constant-propagation output is pinned to a golden file: the
-# analysis functorization must never change a byte of the default
-# tables.  Regenerate the golden deliberately if the tables change.
+# Both analyses' tables are pinned to golden files: constant and copy
+# propagation run one solver with two entry seeds, and a change to it
+# must not move a byte of either.  Regenerate a golden deliberately if
+# the tables change.
 if ! cmp -s test/goldens/tables_const.txt "$tmpdir/jobs1.out"; then
   echo "golden: tables output differs from test/goldens/tables_const.txt" >&2
   diff test/goldens/tables_const.txt "$tmpdir/jobs1.out" >&2 || true
+  exit 1
+fi
+dune exec --no-build -- ipcp tables --analysis copy > "$tmpdir/copy.out"
+if ! cmp -s test/goldens/tables_copy.txt "$tmpdir/copy.out"; then
+  echo "golden: tables --analysis copy differs from test/goldens/tables_copy.txt" >&2
+  diff test/goldens/tables_copy.txt "$tmpdir/copy.out" >&2 || true
   exit 1
 fi
 
@@ -253,11 +260,12 @@ done
 dune exec --no-build tools/fuzz.exe -- --seed 7 --iterations 5 --inject-bad
 
 echo "== copy subsumes const"
-# The second lattice client under two pinned seeds: on every suite
-# program and generated workload, under each oracle configuration, the
-# copy-propagation fixpoint must project pointwise onto the
-# constant-propagation one, publish the same CONSTANTS sets, and
-# substitute at least as many sites.
+# The solver's two entry seedings under two pinned seeds: on every
+# suite program and generated workload, under each oracle
+# configuration, the constant-propagation fixpoint must hold no copy
+# fact, the copy-propagation fixpoint must project pointwise onto it,
+# publish the same CONSTANTS sets, and substitute at least as many
+# sites.
 for seed in 7 11; do
   echo "-- seed $seed"
   dune exec --no-build tools/fuzz.exe -- --subsume --seed "$seed" --iterations 10

@@ -40,10 +40,10 @@ let report label (t : Driver.t) ~seed_constants =
     else if Prog.is_scalar v && v.vty = Prog.Tint then
       match v.vkind with
       | Prog.Kformal i ->
-        Ipcp_analysis.Const_lattice.const_value
+        Ipcp_analysis.Copy_lattice.const_value
           (Solver.lookup t.solution proc.pname (Prog.Pformal i))
       | Prog.Kglobal g ->
-        Ipcp_analysis.Const_lattice.const_value
+        Ipcp_analysis.Copy_lattice.const_value
           (Solver.lookup t.solution proc.pname (Prog.Pglob (Prog.global_key g)))
       | _ -> None
     else None

@@ -1,6 +1,7 @@
 (** The copy-propagation lattice: Figure 1's constant lattice plus
-    [Copy g] facts ("equals global [g]'s load-time value"), the carrier
-    for the second {!Analysis_sig.S} client. *)
+    [Copy g] facts ("equals global [g]'s load-time value").  The
+    interprocedural solver's values under both analyses: constant
+    propagation is the copy analysis seeded without copy facts. *)
 
 type t = Top | Const of int | Copy of string | Bottom
 

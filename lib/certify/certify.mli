@@ -11,7 +11,8 @@
       (by an independent structural evaluator) under the caller's
       published bindings — the post-fixpoint property of the VAL system.
     - {b E-CERT-ENTRY}: the main program's bindings are ⊑ the load-time
-      seeds (⊥ for formals, the [data] value or ⊥ for globals).
+      seeds (⊥ for formals, {!Ipcp_core.Solver.global_seed} for
+      globals).
     - {b E-CERT-INTRA}: the intraprocedural baseline claims no
       interprocedural constants at all (every binding ⊥).
     - {b E-CERT-COVERAGE}: every call site in an independently
@@ -30,16 +31,12 @@
       substituted program prints the same output as the original.
 
     A report with no violations certifies the solution: constants it
-    publishes agree with what the program actually computes.
-
-    The checks are generic over the analysis: {!Make} builds the
-    certifier for any {!Ipcp_analysis.Analysis_sig.S} (the independent
-    evaluator is the analysis's own [certify_eval], the entry seeds its
-    [global_seed]), and the toplevel values are the constant-propagation
-    instantiation. *)
+    publishes agree with what the program actually computes.  Both
+    analyses are checked by the same code: they differ only in main's
+    entry seeds, which the entry check reads from the solution's
+    configuration. *)
 
 open Ipcp_frontend
-open Ipcp_analysis
 open Ipcp_core
 
 (** One failed obligation, located in the analyzed program. *)
@@ -78,51 +75,32 @@ val pp_report : report Fmt.t
     intraprocedural baseline. *)
 val default_configs : (string * Config.t) list
 
-(** The certifier for one analysis. *)
-module Make (A : Analysis_sig.S) : sig
-  type nonrec t = A.L.t Driver.analysis_result
-
-  (** Certify a solved analysis.  [fuel] and [input] are forwarded to
-      the interpreter witness.  When {!Ipcp_support.Fault}'s corruption
-      site ["certify.solution"] fires, the solution is deliberately
-      corrupted (via {!corrupt}) before checking — the fault-injection
-      path that proves the certifier catches bad solutions end-to-end.
-      [~inject_fault:false] opts out of that hook: the serve layer's
-      online checks verify solutions that were (possibly) corrupted
-      upstream at their own site, and must not corrupt their input a
-      second time.  Under a telemetry reporter the check is a [certify]
-      span with one child per obligation family it runs: [edges],
-      [entry] and [coverage] (or [intra] for the baseline), [mod],
-      [sccp] and [exec]. *)
-  val check : ?inject_fault:bool -> ?fuel:int -> ?input:int list -> t -> report
-
-  (** [corrupt ~seed t] returns a copy of [t] whose solution has exactly
-      one binding deterministically falsified (via the analysis's own
-      [corrupt], e.g. a ⊥ raised to a sentinel constant or a constant
-      shifted), picking a binding whose corruption a certifier must
-      detect on a non-degraded solution: non-⊤ bindings of procedures
-      reachable from the main program.  [None] when the solution has no
-      such binding.  [t] itself is not modified. *)
-  val corrupt : seed:int -> t -> t option
-
-  (** Certify one program under a sweep of configurations over shared
-      {!Driver.prepare} artifacts; returns one labeled report per
-      configuration. *)
-  val check_program :
-    ?fuel:int ->
-    ?input:int list ->
-    ?configs:(string * Config.t) list ->
-    Prog.t ->
-    (string * report) list
-end
-
-(** {1 The constant-propagation instantiation} *)
-
+(** Certify a solved analysis.  [fuel] and [input] are forwarded to the
+    interpreter witness.  When {!Ipcp_support.Fault}'s corruption site
+    ["certify.solution"] fires, the solution is deliberately corrupted
+    (via {!corrupt}) before checking — the fault-injection path that
+    proves the certifier catches bad solutions end-to-end.
+    [~inject_fault:false] opts out of that hook: the serve layer's online
+    checks verify solutions that were (possibly) corrupted upstream at
+    their own site, and must not corrupt their input a second time.
+    Under a telemetry reporter the check is a [certify] span with one
+    child per obligation family it runs: [edges], [entry] and [coverage]
+    (or [intra] for the baseline), [mod], [sccp] and [exec]. *)
 val check :
   ?inject_fault:bool -> ?fuel:int -> ?input:int list -> Driver.t -> report
 
+(** [corrupt ~seed t] returns a copy of [t] whose solution has exactly
+    one binding deterministically falsified (a ⊥ or a copy raised to a
+    sentinel constant, or a constant shifted), picking a binding whose
+    corruption a certifier must detect on a non-degraded solution:
+    non-⊤ bindings of procedures reachable from the main program.
+    [None] when the solution has no such binding.  [t] itself is not
+    modified. *)
 val corrupt : seed:int -> Driver.t -> Driver.t option
 
+(** Certify one program under a sweep of configurations over shared
+    {!Driver.prepare} artifacts; returns one labeled report per
+    configuration. *)
 val check_program :
   ?fuel:int ->
   ?input:int list ->

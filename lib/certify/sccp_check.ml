@@ -134,9 +134,9 @@ let rec eval_expr (values : Sccp.value array)
     | (Sccp.Vint _ | Sccp.Vbool _), _ -> Sccp.Vbot)
 
 (* Re-evaluation of a call-defined value through the published return
-   jump functions; mirrors SCCP's target resolution.  Polymorphic in the
-   analysis: only the oracle and the IR are consulted. *)
-let call_value (t : 'elt Driver.analysis_result) (ssa : Ssa.t)
+   jump functions; mirrors SCCP's target resolution.  Only the oracle
+   and the IR are consulted. *)
+let call_value (t : Driver.t) (ssa : Ssa.t)
     (values : Sccp.value array) (c : Cfg.call) b i n : Sccp.value =
   let { Ssa.d_var; _ } = Ssa.def ssa n in
   if d_var.vty <> Prog.Tint then Sccp.Vbot
@@ -198,7 +198,7 @@ let call_value (t : 'elt Driver.analysis_result) (ssa : Ssa.t)
 
 let pp_v = Sccp.pp_value
 
-let check_proc (t : 'elt Driver.analysis_result)
+let check_proc (t : Driver.t)
     ~(entry_const : Prog.proc -> Prog.var -> int option) ~(add : add)
     ~obligation name (r : Sccp.result) =
   let ir = Hashtbl.find t.Driver.irs name in
@@ -438,9 +438,8 @@ let check_proc (t : 'elt Driver.analysis_result)
     runs once per procedure).
     [entry_const] is the certifier's reading of the entry constant a
     formal/global holds under the (already edge-certified) solution —
-    what [Driver.sccp_for] seeds — supplied by the analysis-specific
-    caller so this module stays polymorphic. *)
-let check (t : 'elt Driver.analysis_result)
+    what [Driver.sccp_for] seeds. *)
+let check (t : Driver.t)
     ~(entry_const : Prog.proc -> Prog.var -> int option)
     ~(sccps : (string * Sccp.result) list) ~(add : add) ~obligation : unit =
   List.iter

@@ -87,9 +87,8 @@ let site_signature (t : Driver.t) (sjf : Jump_function.site_jf) : int option arr
   in
   Array.map
     (fun jf ->
-      match Solver.eval_jf t.solution.Solver.stats caller_vals jf with
-      | Const_lattice.Const c -> Some c
-      | Const_lattice.Top | Const_lattice.Bottom -> None)
+      Copy_lattice.const_value
+        (Solver.eval_jf t.solution.Solver.stats caller_vals jf))
     sjf.sf_formals
 
 let has_constant sig_ = Array.exists Option.is_some sig_

@@ -22,7 +22,7 @@ let analysis_of_string : string -> analysis option = function
   | _ -> None
 
 type t = {
-  analysis : analysis;  (** which lattice/transfer-function client runs *)
+  analysis : analysis;  (** main's entry seeds: constant or copy propagation *)
   kind : Jump_function.kind;  (** which forward jump function to build *)
   return_jfs : bool;  (** build and use return jump functions *)
   use_mod : bool;  (** use MOD summaries (vs. worst-case call kills) *)

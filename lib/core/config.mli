@@ -1,10 +1,11 @@
 (** Analyzer configuration — the experimental axes of the paper's Tables 2
     and 3. *)
 
-(** Which analysis client runs under the configuration: the paper's
-    constant propagation, or copy propagation (the second
-    {!Ipcp_analysis.Analysis_sig.S} client, for the subsumption
-    experiment). *)
+(** Which analysis runs under the configuration: the paper's constant
+    propagation, or copy propagation (for the subsumption experiment).
+    Both run one solver over {!Ipcp_analysis.Copy_lattice}, and the
+    choice decides only what an uninitialized global holds on entry to
+    main ({!Solver.global_seed}). *)
 type analysis = [ `Const | `Copy ]
 
 (** Stable lower-case name: ["const"] / ["copy"] — the CLI and serve
@@ -18,7 +19,7 @@ val analysis_of_string : string -> analysis option
     {!make} (or the presets below), never with record literals — new axes
     may be added and [make] keeps call sites stable. *)
 type t = {
-  analysis : analysis;  (** which lattice/transfer-function client runs *)
+  analysis : analysis;  (** main's entry seeds: constant or copy propagation *)
   kind : Jump_function.kind;  (** which forward jump function to build *)
   return_jfs : bool;
   use_mod : bool;  (** MOD summaries vs. worst-case call kills *)

@@ -24,21 +24,15 @@
     [analyze config prog = solve config (prepare prog)] — prefer the
     staged pair when more than one configuration runs on a program.
 
-    Like the solver, the pipeline is generic over the analysis: the
-    artifact prefix (everything through stage 2) is analysis-independent
-    and lives at the toplevel; {!Make} supplies the config-dependent
-    suffix (stages 3–4, SCCP seeding, CONSTANTS) for any
-    {!Ipcp_analysis.Analysis_sig.S}, and the toplevel solve/analyze
-    values are the constant-propagation instantiation. *)
+    The analysis ([Config.analysis]) reaches only stage 3, as main's
+    entry seeds ({!Solver.global_seed}): everything through stage 2 is
+    analysis-independent. *)
 
 open Ipcp_frontend
 open Ipcp_analysis
 module Telemetry = Ipcp_telemetry.Telemetry
 
-(* Parametric for the same reason as [Solver.generic_result]: one
-   nominal record shared by every [Make] instantiation, so artifact
-   plumbing and summary-based reuse stay polymorphic. *)
-type 'elt analysis_result = {
+type t = {
   config : Config.t;
   prog : Prog.t;
   cg : Callgraph.t;
@@ -47,9 +41,9 @@ type 'elt analysis_result = {
   irs : (string, Jump_function.proc_ir) Hashtbl.t;
       (** phase-2 IR (full oracle), reused by the substitution pass *)
   site_jfs : Jump_function.site_jf list;
-  solution : 'elt Solver.generic_result;
+  solution : Solver.result;
   sccps : (string, Sccp.result) Hashtbl.t;
-      (** [Make.sccp_for]'s memo; only the domain that owns the result
+      (** [sccp_for]'s memo; only the domain that owns the result
           writes it *)
   substs : (string, Prog.proc * int) Hashtbl.t;
       (** substitution's memo: each procedure's rewritten body and count *)
@@ -57,8 +51,6 @@ type 'elt analysis_result = {
       (** whether substitution records the SCCP results and rewrites it
           computes *)
 }
-
-type t = Const_lattice.t analysis_result
 
 (* ------------------------------------------------------------------ *)
 (* Artifacts: the config-independent prefix of the pipeline.           *)
@@ -436,179 +428,173 @@ let site_jfs_for (a : artifacts) (config : Config.t) (name : string) :
     else []
 
 (* ------------------------------------------------------------------ *)
-(* Stages 3 and 4: the config-dependent suffix, per analysis.          *)
+(* Stages 3 and 4: the config-dependent suffix.                       *)
 
 (** The return-jump-function oracle of this analysis (if enabled). *)
-let oracle (t : 'elt analysis_result) : Ssa_value.oracle option =
+let oracle (t : t) : Ssa_value.oracle option =
   if t.config.return_jfs then Some (Jump_function.oracle_of_table t.ret_jfs)
   else None
 
 (** Budget reasons of the propagation stage (empty on a precise run). *)
-let degraded (t : 'elt analysis_result) : Ipcp_support.Budget.reason list =
+let degraded (t : t) : Ipcp_support.Budget.reason list =
   t.solution.Solver.degraded
 
-module Make (A : Analysis_sig.S) = struct
-  module S = Solver.Make (A)
-
-  let propagate (config : Config.t) cg ~site_jfs ~global_data :
-      A.L.t Solver.generic_result =
-    let prog = cg.Callgraph.prog in
-    if config.interprocedural then
-      S.run ~budget:(Config.budget ~label:"solver" config) cg ~site_jfs
-        ~global_data
-    else begin
-      (* baseline: no propagation; every parameter of every procedure is
-         ⊥ so that only locally derived constants survive *)
-      let vals = Hashtbl.create 16 in
-      List.iter
-        (fun (p : Prog.proc) ->
-          let m =
-            List.fold_left
-              (fun m (v : Prog.var) ->
-                match v.vkind with
-                | Prog.Kformal i ->
-                  Prog.Param_map.add (Prog.Pformal i) A.L.bottom m
-                | _ -> m)
-              Prog.Param_map.empty p.pformals
-          in
-          let m =
-            List.fold_left
-              (fun m (key, _) ->
-                Prog.Param_map.add (Prog.Pglob key) A.L.bottom m)
-              m global_data
-          in
-          Hashtbl.replace vals p.pname m)
-        prog.procs;
-      { Solver.vals; stats = Solver.fresh_stats (); degraded = [] }
-    end
-
-  (** Run the config-dependent stages over shared artifacts.  [kept] is
-      asked once the site jump functions are built: a fixpoint it returns
-      still holds for these artifacts and is taken as stage 3's, and no
-      propagation runs. *)
-  let solve ?kept (config : Config.t) (a : artifacts) : A.L.t analysis_result =
-  Telemetry.span "solve" (fun () ->
-      let stage = stage12_for a config in
-      (* forward jump functions restricted to the configured kind *)
-      let site_jfs =
-        Telemetry.span "stage2:forward_jfs" (fun () ->
-            if not config.interprocedural then []
-            else
-              let key = stage_key config in
-              List.concat_map
-                (sites_for a key stage config.kind)
-                (Callgraph.top_down a.a_cg))
-      in
-      (* ---- stage 3: interprocedural propagation ---- *)
-      let solution =
-        Telemetry.span "stage3:propagate" (fun () ->
-            match Option.bind kept (fun kept -> kept ()) with
-            | Some solution -> solution
-            | None ->
-              let solution =
-                propagate config a.a_cg ~site_jfs
-                  ~global_data:(global_data a)
-              in
-              Telemetry.add ("jf.eval." ^ Jump_function.kind_name config.kind)
-                solution.Solver.stats.jf_evaluations;
-              solution)
-      in
-      (* ---- stage 4: recording the results ---- *)
-      Telemetry.span "stage4:record" (fun () ->
-          let t =
-            {
-              config;
-              prog = a.a_prog;
-              cg = a.a_cg;
-              modref = stage.sg_modref;
-              ret_jfs = stage.sg_ret_jfs;
-              irs = stage.sg_irs;
-              site_jfs;
-              solution;
-              sccps = Hashtbl.create 64;
-              substs = Hashtbl.create 64;
-              keep_sccps = false;
-            }
-          in
-          if Telemetry.enabled () then
-            Telemetry.add "driver.constants_found"
-              (List.fold_left
-                 (fun acc (p : Prog.proc) ->
-                   acc + List.length (S.constants_of solution p.pname))
-                 0 a.a_prog.procs);
-          t))
-
-  (** Run the full pipeline on a resolved program (compatibility
-      wrapper; prefer {!prepare} + {!solve}, which share artifacts
-      across configurations). *)
-  let analyze (config : Config.t) (prog : Prog.t) : A.L.t analysis_result =
-    Telemetry.span "analyze" (fun () -> solve config (prepare prog))
-
-  (** CONSTANTS(p) for every procedure, in program order. *)
-  let constants (t : A.L.t analysis_result) :
-      (string * (Prog.param * int) list) list =
-    List.map
-      (fun (p : Prog.proc) -> (p.pname, S.constants_of t.solution p.pname))
-      t.prog.procs
-
-  (** Total number of (procedure, parameter) constant facts. *)
-  let constants_count (t : A.L.t analysis_result) =
-    List.fold_left (fun acc (_, cs) -> acc + List.length cs) 0 (constants t)
-
-  (** Entry-value environment for a procedure, as consumed by SCCP: the
-      constant (if any) each formal/global holds on entry.  Facts with
-      no constant reading (a copy, say) seed nothing — SCCP consumes
-      integers, and [A.L.const_value] is the bridge. *)
-  let entry_env (t : A.L.t analysis_result) (ir : Jump_function.proc_ir) :
-      Prog.var -> int option =
-   fun v ->
-    let proc = ir.pi_proc in
-    if v.vty <> Prog.Tint || Prog.is_array v then None
-    else
-      match v.vkind with
-      | Prog.Kformal i ->
-        A.L.const_value (S.lookup t.solution proc.pname (Prog.Pformal i))
-      | Prog.Kglobal g ->
-        A.L.const_value
-          (S.lookup t.solution proc.pname (Prog.Pglob (Prog.global_key g)))
-      | Prog.Klocal when proc.pkind = Prog.Pmain ->
-        (* data-initialized locals of the main program hold their
-           load-time values on entry *)
-        ir.pi_entry_const v
-      | Prog.Klocal | Prog.Kresult -> None
-
-  (** SCCP for one procedure, seeded with the discovered entry facts:
-      the memoized result when there is one, otherwise a fresh run, which
-      is recorded unless [record] is false.  Each run creates a fresh
-      budget from the configuration, so parallel per-procedure runs share
-      no mutable budget state. *)
-  let sccp_for ?(record = true) (t : A.L.t analysis_result) (name : string) :
-      Sccp.result =
-    match Hashtbl.find_opt t.sccps name with
-    | Some r -> r
-    | None ->
-      let ir = Hashtbl.find t.irs name in
-      let r =
-        Sccp.run
-          ~budget:(Config.budget ~label:("sccp:" ^ name) t.config)
-          ?oracle:(oracle t) ~entry_env:(entry_env t ir)
-          ir.Jump_function.pi_ssa
-      in
-      if record then Hashtbl.replace t.sccps name r;
-      r
-
-  let pp_constants ppf (t : A.L.t analysis_result) =
-    let param_name = Prog.param_name t.prog in
+let propagate (config : Config.t) cg ~site_jfs ~global_data : Solver.result
+    =
+  let prog = cg.Callgraph.prog in
+  if config.interprocedural then
+    Solver.run
+      ~budget:(Config.budget ~label:"solver" config)
+      ~analysis:config.analysis cg ~site_jfs ~global_data
+  else begin
+    (* baseline: no propagation; every parameter of every procedure is
+       ⊥ so that only locally derived constants survive *)
+    let vals = Hashtbl.create 16 in
     List.iter
-      (fun (proc : Prog.proc) ->
-        match S.constants_of t.solution proc.pname with
-        | [] -> ()
-        | cs ->
-          Fmt.pf ppf "%s: %a@." proc.pname
-            (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (param, c) ->
-                 Fmt.pf ppf "%s=%d" (param_name proc param) c))
-            cs)
-      t.prog.procs
-end
+      (fun (p : Prog.proc) ->
+        let m =
+          List.fold_left
+            (fun m (v : Prog.var) ->
+              match v.vkind with
+              | Prog.Kformal i ->
+                Prog.Param_map.add (Prog.Pformal i) Copy_lattice.Bottom m
+              | _ -> m)
+            Prog.Param_map.empty p.pformals
+        in
+        let m =
+          List.fold_left
+            (fun m (key, _) ->
+              Prog.Param_map.add (Prog.Pglob key) Copy_lattice.Bottom m)
+            m global_data
+        in
+        Hashtbl.replace vals p.pname m)
+      prog.procs;
+    { Solver.vals; stats = Solver.fresh_stats (); degraded = [] }
+  end
 
-include Make (Const_analysis)
+(** Run the config-dependent stages over shared artifacts.  [kept] is
+    asked once the site jump functions are built: a fixpoint it returns
+    still holds for these artifacts and is taken as stage 3's, and no
+    propagation runs. *)
+let solve ?kept (config : Config.t) (a : artifacts) : t =
+  Telemetry.span "solve" (fun () ->
+    let stage = stage12_for a config in
+    (* forward jump functions restricted to the configured kind *)
+    let site_jfs =
+      Telemetry.span "stage2:forward_jfs" (fun () ->
+          if not config.interprocedural then []
+          else
+            let key = stage_key config in
+            List.concat_map
+              (sites_for a key stage config.kind)
+              (Callgraph.top_down a.a_cg))
+    in
+    (* ---- stage 3: interprocedural propagation ---- *)
+    let solution =
+      Telemetry.span "stage3:propagate" (fun () ->
+          match Option.bind kept (fun kept -> kept ()) with
+          | Some solution -> solution
+          | None ->
+            let solution =
+              propagate config a.a_cg ~site_jfs
+                ~global_data:(global_data a)
+            in
+            Telemetry.add ("jf.eval." ^ Jump_function.kind_name config.kind)
+              solution.Solver.stats.jf_evaluations;
+            solution)
+    in
+    (* ---- stage 4: recording the results ---- *)
+    Telemetry.span "stage4:record" (fun () ->
+        let t =
+          {
+            config;
+            prog = a.a_prog;
+            cg = a.a_cg;
+            modref = stage.sg_modref;
+            ret_jfs = stage.sg_ret_jfs;
+            irs = stage.sg_irs;
+            site_jfs;
+            solution;
+            sccps = Hashtbl.create 64;
+            substs = Hashtbl.create 64;
+            keep_sccps = false;
+          }
+        in
+        if Telemetry.enabled () then
+          Telemetry.add "driver.constants_found"
+            (List.fold_left
+               (fun acc (p : Prog.proc) ->
+                 acc + List.length (Solver.constants_of solution p.pname))
+               0 a.a_prog.procs);
+        t))
+
+(** Run the full pipeline on a resolved program (compatibility
+    wrapper; prefer {!prepare} + {!solve}, which share artifacts
+    across configurations). *)
+let analyze (config : Config.t) (prog : Prog.t) : t =
+  Telemetry.span "analyze" (fun () -> solve config (prepare prog))
+
+(** CONSTANTS(p) for every procedure, in program order. *)
+let constants (t : t) : (string * (Prog.param * int) list) list =
+  List.map
+    (fun (p : Prog.proc) -> (p.pname, Solver.constants_of t.solution p.pname))
+    t.prog.procs
+
+(** Total number of (procedure, parameter) constant facts. *)
+let constants_count (t : t) =
+  List.fold_left (fun acc (_, cs) -> acc + List.length cs) 0 (constants t)
+
+(** Entry-value environment for a procedure, as consumed by SCCP: the
+    constant (if any) each formal/global holds on entry.  Facts with
+    no constant reading (a copy, say) seed nothing — SCCP consumes
+    integers, and [Copy_lattice.const_value] is the bridge. *)
+let entry_env (t : t) (ir : Jump_function.proc_ir) : Prog.var -> int option
+    =
+ fun v ->
+  let proc = ir.pi_proc in
+  if v.vty <> Prog.Tint || Prog.is_array v then None
+  else
+    match v.vkind with
+    | Prog.Kformal i ->
+      Copy_lattice.const_value
+        (Solver.lookup t.solution proc.pname (Prog.Pformal i))
+    | Prog.Kglobal g ->
+      Copy_lattice.const_value
+        (Solver.lookup t.solution proc.pname (Prog.Pglob (Prog.global_key g)))
+    | Prog.Klocal when proc.pkind = Prog.Pmain ->
+      (* data-initialized locals of the main program hold their
+         load-time values on entry *)
+      ir.pi_entry_const v
+    | Prog.Klocal | Prog.Kresult -> None
+
+(** SCCP for one procedure, seeded with the discovered entry facts:
+    the memoized result when there is one, otherwise a fresh run, which
+    is recorded unless [record] is false.  Each run creates a fresh
+    budget from the configuration, so parallel per-procedure runs share
+    no mutable budget state. *)
+let sccp_for ?(record = true) (t : t) (name : string) : Sccp.result =
+  match Hashtbl.find_opt t.sccps name with
+  | Some r -> r
+  | None ->
+    let ir = Hashtbl.find t.irs name in
+    let r =
+      Sccp.run
+        ~budget:(Config.budget ~label:("sccp:" ^ name) t.config)
+        ?oracle:(oracle t) ~entry_env:(entry_env t ir)
+        ir.Jump_function.pi_ssa
+    in
+    if record then Hashtbl.replace t.sccps name r;
+    r
+
+let pp_constants ppf (t : t) =
+  let param_name = Prog.param_name t.prog in
+  List.iter
+    (fun (proc : Prog.proc) ->
+      match Solver.constants_of t.solution proc.pname with
+      | [] -> ()
+      | cs ->
+        Fmt.pf ppf "%s: %a@." proc.pname
+          (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (param, c) ->
+               Fmt.pf ppf "%s=%d" (param_name proc param) c))
+          cs)
+    t.prog.procs

@@ -16,10 +16,9 @@
        staged pair: it shares artifacts across configurations and is
        what every production path (tables, serve, incr) uses.}}
 
-    The pipeline is generic over the analysis: the artifact prefix is
-    analysis-independent, {!Make} builds the config-dependent suffix for
-    any {!Ipcp_analysis.Analysis_sig.S}, and the toplevel solve/analyze
-    values are the constant-propagation instantiation.
+    The analysis ([Config.analysis]) reaches only the propagation, as
+    main's entry seeds ({!Solver.global_seed}); the artifact prefix is
+    analysis-independent.
 
     Artifacts memoize internally and are therefore {b not} safe to share
     across domains; give each worker domain its own (the engine's
@@ -28,11 +27,8 @@
 open Ipcp_frontend
 open Ipcp_analysis
 
-(** A solved analysis over lattice elements ['elt]: the shared nominal
-    record of every {!Make} instantiation, so summary-based consumers
-    (substitution's per-procedure pass, the incremental layer, the
-    certifier's obligations) stay polymorphic in the analysis. *)
-type 'elt analysis_result = {
+(** A solved analysis. *)
+type t = {
   config : Config.t;
   prog : Prog.t;
   cg : Callgraph.t;
@@ -41,9 +37,9 @@ type 'elt analysis_result = {
   irs : (string, Jump_function.proc_ir) Hashtbl.t;
       (** per-procedure IR (CFG/SSA/symbolic values), reused downstream *)
   site_jfs : Jump_function.site_jf list;
-  solution : 'elt Solver.generic_result;
+  solution : Solver.result;
   sccps : (string, Sccp.result) Hashtbl.t;
-      (** {!Make.sccp_for}'s memo, per procedure.  Only the domain that
+      (** {!sccp_for}'s memo, per procedure.  Only the domain that
           owns the result writes it; {!Ipcp_incr.Incr.update} seeds it
           from the previous version's. *)
   substs : (string, Prog.proc * int) Hashtbl.t;
@@ -57,8 +53,6 @@ type 'elt analysis_result = {
           the collector; true for an incremental session's, whose next
           update copies them, and for one the certifier checks next. *)
 }
-
-type t = Const_lattice.t analysis_result
 
 (** Config-independent analysis artifacts of one program. *)
 type artifacts
@@ -120,51 +114,21 @@ val find_proc : artifacts -> string -> Prog.proc option
 val global_data : artifacts -> (string * int option) list
 
 (** The return-jump-function oracle of an analysis, if enabled. *)
-val oracle : 'elt analysis_result -> Ssa_value.oracle option
+val oracle : t -> Ssa_value.oracle option
 
 (** Budget reasons of the propagation stage; empty on a precise run.
     A degraded analysis is still sound — pending work was widened to ⊥
     — but may miss constants. *)
-val degraded : 'elt analysis_result -> Ipcp_support.Budget.reason list
-
-(** The config-dependent suffix of the pipeline for one analysis:
-    stages 3–4 over shared artifacts, SCCP seeding, CONSTANTS. *)
-module Make (A : Analysis_sig.S) : sig
-  module S : module type of Solver.Make (A)
-
-  (** Run the config-dependent stages (forward jump functions +
-      interprocedural propagation) over shared artifacts.  [kept] is
-      asked once stage 2 has built every site jump function: a fixpoint
-      it returns must be the one propagation would reach on these
-      artifacts, and is taken as stage 3's result without propagating
-      (no [solver.*] or [jf.eval.*] counters).  The one caller that
-      passes it is {!Ipcp_incr.Incr.update}, which returns the previous
-      version's fixpoint when nothing propagation reads changed. *)
-  val solve :
-    ?kept:(unit -> A.L.t Solver.generic_result option) ->
-    Config.t ->
-    artifacts ->
-    A.L.t analysis_result
-
-  (** One-shot compatibility wrapper; prefer {!prepare} + {!solve}. *)
-  val analyze : Config.t -> Prog.t -> A.L.t analysis_result
-
-  val constants : A.L.t analysis_result -> (string * (Prog.param * int) list) list
-  val constants_count : A.L.t analysis_result -> int
-  val entry_env :
-    A.L.t analysis_result -> Jump_function.proc_ir -> Prog.var -> int option
-  val sccp_for :
-    ?record:bool -> A.L.t analysis_result -> string -> Sccp.result
-  val pp_constants : A.L.t analysis_result Fmt.t
-end
-
-(** {1 The constant-propagation instantiation}
-
-    [Make (Const_analysis)] at the historical toplevel names. *)
+val degraded : t -> Ipcp_support.Budget.reason list
 
 (** Run the config-dependent stages (forward jump functions +
-    interprocedural propagation) over shared artifacts; [kept] as in
-    {!Make.solve}. *)
+    interprocedural propagation) over shared artifacts.  [kept] is
+    asked once stage 2 has built every site jump function: a fixpoint
+    it returns must be the one propagation would reach on these
+    artifacts, and is taken as stage 3's result without propagating
+    (no [solver.*] or [jf.eval.*] counters).  The one caller that
+    passes it is {!Ipcp_incr.Incr.update}, which returns the previous
+    version's fixpoint when nothing propagation reads changed. *)
 val solve : ?kept:(unit -> Solver.result option) -> Config.t -> artifacts -> t
 
 (** Run the full pipeline on a resolved program:

@@ -27,10 +27,9 @@ type stats = {
 }
 
 (** Substitute constants into one procedure given its SCCP result.
-    Returns the rewritten procedure and the substitution count.
-    Polymorphic in the analysis — only MOD summaries and the SCCP fact
-    tables are consulted. *)
-let apply_proc (t : 'elt Driver.analysis_result) (proc : Prog.proc)
+    Returns the rewritten procedure and the substitution count.  Only
+    MOD summaries and the SCCP fact tables are consulted. *)
+let apply_proc (t : Driver.t) (proc : Prog.proc)
     (sccp : Ipcp_analysis.Sccp.result) : Prog.proc * int =
   let count = ref 0 in
   let constant_of (e : Prog.expr) : int option =
@@ -105,60 +104,54 @@ let apply_proc (t : 'elt Driver.analysis_result) (proc : Prog.proc)
   let body = List.map stmt proc.pbody in
   ({ proc with pbody = body }, !count)
 
-module Make (A : Ipcp_analysis.Analysis_sig.S) = struct
-  module D = Driver.Make (A)
+(** Substitute over the whole program.  [jobs > 1] distributes the
+    per-procedure SCCP + rewrite across worker domains (procedures are
+    independent once the analysis is solved); the result is identical
+    to the sequential one — the engine preserves program order.  SCCP
+    results and rewrites come from [t]'s memos where present; when
+    [t.keep_sccps], the ones computed here are recorded in them
+    afterwards, by the calling domain. *)
+let apply ?(jobs = 1) (t : Driver.t) : Prog.t * stats =
+  let keep = t.Driver.keep_sccps in
+  let results =
+    Ipcp_engine.Engine.map ~jobs
+      (fun (proc : Prog.proc) ->
+        let sccp = Driver.sccp_for ~record:false t proc.pname in
+        let rewritten =
+          match Hashtbl.find_opt t.Driver.substs proc.pname with
+          | Some r -> r
+          | None -> apply_proc t proc sccp
+        in
+        ( rewritten,
+          proc.pname,
+          sccp.Ipcp_analysis.Sccp.degraded <> [],
+          if keep then Some sccp else None ))
+      t.Driver.prog.procs
+  in
+  List.iter
+    (fun (rewritten, name, _, kept) ->
+      Option.iter
+        (fun sccp ->
+          Hashtbl.replace t.Driver.sccps name sccp;
+          Hashtbl.replace t.Driver.substs name rewritten)
+        kept)
+    results;
+  let procs = List.map (fun ((p, _), _, _, _) -> p) results in
+  let by_proc = List.map (fun ((_, n), name, _, _) -> (name, n)) results in
+  let sccp_degraded =
+    List.filter_map
+      (fun (_, name, d, _) -> if d then Some name else None)
+      results
+  in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 by_proc in
+  ({ t.Driver.prog with procs }, { total; by_proc; sccp_degraded })
 
-  (** Substitute over the whole program.  [jobs > 1] distributes the
-      per-procedure SCCP + rewrite across worker domains (procedures are
-      independent once the analysis is solved); the result is identical
-      to the sequential one — the engine preserves program order.  SCCP
-      results and rewrites come from [t]'s memos where present; when
-      [t.keep_sccps], the ones computed here are recorded in them
-      afterwards, by the calling domain. *)
-  let apply ?(jobs = 1) (t : A.L.t Driver.analysis_result) : Prog.t * stats =
-    let keep = t.Driver.keep_sccps in
-    let results =
-      Ipcp_engine.Engine.map ~jobs
-        (fun (proc : Prog.proc) ->
-          let sccp = D.sccp_for ~record:false t proc.pname in
-          let rewritten =
-            match Hashtbl.find_opt t.Driver.substs proc.pname with
-            | Some r -> r
-            | None -> apply_proc t proc sccp
-          in
-          ( rewritten,
-            proc.pname,
-            sccp.Ipcp_analysis.Sccp.degraded <> [],
-            if keep then Some sccp else None ))
-        t.Driver.prog.procs
-    in
-    List.iter
-      (fun (rewritten, name, _, kept) ->
-        Option.iter
-          (fun sccp ->
-            Hashtbl.replace t.Driver.sccps name sccp;
-            Hashtbl.replace t.Driver.substs name rewritten)
-          kept)
-      results;
-    let procs = List.map (fun ((p, _), _, _, _) -> p) results in
-    let by_proc = List.map (fun ((_, n), name, _, _) -> (name, n)) results in
-    let sccp_degraded =
-      List.filter_map
-        (fun (_, name, d, _) -> if d then Some name else None)
-        results
-    in
-    let total = List.fold_left (fun acc (_, n) -> acc + n) 0 by_proc in
-    ({ t.Driver.prog with procs }, { total; by_proc; sccp_degraded })
+(** Convenience: analyze then substitute, returning only the count. *)
+let count (config : Config.t) (prog : Prog.t) : int =
+  let t = Driver.analyze config prog in
+  (snd (apply t)).total
 
-  (** Convenience: analyze then substitute, returning only the count. *)
-  let count (config : Config.t) (prog : Prog.t) : int =
-    let t = D.analyze config prog in
-    (snd (apply t)).total
-
-  (** [count_staged artifacts config]: solve over shared artifacts, then
-      substitute — one cell of Tables 2/3 without re-running stages 1–2. *)
-  let count_staged (artifacts : Driver.artifacts) (config : Config.t) : int =
-    (snd (apply (D.solve config artifacts))).total
-end
-
-include Make (Ipcp_analysis.Const_analysis)
+(** [count_staged artifacts config]: solve over shared artifacts, then
+    substitute — one cell of Tables 2/3 without re-running stages 1–2. *)
+let count_staged (artifacts : Driver.artifacts) (config : Config.t) : int =
+  (snd (apply (Driver.solve config artifacts))).total

@@ -17,34 +17,21 @@ type stats = {
           order; they contribute no substitutions *)
 }
 
-(** Substitute into one procedure given its seeded SCCP result.
-    Polymorphic in the analysis — only MOD summaries and the SCCP fact
-    tables are consulted. *)
+(** Substitute into one procedure given its seeded SCCP result.  Only
+    MOD summaries and the SCCP fact tables are consulted. *)
 val apply_proc :
-  'elt Driver.analysis_result ->
-  Prog.proc ->
-  Ipcp_analysis.Sccp.result ->
-  Prog.proc * int
+  Driver.t -> Prog.proc -> Ipcp_analysis.Sccp.result -> Prog.proc * int
 
-(** The substitution pass for one analysis. *)
-module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
-  (** Substitute over the whole program of an analysis.  [jobs > 1]
-      distributes the independent per-procedure passes across worker
-      domains; output is identical to the sequential run. *)
-  val apply : ?jobs:int -> A.L.t Driver.analysis_result -> Prog.t * stats
-
-  (** [count config prog]: analyze then substitute, returning the count —
-      one cell of Tables 2/3. *)
-  val count : Config.t -> Prog.t -> int
-
-  (** [count_staged artifacts config]: like {!count} but solving over
-      shared {!Driver.prepare} artifacts, skipping the config-independent
-      stages. *)
-  val count_staged : Driver.artifacts -> Config.t -> int
-end
-
-(** {1 The constant-propagation instantiation} *)
-
+(** Substitute over the whole program.  [jobs > 1] distributes the
+    independent per-procedure passes across worker domains; output is
+    identical to the sequential run. *)
 val apply : ?jobs:int -> Driver.t -> Prog.t * stats
+
+(** [count config prog]: analyze then substitute, returning the count —
+    one cell of Tables 2/3. *)
 val count : Config.t -> Prog.t -> int
+
+(** [count_staged artifacts config]: like {!count} but solving over
+    shared {!Driver.prepare} artifacts, skipping the config-independent
+    stages. *)
 val count_staged : Driver.artifacts -> Config.t -> int

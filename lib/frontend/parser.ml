@@ -701,7 +701,10 @@ let parse_units p : program =
         sync_unit ();
         go acc
   in
-  go []
+  let units = go [] in
+  (* once per parse: the per-token path stays uncounted *)
+  Ipcp_telemetry.Telemetry.add "parse.tokens" p.consumed;
+  units
 
 (** Parse a whole source file into a list of program units.  Tokens
     stream from the lexer as the parser consumes them.  With [recover],

@@ -6,7 +6,8 @@
     and parsing resynchronizes at statement and unit boundaries, so one
     run reports every independent problem: every lexical error
     ([E-LEX]) comes first, then the syntax errors ([E-PARSE]).  Returns
-    the units that parsed. *)
+    the units that parsed, and adds the number of tokens consumed to the
+    [parse.tokens] counter. *)
 val parse_program :
   ?file:string -> ?recover:Ipcp_support.Diagnostics.t -> string -> Ast.program
 

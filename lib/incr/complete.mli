@@ -17,39 +17,21 @@
 open Ipcp_frontend
 open Ipcp_core
 
-type 'elt generic_outcome = {
-  final : 'elt Driver.analysis_result;
-      (** analysis of the final, DCE-stable program *)
+type outcome = {
+  final : Driver.t;  (** analysis of the final, DCE-stable program *)
   substituted : int;  (** substitution count on the final program *)
   dce_rounds : int;  (** rounds that actually removed code *)
   degraded : Ipcp_support.Budget.reason list;
       (** budget exhaustions hit along the way; empty on a precise run *)
 }
 
-type outcome = Ipcp_analysis.Const_lattice.t generic_outcome
-
-(** Complete propagation for one analysis.  [budget] (default: built
-    from the configuration) bounds the number of re-analysis rounds; on
+(** Complete propagation.  [budget] (default: built from the
+    configuration) bounds the number of re-analysis rounds; on
     exhaustion the current round's (sound) result is kept and the
     outcome is marked degraded. *)
-module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
-  val run :
-    ?budget:Ipcp_support.Budget.t ->
-    ?config:Config.t ->
-    Prog.t ->
-    A.L.t generic_outcome
-
-  (** The rounds continued from an analyzed session, as round 1: what
-      {!run} gives on the session's program and configuration. *)
-  val continue :
-    ?budget:Ipcp_support.Budget.t ->
-    Incr.Make(A).session ->
-    A.L.t generic_outcome
-end
-
-(** {1 The constant-propagation instantiation} *)
-
 val run :
   ?budget:Ipcp_support.Budget.t -> ?config:Config.t -> Prog.t -> outcome
 
+(** The rounds continued from an analyzed session, as round 1: what
+    {!run} gives on the session's program and configuration. *)
 val continue : ?budget:Ipcp_support.Budget.t -> Incr.session -> outcome

@@ -47,22 +47,8 @@ type stats = {
 
 val pp_stats : stats Fmt.t
 
-(** Incremental sessions for one analysis. *)
-module Make (A : Ipcp_analysis.Analysis_sig.S) : sig
-  type session
-
-  val start : Config.t -> Prog.t -> session
-  val start_prepared : Config.t -> Driver.artifacts -> session
-  val update : prev:session -> Prog.t -> session * stats
-  val result : session -> A.L.t Driver.analysis_result
-  val config : session -> Config.t
-  val prog : session -> Prog.t
-end
-
-(** {1 The constant-propagation instantiation} *)
-
 (** One analyzed program version, ready to be updated from. *)
-type session = Make(Ipcp_analysis.Const_analysis).session
+type session
 
 (** [start config prog] is [start_prepared config (Driver.prepare prog)]. *)
 val start : Config.t -> Prog.t -> session

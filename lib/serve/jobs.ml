@@ -75,74 +75,61 @@ let pp_degraded ppf reasons =
         Ipcp_support.Budget.pp_reason r)
     reasons
 
-(* The job bodies for one analysis.  [Of (Const_analysis)] is included
-   at the historical toplevel names; [Copy] serves the [--analysis copy]
-   paths with the same renderers. *)
-module Of (A : Ipcp_analysis.Analysis_sig.S) = struct
-  module D = Driver.Make (A)
-  module Sub = Substitute.Make (A)
-  module I = Ipcp_incr.Incr.Make (A)
-  module Comp = Ipcp_incr.Complete.Make (A)
-  module C = Ipcp_certify.Certify.Make (A)
+let certification ?fuel ?input ~label t =
+  render (fun out err ->
+      pp_certification out err label
+        (Ipcp_certify.Certify.check ?fuel ?input t))
 
-  let certification ?fuel ?input ~label t =
-    render (fun out err ->
-        pp_certification out err label (C.check ?fuel ?input t))
-
-  let analyze ?(verbose = false) ?(complete = false) ?(certify = false)
-      ?substitute_out ?solved ?session ~config ~jobs prog =
-    render @@ fun ppf err ->
-    (* a precomputed result or session (the incremental path) renders
-       through the same pipeline below, so its frames stay byte-identical
-       to a from-scratch analyze *)
-    let plain t = (t, Driver.degraded t) in
-    let complete_of (o : _ Ipcp_incr.Complete.generic_outcome) =
-      (o.final, o.degraded)
-    in
-    let t, degraded =
-      match (solved, session) with
-      | Some t, _ -> plain t
-      | None, Some s ->
-        if complete then complete_of (Comp.continue s) else plain (I.result s)
-      | None, None ->
-        if complete then complete_of (Comp.run ~config prog)
-        else plain (D.analyze config prog)
-    in
-    (* the certifier reads the SCCP results substitution computes *)
-    let t = if certify then { t with Driver.keep_sccps = true } else t in
-    let span = Ipcp_telemetry.Telemetry.span in
-    let prog', stats = span "substitute" (fun () -> Sub.apply ~jobs t) in
-    span "render" (fun () ->
-        if verbose then begin
-          Fmt.pf ppf "--- call graph@.%a@." Callgraph.pp t.Driver.cg;
-          Fmt.pf ppf "--- mod/ref@.%a@." Modref.pp t.Driver.modref
-        end;
-        Fmt.pf ppf "--- configuration: %a@." Config.pp config;
-        Fmt.pf ppf "--- CONSTANTS sets@.%a" D.pp_constants t;
-        Fmt.pf ppf "--- constants substituted: %d@." stats.Substitute.total;
-        List.iter
-          (fun (p, n) -> if n > 0 then Fmt.pf ppf "      %-16s %d@." p n)
-          stats.Substitute.by_proc;
-        pp_degraded ppf degraded;
-        if stats.Substitute.sccp_degraded <> [] then
-          Fmt.pf ppf
-            "--- degraded (sccp budget, no substitutions): %a@."
-            Fmt.(list ~sep:(any " ") string)
-            stats.Substitute.sccp_degraded;
-        match substitute_out with
-        | Some out ->
-          let oc = open_out out in
-          output_string oc (Pretty.program_to_string prog');
-          close_out oc;
-          Fmt.pf ppf "--- substituted source written to %s@." out
-        | None -> ());
-    if certify then
-      pp_certification ppf err (Config.to_string config) (C.check t)
-    else 0
-end
-
-include Of (Ipcp_analysis.Const_analysis)
-module Copy = Of (Ipcp_analysis.Copy_analysis)
+let analyze ?(verbose = false) ?(complete = false) ?(certify = false)
+    ?substitute_out ?solved ?session ~config ~jobs prog =
+  render @@ fun ppf err ->
+  (* a precomputed result or session (the incremental path) renders
+     through the same pipeline below, so its frames stay byte-identical
+     to a from-scratch analyze *)
+  let plain t = (t, Driver.degraded t) in
+  let complete_of (o : Ipcp_incr.Complete.outcome) = (o.final, o.degraded) in
+  let t, degraded =
+    match (solved, session) with
+    | Some t, _ -> plain t
+    | None, Some s ->
+      if complete then complete_of (Ipcp_incr.Complete.continue s)
+      else plain (Ipcp_incr.Incr.result s)
+    | None, None ->
+      if complete then complete_of (Ipcp_incr.Complete.run ~config prog)
+      else plain (Driver.analyze config prog)
+  in
+  (* the certifier reads the SCCP results substitution computes *)
+  let t = if certify then { t with Driver.keep_sccps = true } else t in
+  let span = Ipcp_telemetry.Telemetry.span in
+  let prog', stats = span "substitute" (fun () -> Substitute.apply ~jobs t) in
+  span "render" (fun () ->
+      if verbose then begin
+        Fmt.pf ppf "--- call graph@.%a@." Callgraph.pp t.Driver.cg;
+        Fmt.pf ppf "--- mod/ref@.%a@." Modref.pp t.Driver.modref
+      end;
+      Fmt.pf ppf "--- configuration: %a@." Config.pp config;
+      Fmt.pf ppf "--- CONSTANTS sets@.%a" Driver.pp_constants t;
+      Fmt.pf ppf "--- constants substituted: %d@." stats.Substitute.total;
+      List.iter
+        (fun (p, n) -> if n > 0 then Fmt.pf ppf "      %-16s %d@." p n)
+        stats.Substitute.by_proc;
+      pp_degraded ppf degraded;
+      if stats.Substitute.sccp_degraded <> [] then
+        Fmt.pf ppf
+          "--- degraded (sccp budget, no substitutions): %a@."
+          Fmt.(list ~sep:(any " ") string)
+          stats.Substitute.sccp_degraded;
+      match substitute_out with
+      | Some out ->
+        let oc = open_out out in
+        output_string oc (Pretty.program_to_string prog');
+        close_out oc;
+        Fmt.pf ppf "--- substituted source written to %s@." out
+      | None -> ());
+  if certify then
+    pp_certification ppf err (Config.to_string config)
+      (Ipcp_certify.Certify.check t)
+  else 0
 
 (* ---------------- tables ---------------- *)
 
@@ -163,13 +150,8 @@ let tables ?(analysis = `Const) ?(certify = false) ?max_steps ?deadline_ms
         (fun acc (e : Ipcp_suite.Registry.entry) ->
           let prog = Ipcp_suite.Registry.program e in
           let c =
-            match analysis with
-            | `Const ->
-              pp_certification ppf err e.name
-                (Ipcp_certify.Certify.check (Driver.analyze config prog))
-            | `Copy ->
-              pp_certification ppf err e.name
-                (Copy.C.check (Copy.D.analyze config prog))
+            pp_certification ppf err e.name
+              (Ipcp_certify.Certify.check (Driver.analyze config prog))
           in
           if c <> 0 then c else acc)
         0 Ipcp_suite.Registry.entries

@@ -29,76 +29,14 @@ type outcome = { out : string; err : string; code : int }
     report and [exit_input]. *)
 val load : string -> (string * Prog.t, outcome) result
 
-(** The job bodies for one analysis; the toplevel values are
-    [Of (Const_analysis)], and {!Copy} serves [--analysis copy]. *)
-module Of (A : Ipcp_analysis.Analysis_sig.S) : sig
-  (** The [analyze] job.  [?solved] supplies an already-solved result
-      (a served solution); it takes precedence over [?complete].
-      [?session] supplies an analyzed incremental session of [prog]
-      (the [--against] path), from which [?complete] continues its
-      rounds.  Both render through the same pipeline, so the output
-      stays byte-identical to a from-scratch analyze of the same source.
-      [?substitute_out] also writes the constant-substituted source to a
-      file (CLI only; raises [Sys_error] like any file write). *)
-  val analyze :
-    ?verbose:bool ->
-    ?complete:bool ->
-    ?certify:bool ->
-    ?substitute_out:string ->
-    ?solved:A.L.t Driver.analysis_result ->
-    ?session:Ipcp_incr.Incr.Make(A).session ->
-    config:Config.t ->
-    jobs:int ->
-    Prog.t ->
-    outcome
-
-  (** Render one certification verdict exactly as the CLI does
-      ([--- certified \[label\]] on stdout, the violation report on
-      stderr with [exit_internal]). *)
-  val certification :
-    ?fuel:int ->
-    ?input:int list ->
-    label:string ->
-    A.L.t Driver.analysis_result ->
-    outcome
-end
-
-(** The copy-propagation jobs. *)
-module Copy : sig
-  val analyze :
-    ?verbose:bool ->
-    ?complete:bool ->
-    ?certify:bool ->
-    ?substitute_out:string ->
-    ?solved:Ipcp_analysis.Copy_analysis.L.t Driver.analysis_result ->
-    ?session:Ipcp_incr.Incr.Make(Ipcp_analysis.Copy_analysis).session ->
-    config:Config.t ->
-    jobs:int ->
-    Prog.t ->
-    outcome
-
-  val certification :
-    ?fuel:int ->
-    ?input:int list ->
-    label:string ->
-    Ipcp_analysis.Copy_analysis.L.t Driver.analysis_result ->
-    outcome
-end
-
-(** The [tables] job: Tables 1–3 over the bundled suite (plus the
-    subsumption Table 4 under [`Copy]), optionally certifying every
-    entry afterwards. *)
-val tables :
-  ?analysis:Config.analysis ->
-  ?certify:bool ->
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  jobs:int ->
-  unit ->
-  outcome
-
-(** {1 The constant-propagation jobs} *)
-
+(** The [analyze] job.  [?solved] supplies an already-solved result (a
+    served solution); it takes precedence over [?complete].  [?session]
+    supplies an analyzed incremental session of [prog] (the [--against]
+    path), from which [?complete] continues its rounds.  Both render
+    through the same pipeline, so the output stays byte-identical to a
+    from-scratch analyze of the same source.  [?substitute_out] also
+    writes the constant-substituted source to a file (CLI only; raises
+    [Sys_error] like any file write). *)
 val analyze :
   ?verbose:bool ->
   ?complete:bool ->
@@ -111,5 +49,20 @@ val analyze :
   Prog.t ->
   outcome
 
+(** Render one certification verdict exactly as the CLI does
+    ([--- certified \[label\]] on stdout, the violation report on stderr
+    with [exit_internal]). *)
 val certification :
   ?fuel:int -> ?input:int list -> label:string -> Driver.t -> outcome
+
+(** The [tables] job: Tables 1–3 over the bundled suite (plus the
+    subsumption Table 4 under [`Copy]), optionally certifying every
+    entry afterwards. *)
+val tables :
+  ?analysis:Config.analysis ->
+  ?certify:bool ->
+  ?max_steps:int ->
+  ?deadline_ms:int ->
+  jobs:int ->
+  unit ->
+  outcome

@@ -3,7 +3,6 @@ module Fault = Ipcp_support.Fault
 module Prng = Ipcp_support.Prng
 module Telemetry = Ipcp_telemetry.Telemetry
 module Incr = Ipcp_incr.Incr
-module Copy_incr = Ipcp_incr.Incr.Make (Ipcp_analysis.Copy_analysis)
 
 type config = {
   workers : int;
@@ -158,12 +157,10 @@ type state = {
   breaker : (string, breaker_entry) Hashtbl.t;
       (** consecutive crashes (and half-open state) per input *)
   sess_mu : Mutex.t;  (** guards [sessions] only: get/put, never a solve *)
-  sessions : (string, Incr.session) Hashtbl.t;
-      (** incremental sessions pinned per session name *)
-  copy_sessions : (string, Copy_incr.session) Hashtbl.t;
-      (** the copy-propagation sessions, in their own namespace — a
-          session is one lattice's fixpoint and must never be updated
-          under the other *)
+  sessions : (Config.analysis * string, Incr.session) Hashtbl.t;
+      (** incremental sessions pinned per analysis and session name: the
+          two analyses keep separate namespaces, so requests alternating
+          between them each update their own session *)
   n : counters;
   kill_input : string option;
       (** test-only: SIGKILL the whole process when executing a matching
@@ -413,123 +410,117 @@ let solution_fault_site seq = Printf.sprintf "serve.solution:%d" seq
 
 (* ---------------- incremental sessions ---------------- *)
 
-(* The serving path for one analysis: the analyze / analyze-delta /
-   certify job bodies, the online certification policy, and the
-   analyze-delta session machinery (pinned-session lookup and the seeded
-   update).  Each instantiation works on its own session table (passed
-   per call — [state] holds one table per analysis), so a fixpoint is
-   never updated under the wrong lattice. *)
-module Analysis_serve (A : Ipcp_analysis.Analysis_sig.S) = struct
-  module I = Ipcp_incr.Incr.Make (A)
-  module D = Driver.Make (A)
-  module C = Ipcp_certify.Certify.Make (A)
-  module J = Jobs.Of (A)
+let session_get st key =
+  Mutex.lock st.sess_mu;
+  let s = Hashtbl.find_opt st.sessions key in
+  Mutex.unlock st.sess_mu;
+  s
 
-  let session_get st sessions name =
-    Mutex.lock st.sess_mu;
-    let s = Hashtbl.find_opt sessions name in
-    Mutex.unlock st.sess_mu;
-    s
+let session_put st key sess =
+  Mutex.lock st.sess_mu;
+  Hashtbl.replace st.sessions key sess;
+  Mutex.unlock st.sess_mu
 
-  let session_put st sessions name sess =
-    Mutex.lock st.sess_mu;
-    Hashtbl.replace sessions name sess;
-    Mutex.unlock st.sess_mu
+(* A session is one analysis's fixpoint: its name is looked up in that
+   analysis's namespace. *)
+let session_key (req : Request.t) ~(config : Config.t) =
+  (config.analysis, req.rq_session)
 
-  (* Serve analyze-delta: update the pinned session when one exists under
-     the same configuration, otherwise start one.  The result is the same
-     value a from-scratch solve would produce (the Incr layer's
-     byte-identity contract), so the response frame does not depend on the
-     session state — only the cost does.  The caller publishes the new
-     session once it has rendered it. *)
-  let delta_session st sessions (req : Request.t) ~config prog =
-    let sess, stats =
-      match session_get st sessions req.rq_session with
-      | Some s when Config.equal (I.config s) config ->
-        let s', stats = I.update ~prev:s prog in
-        (s', Some stats)
-      | _ -> (I.start config prog, None)
-    in
-    locked st (fun () ->
-        match stats with
-        | Some (s : Ipcp_incr.Incr.stats) ->
-          st.n.delta_updates <- st.n.delta_updates + 1;
-          st.n.incr_cone_size <- st.n.incr_cone_size + s.cone_size;
-          st.n.incr_procs_reused <- st.n.incr_procs_reused + s.procs_reused;
-          st.n.incr_procs_resolved <- st.n.incr_procs_resolved + s.procs_resolved
-        | None ->
-          let total = List.length prog.Ipcp_frontend.Prog.procs in
-          st.n.delta_fresh <- st.n.delta_fresh + 1;
-          st.n.incr_cone_size <- st.n.incr_cone_size + total;
-          st.n.incr_procs_resolved <- st.n.incr_procs_resolved + total);
-    sess
+(* Serve analyze-delta: update the pinned session when one exists under
+   the same configuration, otherwise start one.  The result is the same
+   value a from-scratch solve would produce (the Incr layer's
+   byte-identity contract), so the response frame does not depend on the
+   session state — only the cost does.  The caller publishes the new
+   session once it has rendered it. *)
+let delta_session st (req : Request.t) ~config prog =
+  let sess, stats =
+    match session_get st (session_key req ~config) with
+    | Some s when Config.equal (Incr.config s) config ->
+      let s', stats = Incr.update ~prev:s prog in
+      (s', Some stats)
+    | _ -> (Incr.start config prog, None)
+  in
+  locked st (fun () ->
+      match stats with
+      | Some (s : Incr.stats) ->
+        st.n.delta_updates <- st.n.delta_updates + 1;
+        st.n.incr_cone_size <- st.n.incr_cone_size + s.cone_size;
+        st.n.incr_procs_reused <- st.n.incr_procs_reused + s.procs_reused;
+        st.n.incr_procs_resolved <- st.n.incr_procs_resolved + s.procs_resolved
+      | None ->
+        let total = List.length prog.Ipcp_frontend.Prog.procs in
+        st.n.delta_fresh <- st.n.delta_fresh + 1;
+        st.n.incr_cone_size <- st.n.incr_cone_size + total;
+        st.n.incr_procs_resolved <- st.n.incr_procs_resolved + total);
+  sess
 
-  (* ---- the online certification policy for this analysis ---- *)
+(* ---- the online certification policy ---- *)
 
-  (* Apply the [serve.solution:<seq>] corruption site to a solved result
-     before rendering: when armed, the served bytes really are the
-     corrupted solution's, and only the online check stands between them
-     and the client. *)
-  let corrupt_point ~seq t =
-    match Fault.corruption (solution_fault_site seq) with
-    | None -> t
-    | Some seed -> ( match C.corrupt ~seed t with Some t' -> t' | None -> t)
+(* Apply the [serve.solution:<seq>] corruption site to a solved result
+   before rendering: when armed, the served bytes really are the
+   corrupted solution's, and only the online check stands between them
+   and the client. *)
+let corrupt_point ~seq t =
+  match Fault.corruption (solution_fault_site seq) with
+  | None -> t
+  | Some seed -> (
+    match Ipcp_certify.Certify.corrupt ~seed t with
+    | Some t' -> t'
+    | None -> t)
 
-  (* The online check, for the responses the seeded sample picks. *)
-  let verdict st ~seq (t : A.L.t Driver.analysis_result) =
-    if not (certify_sampled ~seed:st.cfg.seed ~rate:st.cfg.certify_sample ~seq)
-    then Unchecked
-    else
-      let r = C.check ~inject_fault:false t in
-      match r.Ipcp_certify.Certify.violations with
-      | [] -> Certified
-      | v :: _ as vs ->
-        let n = List.length vs in
-        Failed
-          (Err.certification
-             ~loc:
-               (Fmt.str "%s:%s" v.Ipcp_certify.Certify.v_proc
-                  (Ipcp_frontend.Loc.to_string v.Ipcp_certify.Certify.v_loc))
-             ~code:v.Ipcp_certify.Certify.v_code
-             (Fmt.str "%s (%d violation%s, %d obligations checked)"
-                v.Ipcp_certify.Certify.v_msg n
-                (if n = 1 then "" else "s")
-                r.Ipcp_certify.Certify.obligations))
+(* The online check, for the responses the seeded sample picks. *)
+let verdict st ~seq (t : Driver.t) =
+  if not (certify_sampled ~seed:st.cfg.seed ~rate:st.cfg.certify_sample ~seq)
+  then Unchecked
+  else
+    let r = Ipcp_certify.Certify.check ~inject_fault:false t in
+    match r.Ipcp_certify.Certify.violations with
+    | [] -> Certified
+    | v :: _ as vs ->
+      let n = List.length vs in
+      Failed
+        (Err.certification
+           ~loc:
+             (Fmt.str "%s:%s" v.Ipcp_certify.Certify.v_proc
+                (Ipcp_frontend.Loc.to_string v.Ipcp_certify.Certify.v_loc))
+           ~code:v.Ipcp_certify.Certify.v_code
+           (Fmt.str "%s (%d violation%s, %d obligations checked)"
+              v.Ipcp_certify.Certify.v_msg n
+              (if n = 1 then "" else "s")
+              r.Ipcp_certify.Certify.obligations))
 
-  (* ---- the job bodies (analyze / analyze-delta / certify) ---- *)
+(* ---- the job bodies (analyze / analyze-delta / certify) ---- *)
 
-  (* Render a solved result the way the CLI's analyze does, after the
-     corruption site and under the online policy. *)
-  let render_solved st ~seq (req : Request.t) ~config prog t =
-    let t = corrupt_point ~seq t in
-    {
-      ex_out = J.analyze ~certify:req.rq_certify ~solved:t ~config ~jobs:1 prog;
-      ex_typed = budget_err (Driver.degraded t);
-      ex_verdict = verdict st ~seq t;
-    }
+(* Render a solved result the way the CLI's analyze does, after the
+   corruption site and under the online policy. *)
+let render_solved st ~seq (req : Request.t) ~config prog t =
+  let t = corrupt_point ~seq t in
+  {
+    ex_out =
+      Jobs.analyze ~certify:req.rq_certify ~solved:t ~config ~jobs:1 prog;
+    ex_typed = budget_err (Driver.degraded t);
+    ex_verdict = verdict st ~seq t;
+  }
 
-  let analyze st ~seq req ~config prog =
-    render_solved st ~seq req ~config prog (D.solve config (Driver.prepare prog))
+let analyze st ~seq req ~config prog =
+  render_solved st ~seq req ~config prog
+    (Driver.solve config (Driver.prepare prog))
 
-  let analyze_delta st sessions ~seq (req : Request.t) ~config prog =
-    let sess = delta_session st sessions req ~config prog in
-    let ex = render_solved st ~seq req ~config prog (I.result sess) in
-    (* published only now: rendering fills the result's SCCP memo, which
-       the next update reads, perhaps in another worker domain *)
-    session_put st sessions req.rq_session sess;
-    ex
+let analyze_delta st ~seq (req : Request.t) ~config prog =
+  let sess = delta_session st req ~config prog in
+  let ex = render_solved st ~seq req ~config prog (Incr.result sess) in
+  (* published only now: rendering fills the result's SCCP memo, which
+     the next update reads, perhaps in another worker domain *)
+  session_put st (session_key req ~config) sess;
+  ex
 
-  let certify_op (req : Request.t) ~config ~name prog =
-    (* the in-band certifier *is* this op's rendering — the online
-       policy would only re-run the same check on the same solution *)
-    plain
-      (J.certification ?fuel:req.rq_fuel ~input:req.rq_input
-         ~label:(Fmt.str "%s, %s" name (Config.to_string config))
-         (D.solve config (Driver.prepare prog)))
-end
-
-module Delta_const = Analysis_serve (Ipcp_analysis.Const_analysis)
-module Delta_copy = Analysis_serve (Ipcp_analysis.Copy_analysis)
+let certify_op (req : Request.t) ~config ~name prog =
+  (* the in-band certifier *is* this op's rendering — the online
+     policy would only re-run the same check on the same solution *)
+  plain
+    (Jobs.certification ?fuel:req.rq_fuel ~input:req.rq_input
+       ~label:(Fmt.str "%s, %s" name (Config.to_string config))
+       (Driver.solve config (Driver.prepare prog)))
 
 let run_job st ~seq (req : Request.t) : exec =
   match req.rq_op with
@@ -543,16 +534,11 @@ let run_job st ~seq (req : Request.t) : exec =
     | Error o -> plain o
     | Ok (name, prog) -> (
       let config = Request.config_of req in
-      match (req.rq_op, config.Config.analysis) with
-      | Request.Analyze, `Const -> Delta_const.analyze st ~seq req ~config prog
-      | Request.Analyze, `Copy -> Delta_copy.analyze st ~seq req ~config prog
-      | Request.Analyze_delta, `Const ->
-        Delta_const.analyze_delta st st.sessions ~seq req ~config prog
-      | Request.Analyze_delta, `Copy ->
-        Delta_copy.analyze_delta st st.copy_sessions ~seq req ~config prog
-      | Request.Certify, `Const -> Delta_const.certify_op req ~config ~name prog
-      | Request.Certify, `Copy -> Delta_copy.certify_op req ~config ~name prog
-      | (Request.Tables | Request.Health | Request.Ping), _ -> assert false))
+      match req.rq_op with
+      | Request.Analyze -> analyze st ~seq req ~config prog
+      | Request.Analyze_delta -> analyze_delta st ~seq req ~config prog
+      | Request.Certify -> certify_op req ~config ~name prog
+      | Request.Tables | Request.Health | Request.Ping -> assert false))
 
 (* ---------------- worker supervision ---------------- *)
 
@@ -834,7 +820,6 @@ let make_state config =
     breaker = Hashtbl.create 16;
     sess_mu = Mutex.create ();
     sessions = Hashtbl.create 4;
-    copy_sessions = Hashtbl.create 4;
     n =
       {
         received = 0;

@@ -13,7 +13,6 @@
 open Ipcp_core
 module Prog = Ipcp_frontend.Prog
 module Copy_lattice = Ipcp_analysis.Copy_lattice
-module Copy_driver = Driver.Make (Ipcp_analysis.Copy_analysis)
 module Complete = Ipcp_incr.Complete
 module Incr = Ipcp_incr.Incr
 
@@ -43,49 +42,32 @@ type table3_row = {
    counted over an [Incr] session, whose memo keeps the SCCP results
    substitution computes, and complete propagation continues the session:
    its first round's dead-code elimination runs no SCCP. *)
-module Rows (A : Ipcp_analysis.Analysis_sig.S) = struct
-  module I = Incr.Make (A)
-  module C = Complete.Make (A)
-  module Sub = Substitute.Make (A)
-
-  let rows budgeted (e : Registry.entry) : table2_row * table3_row =
-    let artifacts = Driver.prepare (Registry.program e) in
-    let count config = Sub.count_staged artifacts (budgeted config) in
-    let with_kind ?return_jfs kind =
-      count (Config.make ~kind ?return_jfs ())
-    in
-    let s =
-      I.start_prepared (budgeted Config.polynomial_with_mod) artifacts
-    in
-    let poly_mod = (snd (Sub.apply (I.result s))).total in
-    ( {
-        t2_name = e.name;
-        ret_poly = poly_mod;
-        ret_pass = with_kind Jump_function.Passthrough;
-        ret_intra = with_kind Jump_function.Intraconst;
-        ret_lit = with_kind Jump_function.Literal;
-        noret_poly = with_kind ~return_jfs:false Jump_function.Polynomial;
-        noret_pass = with_kind ~return_jfs:false Jump_function.Passthrough;
-      },
-      {
-        t3_name = e.name;
-        poly_no_mod = count Config.polynomial_no_mod;
-        poly_mod;
-        complete = (C.continue s).substituted;
-        intra_only = count Config.intraprocedural_only;
-      } )
-end
-
-module Const_rows = Rows (Ipcp_analysis.Const_analysis)
-module Copy_rows = Rows (Ipcp_analysis.Copy_analysis)
-
-let rows ?(analysis = `Const) ?max_steps ?deadline_ms e =
+let rows ?(analysis = `Const) ?max_steps ?deadline_ms (e : Registry.entry) :
+    table2_row * table3_row =
   let budgeted c =
     Config.with_analysis analysis (Config.with_budget ?max_steps ?deadline_ms c)
   in
-  match analysis with
-  | `Const -> Const_rows.rows budgeted e
-  | `Copy -> Copy_rows.rows budgeted e
+  let artifacts = Driver.prepare (Registry.program e) in
+  let count config = Substitute.count_staged artifacts (budgeted config) in
+  let with_kind ?return_jfs kind = count (Config.make ~kind ?return_jfs ()) in
+  let s = Incr.start_prepared (budgeted Config.polynomial_with_mod) artifacts in
+  let poly_mod = (snd (Substitute.apply (Incr.result s))).total in
+  ( {
+      t2_name = e.name;
+      ret_poly = poly_mod;
+      ret_pass = with_kind Jump_function.Passthrough;
+      ret_intra = with_kind Jump_function.Intraconst;
+      ret_lit = with_kind Jump_function.Literal;
+      noret_poly = with_kind ~return_jfs:false Jump_function.Polynomial;
+      noret_pass = with_kind ~return_jfs:false Jump_function.Passthrough;
+    },
+    {
+      t3_name = e.name;
+      poly_no_mod = count Config.polynomial_no_mod;
+      poly_mod;
+      complete = (Complete.continue s).substituted;
+      intra_only = count Config.intraprocedural_only;
+    } )
 
 (* Parse-and-resolve every suite program in the calling domain before any
    fan-out: Registry.program memoizes into a shared table, and pre-warming
@@ -116,13 +98,14 @@ type table4_row = {
 
 let table4_row ?max_steps ?deadline_ms (e : Registry.entry) : table4_row =
   let artifacts = Driver.prepare (Registry.program e) in
-  let budgeted c = Config.with_budget ?max_steps ?deadline_ms c in
-  let const_t = Driver.solve (budgeted Config.polynomial_with_mod) artifacts in
-  let copy_t =
-    Copy_driver.solve
-      (Config.with_analysis `Copy (budgeted Config.polynomial_with_mod))
+  let solve analysis =
+    Driver.solve
+      (Config.with_analysis analysis
+         (Config.with_budget ?max_steps ?deadline_ms
+            Config.polynomial_with_mod))
       artifacts
   in
+  let const_t = solve `Const and copy_t = solve `Copy in
   let copies =
     Hashtbl.fold
       (fun _ m acc ->
@@ -134,7 +117,7 @@ let table4_row ?max_steps ?deadline_ms (e : Registry.entry) : table4_row =
   {
     t4_name = e.name;
     t4_const = Driver.constants_count const_t;
-    t4_copy_const = Copy_driver.constants_count copy_t;
+    t4_copy_const = Driver.constants_count copy_t;
     t4_copies = copies;
   }
 

@@ -41,7 +41,7 @@ type table4_row = {
 
 (** A program's Table 2 and Table 3 rows, from one
     {!Ipcp_core.Driver.prepare}.  [?analysis] (default [`Const]) selects
-    the lattice the counts run under.  [?max_steps]/[?deadline_ms] bound
+    the analysis the counts run under.  [?max_steps]/[?deadline_ms] bound
     every analysis pass of the rows (see
     {!Ipcp_core.Config.with_budget}); an exhausted pass degrades
     soundly, so a generous budget reproduces the unbudgeted counts

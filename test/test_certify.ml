@@ -47,10 +47,7 @@ let test_suite_under_budgets () =
         [ 0; 1; 63; 1_000_000 ])
     (suite_programs ())
 
-(* ---- the copy-propagation client of the same certifier ---- *)
-
-module Copy_certify = Certify.Make (Ipcp_analysis.Copy_analysis)
-module Copy_driver = Driver.Make (Ipcp_analysis.Copy_analysis)
+(* ---- copy propagation under the same certifier ---- *)
 
 let copy_configs =
   List.map
@@ -66,7 +63,7 @@ let test_copy_suite_all_configs () =
             (Fmt.str "%s certifies under copy %s: %a" name label
                Certify.pp_report r)
             true (Certify.ok r))
-        (Copy_certify.check_program ~configs:copy_configs prog))
+        (Certify.check_program ~configs:copy_configs prog))
     (suite_programs ())
 
 let test_copy_suite_under_budgets () =
@@ -79,7 +76,7 @@ let test_copy_suite_under_budgets () =
           List.iter
             (fun steps ->
               let config = Config.with_budget ~max_steps:steps config in
-              let r = Copy_certify.check (Copy_driver.analyze config prog) in
+              let r = Certify.check (Driver.analyze config prog) in
               check Alcotest.bool
                 (Fmt.str "%s certifies under copy %s at max-steps=%d: %a" name
                    label steps Certify.pp_report r)
@@ -91,11 +88,11 @@ let test_copy_suite_under_budgets () =
 let test_copy_corrupt_detected () =
   List.iter
     (fun (name, _, prog) ->
-      let t = Copy_driver.analyze (Config.with_analysis `Copy Config.default) prog in
-      match Copy_certify.corrupt ~seed:97 t with
+      let t = Driver.analyze (Config.with_analysis `Copy Config.default) prog in
+      match Certify.corrupt ~seed:97 t with
       | None -> fail (name ^ ": no corruptible copy binding")
       | Some bad ->
-        let r = Copy_certify.check bad in
+        let r = Certify.check bad in
         check Alcotest.bool (name ^ ": copy corruption rejected") false
           (Certify.ok r))
     (suite_programs ())
@@ -190,8 +187,8 @@ let test_mod_closure_linear () =
 (* The stress shapes, each as a function of its size, with the counter
    that shows the shape's own per-unit work: one procedure with [n]
    calls, [n]-deep [if] nesting, one [n]-term expression (whose terms
-   show only as certifier obligations), one procedure of [n] statements,
-   and [n] common globals with load-time values, passed from main to one
+   show as parsed tokens), one procedure of [n] statements, and [n]
+   common globals with load-time values, passed from main to one
    subroutine (declared [integer]: implicit typing makes [g*] real). *)
 let stress_shapes =
   let rep n s = String.concat "" (List.init n (fun _ -> s)) in
@@ -211,7 +208,7 @@ let stress_shapes =
         "program main\ninteger k\nk = 1\n"
         ^ rep n "if (k .ge. 1) then\nk = k + 1\n"
         ^ "call s(k)\n" ^ rep n "end if\n" ^ "end\n" ^ sub );
-    ( "expression terms", 20000, "obligations",
+    ( "expression terms", 20000, "parse.tokens",
       fun n ->
         "program main\ninteger k, j\nk = 2\nj = k"
         ^ rep (n - 1) " + k"

@@ -175,6 +175,68 @@ let prop_projection_homomorphism =
         (C.meet (L.project a) (L.project b))
       && (not (L.le a b) || C.le (L.project a) (L.project b)))
 
+(* ---- constant propagation is the copy analysis without copy facts ---- *)
+
+(* The solver runs on this lattice under both analyses, which differ only
+   in what main's entry holds for a global with no load-time value: ⊥
+   for const, a copy of itself for copy.  Under every certifier
+   configuration, on the suite and on a generated program, the const
+   fixpoint holds no copy fact, the copy fixpoint with its copies
+   dropped to ⊥ is the const fixpoint, and the CONSTANTS sets agree. *)
+let test_const_is_copy_without_copies () =
+  let open Ipcp_core in
+  let module Prog = Ipcp_frontend.Prog in
+  let programs =
+    List.map
+      (fun (e : Ipcp_suite.Registry.entry) ->
+        (e.name, Ipcp_suite.Registry.program e))
+      Ipcp_suite.Registry.entries
+    @ [
+        ( "generated",
+          Ipcp_suite.Workload.generate_resolved
+            { Ipcp_suite.Workload.default_spec with seed = 5; num_procs = 200 }
+        );
+      ]
+  in
+  let drop_copies = function L.Copy _ -> L.Bottom | v -> v in
+  List.iter
+    (fun (name, prog) ->
+      let artifacts = Driver.prepare prog in
+      List.iter
+        (fun (label, config) ->
+          let solve analysis =
+            Driver.solve (Config.with_analysis analysis config) artifacts
+          in
+          let const_t = solve `Const and copy_t = solve `Copy in
+          let vals (t : Driver.t) (p : Prog.proc) =
+            Hashtbl.find_opt t.solution.vals p.pname
+            |> Option.value ~default:Prog.Param_map.empty
+          in
+          List.iter
+            (fun (p : Prog.proc) ->
+              let c = vals const_t p in
+              Prog.Param_map.iter
+                (fun param v ->
+                  if L.is_copy v then
+                    Alcotest.failf "%s [%s]: const %s of %s holds %a" name
+                      label
+                      (Prog.param_name prog p param)
+                      p.pname L.pp v)
+                c;
+              check Alcotest.bool
+                (Fmt.str "%s [%s]: %s's copy VAL map without copies" name
+                   label p.pname)
+                true
+                (Prog.Param_map.equal L.equal c
+                   (Prog.Param_map.map drop_copies (vals copy_t p))))
+            prog.procs;
+          check Alcotest.bool
+            (Fmt.str "%s [%s]: CONSTANTS agree" name label)
+            true
+            (Driver.constants const_t = Driver.constants copy_t))
+        Ipcp_certify.Certify.default_configs)
+    programs
+
 let suite =
   [
     ("meet commutative", `Quick, test_meet_commutative);
@@ -191,4 +253,7 @@ let suite =
       test_projection_forgets_exactly_copies );
     QCheck_alcotest.to_alcotest prop_meet_laws;
     QCheck_alcotest.to_alcotest prop_projection_homomorphism;
+    ( "constant propagation is copy propagation without copies",
+      `Quick,
+      test_const_is_copy_without_copies );
   ]

@@ -129,7 +129,7 @@ let test_constants_linearize () =
   let const_of (proc : Prog.proc) (v : Prog.var) =
     match v.vkind with
     | Prog.Kformal i ->
-      Const_lattice.const_value
+      Copy_lattice.const_value
         (Solver.lookup t.solution proc.pname (Prog.Pformal i))
     | _ -> None
   in

@@ -65,8 +65,24 @@ let test_table3_golden () =
       check Alcotest.int (name ^ " intra-only") intra r.intra_only)
     (List.map snd (Tables.table23 ())) expected_table3
 
+(* The rendered copy-mode tables, pinned byte for byte: Tables 1–3 are
+   the const golden's, and Table 4 adds each program's copy facts. *)
+let test_tables_copy_golden () =
+  let golden =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "goldens/tables_copy.txt"
+  in
+  let ic = open_in_bin golden in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let o = Ipcp_serve.Jobs.tables ~analysis:`Copy ~jobs:1 () in
+  check Alcotest.int "exit code" 0 o.code;
+  check Alcotest.string "tables --analysis copy" expected o.out
+
 let suite =
   [
     ("table 2 golden values", `Quick, test_table2_golden);
     ("table 3 golden values", `Quick, test_table3_golden);
+    ("copy tables golden", `Quick, test_tables_copy_golden);
   ]

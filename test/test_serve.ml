@@ -352,7 +352,7 @@ let test_serve_analysis_dispatch () =
         (r.rs_stdout = Some direct.Jobs.out)
   in
   expect "c1"
-    (Jobs.Copy.analyze
+    (Jobs.analyze
        ~config:(Config.with_analysis `Copy Config.default)
        ~jobs:1 prog);
   expect "k1" (Jobs.analyze ~config:Config.default ~jobs:1 prog)
@@ -714,6 +714,48 @@ let health_field path section name =
     with
     | Some (Json.Int v) -> v
     | _ -> Alcotest.fail (Printf.sprintf "no %s.%s in %s" section name path))
+
+(* One session table, two namespaces: analyze-delta requests on one
+   session name, alternating between the analyses, each update their own
+   analysis's session — two fresh starts, then two updates — and every
+   frame is the direct rendering. *)
+let test_delta_sessions_per_analysis () =
+  let requests =
+    [ ("k1", `Const); ("c1", `Copy); ("k2", `Const); ("c2", `Copy) ]
+  in
+  let line (id, analysis) =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Str id); ("op", Json.Str "analyze-delta");
+           ("suite", Json.Str "adm"); ("session", Json.Str "s");
+           ("analysis", Json.Str (Config.analysis_name analysis)) ])
+  in
+  let health_path = Filename.concat (tmp_dir "namespaces") "health.json" in
+  let config =
+    { Server.default_config with workers = 1; health_out = Some health_path }
+  in
+  let code, responses = run_server ~config (List.map line requests) in
+  check Alcotest.int "exit" 0 code;
+  let prog = suite_prog "adm" in
+  List.iter
+    (fun (id, analysis) ->
+      let direct =
+        Jobs.analyze
+          ~config:(Config.with_analysis analysis Config.default)
+          ~jobs:1 prog
+      in
+      match
+        List.find_opt (fun (r : Request.response) -> r.rs_id = id) responses
+      with
+      | None -> Alcotest.fail ("no response for " ^ id)
+      | Some r ->
+        check Alcotest.bool (id ^ " stdout byte-identical") true
+          (r.rs_stdout = Some direct.Jobs.out))
+    requests;
+  check Alcotest.int "fresh sessions" 2
+    (health_field health_path "counters" "serve.delta_fresh");
+  check Alcotest.int "session updates" 2
+    (health_field health_path "counters" "serve.delta_updates")
 
 (* Half-open breaker: after [breaker_reset_after] denials the next
    request probes; a clean probe closes the breaker and the input serves
@@ -1388,4 +1430,6 @@ let suite =
     ("serve socket conservation under shedding", `Slow,
      test_socket_conservation_under_shedding);
     ("serve stdio refuses an oversize line", `Quick, test_stdio_oversize_line);
+    ("serve analyze-delta sessions per analysis", `Quick,
+     test_delta_sessions_per_analysis);
   ]
