@@ -64,8 +64,9 @@ if ! cmp -s test/goldens/tables_copy.txt "$tmpdir/copy.out"; then
 fi
 
 echo "== fault injection"
-# The recovery suite under two fixed seeds: seeded faults must be
-# deterministic and contained at either seed.
+# The fault draws under two fixed seeds: each seed's decisions must be
+# deterministic, and two seeds must decide differently.  (Pool
+# containment is checked by `test engine`.)
 for seed in 7 11; do
   echo "-- seed $seed"
   IPCP_FAULT_SEED=$seed dune exec --no-build test/main.exe -- test fault
@@ -354,8 +355,8 @@ dune exec --no-build tools/profile_lint.exe -- "$tmpdir/certid.plain.jsonl"
 echo "== serve smoke"
 # A real `ipcp serve` subprocess: full-suite byte-diff against direct
 # CLI runs, graceful SIGTERM drain (exit 0), fault-injected worker
-# crashes failing only their own requests with statuses identical
-# across worker counts, and — with IPCP_FAULT_CORRUPT armed — certified
+# crashes failing exactly the requests whose serve.worker draws fire,
+# at worker counts 1 and 2, and — with IPCP_FAULT_CORRUPT armed — certified
 # serving that never lets a corrupted solution out as an ok frame.
 dune exec --no-build tools/fuzz.exe -- --serve-smoke \
   --ipcp "$(pwd)/_build/default/bin/ipcp.exe"

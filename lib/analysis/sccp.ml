@@ -59,7 +59,7 @@ let run ?budget ?(oracle : Ssa_value.oracle option)
   let budget =
     match budget with
     | Some b -> b
-    | None -> Ipcp_support.Budget.create ~label:"sccp" ()
+    | None -> Ipcp_support.Budget.create ()
   in
   let cfg = ssa.Ssa.cfg in
   let nblocks = Cfg.num_blocks cfg in

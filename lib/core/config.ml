@@ -48,9 +48,9 @@ let with_budget ?max_steps ?deadline_ms t = { t with max_steps; deadline_ms }
 (** Fresh per-pass budget for this configuration.  Each pass (solver
     drain, per-procedure SCCP, complete-propagation round) creates its
     own so no mutable budget state crosses domain boundaries. *)
-let budget ?label (t : t) : Ipcp_support.Budget.t =
-  Ipcp_support.Budget.create ?label ?max_steps:t.max_steps
-    ?deadline_ms:t.deadline_ms ()
+let budget (t : t) : Ipcp_support.Budget.t =
+  Ipcp_support.Budget.create ?max_steps:t.max_steps ?deadline_ms:t.deadline_ms
+    ()
 
 let equal a b =
   a.analysis = b.analysis

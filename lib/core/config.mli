@@ -52,7 +52,7 @@ val with_budget : ?max_steps:int -> ?deadline_ms:int -> t -> t
 (** Fresh per-pass budget for this configuration.  Every pass creates
     its own, so budget state never crosses domain boundaries and
     parallel runs stay deterministic. *)
-val budget : ?label:string -> t -> Ipcp_support.Budget.t
+val budget : t -> Ipcp_support.Budget.t
 
 val equal : t -> t -> bool
 

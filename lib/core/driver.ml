@@ -443,9 +443,8 @@ let propagate (config : Config.t) cg ~site_jfs ~global_data : Solver.result
     =
   let prog = cg.Callgraph.prog in
   if config.interprocedural then
-    Solver.run
-      ~budget:(Config.budget ~label:"solver" config)
-      ~analysis:config.analysis cg ~site_jfs ~global_data
+    Solver.run ~budget:(Config.budget config) ~analysis:config.analysis cg
+      ~site_jfs ~global_data
   else begin
     (* baseline: no propagation; every parameter of every procedure is
        ⊥ so that only locally derived constants survive *)
@@ -578,10 +577,8 @@ let sccp_for ?(record = true) (t : t) (name : string) : Sccp.result =
   | None ->
     let ir = Hashtbl.find t.irs name in
     let r =
-      Sccp.run
-        ~budget:(Config.budget ~label:("sccp:" ^ name) t.config)
-        ?oracle:(oracle t) ~entry_env:(entry_env t ir)
-        ir.Jump_function.pi_ssa
+      Sccp.run ~budget:(Config.budget t.config) ?oracle:(oracle t)
+        ~entry_env:(entry_env t ir) ir.Jump_function.pi_ssa
     in
     if record then Hashtbl.replace t.sccps name r;
     r

@@ -159,7 +159,7 @@ let run ?budget ~analysis (cg : Callgraph.t)
   let budget =
     match budget with
     | Some b -> b
-    | None -> Ipcp_support.Budget.create ~label:"solver" ()
+    | None -> Ipcp_support.Budget.create ()
   in
   let stats = fresh_stats () in
   (* index site jump functions by caller *)

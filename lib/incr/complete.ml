@@ -48,9 +48,7 @@ let dce_round ~last s =
 (* The rounds from the session [first ()] returns, inside round 1's
    span. *)
 let run_from ?budget config first =
-  let budget =
-    Option.value budget ~default:(Config.budget ~label:"complete" config)
-  in
+  let budget = Option.value budget ~default:(Config.budget config) in
   let rec loop rounds ~last next =
     Telemetry.incr "complete.rounds";
     let s, (procs, changed, left_alone) =

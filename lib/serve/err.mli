@@ -16,8 +16,8 @@
       solution failed — the first violation's obligation code
       ([E-CERT-EDGE], [E-CERT-MOD], ...).
     - [budget] / [E-BUDGET-*]: the analysis degraded soundly under a
-      per-request budget ([E-BUDGET-STEPS], [E-BUDGET-DEADLINE],
-      [E-BUDGET-STARVED]); attached to [ok] frames as a caveat.
+      per-request budget ([E-BUDGET-STEPS], [E-BUDGET-DEADLINE]);
+      attached to [ok] frames as a caveat.
     - [load] / [E-LOAD-*]: admission-control refusals — [E-LOAD-SHED]
       (displaced from a full queue), [E-LOAD-REJECT] (refused at a full
       queue), [E-LOAD-DRAIN] (read but never admitted before drain),

@@ -519,8 +519,13 @@ let respawn_due rt =
     (fun ss ->
       if ss.s_up = None && Unix.gettimeofday () >= ss.s_due then begin
         match
+          (* no line cap on a shard: the router, its only client, has
+             capped stdin already, and its id rewrite can lengthen an
+             admitted line past the cap *)
           Shard.start ~binary:rt.cfg.binary ~addr:ss.s_addr ~slot:ss.s_slot
-            ~args:("--queue" :: string_of_int rt.cfg.queue :: rt.cfg.shard_args)
+            ~args:
+              ("--queue" :: string_of_int rt.cfg.queue :: "--max-line" :: "0"
+             :: rt.cfg.shard_args)
             ~connect_timeout_ms:rt.cfg.connect_timeout_ms
         with
         | sh ->
@@ -702,6 +707,16 @@ let reject_drained rt line =
       emit rt r)
     (Server.drained_line line)
 
+(* Stdin is framed with serve's own cap, so an oversize line gets the
+   frame [ipcp serve] answers on stdio, and, as there, ends the input. *)
+let max_line = Server.default_config.Server.max_line
+
+let refuse_oversize rt bytes =
+  rt.st.rx <- rt.st.rx + 1;
+  rt.st.invalid <- rt.st.invalid + 1;
+  emit rt (Server.oversize_response ~max_line bytes);
+  rt.eof <- true
+
 (* Stdin backpressure: a line is admitted only while every live shard
    holds fewer than [queue] forwarded-but-unanswered requests and none
    is parked, so no shard's admission queue fills and sheds. *)
@@ -791,14 +806,14 @@ let run cfg =
   (* initial fleet; a slot that fails to start is retried by the normal
      respawn schedule *)
   respawn_due rt;
-  let stdin_framer = Transport.Framing.create ~max_line:0 in
-  (* framed stdin lines not yet admitted: they wait for {!has_room} *)
+  let stdin_framer = Transport.Framing.create ~max_line in
+  (* framed stdin events not yet admitted: they wait for {!has_room} *)
   let held = Queue.create () in
   let end_stdin () =
     rt.eof <- true;
     (* a final line without a trailing newline is still a request *)
     Option.iter
-      (fun l -> Queue.add l held)
+      (fun l -> Queue.add (Transport.Framing.Line l) held)
       (Transport.Framing.finish stdin_framer)
   in
   let read_stdin () =
@@ -807,9 +822,7 @@ let run cfg =
     | 0 -> end_stdin ()
     | n ->
       List.iter
-        (function
-          | Transport.Framing.Line l -> Queue.add l held
-          | Transport.Framing.Oversize _ -> ())
+        (fun ev -> Queue.add ev held)
         (Transport.Framing.feed stdin_framer (Bytes.sub_string rt.chunk 0 n))
   in
   let read_shard ss =
@@ -863,11 +876,17 @@ let run cfg =
          partial line already on its way in get typed drain rejections,
          not silence *)
       if not rt.eof then end_stdin ();
-      Queue.iter (reject_drained rt) held;
+      Queue.iter
+        (function
+          | Transport.Framing.Line l -> reject_drained rt l
+          | Transport.Framing.Oversize bytes -> refuse_oversize rt bytes)
+        held;
       Queue.clear held
     end;
     while (not (Queue.is_empty held)) && has_room rt do
-      admit rt (Queue.pop held)
+      match Queue.pop held with
+      | Transport.Framing.Line l -> admit rt l
+      | Transport.Framing.Oversize bytes -> refuse_oversize rt bytes
     done;
     if not (settled ()) then begin
       respawn_due rt;

@@ -7,7 +7,10 @@
     request to a shard, and relays each shard's frames back with the
     client's request ids restored.  On healthy inputs the stream is
     byte-identical to a single-process server's (same renderers, same
-    fixed key order), which the differential harnesses pin.
+    fixed key order), which the differential harnesses pin.  Stdin lines
+    are capped at serve's default [max_line], with serve's
+    [E-REQ-OVERSIZE] refusal ending the input; shards run uncapped, so
+    the id rewrite never pushes an admitted line past a shard's cap.
 
     Durability properties on top of the single server's:
 

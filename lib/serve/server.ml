@@ -393,7 +393,6 @@ let budget_err reasons =
       match first with
       | B.Steps _ -> "E-BUDGET-STEPS"
       | B.Deadline _ -> "E-BUDGET-DEADLINE"
-      | B.Starved _ -> "E-BUDGET-STARVED"
     in
     Some
       (Err.budget ~code
@@ -569,6 +568,18 @@ let invalid_response (pe : Request.parse_error) =
          pe.Request.pe_reason)
     Request.Invalid
 
+let oversize_response ~max_line bytes =
+  Request.response ~id:""
+    ~reason:
+      (Printf.sprintf "request line exceeds the %d byte cap (%d buffered)"
+         max_line bytes)
+    ~error:
+      (Err.oversize
+         (Printf.sprintf
+            "request line of %d bytes exceeds the per-connection cap of %d"
+            bytes max_line))
+    Request.Invalid
+
 let drained_line line =
   if String.trim line = "" then None
   else
@@ -599,12 +610,12 @@ let note_verdict n = function
     n.cert_sampled <- n.cert_sampled + 1;
     n.cert_failed <- n.cert_failed + 1
 
-(* The worker-entry fault point.  Keyed on the request sequence number —
-   not the worker slot or wall clock — so which requests crash is a pure
-   function of the input stream, identical at every worker count.  Eight
-   sub-draws amplify the site: serve-level crashes then fire at rates
-   where the deeper, request-shared pipeline sites (whose single draw
-   would fell every request at once) stay quiet. *)
+(* The worker-entry fault point, the only site [--fault-rate] arms.
+   Keyed on the request sequence number — not the worker slot or wall
+   clock — so which requests crash is a pure function of the input
+   stream, identical at every worker count: request [seq] crashes
+   exactly when one of its eight draws [serve.worker:<seq>:<k>] fires,
+   which a harness predicts by making the same draws. *)
 let worker_fault_point seq =
   for k = 0 to 7 do
     Fault.inject (Printf.sprintf "serve.worker:%d:%d" seq k)
@@ -632,10 +643,6 @@ let execute st ~slot ~restarts job =
   | Some frag when frag <> "" && contains ~sub:frag key ->
     Unix.sleepf (float_of_int st.stall_ms /. 1000.)
   | _ -> ());
-  (* the seeded stall site: same gray failure, chaos-layer flavoured *)
-  (match Fault.stall (Printf.sprintf "serve.worker:%d" job.j_seq) with
-  | Some ms -> Unix.sleepf (float_of_int ms /. 1000.)
-  | None -> ());
   let decision =
     (* a probe admitted by the reader already holds the half-open slot;
        deciding again here would deny it against its own probe *)
@@ -948,38 +955,35 @@ let serve config ~listener ~stdio =
   let seq = ref 0 in
   (* conservation for a refused line that never parsed: one owed, typed
      [invalid] frame, then no more reads from this peer *)
-  let refuse c ~count ~reason error =
+  let refuse c ~count response =
     locked st (fun () ->
         st.n.received <- st.n.received + 1;
         st.n.invalid <- st.n.invalid + 1;
         count st.n);
     owe c.c_outlet;
-    respond st c.c_outlet
-      (Request.response ~id:"" ~reason ~error Request.Invalid);
+    respond st c.c_outlet response;
     c.c_stop_read <- true
   in
   let refuse_oversize c bytes =
     refuse c
       ~count:(fun n -> n.req_oversize <- n.req_oversize + 1)
-      ~reason:
-        (Printf.sprintf "request line exceeds the %d byte cap (%d buffered)"
-           config.max_line bytes)
-      (Err.oversize
-         (Printf.sprintf
-            "request line of %d bytes exceeds the per-connection cap of %d"
-            bytes config.max_line))
+      (oversize_response ~max_line:config.max_line bytes)
   in
   let refuse_timeout c =
     refuse c
       ~count:(fun n -> n.req_timeout <- n.req_timeout + 1)
-      ~reason:
-        (Printf.sprintf
-           "read deadline (%d ms) expired with a partial request buffered"
-           config.read_timeout_ms)
-      (Err.timed_out
-         (Printf.sprintf
-            "no complete request line within %d ms of the first partial byte"
-            config.read_timeout_ms))
+      (Request.response ~id:""
+         ~reason:
+           (Printf.sprintf
+              "read deadline (%d ms) expired with a partial request buffered"
+              config.read_timeout_ms)
+         ~error:
+           (Err.timed_out
+              (Printf.sprintf
+                 "no complete request line within %d ms of the first partial \
+                  byte"
+                 config.read_timeout_ms))
+         Request.Invalid)
   in
   let room () =
     locked st (fun () -> Bqueue.length st.queue < Bqueue.capacity st.queue)

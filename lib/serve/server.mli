@@ -109,6 +109,10 @@ val quarantined_response : Request.t -> Request.response
 
 val invalid_response : Request.parse_error -> Request.response
 
+(** The [invalid]/[E-REQ-OVERSIZE] frame of a request line that grew to
+    [bytes] buffered bytes past a cap of [max_line]. *)
+val oversize_response : max_line:int -> int -> Request.response
+
 (** The [rejected]/[E-LOAD-DRAIN] frame of a line read but never
     admitted before a drain, addressed by the line's id; [None] for a
     blank line, which is no request. *)

@@ -7,8 +7,10 @@
     complete propagation (iterated with dead-code elimination), and the
     purely intraprocedural baseline.
 
-    A program's two rows are one function ({!rows}) over one prepare,
-    solving each of the eight distinct configurations once. *)
+    A program's rows are one function ({!rows}) over one prepare,
+    solving each of the eight distinct configurations once (and, under
+    copy propagation, constant propagation's polynomial+MOD cell for
+    Table 4). *)
 
 open Ipcp_core
 module Prog = Ipcp_frontend.Prog
@@ -34,53 +36,6 @@ type table3_row = {
   intra_only : int;
 }
 
-(* Both rows of a program solve over one prepare: stages 1–2 are shared
-   per (use_mod × return_jfs) variant, so the ten cells build each
-   procedure's IR twice, once per MOD setting.  Each distinct
-   configuration is solved once: Table 2's polynomial+ret cell is Table
-   3's with-MOD cell, and complete propagation's round 1.  That cell is
-   counted over an [Incr] session, whose memo keeps the SCCP results
-   substitution computes, and complete propagation continues the session:
-   its first round's dead-code elimination runs no SCCP. *)
-let rows ?(analysis = `Const) ?max_steps ?deadline_ms (e : Registry.entry) :
-    table2_row * table3_row =
-  let budgeted c =
-    Config.with_analysis analysis (Config.with_budget ?max_steps ?deadline_ms c)
-  in
-  let artifacts = Driver.prepare (Registry.program e) in
-  let count config = Substitute.count_staged artifacts (budgeted config) in
-  let with_kind ?return_jfs kind = count (Config.make ~kind ?return_jfs ()) in
-  let s = Incr.start_prepared (budgeted Config.polynomial_with_mod) artifacts in
-  let poly_mod = (snd (Substitute.apply (Incr.result s))).total in
-  ( {
-      t2_name = e.name;
-      ret_poly = poly_mod;
-      ret_pass = with_kind Jump_function.Passthrough;
-      ret_intra = with_kind Jump_function.Intraconst;
-      ret_lit = with_kind Jump_function.Literal;
-      noret_poly = with_kind ~return_jfs:false Jump_function.Polynomial;
-      noret_pass = with_kind ~return_jfs:false Jump_function.Passthrough;
-    },
-    {
-      t3_name = e.name;
-      poly_no_mod = count Config.polynomial_no_mod;
-      poly_mod;
-      complete = (Complete.continue s).substituted;
-      intra_only = count Config.intraprocedural_only;
-    } )
-
-(* Parse-and-resolve every suite program in the calling domain before any
-   fan-out: Registry.program memoizes into a shared table, and pre-warming
-   turns the workers' accesses into pure reads. *)
-let prewarm () = List.iter (fun e -> ignore (Registry.program e)) Registry.entries
-
-(* Both rows of a program are one task. *)
-let table23 ?analysis ?(jobs = 1) ?max_steps ?deadline_ms () =
-  prewarm ();
-  Ipcp_engine.Engine.map ~jobs
-    (rows ?analysis ?max_steps ?deadline_ms)
-    Registry.entries
-
 (* The subsumption table (after Sreekala & Paleri, "Copy Propagation
    subsumes Constant Propagation"): under the polynomial+MOD
    configuration, the copy-propagation fixpoint projects exactly onto
@@ -96,35 +51,80 @@ type table4_row = {
   t4_copies : int;  (** additional pure copy facts (Copy bindings) *)
 }
 
-let table4_row ?max_steps ?deadline_ms (e : Registry.entry) : table4_row =
+(* A program's rows solve over one prepare: stages 1–2 are shared per
+   (use_mod × return_jfs) variant, so the ten cells build each
+   procedure's IR twice, once per MOD setting.  Each distinct
+   configuration is solved once: Table 2's polynomial+ret cell is Table
+   3's with-MOD cell, and complete propagation's round 1.  That cell is
+   counted over an [Incr] session, whose memo keeps the SCCP results
+   substitution computes, and complete propagation continues the session:
+   its first round's dead-code elimination runs no SCCP.  Under copy
+   propagation that cell is also Table 4's copy column, and the const
+   column is one more solve over the same artifacts. *)
+let rows ?(analysis = `Const) ?max_steps ?deadline_ms (e : Registry.entry) :
+    table2_row * table3_row * table4_row option =
+  let budgeted c =
+    Config.with_analysis analysis (Config.with_budget ?max_steps ?deadline_ms c)
+  in
   let artifacts = Driver.prepare (Registry.program e) in
-  let solve analysis =
-    Driver.solve
-      (Config.with_analysis analysis
-         (Config.with_budget ?max_steps ?deadline_ms
-            Config.polynomial_with_mod))
-      artifacts
+  let count config = Substitute.count_staged artifacts (budgeted config) in
+  let with_kind ?return_jfs kind = count (Config.make ~kind ?return_jfs ()) in
+  let s = Incr.start_prepared (budgeted Config.polynomial_with_mod) artifacts in
+  let poly_mod = (snd (Substitute.apply (Incr.result s))).total in
+  let t4 =
+    match analysis with
+    | `Const -> None
+    | `Copy ->
+      let copy_t = Incr.result s in
+      let const_t =
+        Driver.solve
+          (Config.with_analysis `Const (budgeted Config.polynomial_with_mod))
+          artifacts
+      in
+      let copies =
+        Hashtbl.fold
+          (fun _ m acc ->
+            Prog.Param_map.fold
+              (fun _ v acc -> if Copy_lattice.is_copy v then acc + 1 else acc)
+              m acc)
+          copy_t.Driver.solution.Solver.vals 0
+      in
+      Some
+        {
+          t4_name = e.name;
+          t4_const = Driver.constants_count const_t;
+          t4_copy_const = Driver.constants_count copy_t;
+          t4_copies = copies;
+        }
   in
-  let const_t = solve `Const and copy_t = solve `Copy in
-  let copies =
-    Hashtbl.fold
-      (fun _ m acc ->
-        Prog.Param_map.fold
-          (fun _ v acc -> if Copy_lattice.is_copy v then acc + 1 else acc)
-          m acc)
-      copy_t.Driver.solution.Solver.vals 0
-  in
-  {
-    t4_name = e.name;
-    t4_const = Driver.constants_count const_t;
-    t4_copy_const = Driver.constants_count copy_t;
-    t4_copies = copies;
-  }
+  ( {
+      t2_name = e.name;
+      ret_poly = poly_mod;
+      ret_pass = with_kind Jump_function.Passthrough;
+      ret_intra = with_kind Jump_function.Intraconst;
+      ret_lit = with_kind Jump_function.Literal;
+      noret_poly = with_kind ~return_jfs:false Jump_function.Polynomial;
+      noret_pass = with_kind ~return_jfs:false Jump_function.Passthrough;
+    },
+    {
+      t3_name = e.name;
+      poly_no_mod = count Config.polynomial_no_mod;
+      poly_mod;
+      complete = (Complete.continue s).substituted;
+      intra_only = count Config.intraprocedural_only;
+    },
+    t4 )
 
-let table4 ?(jobs = 1) ?max_steps ?deadline_ms () =
+(* Parse-and-resolve every suite program in the calling domain before any
+   fan-out: Registry.program memoizes into a shared table, and pre-warming
+   turns the workers' accesses into pure reads. *)
+let prewarm () = List.iter (fun e -> ignore (Registry.program e)) Registry.entries
+
+(* A program's rows are one task. *)
+let table23 ?analysis ?(jobs = 1) ?max_steps ?deadline_ms () =
   prewarm ();
   Ipcp_engine.Engine.map ~jobs
-    (fun e -> table4_row ?max_steps ?deadline_ms e)
+    (rows ?analysis ?max_steps ?deadline_ms)
     Registry.entries
 
 let pp_table2 ppf rows =
@@ -165,14 +165,14 @@ let pp_all ?(analysis = `Const) ?(jobs = 1) ?max_steps ?deadline_ms ppf () =
   Metrics.pp_table1 ppf ();
   let rows = table23 ~analysis ~jobs ?max_steps ?deadline_ms () in
   Fmt.pf ppf "@.Table 2: constants found through use of jump functions@.@.";
-  pp_table2 ppf (List.map fst rows);
+  pp_table2 ppf (List.map (fun (r2, _, _) -> r2) rows);
   Fmt.pf ppf
     "@.Table 3: most precise jump function vs other propagation techniques@.@.";
-  pp_table3 ppf (List.map snd rows);
+  pp_table3 ppf (List.map (fun (_, r3, _) -> r3) rows);
   match analysis with
   | `Const -> ()
   | `Copy ->
     Fmt.pf ppf
       "@.Table 4: copy propagation subsumes constant propagation (entry \
        facts, polynomial+MOD)@.@.";
-    pp_table4 ppf (table4 ~jobs ?max_steps ?deadline_ms ())
+    pp_table4 ppf (List.filter_map (fun (_, _, r4) -> r4) rows)

@@ -39,11 +39,12 @@ type table4_row = {
   t4_copies : int;  (** additional pure copy facts (Copy bindings) *)
 }
 
-(** A program's Table 2 and Table 3 rows, from one
-    {!Ipcp_core.Driver.prepare}.  [?analysis] (default [`Const]) selects
-    the analysis the counts run under.  [?max_steps]/[?deadline_ms] bound
-    every analysis pass of the rows (see
-    {!Ipcp_core.Config.with_budget}); an exhausted pass degrades
+(** A program's Table 2 and Table 3 rows, and under [`Copy] its Table 4
+    row, from one {!Ipcp_core.Driver.prepare}.  [?analysis] (default
+    [`Const]) selects the analysis the counts run under; Table 4's copy
+    columns are read off the polynomial+MOD cell's solve.
+    [?max_steps]/[?deadline_ms] bound every analysis pass of the rows
+    (see {!Ipcp_core.Config.with_budget}); an exhausted pass degrades
     soundly, so a generous budget reproduces the unbudgeted counts
     exactly. *)
 val rows :
@@ -51,19 +52,16 @@ val rows :
   ?max_steps:int ->
   ?deadline_ms:int ->
   Registry.entry ->
-  table2_row * table3_row
+  table2_row * table3_row * table4_row option
 
-(** Tables 2 and 3: {!rows} of every program. *)
+(** Tables 2 and 3 (and 4 under [`Copy]): {!rows} of every program. *)
 val table23 :
   ?analysis:Ipcp_core.Config.analysis ->
   ?jobs:int ->
   ?max_steps:int ->
   ?deadline_ms:int ->
   unit ->
-  (table2_row * table3_row) list
-
-val table4 :
-  ?jobs:int -> ?max_steps:int -> ?deadline_ms:int -> unit -> table4_row list
+  (table2_row * table3_row * table4_row option) list
 
 val pp_table2 : table2_row list Fmt.t
 val pp_table3 : table3_row list Fmt.t

@@ -17,50 +17,26 @@
 type reason =
   | Steps of int  (** the step limit that was exhausted *)
   | Deadline of int  (** the deadline in milliseconds that passed *)
-  | Starved of string  (** fault injection starved this budget (label) *)
 
 type t = {
-  label : string;
   max_steps : int option;
   deadline_ms : int option;
   deadline_ns : int64 option;
   clock : unit -> int64;
-  starved : bool;
   mutable steps : int;
   mutable exhausted : reason option;
 }
 
 let default_clock () = Monotonic_clock.now ()
 
-let create ?(clock = default_clock) ?(label = "budget") ?max_steps ?deadline_ms
-    () =
-  (* A starvation fault shrinks the step allowance at creation; the pass
-     then degrades through the ordinary widening path. *)
-  let starve = Fault.starvation ("budget:" ^ label) in
-  let starved = starve <> None in
-  let max_steps =
-    match (starve, max_steps) with
-    | None, ms -> ms
-    | Some s, None -> Some s
-    | Some s, Some m -> Some (min s m)
-  in
+let create ?(clock = default_clock) ?max_steps ?deadline_ms () =
   let deadline_ns =
     Option.map
       (fun ms -> Int64.add (clock ()) (Int64.mul (Int64.of_int ms) 1_000_000L))
       deadline_ms
   in
-  {
-    label;
-    max_steps;
-    deadline_ms;
-    deadline_ns;
-    clock;
-    starved;
-    steps = 0;
-    exhausted = None;
-  }
+  { max_steps; deadline_ms; deadline_ns; clock; steps = 0; exhausted = None }
 
-let label t = t.label
 let is_limited t = t.max_steps <> None || t.deadline_ns <> None
 let steps_used t = t.steps
 let exhausted t = t.exhausted
@@ -71,9 +47,7 @@ let tick t =
   | None ->
     t.steps <- t.steps + 1;
     (match t.max_steps with
-    | Some limit when t.steps > limit ->
-      t.exhausted <-
-        Some (if t.starved then Starved t.label else Steps limit)
+    | Some limit when t.steps > limit -> t.exhausted <- Some (Steps limit)
     | _ -> ());
     (match (t.exhausted, t.deadline_ns) with
     | None, Some d when Int64.compare (t.clock ()) d > 0 ->
@@ -87,7 +61,6 @@ let ok t = t.exhausted = None
 let pp_reason ppf = function
   | Steps n -> Fmt.pf ppf "step budget exhausted after %d steps" n
   | Deadline ms -> Fmt.pf ppf "deadline of %dms exceeded" ms
-  | Starved label -> Fmt.pf ppf "budget starved by fault injection (%s)" label
 
 let reason_to_string r = Fmt.str "%a" pp_reason r
 

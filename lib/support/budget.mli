@@ -9,31 +9,23 @@
     Budgets are per-pass and single-domain by design: passes running in
     engine worker domains derive a fresh budget each from the (immutable)
     configuration, so no budget state is shared across domains and
-    parallel results stay byte-identical at every [--jobs] value. *)
+    parallel results stay byte-identical at every [--jobs] value.  A
+    budget's limits are exactly the ones its creator passes: no
+    process-global state, fault configuration included, changes them. *)
 
 type reason =
   | Steps of int  (** the step limit that was exhausted *)
   | Deadline of int  (** the deadline in milliseconds that passed *)
-  | Starved of string  (** fault injection starved this budget (label) *)
 
 type t
 
 (** [create ()] is an unlimited budget; [?max_steps] and [?deadline_ms]
     add the respective limits.  [?clock] (nanoseconds, monotonic)
-    exists for tests.  [?label] names the budget in diagnostics and is
-    the fault-injection site (["budget:<label>"]): an active starvation
-    fault shrinks the step allowance at creation. *)
+    exists for tests. *)
 val create :
-  ?clock:(unit -> int64) ->
-  ?label:string ->
-  ?max_steps:int ->
-  ?deadline_ms:int ->
-  unit ->
-  t
+  ?clock:(unit -> int64) -> ?max_steps:int -> ?deadline_ms:int -> unit -> t
 
-val label : t -> string
-
-(** Whether any limit (or starvation fault) applies. *)
+(** Whether any limit applies. *)
 val is_limited : t -> bool
 
 (** Steps consumed so far. *)

@@ -16,7 +16,7 @@ let reason = Alcotest.testable Budget.pp_reason Budget.equal_reason
 (* ---- unit behaviour ---- *)
 
 let test_unlimited () =
-  let b = Budget.create ~label:"u" () in
+  let b = Budget.create () in
   check Alcotest.bool "not limited" false (Budget.is_limited b);
   for _ = 1 to 10_000 do
     check Alcotest.bool "tick" true (Budget.tick b)
@@ -103,10 +103,7 @@ let test_reason_formatting () =
   check Alcotest.string "steps" "step budget exhausted after 7 steps"
     (Budget.reason_to_string (Budget.Steps 7));
   check Alcotest.string "deadline" "deadline of 12ms exceeded"
-    (Budget.reason_to_string (Budget.Deadline 12));
-  check Alcotest.string "starved"
-    "budget starved by fault injection (solver)"
-    (Budget.reason_to_string (Budget.Starved "solver"))
+    (Budget.reason_to_string (Budget.Deadline 12))
 
 (* ---- soundness under degradation ---- *)
 
@@ -211,7 +208,7 @@ let test_complete_budgeted () =
   let e = List.hd Ipcp_suite.Registry.entries in
   let prog = Ipcp_suite.Registry.program e in
   let full = Complete.run prog in
-  let budget = Budget.create ~label:"complete" ~max_steps:0 () in
+  let budget = Budget.create ~max_steps:0 () in
   let tight = Complete.run ~budget prog in
   check Alcotest.bool "budgeted substitutions do not exceed full" true
     (tight.substituted <= full.substituted);

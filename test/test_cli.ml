@@ -419,6 +419,83 @@ let test_broken_output_pipe_exits_3 () =
     check Alcotest.string "broken pipe exits 3, not a signal death" "3" status
   | _ -> fail "expected exactly the PIPESTATUS line"
 
+(* [ipcp route] caps stdin lines with serve's default cap and forwards
+   every line it admits: a line exactly at the cap is served as [ipcp
+   serve] serves it, although the router's id rewrite lengthens it past
+   the cap, and a line over the cap gets serve's [E-REQ-OVERSIZE]
+   refusal.  No shard is lost for either. *)
+let test_route_line_cap () =
+  let open Ipcp_telemetry in
+  let cap = 1 lsl 20 in
+  let request ~id bytes =
+    let head = Fmt.str {|{"id":"%s","op":"analyze","suite":"adm","pad":"|} id in
+    head ^ String.make (bytes - String.length head - 2) 'x' ^ {|"}|}
+  in
+  (* (exit code, stdout lines) of [ipcp ARGS] reading [line] on stdin *)
+  let run_stdin args line =
+    let input = write_temp (line ^ "\n") in
+    let out = Filename.temp_file "ipcp_test" ".out" in
+    let code =
+      Sys.command
+        (Fmt.str "%s %s < %s > %s 2>/dev/null" (Filename.quote (bin ()))
+           (String.concat " " (List.map Filename.quote args))
+           (Filename.quote input) (Filename.quote out))
+    in
+    let lines = read_lines out in
+    Sys.remove input;
+    Sys.remove out;
+    (code, lines)
+  in
+  let route line =
+    let health = Filename.temp_file "ipcp_test" ".health" in
+    let code, lines =
+      run_stdin [ "route"; "--shards"; "2"; "--health-out"; health ] line
+    in
+    let doc =
+      match Json.of_string (String.trim (read_file health)) with
+      | Ok doc -> doc
+      | Error e -> fail ("route health does not parse: " ^ e)
+    in
+    Sys.remove health;
+    List.iter
+      (fun name ->
+        check (Alcotest.option Alcotest.int) name (Some 0)
+          (Option.bind (Json.path [ "counters"; name ] doc) Json.to_int_opt))
+      [ "router.shard_restarts"; "router.lost" ];
+    (code, lines)
+  in
+  let at_cap = request ~id:"a" cap in
+  check Alcotest.int "line at the cap" cap (String.length at_cap);
+  let serve_code, serve_out = run_stdin [ "serve" ] at_cap in
+  let route_code, route_out = route at_cap in
+  check Alcotest.int "serve exit" 0 serve_code;
+  check Alcotest.int "route exit" 0 route_code;
+  check (Alcotest.list Alcotest.string) "route answers a line at the cap as serve"
+    (List.sort compare serve_out) (List.sort compare route_out);
+  let status_and_code lines =
+    List.map
+      (fun l ->
+        match Ipcp_serve.Request.response_of_line l with
+        | Ok r ->
+          ( Ipcp_serve.Request.status_name r.rs_status,
+            Option.fold ~none:"" ~some:(fun e -> e.Ipcp_serve.Err.e_code)
+              r.rs_error )
+        | Error e -> fail (Fmt.str "bad frame %S: %s" l e))
+      lines
+  in
+  let over_cap = request ~id:"b" (cap + 100) in
+  let _, serve_out = run_stdin [ "serve" ] over_cap in
+  let _, route_out = route over_cap in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "serve refuses a line over the cap"
+    [ ("invalid", "E-REQ-OVERSIZE") ]
+    (status_and_code serve_out);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "route refuses it as serve does" (status_and_code serve_out)
+    (status_and_code route_out)
+
 let suite =
   [
     ("cli run", `Quick, test_run);
@@ -443,4 +520,5 @@ let suite =
     ("cli tiny budget degrades soundly", `Quick, test_tiny_budget_degrades_soundly);
     ("cli broken output pipe exits 3", `Quick, test_broken_output_pipe_exits_3);
     ("cli analyze --complete --against", `Quick, test_complete_against);
+    ("cli route caps lines as serve does", `Quick, test_route_line_cap);
   ]

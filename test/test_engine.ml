@@ -90,93 +90,6 @@ let test_default_jobs_positive () =
   check Alcotest.bool "at least one domain" true
     (Ipcp_engine.Engine.default_jobs () >= 1)
 
-(* ---- fault containment: map_result ---- *)
-
-let test_map_result_contains_failures () =
-  let n = 24 in
-  let f x = if x mod 3 = 0 then failwith ("task " ^ string_of_int x) else x * 2 in
-  List.iter
-    (fun jobs ->
-      let rs = Ipcp_engine.Engine.map_result ~jobs f (List.init n Fun.id) in
-      check Alcotest.int (Fmt.str "jobs=%d: one slot per task" jobs) n
-        (List.length rs);
-      List.iteri
-        (fun i r ->
-          match r with
-          | Ok v ->
-            check Alcotest.bool (Fmt.str "slot %d healthy" i) true
-              (i mod 3 <> 0);
-            check Alcotest.int (Fmt.str "slot %d value" i) (i * 2) v
-          | Error (te : Ipcp_engine.Engine.task_error) -> (
-            check Alcotest.bool (Fmt.str "slot %d failing" i) true
-              (i mod 3 = 0);
-            check Alcotest.int "single attempt" 1 te.te_attempts;
-            match te.te_exn with
-            | Failure m ->
-              check Alcotest.string "task's own error"
-                ("task " ^ string_of_int i)
-                m
-            | e ->
-              Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e)))
-        rs)
-    [ 1; 2; 4; 8 ]
-
-let test_map_result_retries () =
-  (* flaky tasks: fail on the first attempt, succeed on the second *)
-  let n = 12 in
-  let attempts = Array.init n (fun _ -> Atomic.make 0) in
-  let f x =
-    if Atomic.fetch_and_add attempts.(x) 1 = 0 then failwith "flaky" else x
-  in
-  let rs = Ipcp_engine.Engine.map_result ~jobs:4 ~retries:1 f (List.init n Fun.id) in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> check Alcotest.int (Fmt.str "slot %d recovered" i) i v
-      | Error _ -> Alcotest.fail (Fmt.str "slot %d should have recovered" i))
-    rs;
-  Array.iteri
-    (fun i a ->
-      check Alcotest.int (Fmt.str "task %d attempted twice" i) 2 (Atomic.get a))
-    attempts
-
-(* Regression: te_attempts / the attempts slot must count attempts
-   actually made, not the retries that were still left.  A task failing
-   twice and succeeding on the third try under ~retries:2 reports
-   (Ok _, 3) — the bug this pins reported the remaining grant instead. *)
-let test_map_result_attempts_counts_actual_attempts () =
-  let n = 8 in
-  let tries = Array.init n (fun _ -> Atomic.make 0) in
-  let f x =
-    let a = Atomic.fetch_and_add tries.(x) 1 in
-    if x mod 2 = 0 && a < 2 then failwith "flaky until third try" else x
-  in
-  List.iter
-    (fun jobs ->
-      Array.iter (fun a -> Atomic.set a 0) tries;
-      let rs =
-        Ipcp_engine.Engine.map_result_attempts ~jobs ~retries:2 f
-          (List.init n Fun.id)
-      in
-      List.iteri
-        (fun i (r, attempts) ->
-          (match r with
-          | Ok v -> check Alcotest.int (Fmt.str "slot %d value" i) i v
-          | Error _ -> Alcotest.fail (Fmt.str "slot %d should recover" i));
-          let expected = if i mod 2 = 0 then 3 else 1 in
-          check Alcotest.int
-            (Fmt.str "jobs=%d slot %d attempts actually made" jobs i)
-            expected attempts)
-        rs;
-      (* the exhausted-grant error path agrees: always 1 + retries *)
-      let always_fail _ = failwith "never" in
-      match Ipcp_engine.Engine.map_result_attempts ~jobs ~retries:2 always_fail [ 0 ] with
-      | [ (Error te, attempts) ] ->
-        check Alcotest.int "error path attempts" 3 te.te_attempts;
-        check Alcotest.int "error path slot attempts" 3 attempts
-      | _ -> Alcotest.fail "expected a single failing slot")
-    [ 1; 4 ]
-
 (* Regression: the exception surfaced by map must carry the worker's own
    backtrace (raise_with_backtrace), not a fresh one from the join. *)
 let rec deep_raise n =
@@ -215,11 +128,6 @@ let suite =
     ("engine jobs=1 is the sequential path", `Quick,
      test_sequential_path_no_pool_counters);
     ("engine default jobs positive", `Quick, test_default_jobs_positive);
-    ("engine map_result contains failures", `Quick,
-     test_map_result_contains_failures);
-    ("engine map_result retries", `Quick, test_map_result_retries);
-    ("engine map_result_attempts counts actual attempts", `Quick,
-     test_map_result_attempts_counts_actual_attempts);
     ("engine map preserves worker backtrace", `Quick,
      test_map_preserves_worker_backtrace);
   ]

@@ -1,14 +1,10 @@
-(* Fault injection and recovery: seeded faults are deterministic, the
-   engine contains raising tasks (healthy results survive, in input
-   order, byte-identical at every jobs count), retries re-attempt only
-   failed tasks, and budget starvation degrades the analysis soundly.
+(* Fault injection: seeded decisions are deterministic per seed, and
+   different seeds decide differently.
 
    The seed comes from IPCP_FAULT_SEED when set (ci.sh runs the suite
    under two fixed seeds), defaulting to 7. *)
 
 module Fault = Ipcp_support.Fault
-module Budget = Ipcp_support.Budget
-module Engine = Ipcp_engine.Engine
 
 let check = Alcotest.check
 
@@ -16,15 +12,6 @@ let seed () =
   match Sys.getenv_opt "IPCP_FAULT_SEED" with
   | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 7)
   | None -> 7
-
-(* Render a result list so runs can be compared byte-for-byte. *)
-let show_results rs =
-  List.map
-    (function
-      | Ok v -> Fmt.str "ok:%d" v
-      | Error (te : Engine.task_error) ->
-        Fmt.str "err[%d]:%s" te.te_attempts (Printexc.to_string te.te_exn))
-    rs
 
 let test_inject_deterministic () =
   let decisions () =
@@ -49,159 +36,8 @@ let test_different_seeds_differ () =
   check Alcotest.bool "seeds 1 and 2 disagree somewhere" false
     (decisions 1 = decisions 2)
 
-(* k of n tasks raise; the n-k healthy results come back in input order
-   and the whole result list is identical at every jobs count. *)
-let test_engine_containment_across_jobs () =
-  let n = 32 in
-  let run jobs =
-    Fault.with_faults ~seed:(seed ()) ~raise_rate:0.25 (fun () ->
-        Engine.map_result ~jobs (fun x -> x * x) (List.init n Fun.id))
-  in
-  let reference = run 1 in
-  check Alcotest.int "one result per task" n (List.length reference);
-  let k =
-    List.length (List.filter (function Error _ -> true | _ -> false) reference)
-  in
-  (* healthy results: value and position both match the input order *)
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> check Alcotest.int (Fmt.str "slot %d" i) (i * i) v
-      | Error (te : Engine.task_error) -> (
-        match te.te_exn with
-        | Fault.Injected site ->
-          check Alcotest.string
-            (Fmt.str "fault site of slot %d" i)
-            (Fmt.str "engine.task:%d:0" i)
-            site
-        | e -> Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e)))
-    reference;
-  check Alcotest.int "healthy results survive"
-    (n - k)
-    (List.length (List.filter (function Ok _ -> true | _ -> false) reference));
-  List.iter
-    (fun jobs ->
-      check (Alcotest.list Alcotest.string)
-        (Fmt.str "jobs=%d byte-identical to jobs=1" jobs)
-        (show_results reference)
-        (show_results (run jobs)))
-    [ 2; 4; 8 ]
-
-let test_engine_retries_recover () =
-  let n = 32 in
-  let run ~retries jobs =
-    Fault.with_faults ~seed:(seed ()) ~raise_rate:0.25 (fun () ->
-        Engine.map_result ~jobs ~retries (fun x -> x + 1) (List.init n Fun.id))
-  in
-  let failures rs =
-    List.length (List.filter (function Error _ -> true | _ -> false) rs)
-  in
-  let without = failures (run ~retries:0 1) in
-  let with_retries = failures (run ~retries:3 1) in
-  check Alcotest.bool "retries only reduce the failure count" true
-    (with_retries <= without);
-  (* each attempt draws a fresh site, so with a 0.25 rate and 3 retries
-     essentially every task recovers *)
-  check Alcotest.bool "some task failed without retries" true (without > 0);
-  check (Alcotest.list Alcotest.string) "retried run deterministic across jobs"
-    (show_results (run ~retries:3 1))
-    (show_results (run ~retries:3 4))
-
-let test_engine_retry_attempts_counted () =
-  (* raise_rate 1.0: every attempt fails, so a task granted r retries
-     records r+1 attempts *)
-  let rs =
-    Fault.with_faults ~seed:(seed ()) ~raise_rate:1.0 (fun () ->
-        Engine.map_result ~jobs:2 ~retries:2 Fun.id [ 1; 2; 3 ])
-  in
-  List.iter
-    (function
-      | Ok _ -> Alcotest.fail "rate 1.0 cannot succeed"
-      | Error (te : Engine.task_error) ->
-        check Alcotest.int "attempts" 3 te.te_attempts)
-    rs
-
-let test_engine_map_raises_earliest () =
-  (* Engine.map under faults surfaces the earliest failing task *)
-  let result =
-    Fault.with_faults ~seed:(seed ()) ~raise_rate:1.0 (fun () ->
-        match Engine.map ~jobs:3 Fun.id (List.init 8 Fun.id) with
-        | _ -> None
-        | exception Fault.Injected site -> Some site)
-  in
-  check
-    (Alcotest.option Alcotest.string)
-    "earliest task's fault" (Some "engine.task:0:0") result
-
-let test_spin_faults_keep_results () =
-  (* slow-worker simulation: results are unaffected, merely delayed *)
-  let rs =
-    Fault.with_faults ~seed:(seed ()) ~spin_rate:1.0 ~spin_iters:1000
-      (fun () -> Engine.map ~jobs:4 (fun x -> x * 2) (List.init 16 Fun.id))
-  in
-  check (Alcotest.list Alcotest.int) "results survive spinning"
-    (List.init 16 (fun x -> x * 2))
-    rs
-
-let test_budget_starvation () =
-  Fault.with_faults ~seed:(seed ()) ~starve_rate:1.0 ~starve_steps:2
-    (fun () ->
-      let b = Budget.create ~label:"victim" ~max_steps:1000 () in
-      check Alcotest.bool "1" true (Budget.tick b);
-      check Alcotest.bool "2" true (Budget.tick b);
-      check Alcotest.bool "starved on 3" false (Budget.tick b);
-      match Budget.exhausted b with
-      | Some (Budget.Starved l) -> check Alcotest.string "label" "victim" l
-      | r ->
-        Alcotest.fail
-          (Fmt.str "expected starvation, got %a"
-             Fmt.(option Budget.pp_reason)
-             r))
-
-let sample =
-  "program main\n\
-   integer n\n\
-   n = 6\n\
-   call work(n)\n\
-   end\n\
-   subroutine work(k)\n\
-   integer k\n\
-   print *, k, k * 7\n\
-   end\n"
-
-(* End to end: a starved solver degrades the analysis instead of
-   crashing it, and never invents constants. *)
-let test_starved_analysis_degrades_soundly () =
-  let open Ipcp_core in
-  let prog = Ipcp_frontend.Sema.parse_and_resolve sample in
-  let full = Driver.analyze Config.default prog in
-  let full_count = Driver.constants_count full in
-  Fault.with_faults ~seed:(seed ()) ~starve_rate:1.0 ~starve_steps:0
-    (fun () ->
-      let t = Driver.analyze Config.default prog in
-      check Alcotest.bool "solver reports degradation" true
-        (Driver.degraded t <> []);
-      check Alcotest.bool "starvation is the reason" true
-        (List.exists
-           (function Budget.Starved _ -> true | _ -> false)
-           (Driver.degraded t));
-      check Alcotest.bool "no invented constants" true
-        (Driver.constants_count t <= full_count));
-  check Alcotest.bool "full analysis finds constants" true (full_count > 0)
-
 let suite =
   [
     ("fault decisions deterministic", `Quick, test_inject_deterministic);
     ("fault seeds differ", `Quick, test_different_seeds_differ);
-    ("engine contains raising tasks", `Quick,
-     test_engine_containment_across_jobs);
-    ("engine retries recover", `Quick, test_engine_retries_recover);
-    ("engine retry attempts counted", `Quick,
-     test_engine_retry_attempts_counted);
-    ("engine map raises earliest fault", `Quick,
-     test_engine_map_raises_earliest);
-    ("spin faults keep results", `Quick, test_spin_faults_keep_results);
-    ("budget starvation", `Quick, test_budget_starvation);
-    ("starved analysis degrades soundly", `Quick,
-     test_starved_analysis_degrades_soundly);
   ]

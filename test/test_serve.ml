@@ -374,12 +374,64 @@ let test_server_matches_direct () =
     check Alcotest.bool "code" true (r.rs_code = Some direct.code)
   | rs -> Alcotest.fail (Printf.sprintf "%d responses for 1 request" (List.length rs))
 
+(* Whether request [seq] crashes at its worker-entry site under the
+   installed fault configuration: the server's own eight draws,
+   [serve.worker:<seq>:<k>], replayed. *)
+let worker_site_crashes seq =
+  try
+    for k = 0 to 7 do
+      Fault.inject (Printf.sprintf "serve.worker:%d:%d" seq k)
+    done;
+    false
+  with Fault.Injected _ -> true
+
+(* [--fault-rate] fells exactly the requests its serve.worker draws
+   pick: nothing below the serve layer consults the fault configuration,
+   so forty identical requests for one program crash or survive by
+   sequence number alone, at every seed. *)
+let test_fault_rate_fells_predicted_requests () =
+  let n = 40 in
+  let ids = List.init n (Printf.sprintf "o%02d") in
+  let lines = List.map (fun id -> analyze_line ~id ~suite:"ocean") ids in
+  let config =
+    { Server.default_config with breaker_threshold = 0; backoff_base_ms = 1;
+      backoff_cap_ms = 2 }
+  in
+  List.iter
+    (fun seed ->
+      Fault.configure ~raise_rate:0.03 ~seed ();
+      Fun.protect ~finally:Fault.clear @@ fun () ->
+      let predicted =
+        List.init n (fun seq -> if worker_site_crashes seq then "error" else "ok")
+      in
+      let _, responses = run_server ~config lines in
+      let statuses =
+        List.map
+          (fun id ->
+            match
+              List.find_opt (fun (r : Request.response) -> r.rs_id = id)
+                responses
+            with
+            | Some r -> Request.status_name r.rs_status
+            | None -> "<missing>")
+          ids
+      in
+      let label = Printf.sprintf "seed %d" seed in
+      check
+        (Alcotest.list Alcotest.string)
+        (label ^ ": statuses are the serve.worker draws'")
+        predicted statuses;
+      check Alcotest.bool (label ^ ": some request crashed") true
+        (List.mem "error" statuses);
+      check Alcotest.bool (label ^ ": some request survived") true
+        (List.mem "ok" statuses))
+    [ 3; 42 ]
+
 (* Fault containment: with the amplified serve.worker site firing for
    some sequence numbers, crashed requests answer [error] and the rest
    still answer [ok] with untouched bytes. *)
 let test_fault_containment () =
-  (* 0.03/seed 42: mixed crash/survive, pipeline sites quiet (pinned by
-     the probe in tools/fuzz --serve-smoke) *)
+  (* 0.03/seed 42: some requests crash and some survive *)
   Fault.configure ~raise_rate:0.03 ~seed:42 ();
   Fun.protect ~finally:Fault.clear @@ fun () ->
   let n = 16 in
@@ -767,34 +819,16 @@ let test_breaker_half_open_probe () =
      run clean; the site draw is a pure function of (seed, site) so the
      scan replays exactly what the server will do *)
   let rate = 0.11 in
-  let crashes seq =
-    try
-      for k = 0 to 7 do
-        Fault.inject (Printf.sprintf "serve.worker:%d:%d" seq k)
-      done;
-      false
-    with Fault.Injected _ -> true
-  in
-  let prog = suite_prog "adm" in
-  (* the rate also arms the deeper engine.task:* sites, which are shared
-     by every request for the same program — the seed must leave the
-     whole pipeline clean or the probe would crash below the serve layer *)
-  let pipeline_clean () =
-    try
-      ignore (Jobs.analyze ~config:Config.default ~jobs:1 prog);
-      true
-    with _ -> false
-  in
   let seed =
     let rec scan s =
       if s > 50_000 then Alcotest.fail "no suitable fault seed found"
       else begin
         Fault.configure ~raise_rate:rate ~seed:s ();
         let found =
-          crashes 0 && crashes 1 && crashes 2
-          && (not (crashes 6))
-          && (not (crashes 7))
-          && pipeline_clean ()
+          worker_site_crashes 0 && worker_site_crashes 1
+          && worker_site_crashes 2
+          && (not (worker_site_crashes 6))
+          && not (worker_site_crashes 7)
         in
         Fault.clear ();
         if found then s else scan (s + 1)
@@ -1147,25 +1181,6 @@ let test_ping_request () =
   | Some r -> check Alcotest.bool "pong is ok" true (r.rs_status = Request.Ok_done)
   | None -> Alcotest.fail "no pong"
 
-(* The chaos layer's draws are pure in (seed, site): same seed same
-   answer, different sites decorrelated, zero rate never fires. *)
-let test_fault_stall_disk_deterministic () =
-  let stall_at seed site =
-    Fault.with_faults ~stall_rate:0.5 ~stall_ms:7 ~seed (fun () ->
-        Fault.stall site)
-  in
-  for seed = 1 to 20 do
-    let site = Printf.sprintf "serve.worker:%d" seed in
-    check Alcotest.bool "stall draw is reproducible" true
-      (stall_at seed site = stall_at seed site)
-  done;
-  check Alcotest.bool "armed stall yields the configured pause" true
-    (List.exists
-       (fun seed -> stall_at seed "serve.worker:0" = Some 7)
-       (List.init 50 (fun i -> i)));
-  check Alcotest.bool "disarmed faults never fire" true
-    (Fault.stall "serve.worker:0" = None)
-
 (* Satellite: response frames survive short/partial socket writes.  A
    socketpair with a tiny send buffer forces the kernel to accept
    frames in pieces; the outbuf must deliver every byte in order once
@@ -1390,6 +1405,8 @@ let suite =
     ("serve analysis dispatch", `Quick, test_serve_analysis_dispatch);
     ("serve matches direct rendering", `Quick, test_server_matches_direct);
     ("serve fault containment", `Quick, test_fault_containment);
+    ("serve fault rate fells exactly the predicted requests", `Quick,
+     test_fault_rate_fells_predicted_requests);
     ("serve breaker quarantines crashing input", `Quick,
      test_breaker_quarantines_crashing_input);
     ("serve fault statuses deterministic across workers", `Slow,
@@ -1422,8 +1439,6 @@ let suite =
     ("serve route key content affinity", `Quick,
      test_route_key_content_affinity);
     ("serve ping request", `Quick, test_ping_request);
-    ("serve stall/disk chaos deterministic", `Quick,
-     test_fault_stall_disk_deterministic);
     ("serve outbuf survives short writes", `Quick, test_outbuf_short_writes);
     ("serve outbuf latches dead peer", `Quick, test_outbuf_dead_peer_latches);
     ("serve EINTR storm conservation", `Slow, test_eintr_storm_conservation);

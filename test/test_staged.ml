@@ -71,7 +71,9 @@ let test_tables_parallel_determinism () =
    one prepare: eight solves per program (Table 2's six configurations,
    then no-MOD and intraprocedural; with-MOD is Table 2's polynomial+ret
    cell and complete propagation's round 1).  Complete propagation
-   continues that cell's session, so its first round runs no SCCP. *)
+   continues that cell's session, so its first round runs no SCCP.
+   Under copy propagation, Table 4 reads that cell too and solves
+   constant propagation over the same prepare. *)
 let test_tables_solve_each_configuration_once () =
   let coll = Telemetry.create () in
   let o =
@@ -88,7 +90,19 @@ let test_tables_solve_each_configuration_once () =
   check Alcotest.int "top-level solves" (8 * List.length Registry.entries)
     solves;
   check Alcotest.int "sccp.runs" 1077 (counter "sccp.runs");
-  check Alcotest.int "jf.build_ir" 271 (counter "jf.build_ir")
+  check Alcotest.int "jf.build_ir" 271 (counter "jf.build_ir");
+  check Alcotest.int "callgraph.sites_scanned" 137
+    (counter "callgraph.sites_scanned");
+  let copy = Telemetry.create () in
+  let o =
+    Telemetry.with_reporter copy (fun () ->
+        Ipcp_serve.Jobs.tables ~analysis:`Copy ~jobs:1 ())
+  in
+  check Alcotest.int "copy tables exit 0" 0 o.Ipcp_serve.Jobs.code;
+  let counter name = Option.value ~default:0 (Telemetry.counter copy name) in
+  check Alcotest.int "copy jf.build_ir" 271 (counter "jf.build_ir");
+  check Alcotest.int "copy callgraph.sites_scanned" 137
+    (counter "callgraph.sites_scanned")
 
 (* the DCE example: the else-branch of [conf] is dead once mode=1 is
    known, so complete propagation iterates, and [sink] — unchanged by the

@@ -959,12 +959,28 @@ let run_serve_smoke () =
   let all = List.length (parse_responses (String.concat "\n" answered ^ "\n" ^ rest)) in
   if all <> 3 then err "SIGTERM drain: %d responses for 3 requests" all;
   (* ---- gate 3: fault-injected crashes fail only their own request ---- *)
-  (* 0.03 sits in the window where the amplified serve.worker site fells
-     some requests while the request-shared pipeline sites stay quiet —
-     a mix of crashes and survivors, which is what containment needs *)
+  (* --fault-rate arms only the per-request serve.worker:<seq>:<k> draws,
+     and stdio numbers requests in submission order, so the crashed set
+     is exactly the requests whose own draws fire — predicted here by
+     making the same draws in process *)
+  let fault_rate = 0.03 and fault_seed = 42 in
+  let predicted_crashes =
+    Fault.with_faults ~raise_rate:fault_rate ~seed:fault_seed (fun () ->
+        List.filteri
+          (fun seq _ ->
+            try
+              for k = 0 to 7 do
+                Fault.inject (Printf.sprintf "serve.worker:%d:%d" seq k)
+              done;
+              false
+            with Fault.Injected _ -> true)
+          suite_files
+        |> List.map fst |> List.sort compare)
+  in
   let fault_args extra =
     Array.append
-      [| "--fault-rate"; "0.03"; "--fault-seed"; "42"; "--queue"; "64" |]
+      [| "--fault-rate"; string_of_float fault_rate;
+         "--fault-seed"; string_of_int fault_seed; "--queue"; "64" |]
       extra
   in
   let fault_run workers =
@@ -986,9 +1002,22 @@ let run_serve_smoke () =
   if List.length r1 <> List.length suite_files then
     err "fault run: %d responses for %d requests" (List.length r1)
       (List.length suite_files);
-  let crashed = List.filter (fun (r : SReq.response) -> r.rs_status = SReq.Error_crash) r1 in
   let completed = List.filter (fun (r : SReq.response) -> r.rs_status = SReq.Ok_done) r1 in
-  if crashed = [] then err "fault run: no injected crash fired (rate 0.5)";
+  List.iter
+    (fun (workers, rs) ->
+      let crashed =
+        List.sort compare
+          (List.filter_map
+             (fun (r : SReq.response) ->
+               if r.rs_status = SReq.Error_crash then Some r.rs_id else None)
+             rs)
+      in
+      if crashed <> predicted_crashes then
+        err "fault run (workers %s): crashed [%s], predicted [%s]" workers
+          (String.concat " " crashed)
+          (String.concat " " predicted_crashes))
+    [ ("1", r1); ("2", r2) ];
+  if predicted_crashes = [] then err "fault run: no injected crash predicted";
   if completed = [] then err "fault run: no request survived (crash not contained)";
   if statuses r1 <> statuses r2 then
     err "fault run: statuses differ between --workers 1 and --workers 2";
