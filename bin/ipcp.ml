@@ -574,19 +574,8 @@ let serve_cmd =
     in
     Arg.(value & opt int 3 & info [ "breaker" ] ~docv:"N" ~doc)
   in
-  let backoff_ms =
-    let doc = "First worker-restart delay after a crash, in milliseconds." in
-    Arg.(value & opt int 10 & info [ "backoff-ms" ] ~docv:"MS" ~doc)
-  in
-  let backoff_cap_ms =
-    let doc = "Exponential restart-backoff ceiling, in milliseconds." in
-    Arg.(value & opt int 1000 & info [ "backoff-cap-ms" ] ~docv:"MS" ~doc)
-  in
   let seed =
-    let doc =
-      "Seed of the deterministic restart-backoff jitter and of the \
-       online-certification sample."
-    in
+    let doc = "Seed of the deterministic online-certification sample." in
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc)
   in
   let breaker_reset_after =
@@ -662,8 +651,8 @@ let serve_cmd =
     Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"N" ~doc)
   in
   let run workers queue queue_policy breaker breaker_reset_after
-      certify_sample backoff_ms backoff_cap_ms seed input listen
-      read_timeout_ms max_line health_out fault_rate fault_seed =
+      certify_sample seed input listen read_timeout_ms max_line health_out
+      fault_rate fault_seed =
     if fault_rate > 0.0 then
       Ipcp_support.Fault.configure ~raise_rate:fault_rate ~seed:fault_seed ();
     let config =
@@ -674,8 +663,6 @@ let serve_cmd =
         breaker_threshold = breaker;
         breaker_reset_after;
         certify_sample;
-        backoff_base_ms = backoff_ms;
-        backoff_cap_ms;
         seed;
         health_out;
         read_timeout_ms;
@@ -730,9 +717,8 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const run $ workers $ queue $ queue_policy $ breaker
-      $ breaker_reset_after $ certify_sample $ backoff_ms $ backoff_cap_ms
-      $ seed $ input $ listen $ read_timeout_ms $ max_line $ health_out
-      $ fault_rate $ fault_seed)
+      $ breaker_reset_after $ certify_sample $ seed $ input $ listen
+      $ read_timeout_ms $ max_line $ health_out $ fault_rate $ fault_seed)
 
 (* ---------------- route ---------------- *)
 
@@ -781,17 +767,9 @@ let route_cmd =
   let seed =
     let doc =
       "Seed of the deterministic respawn-backoff jitter (also passed \
-       through to each shard)."
+       through to each shard, as its online-certification sample seed)."
     in
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc)
-  in
-  let runtime_dir =
-    let doc =
-      "Directory for the shard sockets (created if missing).  A private \
-       temp directory, removed on exit, when absent."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "runtime-dir" ] ~docv:"DIR" ~doc)
   in
   let health_out =
     let doc =
@@ -808,11 +786,6 @@ let route_cmd =
     in
     Arg.(
       value & opt (some string) None & info [ "shard-pids" ] ~docv:"PATH" ~doc)
-  in
-  let connect_timeout_ms =
-    let doc = "Per-spawn deadline for a shard to accept connections." in
-    Arg.(
-      value & opt int 5000 & info [ "connect-timeout-ms" ] ~docv:"MS" ~doc)
   in
   let route_deadline_ms =
     let doc =
@@ -839,8 +812,8 @@ let route_cmd =
     Arg.(value & opt int 3 & info [ "heartbeat-misses" ] ~docv:"N" ~doc)
   in
   let run shards workers queue certify_sample breaker backoff_ms
-      backoff_cap_ms seed runtime_dir health_out shard_pids connect_timeout_ms
-      route_deadline_ms heartbeat_ms heartbeat_misses =
+      backoff_cap_ms seed health_out shard_pids route_deadline_ms heartbeat_ms
+      heartbeat_misses =
     let shard_args =
       [ "--workers"; string_of_int workers;
         "--breaker"; string_of_int breaker;
@@ -856,12 +829,10 @@ let route_cmd =
         binary = Sys.executable_name;
         shard_args;
         queue;
-        runtime_dir;
         breaker_threshold = breaker;
         backoff_base_ms = backoff_ms;
         backoff_cap_ms;
         seed;
-        connect_timeout_ms;
         health_out;
         pids_out = shard_pids;
         route_deadline_ms;
@@ -883,9 +854,8 @@ let route_cmd =
     (Cmd.info "route" ~doc)
     Term.(
       const run $ shards $ workers $ queue $ certify_sample $ breaker
-      $ backoff_ms $ backoff_cap_ms $ seed $ runtime_dir $ health_out
-      $ shard_pids $ connect_timeout_ms $ route_deadline_ms $ heartbeat_ms
-      $ heartbeat_misses)
+      $ backoff_ms $ backoff_cap_ms $ seed $ health_out $ shard_pids
+      $ route_deadline_ms $ heartbeat_ms $ heartbeat_misses)
 
 (* ---------------- broken-pipe handling ---------------- *)
 

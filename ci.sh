@@ -368,8 +368,9 @@ echo "== serve shard fleet"
 # router-scope breaker quarantining a poison input that kills two shard
 # processes, a respawned shard starting a lost incremental session again
 # (the next delta byte-identical to a from-scratch analyze, counted in
-# serve.delta_fresh), and the socket listener's oversize / slow-loris /
-# client-gone defenses driven over a real unix socket.
+# serve.delta_fresh), the socket listener's oversize / slow-loris /
+# client-gone defenses driven over a real unix socket, and a SIGKILLed
+# router whose every shard must exit within 5 s.
 for seed in 7 11; do
   echo "-- seed $seed"
   dune exec --no-build tools/fuzz.exe -- --serve-shard --seed "$seed" \
@@ -403,7 +404,9 @@ fi
 # Shell-level identity smoke: the same request file through `ipcp serve`
 # and `ipcp route --shards 3` must produce byte-identical (sorted)
 # response streams, and the routed stream must pass the typed-error
-# frame lint.
+# frame lint.  The router runs under a TMPDIR longer than a unix socket
+# path may be (108 bytes): it makes nothing on disk, so it must still
+# serve, finish, and leave that directory empty.
 cat > "$tmpdir/route.in.jsonl" <<'EOF'
 {"id":"t","op":"tables"}
 {"id":"a","op":"analyze","suite":"adm"}
@@ -413,8 +416,19 @@ cat > "$tmpdir/route.in.jsonl" <<'EOF'
 EOF
 dune exec --no-build -- ipcp serve --workers 2 \
   < "$tmpdir/route.in.jsonl" > "$tmpdir/route.single.jsonl"
-dune exec --no-build -- ipcp route --shards 3 --workers 2 \
-  < "$tmpdir/route.in.jsonl" > "$tmpdir/route.routed.jsonl"
+long_tmp="$tmpdir/route-tmpdir-$(printf '%0100d' 0)"
+mkdir "$long_tmp"
+if ! TMPDIR="$long_tmp" timeout -k 5 60 _build/default/bin/ipcp.exe route \
+  --shards 3 --workers 2 \
+  < "$tmpdir/route.in.jsonl" > "$tmpdir/route.routed.jsonl"; then
+  echo "route: the router under a long TMPDIR failed or did not finish in 60 s" >&2
+  exit 1
+fi
+if [ -n "$(ls -A "$long_tmp")" ]; then
+  echo "route: the router left files in its TMPDIR:" >&2
+  ls -A "$long_tmp" >&2
+  exit 1
+fi
 sort "$tmpdir/route.single.jsonl" > "$tmpdir/route.single.sorted"
 sort "$tmpdir/route.routed.jsonl" > "$tmpdir/route.routed.sorted"
 if ! cmp -s "$tmpdir/route.single.sorted" "$tmpdir/route.routed.sorted"; then

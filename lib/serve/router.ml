@@ -102,12 +102,10 @@ type config = {
   binary : string;
   shard_args : string list;
   queue : int;
-  runtime_dir : string option;
   breaker_threshold : int;
   backoff_base_ms : int;
   backoff_cap_ms : int;
   seed : int;
-  connect_timeout_ms : int;
   health_out : string option;
   pids_out : string option;
   route_deadline_ms : int;
@@ -128,12 +126,10 @@ let default_config =
     binary = Sys.executable_name;
     shard_args = [];
     queue = 64;
-    runtime_dir = None;
     breaker_threshold = 3;
     backoff_base_ms = 10;
     backoff_cap_ms = 1000;
     seed = 0;
-    connect_timeout_ms = 5000;
     health_out = None;
     pids_out = None;
     route_deadline_ms = 0;
@@ -166,7 +162,6 @@ type agg = {
 
 type slot_state = {
   s_slot : int;
-  s_addr : Transport.addr;
   mutable s_up : Shard.t option;
   mutable s_framer : Transport.Framing.t;
   mutable s_inflight : (string, unit) Hashtbl.t;
@@ -200,8 +195,6 @@ type rt = {
   cfg : config;
   ring : Ring.t;
   slots : slot_state array;
-  dir : string;
-  dir_owned : bool;  (** we created it, we remove it *)
   pending : (string, pending) Hashtbl.t;
   waiting : pending Queue.t;  (** admitted, no live shard yet *)
   aggs : (string, agg) Hashtbl.t;
@@ -215,14 +208,24 @@ type rt = {
   mutable out_dead : bool;
 }
 
-(* The in-process worker supervisor's restart delay, as the absolute
-   respawn time of [ss]'s latest restart. *)
+(* Respawn delay of a slot's [restart]-th consecutive failure: capped
+   exponential backoff plus deterministic jitter — a pure function of
+   (seed, slot, restart), so a seeded crash run waits the same
+   everywhere. *)
+let backoff_ms ~base ~cap ~seed ~slot ~restart =
+  let exp = base * (1 lsl min (restart - 1) 16) in
+  let capped = min cap (max base exp) in
+  let prng =
+    Ipcp_support.Prng.create ((seed * 1_000_003) + (slot * 8191) + restart)
+  in
+  capped + Ipcp_support.Prng.int prng (capped + 1)
+
+(* The absolute respawn time of [ss]'s latest restart. *)
 let respawn_due_at rt ss =
   Unix.gettimeofday ()
   +. float_of_int
-       (Server.backoff_ms ~base:rt.cfg.backoff_base_ms
-          ~cap:rt.cfg.backoff_cap_ms ~seed:rt.cfg.seed ~slot:ss.s_slot
-          ~restart:ss.s_restarts)
+       (backoff_ms ~base:rt.cfg.backoff_base_ms ~cap:rt.cfg.backoff_cap_ms
+          ~seed:rt.cfg.seed ~slot:ss.s_slot ~restart:ss.s_restarts)
      /. 1000.0
 
 (* ---------------- output ---------------- *)
@@ -412,8 +415,8 @@ and forward rt p = forward_order rt p (Ring.order_from rt.ring p.p_rkey)
    [eject] is the gray-failure variant: the process is alive but not
    answering heartbeats (wedged, stopped, or pathologically slow), so
    instead of merely abandoning the connection we SIGTERM it and
-   escalate to SIGKILL on a short fuse — a zombie shard holding the
-   socket would block its own replacement. *)
+   escalate to SIGKILL on a short fuse — a stopped shard never reads
+   the end of input that closing its socketpair delivers. *)
 and shard_died ?(eject = false) rt slot =
   let ss = rt.slots.(slot) in
   match ss.s_up with
@@ -422,7 +425,6 @@ and shard_died ?(eject = false) rt slot =
     (match Shard.fd sh with
     | None -> ()
     | Some fd ->
-      (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
       let rec salvage () =
         match Unix.read fd rt.chunk 0 (Bytes.length rt.chunk) with
         | exception Unix.Unix_error _ -> ()
@@ -431,7 +433,7 @@ and shard_died ?(eject = false) rt slot =
           List.iter
             (function
               | Transport.Framing.Line l -> resolve rt ss l
-              | Transport.Framing.Oversize _ -> ())
+              | Transport.Framing.Oversize -> ())
             (Transport.Framing.feed ss.s_framer (Bytes.sub_string rt.chunk 0 n));
           salvage ()
       in
@@ -522,11 +524,10 @@ let respawn_due rt =
           (* no line cap on a shard: the router, its only client, has
              capped stdin already, and its id rewrite can lengthen an
              admitted line past the cap *)
-          Shard.start ~binary:rt.cfg.binary ~addr:ss.s_addr ~slot:ss.s_slot
+          Shard.start ~binary:rt.cfg.binary ~slot:ss.s_slot
             ~args:
               ("--queue" :: string_of_int rt.cfg.queue :: "--max-line" :: "0"
              :: rt.cfg.shard_args)
-            ~connect_timeout_ms:rt.cfg.connect_timeout_ms
         with
         | sh ->
           ss.s_up <- Some sh;
@@ -537,7 +538,7 @@ let respawn_due rt =
           write_pids rt;
           flush_waiting rt
         | exception _ ->
-          (* spawn failed (fork pressure, bind race): retry forever on
+          (* spawn failed (fork or descriptor pressure): retry forever on
              the same backoff schedule — a router with zero shards up
              still owes every parked request a response *)
           ss.s_restarts <- ss.s_restarts + 1;
@@ -711,10 +712,10 @@ let reject_drained rt line =
    frame [ipcp serve] answers on stdio, and, as there, ends the input. *)
 let max_line = Server.default_config.Server.max_line
 
-let refuse_oversize rt bytes =
+let refuse_oversize rt =
   rt.st.rx <- rt.st.rx + 1;
   rt.st.invalid <- rt.st.invalid + 1;
-  emit rt (Server.oversize_response ~max_line bytes);
+  emit rt (Server.oversize_response ~max_line);
   rt.eof <- true
 
 (* Stdin backpressure: a line is admitted only while every live shard
@@ -728,30 +729,8 @@ let has_room rt =
 
 (* ---------------- run ---------------- *)
 
-let fresh_runtime_dir () =
-  let base = Filename.get_temp_dir_name () in
-  let rec go i =
-    let d =
-      Filename.concat base
-        (Printf.sprintf "ipcp-route-%d-%d" (Unix.getpid ()) i)
-    in
-    match Unix.mkdir d 0o700 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-  in
-  go 0
-
 let run cfg =
   let cfg = { cfg with shards = max 1 cfg.shards } in
-  let dir, dir_owned =
-    match cfg.runtime_dir with
-    | Some d ->
-      (match Unix.mkdir d 0o700 with
-      | () -> ()
-      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      (d, false)
-    | None -> (fresh_runtime_dir (), true)
-  in
   let rt =
     {
       cfg;
@@ -760,9 +739,6 @@ let run cfg =
         Array.init cfg.shards (fun slot ->
             {
               s_slot = slot;
-              s_addr =
-                Transport.Unix_sock
-                  (Filename.concat dir (Printf.sprintf "shard-%d.sock" slot));
               s_up = None;
               s_framer = Transport.Framing.create ~max_line:0;
               s_inflight = Hashtbl.create 16;
@@ -772,8 +748,6 @@ let run cfg =
               s_hb_seen = 0.0;
               s_hb_missed = 0;
             });
-      dir;
-      dir_owned;
       pending = Hashtbl.create 64;
       waiting = Queue.create ();
       aggs = Hashtbl.create 8;
@@ -830,7 +804,10 @@ let run cfg =
     | None -> ()
     | Some fd -> (
       match Unix.read fd rt.chunk 0 (Bytes.length rt.chunk) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception
+          Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+        ->
+        ()
       | exception Unix.Unix_error _ -> shard_died rt ss.s_slot
       | 0 -> shard_died rt ss.s_slot
       | n ->
@@ -839,8 +816,14 @@ let run cfg =
         List.iter
           (function
             | Transport.Framing.Line l -> resolve rt ss l
-            | Transport.Framing.Oversize _ -> ())
+            | Transport.Framing.Oversize -> ())
           (Transport.Framing.feed ss.s_framer (Bytes.sub_string rt.chunk 0 n)))
+  in
+  (* the fd turned writable under a buffered request tail *)
+  let flush_shard ss =
+    match ss.s_up with
+    | Some sh when not (Shard.flush sh) -> shard_died rt ss.s_slot
+    | Some _ | None -> ()
   in
   let poll ~stdin =
     let shard_fds =
@@ -854,9 +837,19 @@ let run cfg =
     let read_set =
       (if stdin then [ Unix.stdin ] else []) @ List.map fst shard_fds
     in
-    match Unix.select read_set [] [] 0.05 with
+    let write_set =
+      List.filter_map
+        (fun (fd, ss) ->
+          if Option.fold ~none:false ~some:Shard.pending ss.s_up then Some fd
+          else None)
+        shard_fds
+    in
+    match Unix.select read_set write_set [] 0.05 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | ready, _, _ ->
+    | ready, writable, _ ->
+      List.iter
+        (fun fd -> Option.iter flush_shard (List.assq_opt fd shard_fds))
+        writable;
       List.iter
         (fun fd ->
           if stdin && fd == Unix.stdin then read_stdin ()
@@ -879,14 +872,14 @@ let run cfg =
       Queue.iter
         (function
           | Transport.Framing.Line l -> reject_drained rt l
-          | Transport.Framing.Oversize bytes -> refuse_oversize rt bytes)
+          | Transport.Framing.Oversize -> refuse_oversize rt)
         held;
       Queue.clear held
     end;
     while (not (Queue.is_empty held)) && has_room rt do
       match Queue.pop held with
       | Transport.Framing.Line l -> admit rt l
-      | Transport.Framing.Oversize bytes -> refuse_oversize rt bytes
+      | Transport.Framing.Oversize -> refuse_oversize rt
     done;
     if not (settled ()) then begin
       respawn_due rt;
@@ -909,5 +902,4 @@ let run cfg =
       poll ~stdin:false
     done);
   Array.iter (fun ss -> Option.iter Shard.terminate ss.s_up) rt.slots;
-  if rt.dir_owned then (try Unix.rmdir rt.dir with Unix.Unix_error _ -> ());
   if rt.out_dead then Jobs.exit_input else 0

@@ -2,10 +2,13 @@
 
     Reads the same newline-delimited request stream as [ipcp serve] on
     stdin and writes the same response-frame stream on stdout, but
-    executes nothing itself: it spawns and supervises [N] [ipcp serve
-    --listen] worker {e processes} ({!Shard}), consistent-hashes each
-    request to a shard, and relays each shard's frames back with the
-    client's request ids restored.  On healthy inputs the stream is
+    executes nothing itself: it spawns and supervises [N] [ipcp serve]
+    worker {e processes} ({!Shard}), each speaking over its stdin and
+    stdout to one end of a socketpair the router holds the other end of,
+    consistent-hashes each request to a shard, and relays each shard's
+    frames back with the client's request ids restored.  The router
+    creates no socket path and no directory; when it dies, however it
+    dies, every shard reads end of input, drains and exits.  On healthy inputs the stream is
     byte-identical to a single-process server's (same renderers, same
     fixed key order), which the differential harnesses pin.  Stdin lines
     are capped at serve's default [max_line], with serve's
@@ -23,9 +26,8 @@
        typed [E-WORKER-LOST] instead of being retried forever;}
     {- {b crash isolation}: a shard crash (segfault, OOM-kill, poison
        input) costs only that shard's in-flight work — the router and
-       the other shards keep serving, and the shard respawns on the
-       same capped seeded backoff the in-process worker supervisor
-       uses;}
+       the other shards keep serving, and the shard respawns on a capped
+       exponential backoff with seeded jitter;}
     {- {b router-scope quarantine}: the per-input circuit breaker is
        lifted to router scope — an input whose requests kill
        [breaker_threshold] shard processes is quarantined at admission
@@ -90,17 +92,14 @@ type config = {
   queue : int;
       (** each shard's [--queue]; stdin is not read while any live shard
           holds this many unanswered requests, so piped input backs up
-          instead of being shed *)
-  runtime_dir : string option;
-      (** where shard sockets live; a fresh temp dir (removed on exit)
-          when [None] *)
+          and no shard's queue fills: a shard's reader, which answers
+          pings itself, never pauses *)
   breaker_threshold : int;
       (** router-scope breaker: quarantine an input after this many
           shard-process crashes while serving it; 0 disables *)
-  backoff_base_ms : int;
-  backoff_cap_ms : int;
+  backoff_base_ms : int;  (** first respawn delay *)
+  backoff_cap_ms : int;  (** exponential respawn-backoff ceiling *)
   seed : int;  (** seed of the respawn-backoff jitter *)
-  connect_timeout_ms : int;  (** per-spawn connect deadline *)
   health_out : string option;
       (** write a final merged snapshot here after the drain barrier *)
   pids_out : string option;
@@ -121,7 +120,6 @@ type config = {
 val default_config : config
 
 (** Run the router to completion (stdin EOF or SIGTERM/SIGINT, then a
-    full drain: every pending request resolved, shards terminated, the
-    runtime dir cleaned up).  Returns the exit code: 0, or
+    full drain: every pending request resolved, shards terminated).  Returns the exit code: 0, or
     {!Jobs.exit_input} when stdout died mid-stream. *)
 val run : config -> int

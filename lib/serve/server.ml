@@ -11,8 +11,6 @@ type config = {
   breaker_threshold : int;
   breaker_reset_after : int;
   certify_sample : float;
-  backoff_base_ms : int;
-  backoff_cap_ms : int;
   seed : int;
   health_out : string option;
   read_timeout_ms : int;
@@ -27,8 +25,6 @@ let default_config =
     breaker_threshold = 3;
     breaker_reset_after = 0;
     certify_sample = 0.0;
-    backoff_base_ms = 10;
-    backoff_cap_ms = 1000;
     seed = 0;
     health_out = None;
     read_timeout_ms = 10_000;
@@ -38,8 +34,8 @@ let default_config =
 (* Whether the online certification policy samples response [seq] — a
    pure function of (seed, rate, seq), never of worker count or timing,
    so the sampled set is identical however the work is scheduled.  The
-   multiplier keeps the stream disjoint from the backoff-jitter PRNG
-   family, which hashes the same seed. *)
+   multiplier keeps the stream disjoint from the router's respawn-jitter
+   PRNG family, which hashes the same seed. *)
 let certify_sampled ~seed ~rate ~seq =
   rate > 0.0
   && (rate >= 1.0 || Prng.chance (Prng.create ((seed * 777_767) + seq)) rate)
@@ -117,7 +113,6 @@ type counters = {
   mutable rejected : int;
   mutable quarantined : int;
   mutable invalid : int;
-  mutable restarts_total : int;
   mutable cert_sampled : int;  (** online checks chosen by the sample rate *)
   mutable cert_passed : int;
   mutable delta_updates : int;  (** analyze-delta served against a session *)
@@ -306,7 +301,6 @@ let health_doc st =
             ("serve.queue_depth", Bqueue.length st.queue);
             ("serve.queue_capacity", Bqueue.capacity st.queue);
             ("serve.workers", st.cfg.workers);
-            ("serve.worker_restarts", st.n.restarts_total);
             ( "serve.quarantined_inputs",
               if st.cfg.breaker_threshold > 0 then quarantined_inputs else 0 );
             ("serve.breaker_entries", Hashtbl.length st.breaker);
@@ -541,15 +535,6 @@ let run_job st ~seq (req : Request.t) : exec =
 
 (* ---------------- worker supervision ---------------- *)
 
-(* Restart delay of a slot's [r]-th consecutive crash: capped exponential
-   backoff plus deterministic jitter — a pure function of (seed, slot,
-   r), so a seeded fault run waits the same everywhere. *)
-let backoff_ms ~base ~cap ~seed ~slot ~restart =
-  let exp = base * (1 lsl min (restart - 1) 16) in
-  let capped = min cap (max base exp) in
-  let prng = Prng.create ((seed * 1_000_003) + (slot * 8191) + restart) in
-  capped + Prng.int prng (capped + 1)
-
 let quarantined_response (req : Request.t) =
   let key = Request.input_key req in
   Request.response ~id:req.rq_id
@@ -568,16 +553,13 @@ let invalid_response (pe : Request.parse_error) =
          pe.Request.pe_reason)
     Request.Invalid
 
-let oversize_response ~max_line bytes =
+let oversize_response ~max_line =
   Request.response ~id:""
-    ~reason:
-      (Printf.sprintf "request line exceeds the %d byte cap (%d buffered)"
-         max_line bytes)
+    ~reason:(Printf.sprintf "request line exceeds the %d byte cap" max_line)
     ~error:
       (Err.oversize
          (Printf.sprintf
-            "request line of %d bytes exceeds the per-connection cap of %d"
-            bytes max_line))
+            "request line exceeds the per-connection cap of %d bytes" max_line))
     Request.Invalid
 
 let drained_line line =
@@ -621,11 +603,11 @@ let worker_fault_point seq =
     Fault.inject (Printf.sprintf "serve.worker:%d:%d" seq k)
   done
 
-(* Execute one job inside the worker's incarnation: a crash — the job's
-   own exception or an injected fault at [serve.worker:<seq>:<k>] —
-   answers [error] for this request only, and the slot restarts after
-   backoff. *)
-let execute st ~slot ~restarts job =
+(* Execute one job: a crash — the job's own exception or an injected
+   fault at [serve.worker:<seq>:<k>] — answers [error] for this request
+   only, and the worker takes the next job at once: the exception left
+   its domain intact. *)
+let execute st job =
   let req = job.j_req in
   let key = Request.input_key req in
   (* test-only: IPCP_SERVE_KILL_INPUT=<fragment> fells the whole process
@@ -651,8 +633,7 @@ let execute st ~slot ~restarts job =
   match decision with
   | `Deny ->
     locked st (fun () -> st.n.quarantined <- st.n.quarantined + 1);
-    respond st job.j_outlet (quarantined_response req);
-    0
+    respond st job.j_outlet (quarantined_response req)
   | `Run _probe -> (
     match
       worker_fault_point job.j_seq;
@@ -664,8 +645,7 @@ let execute st ~slot ~restarts job =
          quarantined — serving it again would serve the same corruption *)
       breaker_trip st key;
       locked st (fun () -> note_verdict st.n v);
-      respond st job.j_outlet (certification_failed_response req e);
-      0
+      respond st job.j_outlet (certification_failed_response req e)
     | o ->
       breaker_note st key false;
       locked st (fun () ->
@@ -674,8 +654,7 @@ let execute st ~slot ~restarts job =
       respond st job.j_outlet
         (Request.response ~id:req.rq_id ~code:o.ex_out.Jobs.code
            ~stdout:o.ex_out.Jobs.out ~stderr:o.ex_out.Jobs.err
-           ?error:o.ex_typed Request.Ok_done);
-      0
+           ?error:o.ex_typed Request.Ok_done)
     | exception e ->
       breaker_note st key true;
       locked st (fun () -> st.n.errors <- st.n.errors + 1);
@@ -683,18 +662,10 @@ let execute st ~slot ~restarts job =
         (Request.response ~id:req.rq_id ~code:Jobs.exit_internal
            ~reason:(Printexc.to_string e)
            ~error:(Err.worker_crash (Printexc.to_string e))
-           Request.Error_crash);
-      let restart = restarts + 1 in
-      locked st (fun () -> st.n.restarts_total <- st.n.restarts_total + 1);
-      let delay =
-        backoff_ms ~base:st.cfg.backoff_base_ms ~cap:st.cfg.backoff_cap_ms
-          ~seed:st.cfg.seed ~slot ~restart
-      in
-      Unix.sleepf (float_of_int delay /. 1000.0);
-      restart)
+           Request.Error_crash))
 
-let worker st slot () =
-  let rec loop restarts =
+let worker st () =
+  let rec loop () =
     let next =
       locked st (fun () ->
           let rec wait () =
@@ -717,9 +688,11 @@ let worker st slot () =
     in
     match next with
     | None -> ()
-    | Some job -> loop (execute st ~slot ~restarts job)
+    | Some job ->
+      execute st job;
+      loop ()
   in
-  loop 0
+  loop ()
 
 (* ---------------- admission (reader side) ---------------- *)
 
@@ -837,7 +810,6 @@ let make_state config =
         rejected = 0;
         quarantined = 0;
         invalid = 0;
-        restarts_total = 0;
         cert_sampled = 0;
         cert_passed = 0;
         delta_updates = 0;
@@ -927,9 +899,7 @@ let serve config ~listener ~stdio =
   let st = make_state config in
   prewarm_registry ();
   with_signals @@ fun () ->
-  let workers =
-    Array.init config.workers (fun slot -> Domain.spawn (worker st slot))
-  in
+  let workers = Array.init config.workers (fun _ -> Domain.spawn (worker st)) in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let add_conn ~stdio fd dest =
     let c =
@@ -964,10 +934,10 @@ let serve config ~listener ~stdio =
     respond st c.c_outlet response;
     c.c_stop_read <- true
   in
-  let refuse_oversize c bytes =
+  let refuse_oversize c =
     refuse c
       ~count:(fun n -> n.req_oversize <- n.req_oversize + 1)
-      (oversize_response ~max_line:config.max_line bytes)
+      (oversize_response ~max_line:config.max_line)
   in
   let refuse_timeout c =
     refuse c
@@ -1003,7 +973,7 @@ let serve config ~listener ~stdio =
       | Transport.Framing.Line l ->
         handle_line st ~outlet:c.c_outlet ~seq:!seq l;
         incr seq
-      | Transport.Framing.Oversize bytes -> refuse_oversize c bytes
+      | Transport.Framing.Oversize -> refuse_oversize c
     done
   in
   let note_events c events =

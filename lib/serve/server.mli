@@ -1,10 +1,11 @@
 (** The long-lived request-processing layer over the analyzer pipeline.
 
     One select loop reads newline-delimited JSON job requests
-    ({!Request}) from its connections — the stdio connection of {!run},
-    or the socket clients of {!run_listen} — executes them on a pool of
-    worker domains, and writes one response frame per request back on
-    the connection that submitted it.  Durability properties:
+    ({!Request}) from its connections — the stdio connection of {!run}
+    (a pipe, a file, or a {!Router} shard's socketpair), or the direct
+    socket clients of {!run_listen} — executes them on a pool of worker
+    domains, and writes one response frame per request back on the
+    connection that submitted it.  Durability properties:
 
     {ul
     {- {b conservation}: every submitted request line gets exactly one
@@ -18,8 +19,8 @@
        never drops silently;}
     {- {b supervision}: a crashing job (including fault-injected crashes
        at site [serve.worker:<seq>:<k>]) fails only its own request; the
-       worker restarts on a capped exponential backoff with
-       deterministic seeded jitter;}
+       exception leaves its worker domain intact, and the worker takes
+       the next job at once;}
     {- {b quarantine}: an input that crashes workers [breaker_threshold]
        times consecutively — or whose served solution fails online
        certification even once — is circuit-broken: later requests for
@@ -64,11 +65,7 @@ type config = {
           responses before emission, chosen deterministically per
           (seed, request sequence number); 0 disables sampling, 1.0
           certifies everything *)
-  backoff_base_ms : int;  (** first restart delay *)
-  backoff_cap_ms : int;  (** exponential backoff ceiling *)
-  seed : int;
-      (** seed of the backoff jitter (deterministic per (seed, slot,
-          restart)) and of the certification sample (per (seed, seq)) *)
+  seed : int;  (** seed of the certification sample (per (seed, seq)) *)
   health_out : string option;
       (** write a final [ipcp.health/1] snapshot to this path after the
           drain barrier, when every counter is settled — unlike
@@ -103,26 +100,21 @@ val solution_fault_site : int -> string
 
     The canonical terminal frames the serving tier answers without
     executing anything — so the router's refusals are byte-identical to
-    a single-process server's — and the supervision helpers. *)
+    a single-process server's — and the signal handling. *)
 
 val quarantined_response : Request.t -> Request.response
 
 val invalid_response : Request.parse_error -> Request.response
 
-(** The [invalid]/[E-REQ-OVERSIZE] frame of a request line that grew to
-    [bytes] buffered bytes past a cap of [max_line]. *)
-val oversize_response : max_line:int -> int -> Request.response
+(** The [invalid]/[E-REQ-OVERSIZE] frame of a request line longer than
+    [max_line] bytes.  It names the cap only, so its bytes depend on
+    neither the read size nor how the input arrived. *)
+val oversize_response : max_line:int -> Request.response
 
 (** The [rejected]/[E-LOAD-DRAIN] frame of a line read but never
     admitted before a drain, addressed by the line's id; [None] for a
     blank line, which is no request. *)
 val drained_line : string -> Request.response option
-
-(** Restart delay in milliseconds of a slot's [restart]-th consecutive
-    crash: exponential from [base], capped at [cap], plus jitter — a
-    pure function of ([seed], [slot], [restart]). *)
-val backoff_ms :
-  base:int -> cap:int -> seed:int -> slot:int -> restart:int -> int
 
 (** Run [f] with SIGTERM/SIGINT handlers that only request a graceful
     stop ({!stopping}); the previous handlers are restored on return. *)
@@ -171,7 +163,7 @@ val run :
 
     Returns the exit code (0; client failures never fail the server).
     The test-only [IPCP_SERVE_KILL_INPUT] environment hook (also honored
-    by {!run}) SIGKILLs the whole process when a matching input key
-    executes — how the shard-failover harnesses fell one shard
-    deterministically. *)
+    by {!run}, which is how a router shard is served) SIGKILLs the whole
+    process when a matching input key executes — how the shard-failover
+    harnesses fell one shard deterministically. *)
 val run_listen : ?config:config -> addr:Transport.addr -> unit -> int

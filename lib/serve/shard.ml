@@ -1,80 +1,51 @@
 type t = {
   sh_slot : int;
-  sh_addr : Transport.addr;
-  mutable sh_pid : int;
+  sh_pid : int;
+  sh_out : Transport.Outbuf.t;
   mutable sh_fd : Unix.file_descr option;
 }
 
 let slot t = t.sh_slot
 let pid t = t.sh_pid
-let addr t = t.sh_addr
 let fd t = t.sh_fd
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let dead pid =
-  match Unix.waitpid [ Unix.WNOHANG ] pid with
-  | 0, _ -> false
-  | _ -> true
-  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
-
-(* Retry until the child's listener accepts: there is no startup
-   handshake, the bound socket itself is the readiness signal. *)
-let rec connect_retry ~addr ~pid deadline =
-  match Transport.connect addr with
-  | fd -> fd
-  | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-    if dead pid then
-      failwith
-        (Printf.sprintf "shard at %s died before accepting connections"
-           (Transport.addr_to_string addr))
-    else if Unix.gettimeofday () > deadline then
-      failwith
-        (Printf.sprintf "shard at %s did not accept within the connect \
-                         timeout"
-           (Transport.addr_to_string addr))
-    else begin
-      Unix.sleepf 0.02;
-      connect_retry ~addr ~pid deadline
-    end
-
-let start ~binary ~addr ~slot ~args ~connect_timeout_ms =
-  let argv =
-    Array.of_list
-      (binary :: "serve" :: "--listen" :: Transport.addr_to_string addr :: args)
+(* Both ends are close-on-exec: [create_process] dup2s the child's end
+   onto its fds 0 and 1, which clears the flag on those copies, and no
+   shard inherits another shard's router end.  So when the router dies,
+   every shard reads end of input. *)
+let start ~binary ~slot ~args =
+  let mine, theirs =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
-  let nul = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> close_quiet nul)
-      (fun () -> Unix.create_process binary argv nul Unix.stderr Unix.stderr)
-  in
-  let deadline =
-    Unix.gettimeofday () +. (float_of_int connect_timeout_ms /. 1000.0)
-  in
-  match connect_retry ~addr ~pid deadline with
-  | fd -> { sh_slot = slot; sh_addr = addr; sh_pid = pid; sh_fd = Some fd }
+  match
+    Unix.create_process binary
+      (Array.of_list (binary :: "serve" :: args))
+      theirs theirs Unix.stderr
+  with
+  | pid ->
+    close_quiet theirs;
+    {
+      sh_slot = slot;
+      sh_pid = pid;
+      (* uncapped: [Router.has_room] bounds what waits here *)
+      sh_out = Transport.Outbuf.create ~cap:max_int mine;
+      sh_fd = Some mine;
+    }
   | exception e ->
-    (if not (dead pid) then begin
-       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-     end);
+    close_quiet mine;
+    close_quiet theirs;
     raise e
 
-let rec write_all fd buf pos len =
-  if len > 0 then
-    match Unix.write fd buf pos len with
-    | n -> write_all fd buf (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf pos len
-
 let send t line =
-  match t.sh_fd with
-  | None -> false
-  | Some fd -> (
-    let b = Bytes.of_string (line ^ "\n") in
-    match write_all fd b 0 (Bytes.length b) with
-    | () -> true
-    | exception (Unix.Unix_error _ | Sys_error _) -> false)
+  Option.is_some t.sh_fd
+  && Transport.Outbuf.write t.sh_out (line ^ "\n") <> `Dead
+
+let pending t = Option.is_some t.sh_fd && Transport.Outbuf.pending t.sh_out
+
+let flush t =
+  Option.is_some t.sh_fd && Transport.Outbuf.service t.sh_out <> `Dead
 
 let reap ?(patience_ms = 5000) t =
   let deadline =
@@ -99,12 +70,10 @@ let reap ?(patience_ms = 5000) t =
 let abandon t =
   Option.iter close_quiet t.sh_fd;
   t.sh_fd <- None;
-  reap ~patience_ms:2000 t;
-  Transport.unlink_addr t.sh_addr
+  reap ~patience_ms:2000 t
 
 let terminate ?patience_ms t =
   Option.iter close_quiet t.sh_fd;
   t.sh_fd <- None;
   (try Unix.kill t.sh_pid Sys.sigterm with Unix.Unix_error _ -> ());
-  reap ?patience_ms t;
-  Transport.unlink_addr t.sh_addr
+  reap ?patience_ms t

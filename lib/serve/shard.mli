@@ -1,47 +1,51 @@
-(** One supervised shard: an [ipcp serve --listen] worker process plus
-    the router's client connection to it.
+(** One supervised shard: an [ipcp serve] worker process in stdio mode,
+    whose stdin and stdout are one end of a socketpair the router holds
+    the other end of.
 
-    The handle owns the process and the socket, nothing else — inflight
-    bookkeeping, routing, and failover live in {!Router}.  A shard's
-    stdout/stderr are pointed at the supervisor's stderr (a socket-mode
-    server never speaks on stdout, and its stderr accounting lines —
-    e.g. [E-LOAD-GONE] — must surface), so the supervisor's stdout
-    stays a pure response-frame stream. *)
+    The handle owns the process and the router's end, nothing else —
+    inflight bookkeeping, routing, and failover live in {!Router}.  A
+    shard's stderr is the router's stderr, so its diagnostics surface
+    and the router's stdout stays a pure response-frame stream.  Both
+    ends are close-on-exec, so a shard holds no other shard's end: when
+    the router dies, for any reason, every shard reads end of input,
+    drains and exits. *)
 
 type t
 
 val slot : t -> int
 val pid : t -> int
-val addr : t -> Transport.addr
 
-(** The connected socket, while the shard is up. *)
+(** The router's end of the socketpair, while the shard is up. *)
 val fd : t -> Unix.file_descr option
 
-(** Spawn the worker process ([binary serve --listen ADDR args]) and
-    connect to it, retrying the connect until the listener is up or
-    [connect_timeout_ms] expires.  Raises [Failure] when the process
-    dies before accepting or the timeout expires. *)
-val start :
-  binary:string ->
-  addr:Transport.addr ->
-  slot:int ->
-  args:string list ->
-  connect_timeout_ms:int ->
-  t
+(** Spawn the worker process ([binary serve args]) on a fresh
+    socketpair.  Raises [Unix.Unix_error] when the socketpair or the
+    process cannot be created. *)
+val start : binary:string -> slot:int -> args:string list -> t
 
-(** Write one request line (newline appended).  [false] means the write
+(** Queue one request line (newline appended) for the shard.  Writes
+    never block: what the socket does not take at once is buffered
+    ({!Transport.Outbuf}) until {!flush}.  [false] means the write
     failed — the shard is dead or dying and the caller should run its
     death protocol. *)
 val send : t -> string -> bool
 
-(** Tear down the connection and note the process gone; reaps the child
-    (it is already dead when this is called on the EOF path, so the wait
-    does not block meaningfully). *)
+(** Buffered request bytes wait for the fd to turn writable. *)
+val pending : t -> bool
+
+(** Resume the buffered bytes (call when the fd is writable); [false]
+    as for {!send}. *)
+val flush : t -> bool
+
+(** Close the router's end and reap the child (it is already dead when
+    this is called on the EOF path, so the wait does not block
+    meaningfully). *)
 val abandon : t -> unit
 
-(** Graceful stop: close the connection (the shard sees client EOF),
-    send SIGTERM, and reap.  Escalates to SIGKILL if the shard has not
-    exited within [patience_ms] (default ~5s) — the router's heartbeat
-    ejection passes a short fuse, since a shard being ejected is by
-    definition not responding and will likely need the escalation. *)
+(** Graceful stop: close the router's end (the shard reads end of
+    input), send SIGTERM, and reap.  Escalates to SIGKILL if the shard
+    has not exited within [patience_ms] (default ~5s) — the router's
+    heartbeat ejection passes a short fuse, since a shard being ejected
+    is by definition not responding and will likely need the
+    escalation. *)
 val terminate : ?patience_ms:int -> t -> unit

@@ -79,7 +79,7 @@ let connect addr =
 module Framing = struct
   type t = { buf : Buffer.t; max_line : int; mutable poisoned : bool }
 
-  type event = Line of string | Oversize of int
+  type event = Line of string | Oversize
 
   let create ~max_line = { buf = Buffer.create 256; max_line; poisoned = false }
 
@@ -89,23 +89,23 @@ module Framing = struct
       Buffer.add_string t.buf chunk;
       let data = Buffer.contents t.buf in
       let events = ref [] in
-      let over n =
+      let over () =
         t.poisoned <- true;
         Buffer.clear t.buf;
-        events := Oversize n :: !events
+        events := Oversize :: !events
       in
       let rec go start =
         if not t.poisoned then
           match String.index_from_opt data start '\n' with
           | Some nl ->
-            if t.max_line > 0 && nl - start > t.max_line then over (nl - start)
+            if t.max_line > 0 && nl - start > t.max_line then over ()
             else begin
               events := Line (String.sub data start (nl - start)) :: !events;
               go (nl + 1)
             end
           | None ->
             let rest = String.length data - start in
-            if t.max_line > 0 && rest > t.max_line then over rest
+            if t.max_line > 0 && rest > t.max_line then over ()
             else begin
               Buffer.clear t.buf;
               Buffer.add_substring t.buf data start rest

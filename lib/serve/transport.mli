@@ -37,9 +37,9 @@ module Framing : sig
 
   type event =
     | Line of string  (** one complete request line (newline stripped) *)
-    | Oversize of int
-        (** the buffered line exceeded [max_line] at this many bytes;
-            terminal — the framer ignores all further input *)
+    | Oversize
+        (** the buffered line exceeded [max_line]; terminal — the
+            framer ignores all further input *)
 
   (** [max_line <= 0] leaves the length unchecked. *)
   val create : max_line:int -> t
@@ -55,16 +55,18 @@ module Framing : sig
   val partial : t -> bool
 end
 
-(** The write-side twin of {!Framing}: response frames to a socket peer
+(** The write-side twin of {!Framing}: frames to a socket peer — a
+    listener's responses to a client, the router's requests to a shard —
     survive short/partial writes.  The fd is switched to nonblocking at
     {!Outbuf.create}; a write the kernel only partially accepts
     ([EAGAIN]/[EWOULDBLOCK] mid-frame) buffers its unwritten tail, and
     the select loop resumes it with {!Outbuf.service} when the fd turns
-    writable — frames are never torn, never reordered, and a worker
-    domain never blocks on a slow client.  A tail that outgrows the cap
-    (default 8 MiB) or any hard write error latches the buffer dead:
-    the peer is treated as gone and the bytes are dropped (the caller
-    does its E-LOAD-GONE accounting). *)
+    writable — frames are never torn, never reordered, and neither a
+    worker domain nor the router blocks on a slow reader.  A tail that
+    outgrows the cap (default 8 MiB) or any hard write error latches the
+    buffer dead: the peer is treated as gone and the bytes are dropped
+    (a listener does its E-LOAD-GONE accounting, the router its shard
+    death protocol). *)
 module Outbuf : sig
   type t
 

@@ -422,8 +422,9 @@ let test_broken_output_pipe_exits_3 () =
 (* [ipcp route] caps stdin lines with serve's default cap and forwards
    every line it admits: a line exactly at the cap is served as [ipcp
    serve] serves it, although the router's id rewrite lengthens it past
-   the cap, and a line over the cap gets serve's [E-REQ-OVERSIZE]
-   refusal.  No shard is lost for either. *)
+   the cap, and a line over the cap, by 100 bytes or by 2 MiB, gets the
+   very bytes of serve's [E-REQ-OVERSIZE] refusal, however many bytes
+   each reads at a time.  No shard is lost for any of them. *)
 let test_route_line_cap () =
   let open Ipcp_telemetry in
   let cap = 1 lsl 20 in
@@ -483,18 +484,21 @@ let test_route_line_cap () =
         | Error e -> fail (Fmt.str "bad frame %S: %s" l e))
       lines
   in
-  let over_cap = request ~id:"b" (cap + 100) in
-  let _, serve_out = run_stdin [ "serve" ] over_cap in
-  let _, route_out = route over_cap in
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
-    "serve refuses a line over the cap"
-    [ ("invalid", "E-REQ-OVERSIZE") ]
-    (status_and_code serve_out);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
-    "route refuses it as serve does" (status_and_code serve_out)
-    (status_and_code route_out)
+  List.iter
+    (fun bytes ->
+      let over_cap = request ~id:"b" bytes in
+      let _, serve_out = run_stdin [ "serve" ] over_cap in
+      let _, route_out = route over_cap in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+        (Fmt.str "serve refuses a %d-byte line" bytes)
+        [ ("invalid", "E-REQ-OVERSIZE") ]
+        (status_and_code serve_out);
+      check
+        (Alcotest.list Alcotest.string)
+        (Fmt.str "route refuses a %d-byte line with serve's frame" bytes)
+        serve_out route_out)
+    [ cap + 100; 3 lsl 20 ]
 
 let suite =
   [

@@ -984,9 +984,7 @@ let run_serve_smoke () =
       extra
   in
   let fault_run workers =
-    let sp = start_server (fault_args [| "--workers"; workers;
-                                         "--backoff-ms"; "1";
-                                         "--backoff-cap-ms"; "5" |]) in
+    let sp = start_server (fault_args [| "--workers"; workers |]) in
     List.iter
       (fun (name, path) -> submit sp (analyze_req ~id:name ~path))
       suite_files;
@@ -1120,6 +1118,26 @@ let shard_pids path =
          match String.split_on_char ' ' (String.trim l) with
          | [ _slot; pid ] -> int_of_string_opt pid
          | _ -> None)
+
+(* A process has exited once it is gone or a zombie: an orphan is reaped
+   by whoever adopted it, perhaps never.  The state is read from
+   /proc/PID/stat where there is one (it follows the parenthesised
+   command name); elsewhere only a vanished pid counts. *)
+let pid_exited pid =
+  match open_in (Printf.sprintf "/proc/%d/stat" pid) with
+  | ic -> (
+    let stat =
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> try input_line ic with End_of_file | Sys_error _ -> "")
+    in
+    match String.rindex_opt stat ')' with
+    | Some i when i + 2 < String.length stat -> stat.[i + 2] = 'Z'
+    | _ -> false)
+  | exception Sys_error _ -> (
+    match Unix.kill pid 0 with
+    | () -> false
+    | exception Unix.Unix_error _ -> true)
 
 (* Read [fd] until one full '\n'-terminated frame (returned without the
    newline) or EOF; [None] when the peer closed without answering. *)
@@ -1529,11 +1547,47 @@ let run_serve_shard () =
   in
   if gone_entries = [] then
     err "defense: no E-LOAD-GONE accounting entry on the listener's stderr";
+  (* ---- gate 6: a SIGKILLed router takes its shards with it ----
+     Each shard's stdin and stdout are its end of a socketpair whose
+     other end only the router holds, so the router's death, however it
+     dies, is every shard's end of input: after one answered request
+     and a SIGKILL of the router, every shard pid must exit within 5 s.
+     One still running is killed here, after the failure is counted. *)
+  let pids_path = Filename.concat dir "pids.orphans" in
+  let sp = start_router [| "--shards"; "2"; "--shard-pids"; pids_path |] in
+  (match SReq.response_of_line (rpc sp (suite_line ~id:"r1" healthy)) with
+  | Ok { rs_status = SReq.Ok_done; _ } -> ()
+  | Ok r -> err "router kill: r1: status %s" (SReq.status_name r.rs_status)
+  | Error e -> err "router kill: r1: unparseable frame: %s" e);
+  let orphans = shard_pids pids_path in
+  if List.length orphans <> 2 then
+    err "router kill: %d shard pids written, expected 2" (List.length orphans);
+  Unix.kill sp.sp_pid Sys.sigkill;
+  ignore (Unix.waitpid [] sp.sp_pid);
+  close_out_noerr sp.sp_send;
+  close_in_noerr sp.sp_recv;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec running () =
+    match List.filter (fun pid -> not (pid_exited pid)) orphans with
+    | _ :: _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      running ()
+    | alive -> alive
+  in
+  (match running () with
+  | [] -> ()
+  | alive ->
+    err "router kill: shard pid(s) %s still running 5 s after the router's \
+         SIGKILL"
+      (String.concat " " (List.map string_of_int alive));
+    List.iter
+      (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+      alive);
   if !failures = 0 then begin
     Fmt.pr
       "serve-shard: identity, SIGKILL conservation, poison quarantine, \
-       session failover and socket-defense gates all passed (shards \
-       1/2/4)@.";
+       session failover, socket-defense and router-SIGKILL gates all passed \
+       (shards 1/2/4)@.";
     0
   end
   else begin
