@@ -111,6 +111,11 @@ echo "== oracles on a big input"
 # of the edited program prints.
 dune exec --no-build -- ipcp generate --seed 42 --procs 1600 --stmts 10 > "$tmpdir/big.f"
 dune exec --no-build -- ipcp certify "$tmpdir/big.f"
+# The substituted source is printed from the resolved program, the one
+# MiniFort printer: at this size it must still resolve and certify.
+dune exec --no-build -- ipcp analyze "$tmpdir/big.f" \
+  --substitute "$tmpdir/big_substituted.f" > /dev/null
+dune exec --no-build -- ipcp certify "$tmpdir/big_substituted.f"
 # One profile must explain the run: the frontend is parse and sema (the
 # parser pulls its tokens from the lexer), the pipeline stages are all
 # there, substitution has a span of its own, and the certifier has one
@@ -369,8 +374,10 @@ echo "== serve shard fleet"
 # processes, a respawned shard starting a lost incremental session again
 # (the next delta byte-identical to a from-scratch analyze, counted in
 # serve.delta_fresh), the socket listener's oversize / slow-loris /
-# client-gone defenses driven over a real unix socket, and a SIGKILLed
-# router whose every shard must exit within 5 s.
+# client-gone defenses driven over a real unix socket, a SIGKILLed
+# router whose every shard must exit within 5 s, and a SIGTERMed router
+# whose binary is gone (no shard can respawn), which must still answer
+# its parked request with a drain frame and exit 0 within 5 s.
 for seed in 7 11; do
   echo "-- seed $seed"
   dune exec --no-build tools/fuzz.exe -- --serve-shard --seed "$seed" \

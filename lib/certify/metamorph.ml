@@ -2,193 +2,110 @@
     a certified analysis must report the same facts for the transformed
     program as for the original (constants counted per procedure, total
     substitutions), because neither transform changes what any procedure
-    computes.
+    computes.  Both resolve the source, transform the resolved program
+    and print it with {!Pretty}, so [parameter] constants come out
+    folded; a negative one prints as a negation, which the literal jump
+    function does not read as a literal.
 
-    - {!rename_variables}: consistently rename declared variables inside
-      each unit.  Replacement names keep the original's first-letter
-      class so FORTRAN implicit typing is preserved, and common-block
-      members may be renamed freely because common association is
-      positional, not nominal.  Procedure names, intrinsics, and
-      undeclared (implicitly typed) names are left alone.
+    - {!rename_variables}: rename formals, locals and common aliases
+      inside each procedure.  Replacement names keep the original's
+      first letter, so implicit typing sees the same class and the
+      printed declarations stay the same; common aliases may be renamed
+      freely because common association is positional, not nominal.
+      Procedure names and function results are left alone.
     - {!reorder_procs}: shuffle the order of program units; unit order
       carries no meaning. *)
 
 open Ipcp_frontend
 module Prng = Ipcp_support.Prng
 
-(* Names that may never be used as replacements or renamed: every unit
-   name (they are callees) and the intrinsics. *)
-let protected_names (units : Ast.program) : (string, unit) Hashtbl.t =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (u : Ast.punit) -> Hashtbl.replace tbl u.uname ()) units;
-  List.iter (fun n -> Hashtbl.replace tbl n ()) [ "abs"; "min"; "max"; "mod" ];
-  tbl
-
-(* Every identifier appearing anywhere in a unit, so fresh names cannot
-   capture anything. *)
-let unit_identifiers (u : Ast.punit) : (string, unit) Hashtbl.t =
-  let tbl = Hashtbl.create 32 in
-  let add n = Hashtbl.replace tbl n () in
-  add u.uname;
-  List.iter add u.uformals;
-  List.iter
-    (function
-      | Ast.Dtype (_, items) -> List.iter (fun (n, _) -> add n) items
-      | Ast.Dcommon (blk, members) ->
-        add blk;
-        List.iter add members
-      | Ast.Dparameter ps -> List.iter (fun (n, _) -> add n) ps
-      | Ast.Ddata items -> List.iter (fun (n, _) -> add n) items)
-    u.udecls;
-  let rec expr (e : Ast.expr) =
-    match e.edesc with
-    | Ast.Ename n -> add n
-    | Ast.Eapply (n, args) ->
-      add n;
-      List.iter expr args
-    | Ast.Eunop (_, a) -> expr a
-    | Ast.Ebinop (_, a, b) ->
-      expr a;
-      expr b
-    | Ast.Eint _ | Ast.Ereal _ | Ast.Ebool _ | Ast.Estring _ -> ()
+(* [procs] holds every procedure name: a replacement may not be a
+   callee's name. *)
+let rename_proc (prng : Prng.t) (procs : (string, Prog.proc) Hashtbl.t)
+    (p : Prog.proc) : Prog.proc =
+  let names =
+    List.map (fun (v : Prog.var) -> v.vname) (p.pformals @ p.plocals)
+    @ List.map fst p.pglobals
   in
-  let lhs (l : Ast.lhs) =
-    add l.lname;
-    List.iter expr l.lindex
-  in
-  let rec stmt (s : Ast.stmt) =
-    match s.sdesc with
-    | Ast.Sassign (l, e) ->
-      lhs l;
-      expr e
-    | Ast.Scall (n, args) ->
-      add n;
-      List.iter expr args
-    | Ast.Sif (arms, els) ->
-      List.iter
-        (fun (c, b) ->
-          expr c;
-          List.iter stmt b)
-        arms;
-      List.iter stmt els
-    | Ast.Sdo (v, lo, hi, step, b) ->
-      add v;
-      expr lo;
-      expr hi;
-      Option.iter expr step;
-      List.iter stmt b
-    | Ast.Sdowhile (c, b) ->
-      expr c;
-      List.iter stmt b
-    | Ast.Sprint es -> List.iter expr es
-    | Ast.Sread ls -> List.iter lhs ls
-    | Ast.Sgoto _ | Ast.Scontinue | Ast.Sreturn | Ast.Sstop -> ()
-  in
-  List.iter stmt u.ubody;
-  tbl
-
-(* The names a unit declares itself — the safely renameable set. *)
-let declared_names (u : Ast.punit) : string list =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  let add n =
-    if not (Hashtbl.mem seen n) then begin
-      Hashtbl.replace seen n ();
-      order := n :: !order
-    end
-  in
-  List.iter add u.uformals;
-  List.iter
-    (function
-      | Ast.Dtype (_, items) -> List.iter (fun (n, _) -> add n) items
-      | Ast.Dcommon (_, members) -> List.iter add members
-      | Ast.Dparameter ps -> List.iter (fun (n, _) -> add n) ps
-      | Ast.Ddata items -> List.iter (fun (n, _) -> add n) items)
-    u.udecls;
-  List.rev !order
-
-let rename_unit (prng : Prng.t) (protect : (string, unit) Hashtbl.t)
-    (u : Ast.punit) : Ast.punit =
-  let used = unit_identifiers u in
-  let mapping : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  (* every name of the procedure is taken, so a fresh one captures
+     nothing *)
+  let used = Hashtbl.create 32 in
+  List.iter (fun n -> Hashtbl.replace used n ()) names;
+  let mapping = Hashtbl.create 16 in
   let counter = ref 0 in
   List.iter
     (fun name ->
-      if (not (Hashtbl.mem protect name)) && Prng.chance prng 0.8 then begin
-        (* keep the first letter: implicit typing (i..n → integer) must
-           see the same class, and the result variable keeps its type *)
-        let fresh =
-          let rec next () =
-            incr counter;
-            let candidate = Fmt.str "%czz%d" name.[0] !counter in
-            if Hashtbl.mem used candidate || Hashtbl.mem protect candidate
-            then next ()
-            else candidate
-          in
-          next ()
+      if Prng.chance prng 0.8 then begin
+        let rec fresh () =
+          incr counter;
+          let candidate = Fmt.str "%czz%d" name.[0] !counter in
+          if Hashtbl.mem used candidate || Hashtbl.mem procs candidate then
+            fresh ()
+          else candidate
         in
-        Hashtbl.replace used fresh ();
-        Hashtbl.replace mapping name fresh
+        let name' = fresh () in
+        Hashtbl.replace used name' ();
+        Hashtbl.replace mapping name name'
       end)
-    (declared_names u);
-  let rn n = Hashtbl.find_opt mapping n |> Option.value ~default:n in
-  let rec expr (e : Ast.expr) =
-    match e.edesc with
-    | Ast.Ename n -> { e with edesc = Ast.Ename (rn n) }
-    | Ast.Eapply (n, args) ->
-      (* an array reference renames with its array; a renamed name is
-         never a procedure (procedures are protected) *)
-      { e with edesc = Ast.Eapply (rn n, List.map expr args) }
-    | Ast.Eunop (op, a) -> { e with edesc = Ast.Eunop (op, expr a) }
-    | Ast.Ebinop (op, a, b) -> { e with edesc = Ast.Ebinop (op, expr a, expr b) }
-    | Ast.Eint _ | Ast.Ereal _ | Ast.Ebool _ | Ast.Estring _ -> e
+    names;
+  let rn n = Option.value ~default:n (Hashtbl.find_opt mapping n) in
+  let var (v : Prog.var) = { v with vname = rn v.vname } in
+  let rec expr (e : Prog.expr) =
+    let edesc =
+      match e.edesc with
+      | Prog.Evar v -> Prog.Evar (var v)
+      | Prog.Earr (v, idx) -> Prog.Earr (var v, List.map expr idx)
+      | Prog.Ecall (f, args) -> Prog.Ecall (f, List.map expr args)
+      | Prog.Eintr (i, args) -> Prog.Eintr (i, List.map expr args)
+      | Prog.Eun (op, a) -> Prog.Eun (op, expr a)
+      | Prog.Ebin (op, a, b) -> Prog.Ebin (op, expr a, expr b)
+      | (Prog.Cint _ | Prog.Creal _ | Prog.Cbool _ | Prog.Cstr _) as d -> d
+    in
+    { e with edesc }
   in
-  let lhs (l : Ast.lhs) =
-    { l with lname = rn l.lname; lindex = List.map expr l.lindex }
+  let lhs = function
+    | Prog.Lvar v -> Prog.Lvar (var v)
+    | Prog.Larr (v, idx) -> Prog.Larr (var v, List.map expr idx)
   in
-  let rec stmt (s : Ast.stmt) =
+  let rec stmt (s : Prog.stmt) =
     let sdesc =
       match s.sdesc with
-      | Ast.Sassign (l, e) -> Ast.Sassign (lhs l, expr e)
-      | Ast.Scall (n, args) -> Ast.Scall (n, List.map expr args)
-      | Ast.Sif (arms, els) ->
-        Ast.Sif
+      | Prog.Sassign (l, e) -> Prog.Sassign (lhs l, expr e)
+      | Prog.Scall (f, args) -> Prog.Scall (f, List.map expr args)
+      | Prog.Sif (arms, els) ->
+        Prog.Sif
           ( List.map (fun (c, b) -> (expr c, List.map stmt b)) arms,
             List.map stmt els )
-      | Ast.Sdo (v, lo, hi, step, b) ->
-        Ast.Sdo (rn v, expr lo, expr hi, Option.map expr step, List.map stmt b)
-      | Ast.Sdowhile (c, b) -> Ast.Sdowhile (expr c, List.map stmt b)
-      | Ast.Sprint es -> Ast.Sprint (List.map expr es)
-      | Ast.Sread ls -> Ast.Sread (List.map lhs ls)
-      | (Ast.Sgoto _ | Ast.Scontinue | Ast.Sreturn | Ast.Sstop) as d -> d
+      | Prog.Sdo (v, lo, hi, step, b) ->
+        Prog.Sdo (var v, expr lo, expr hi, Option.map expr step, List.map stmt b)
+      | Prog.Sdowhile (c, b) -> Prog.Sdowhile (expr c, List.map stmt b)
+      | Prog.Sprint es -> Prog.Sprint (List.map expr es)
+      | Prog.Sread ls -> Prog.Sread (List.map lhs ls)
+      | (Prog.Sgoto _ | Prog.Scontinue | Prog.Sreturn | Prog.Sstop) as d -> d
     in
     { s with sdesc }
   in
-  let decl = function
-    | Ast.Dtype (ty, items) ->
-      Ast.Dtype (ty, List.map (fun (n, dims) -> (rn n, dims)) items)
-    | Ast.Dcommon (blk, members) -> Ast.Dcommon (blk, List.map rn members)
-    | Ast.Dparameter ps -> Ast.Dparameter (List.map (fun (n, e) -> (rn n, expr e)) ps)
-    | Ast.Ddata items -> Ast.Ddata (List.map (fun (n, vs) -> (rn n, vs)) items)
-  in
   {
-    u with
-    uformals = List.map rn u.uformals;
-    udecls = List.map decl u.udecls;
-    ubody = List.map stmt u.ubody;
+    p with
+    pformals = List.map var p.pformals;
+    plocals = List.map var p.plocals;
+    pglobals = List.map (fun (alias, g) -> (rn alias, g)) p.pglobals;
+    pdata =
+      List.map (fun (d : Prog.data_init) -> { d with di_var = var d.di_var }) p.pdata;
+    pbody = List.map stmt p.pbody;
   }
 
-(** Rename declared variables throughout [source] (seeded selection of
-    names).  Raises {!Loc.Error} on malformed input. *)
+(** Rename variables throughout [source] (seeded selection of names).
+    Raises {!Loc.Error} on malformed input. *)
 let rename_variables ~seed (source : string) : string =
-  let units = Parser.parse_program source in
-  let protect = protected_names units in
-  let prng = Prng.create seed in
-  Pretty.ast_program_to_string (List.map (rename_unit prng protect) units)
+  let prog = Sema.parse_and_resolve source in
+  let procs = Prog.proc_table prog and prng = Prng.create seed in
+  Pretty.program_to_string
+    { prog with procs = List.map (rename_proc prng procs) prog.procs }
 
 (** Shuffle the program-unit order (seeded).  Raises {!Loc.Error} on
     malformed input. *)
 let reorder_procs ~seed (source : string) : string =
-  let units = Parser.parse_program source in
-  let prng = Prng.create seed in
-  Pretty.ast_program_to_string (Prng.shuffle prng units)
+  let prog = Sema.parse_and_resolve source in
+  Pretty.program_to_string
+    { prog with procs = Prng.shuffle (Prng.create seed) prog.procs }

@@ -86,11 +86,6 @@ type decl =
 
 type unit_kind = Uprogram | Usubroutine | Ufunction
 
-let pp_unit_kind ppf = function
-  | Uprogram -> Fmt.string ppf "program"
-  | Usubroutine -> Fmt.string ppf "subroutine"
-  | Ufunction -> Fmt.string ppf "function"
-
 type punit = {
   ukind : unit_kind;
   uname : string;
@@ -101,96 +96,3 @@ type punit = {
 }
 
 type program = punit list
-
-(* ------------------------------------------------------------------ *)
-(* Structural equality that ignores source locations — used by the
-   parse/print round-trip property tests. *)
-
-let rec equal_expr (a : expr) (b : expr) =
-  match (a.edesc, b.edesc) with
-  | Eint x, Eint y -> x = y
-  | Ereal x, Ereal y -> x = y
-  | Ebool x, Ebool y -> x = y
-  | Estring x, Estring y -> String.equal x y
-  | Ename x, Ename y -> String.equal x y
-  | Eapply (f, xs), Eapply (g, ys) ->
-    String.equal f g && equal_exprs xs ys
-  | Eunop (o, x), Eunop (p, y) -> o = p && equal_expr x y
-  | Ebinop (o, x1, x2), Ebinop (p, y1, y2) ->
-    o = p && equal_expr x1 y1 && equal_expr x2 y2
-  | ( ( Eint _ | Ereal _ | Ebool _ | Estring _ | Ename _ | Eapply _ | Eunop _
-      | Ebinop _ ),
-      _ ) ->
-    false
-
-and equal_exprs xs ys =
-  List.length xs = List.length ys && List.for_all2 equal_expr xs ys
-
-let equal_lhs (a : lhs) (b : lhs) =
-  String.equal a.lname b.lname && equal_exprs a.lindex b.lindex
-
-let rec equal_stmt (a : stmt) (b : stmt) =
-  a.label = b.label
-  &&
-  match (a.sdesc, b.sdesc) with
-  | Sassign (l1, e1), Sassign (l2, e2) -> equal_lhs l1 l2 && equal_expr e1 e2
-  | Scall (f, xs), Scall (g, ys) -> String.equal f g && equal_exprs xs ys
-  | Sif (arms1, else1), Sif (arms2, else2) ->
-    List.length arms1 = List.length arms2
-    && List.for_all2
-         (fun (c1, b1) (c2, b2) -> equal_expr c1 c2 && equal_stmts b1 b2)
-         arms1 arms2
-    && equal_stmts else1 else2
-  | Sdo (v1, l1, h1, s1, b1), Sdo (v2, l2, h2, s2, b2) ->
-    String.equal v1 v2 && equal_expr l1 l2 && equal_expr h1 h2
-    && Option.equal equal_expr s1 s2
-    && equal_stmts b1 b2
-  | Sdowhile (c1, b1), Sdowhile (c2, b2) -> equal_expr c1 c2 && equal_stmts b1 b2
-  | Sgoto x, Sgoto y -> x = y
-  | Scontinue, Scontinue | Sreturn, Sreturn | Sstop, Sstop -> true
-  | Sprint xs, Sprint ys -> equal_exprs xs ys
-  | Sread xs, Sread ys ->
-    List.length xs = List.length ys && List.for_all2 equal_lhs xs ys
-  | ( ( Sassign _ | Scall _ | Sif _ | Sdo _ | Sdowhile _ | Sgoto _ | Scontinue
-      | Sreturn | Sstop | Sprint _ | Sread _ ),
-      _ ) ->
-    false
-
-and equal_stmts xs ys =
-  List.length xs = List.length ys && List.for_all2 equal_stmt xs ys
-
-let equal_decl (a : decl) (b : decl) =
-  match (a, b) with
-  | Dtype (t1, items1), Dtype (t2, items2) ->
-    t1 = t2
-    && List.length items1 = List.length items2
-    && List.for_all2
-         (fun (n1, d1) (n2, d2) -> String.equal n1 n2 && d1 = d2)
-         items1 items2
-  | Dcommon (b1, ms1), Dcommon (b2, ms2) ->
-    String.equal b1 b2
-    && List.length ms1 = List.length ms2
-    && List.for_all2 String.equal ms1 ms2
-  | Dparameter ps1, Dparameter ps2 ->
-    List.length ps1 = List.length ps2
-    && List.for_all2
-         (fun (n1, e1) (n2, e2) -> String.equal n1 n2 && equal_expr e1 e2)
-         ps1 ps2
-  | Ddata items1, Ddata items2 ->
-    List.length items1 = List.length items2
-    && List.for_all2
-         (fun (n1, vs1) (n2, vs2) -> String.equal n1 n2 && vs1 = vs2)
-         items1 items2
-  | (Dtype _ | Dcommon _ | Dparameter _ | Ddata _), _ -> false
-
-let equal_punit (a : punit) (b : punit) =
-  a.ukind = b.ukind
-  && String.equal a.uname b.uname
-  && List.length a.uformals = List.length b.uformals
-  && List.for_all2 String.equal a.uformals b.uformals
-  && List.length a.udecls = List.length b.udecls
-  && List.for_all2 equal_decl a.udecls b.udecls
-  && equal_stmts a.ubody b.ubody
-
-let equal_program (a : program) (b : program) =
-  List.length a = List.length b && List.for_all2 equal_punit a b

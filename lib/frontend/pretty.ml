@@ -1,10 +1,14 @@
-(** Printing MiniFort back to parseable source.
+(** Printing resolved MiniFort ({!Prog.t}) back to parseable source: the
+    one printer, used for [ipcp analyze --substitute] and for the
+    metamorphic transforms.
 
-    Two printers:
-    - {!pp_ast_program} prints the raw parser AST; [parse (print ast)] is
-      structurally equal to [ast] (the round-trip property test).
-    - {!pp_program} prints a resolved {!Prog.t}; used to emit the transformed
-      source after constant substitution. *)
+    Every local is declared, in [plocals] order, so printing, parsing
+    and resolving gives back procedures {!Prog.equal_proc} to the
+    printed ones, and [main] unchanged: [Sema] makes explicitly typed
+    names the first locals, in declaration order.  The exception is a
+    literal that only constant folding makes (of a [parameter], or by
+    substitution) and the lexer cannot read back: a negative number
+    prints as a negation, a non-finite real as a name. *)
 
 open Ast
 
@@ -44,28 +48,33 @@ let real_string f =
   then s
   else s ^ ".0"
 
-(* ------------------------------------------------------------------ *)
-(* Raw AST printer.                                                     *)
+let indent ppf n = Fmt.string ppf (String.make n ' ')
 
-let rec ast_expr_prec ppf (p, e) =
-  let atom fmt = Fmt.pf ppf fmt in
-  let self = prec_of_ast e in
+let label_prefix ppf = function
+  | Some n -> Fmt.pf ppf "%d " n
+  | None -> ()
+
+let rec expr_prec ppf (p, (e : Prog.expr)) =
+  let self = prec_of e in
   let wrap body = if self < p then Fmt.pf ppf "(%t)" body else body ppf in
   match e.edesc with
-  | Eint n ->
-    if n < 0 then wrap (fun ppf -> Fmt.pf ppf "-%d" (-n)) else atom "%d" n
-  | Ereal f -> atom "%s" (real_string f)
-  | Ebool true -> atom ".true."
-  | Ebool false -> atom ".false."
-  | Estring s -> atom "'%s'" (String.concat "''" (String.split_on_char '\'' s))
-  | Ename n -> atom "%s" n
-  | Eapply (f, args) ->
-    Fmt.pf ppf "%s(%a)" f (Fmt.list ~sep:(Fmt.any ", ") ast_expr_top) args
-  | Eunop (Neg, a) ->
-    wrap (fun ppf -> Fmt.pf ppf "-%a" ast_expr_prec (prec_neg + 1, a))
-  | Eunop (Not, a) ->
-    wrap (fun ppf -> Fmt.pf ppf ".not. %a" ast_expr_prec (prec_not, a))
-  | Ebinop (op, a, b) ->
+  | Cint n -> if n < 0 then wrap (fun ppf -> Fmt.pf ppf "-%d" (-n)) else Fmt.int ppf n
+  | Creal f -> Fmt.string ppf (real_string f)
+  | Cbool true -> Fmt.string ppf ".true."
+  | Cbool false -> Fmt.string ppf ".false."
+  | Cstr s -> Fmt.pf ppf "'%s'" (String.concat "''" (String.split_on_char '\'' s))
+  | Evar v -> Fmt.string ppf v.vname
+  | Earr (v, idx) ->
+    Fmt.pf ppf "%s(%a)" v.vname (Fmt.list ~sep:(Fmt.any ", ") expr_top) idx
+  | Ecall (f, args) ->
+    Fmt.pf ppf "%s(%a)" f (Fmt.list ~sep:(Fmt.any ", ") expr_top) args
+  | Eintr (intr, args) ->
+    Fmt.pf ppf "%s(%a)" (Prog.intrinsic_name intr)
+      (Fmt.list ~sep:(Fmt.any ", ") expr_top)
+      args
+  | Eun (Neg, a) -> wrap (fun ppf -> Fmt.pf ppf "-%a" expr_prec (prec_neg + 1, a))
+  | Eun (Not, a) -> wrap (fun ppf -> Fmt.pf ppf ".not. %a" expr_prec (prec_not, a))
+  | Ebin (op, a, b) ->
     let pr = prec op in
     let left = if op = Pow then pr + 1 else pr in
     let right =
@@ -76,170 +85,10 @@ let rec ast_expr_prec ppf (p, e) =
       | Add | Mul | And | Or -> pr
     in
     wrap (fun ppf ->
-        Fmt.pf ppf "%a %s %a" ast_expr_prec (left, a) (op_string op)
-          ast_expr_prec (right, b))
+        Fmt.pf ppf "%a %s %a" expr_prec (left, a) (op_string op)
+          expr_prec (right, b))
 
-and prec_of_ast (e : Ast.expr) =
-  match e.edesc with
-  | Eint n when n < 0 -> prec_neg
-  | Eint _ | Ereal _ | Ebool _ | Estring _ | Ename _ | Eapply _ -> prec_atom
-  | Eunop (Neg, _) -> prec_neg
-  | Eunop (Not, _) -> prec_not
-  | Ebinop (op, _, _) -> prec op
-
-and ast_expr_top ppf e = ast_expr_prec ppf (0, e)
-
-let pp_ast_expr = ast_expr_top
-
-let ast_lhs ppf (l : Ast.lhs) =
-  match l.lindex with
-  | [] -> Fmt.string ppf l.lname
-  | idx -> Fmt.pf ppf "%s(%a)" l.lname (Fmt.list ~sep:(Fmt.any ", ") ast_expr_top) idx
-
-let indent ppf n = Fmt.string ppf (String.make n ' ')
-
-let label_prefix ppf = function
-  | Some n -> Fmt.pf ppf "%d " n
-  | None -> ()
-
-let rec ast_stmt ind ppf (s : Ast.stmt) =
-  indent ppf ind;
-  label_prefix ppf s.label;
-  match s.sdesc with
-  | Sassign (l, e) -> Fmt.pf ppf "%a = %a@." ast_lhs l ast_expr_top e
-  | Scall (f, []) -> Fmt.pf ppf "call %s@." f
-  | Scall (f, args) ->
-    Fmt.pf ppf "call %s(%a)@." f (Fmt.list ~sep:(Fmt.any ", ") ast_expr_top) args
-  | Sif (arms, els) ->
-    (match arms with
-    | [] -> assert false
-    | (c0, b0) :: rest ->
-      Fmt.pf ppf "if (%a) then@." ast_expr_top c0;
-      List.iter (ast_stmt (ind + 2) ppf) b0;
-      List.iter
-        (fun (c, b) ->
-          Fmt.pf ppf "%aelse if (%a) then@." indent ind ast_expr_top c;
-          List.iter (ast_stmt (ind + 2) ppf) b)
-        rest;
-      if els <> [] then begin
-        Fmt.pf ppf "%aelse@." indent ind;
-        List.iter (ast_stmt (ind + 2) ppf) els
-      end;
-      Fmt.pf ppf "%aend if@." indent ind)
-  | Sdo (v, lo, hi, step, body) ->
-    (match step with
-    | None -> Fmt.pf ppf "do %s = %a, %a@." v ast_expr_top lo ast_expr_top hi
-    | Some st ->
-      Fmt.pf ppf "do %s = %a, %a, %a@." v ast_expr_top lo ast_expr_top hi
-        ast_expr_top st);
-    List.iter (ast_stmt (ind + 2) ppf) body;
-    Fmt.pf ppf "%aend do@." indent ind
-  | Sdowhile (c, body) ->
-    Fmt.pf ppf "do while (%a)@." ast_expr_top c;
-    List.iter (ast_stmt (ind + 2) ppf) body;
-    Fmt.pf ppf "%aend do@." indent ind
-  | Sgoto n -> Fmt.pf ppf "goto %d@." n
-  | Scontinue -> Fmt.pf ppf "continue@."
-  | Sreturn -> Fmt.pf ppf "return@."
-  | Sstop -> Fmt.pf ppf "stop@."
-  | Sprint [] -> Fmt.pf ppf "print *@."
-  | Sprint args ->
-    Fmt.pf ppf "print *, %a@." (Fmt.list ~sep:(Fmt.any ", ") ast_expr_top) args
-  | Sread ls -> Fmt.pf ppf "read *, %a@." (Fmt.list ~sep:(Fmt.any ", ") ast_lhs) ls
-
-let ast_decl ppf = function
-  | Dtype (ty, items) ->
-    let item ppf (name, dims) =
-      match dims with
-      | [] -> Fmt.string ppf name
-      | ds -> Fmt.pf ppf "%s(%a)" name (Fmt.list ~sep:(Fmt.any ", ") Fmt.int) ds
-    in
-    Fmt.pf ppf "  %a %a@." Ast.pp_ty ty (Fmt.list ~sep:(Fmt.any ", ") item) items
-  | Dcommon (block, members) ->
-    Fmt.pf ppf "  common /%s/ %a@." block
-      (Fmt.list ~sep:(Fmt.any ", ") Fmt.string)
-      members
-  | Dparameter ps ->
-    let pair ppf (n, e) = Fmt.pf ppf "%s = %a" n ast_expr_top e in
-    Fmt.pf ppf "  parameter (%a)@." (Fmt.list ~sep:(Fmt.any ", ") pair) ps
-  | Ddata items ->
-    let value ppf (dv : Ast.data_value) =
-      if dv.dv_repeat <> 1 then Fmt.pf ppf "%d*" dv.dv_repeat;
-      match dv.dv_lit with
-      | Ast.Dlit_int n -> Fmt.int ppf n
-      | Ast.Dlit_real f -> Fmt.string ppf (real_string f)
-      | Ast.Dlit_bool true -> Fmt.string ppf ".true."
-      | Ast.Dlit_bool false -> Fmt.string ppf ".false."
-    in
-    let item ppf (name, vs) =
-      Fmt.pf ppf "%s /%a/" name (Fmt.list ~sep:(Fmt.any ", ") value) vs
-    in
-    Fmt.pf ppf "  data %a@." (Fmt.list ~sep:(Fmt.any ", ") item) items
-
-let pp_ast_unit ppf (u : Ast.punit) =
-  (match u.ukind with
-  | Uprogram -> Fmt.pf ppf "program %s@." u.uname
-  | Usubroutine ->
-    if u.uformals = [] then Fmt.pf ppf "subroutine %s@." u.uname
-    else
-      Fmt.pf ppf "subroutine %s(%a)@." u.uname
-        (Fmt.list ~sep:(Fmt.any ", ") Fmt.string)
-        u.uformals
-  | Ufunction ->
-    Fmt.pf ppf "function %s(%a)@." u.uname
-      (Fmt.list ~sep:(Fmt.any ", ") Fmt.string)
-      u.uformals);
-  List.iter (ast_decl ppf) u.udecls;
-  List.iter (ast_stmt 2 ppf) u.ubody;
-  Fmt.pf ppf "end@."
-
-let pp_ast_program ppf (units : Ast.program) =
-  List.iteri
-    (fun i u ->
-      if i > 0 then Fmt.pf ppf "@.";
-      pp_ast_unit ppf u)
-    units
-
-let ast_program_to_string units = Fmt.str "%a" pp_ast_program units
-
-(* ------------------------------------------------------------------ *)
-(* Resolved program printer.                                            *)
-
-let rec prog_expr_prec ppf (p, (e : Prog.expr)) =
-  let self = prec_of_prog e in
-  let wrap body = if self < p then Fmt.pf ppf "(%t)" body else body ppf in
-  match e.edesc with
-  | Cint n -> if n < 0 then wrap (fun ppf -> Fmt.pf ppf "-%d" (-n)) else Fmt.int ppf n
-  | Creal f -> Fmt.string ppf (real_string f)
-  | Cbool true -> Fmt.string ppf ".true."
-  | Cbool false -> Fmt.string ppf ".false."
-  | Cstr s -> Fmt.pf ppf "'%s'" (String.concat "''" (String.split_on_char '\'' s))
-  | Evar v -> Fmt.string ppf v.vname
-  | Earr (v, idx) ->
-    Fmt.pf ppf "%s(%a)" v.vname (Fmt.list ~sep:(Fmt.any ", ") prog_expr_top) idx
-  | Ecall (f, args) ->
-    Fmt.pf ppf "%s(%a)" f (Fmt.list ~sep:(Fmt.any ", ") prog_expr_top) args
-  | Eintr (intr, args) ->
-    Fmt.pf ppf "%s(%a)" (Prog.intrinsic_name intr)
-      (Fmt.list ~sep:(Fmt.any ", ") prog_expr_top)
-      args
-  | Eun (Neg, a) -> wrap (fun ppf -> Fmt.pf ppf "-%a" prog_expr_prec (prec_neg + 1, a))
-  | Eun (Not, a) -> wrap (fun ppf -> Fmt.pf ppf ".not. %a" prog_expr_prec (prec_not, a))
-  | Ebin (op, a, b) ->
-    let pr = prec op in
-    let left = if op = Pow then pr + 1 else pr in
-    let right =
-      match op with
-      | Sub | Div -> pr + 1
-      | Pow -> pr - 1
-      | Lt | Le | Gt | Ge | Eq | Ne -> pr + 1
-      | Add | Mul | And | Or -> pr
-    in
-    wrap (fun ppf ->
-        Fmt.pf ppf "%a %s %a" prog_expr_prec (left, a) (op_string op)
-          prog_expr_prec (right, b))
-
-and prec_of_prog (e : Prog.expr) =
+and prec_of (e : Prog.expr) =
   match e.edesc with
   | Cint n when n < 0 -> prec_neg
   | Cint _ | Creal _ | Cbool _ | Cstr _ | Evar _ | Earr _ | Ecall _ | Eintr _
@@ -249,54 +98,54 @@ and prec_of_prog (e : Prog.expr) =
   | Eun (Not, _) -> prec_not
   | Ebin (op, _, _) -> prec op
 
-and prog_expr_top ppf e = prog_expr_prec ppf (0, e)
+and expr_top ppf e = expr_prec ppf (0, e)
 
-let pp_expr = prog_expr_top
+let pp_expr = expr_top
 
-let prog_lhs ppf = function
+let lhs ppf = function
   | Prog.Lvar v -> Fmt.string ppf v.Prog.vname
   | Prog.Larr (v, idx) ->
-    Fmt.pf ppf "%s(%a)" v.Prog.vname (Fmt.list ~sep:(Fmt.any ", ") prog_expr_top) idx
+    Fmt.pf ppf "%s(%a)" v.Prog.vname (Fmt.list ~sep:(Fmt.any ", ") expr_top) idx
 
-let rec prog_stmt ind ppf (s : Prog.stmt) =
+let rec stmt ind ppf (s : Prog.stmt) =
   indent ppf ind;
   label_prefix ppf s.slabel;
   match s.sdesc with
-  | Sassign (l, e) -> Fmt.pf ppf "%a = %a@." prog_lhs l prog_expr_top e
+  | Sassign (l, e) -> Fmt.pf ppf "%a = %a@." lhs l expr_top e
   | Scall (f, []) -> Fmt.pf ppf "call %s@." f
   | Scall (f, args) ->
-    Fmt.pf ppf "call %s(%a)@." f (Fmt.list ~sep:(Fmt.any ", ") prog_expr_top) args
+    Fmt.pf ppf "call %s(%a)@." f (Fmt.list ~sep:(Fmt.any ", ") expr_top) args
   | Sif (arms, els) ->
     (match arms with
     | [] ->
       (* an if with no arms can only arise from DCE; print its else inline *)
       Fmt.pf ppf "continue@.";
-      List.iter (prog_stmt ind ppf) els
+      List.iter (stmt ind ppf) els
     | (c0, b0) :: rest ->
-      Fmt.pf ppf "if (%a) then@." prog_expr_top c0;
-      List.iter (prog_stmt (ind + 2) ppf) b0;
+      Fmt.pf ppf "if (%a) then@." expr_top c0;
+      List.iter (stmt (ind + 2) ppf) b0;
       List.iter
         (fun (c, b) ->
-          Fmt.pf ppf "%aelse if (%a) then@." indent ind prog_expr_top c;
-          List.iter (prog_stmt (ind + 2) ppf) b)
+          Fmt.pf ppf "%aelse if (%a) then@." indent ind expr_top c;
+          List.iter (stmt (ind + 2) ppf) b)
         rest;
       if els <> [] then begin
         Fmt.pf ppf "%aelse@." indent ind;
-        List.iter (prog_stmt (ind + 2) ppf) els
+        List.iter (stmt (ind + 2) ppf) els
       end;
       Fmt.pf ppf "%aend if@." indent ind)
   | Sdo (v, lo, hi, step, body) ->
     (match step with
     | None ->
-      Fmt.pf ppf "do %s = %a, %a@." v.vname prog_expr_top lo prog_expr_top hi
+      Fmt.pf ppf "do %s = %a, %a@." v.vname expr_top lo expr_top hi
     | Some st ->
-      Fmt.pf ppf "do %s = %a, %a, %a@." v.vname prog_expr_top lo prog_expr_top hi
-        prog_expr_top st);
-    List.iter (prog_stmt (ind + 2) ppf) body;
+      Fmt.pf ppf "do %s = %a, %a, %a@." v.vname expr_top lo expr_top hi
+        expr_top st);
+    List.iter (stmt (ind + 2) ppf) body;
     Fmt.pf ppf "%aend do@." indent ind
   | Sdowhile (c, body) ->
-    Fmt.pf ppf "do while (%a)@." prog_expr_top c;
-    List.iter (prog_stmt (ind + 2) ppf) body;
+    Fmt.pf ppf "do while (%a)@." expr_top c;
+    List.iter (stmt (ind + 2) ppf) body;
     Fmt.pf ppf "%aend do@." indent ind
   | Sgoto n -> Fmt.pf ppf "goto %d@." n
   | Scontinue -> Fmt.pf ppf "continue@."
@@ -304,15 +153,15 @@ let rec prog_stmt ind ppf (s : Prog.stmt) =
   | Sstop -> Fmt.pf ppf "stop@."
   | Sprint [] -> Fmt.pf ppf "print *@."
   | Sprint args ->
-    Fmt.pf ppf "print *, %a@." (Fmt.list ~sep:(Fmt.any ", ") prog_expr_top) args
-  | Sread ls -> Fmt.pf ppf "read *, %a@." (Fmt.list ~sep:(Fmt.any ", ") prog_lhs) ls
+    Fmt.pf ppf "print *, %a@." (Fmt.list ~sep:(Fmt.any ", ") expr_top) args
+  | Sread ls -> Fmt.pf ppf "read *, %a@." (Fmt.list ~sep:(Fmt.any ", ") lhs) ls
 
-(* Declarations reconstructed from the resolved symbol information. *)
-let prog_decls ppf (p : Prog.proc) =
-  let needs_decl (v : Prog.var) =
-    v.vdims <> [] || v.vty <> Implicit.ty_of_name v.vname
-  in
-  let decl_of ppf (v : Prog.var) =
+(* Declarations reconstructed from the resolved symbol information.
+   Formals, the result and common members keep their place whatever is
+   declared; a local is placed by its declaration, so every local is
+   declared. *)
+let decls ppf (p : Prog.proc) =
+  let declare (v : Prog.var) =
     match v.vdims with
     | [] -> Fmt.pf ppf "  %a %s@." Ast.pp_ty v.vty v.vname
     | ds ->
@@ -320,7 +169,9 @@ let prog_decls ppf (p : Prog.proc) =
         (Fmt.list ~sep:(Fmt.any ", ") Fmt.int)
         ds
   in
-  let declare_if_needed v = if needs_decl v then decl_of ppf v in
+  let declare_if_needed (v : Prog.var) =
+    if v.vdims <> [] || v.vty <> Implicit.ty_of_name v.vname then declare v
+  in
   List.iter declare_if_needed p.pformals;
   Option.iter declare_if_needed p.presult;
   (* common members: group consecutive same-block entries *)
@@ -349,7 +200,7 @@ let prog_decls ppf (p : Prog.proc) =
             { Prog.vname = alias; vty = g.gty; vdims = g.gdims; vkind = Kglobal g })
         members)
     (group p.pglobals);
-  List.iter declare_if_needed p.plocals;
+  List.iter declare p.plocals;
   (* data statements *)
   let data_value ppf (repeat, (c : Prog.data_const)) =
     if repeat <> 1 then Fmt.pf ppf "%d*" repeat;
@@ -379,8 +230,8 @@ let pp_proc ppf (p : Prog.proc) =
     Fmt.pf ppf "function %s(%a)@." p.pname
       (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (v : Prog.var) -> Fmt.string ppf v.vname))
       p.pformals);
-  prog_decls ppf p;
-  List.iter (prog_stmt 2 ppf) p.pbody;
+  decls ppf p;
+  List.iter (stmt 2 ppf) p.pbody;
   Fmt.pf ppf "end@."
 
 let pp_program ppf (t : Prog.t) =

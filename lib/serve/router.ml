@@ -708,6 +708,21 @@ let reject_drained rt line =
       emit rt r)
     (Server.drained_line line)
 
+(* A stopping router spawns no shard, so a parked request would wait
+   forever: it is answered as a line no shard admitted, under its
+   client's id. *)
+let drain_parked rt =
+  Queue.iter
+    (fun p ->
+      Hashtbl.remove rt.pending p.p_iid;
+      Option.iter
+        (fun (r : Request.response) ->
+          rt.st.drained <- rt.st.drained + 1;
+          emit rt { r with Request.rs_id = p.p_orig_id })
+        (Server.drained_line p.p_line))
+    rt.waiting;
+  Queue.clear rt.waiting
+
 (* Stdin is framed with serve's own cap, so an oversize line gets the
    frame [ipcp serve] answers on stdio, and, as there, ends the input. *)
 let max_line = Server.default_config.Server.max_line
@@ -867,14 +882,15 @@ let run cfg =
     if Server.stopping () then begin
       (* stop wins over anything still buffered: held lines and a
          partial line already on its way in get typed drain rejections,
-         not silence *)
+         not silence, and so do requests parked for a shard *)
       if not rt.eof then end_stdin ();
       Queue.iter
         (function
           | Transport.Framing.Line l -> reject_drained rt l
           | Transport.Framing.Oversize -> refuse_oversize rt)
         held;
-      Queue.clear held
+      Queue.clear held;
+      drain_parked rt
     end;
     while (not (Queue.is_empty held)) && has_room rt do
       match Queue.pop held with
@@ -882,7 +898,7 @@ let run cfg =
       | Transport.Framing.Oversize -> refuse_oversize rt
     done;
     if not (settled ()) then begin
-      respawn_due rt;
+      if not (Server.stopping ()) then respawn_due rt;
       heartbeat rt;
       check_route_deadlines rt;
       (* stdin is read only while every held line has been admitted and

@@ -27,7 +27,8 @@
     {- {b crash isolation}: a shard crash (segfault, OOM-kill, poison
        input) costs only that shard's in-flight work — the router and
        the other shards keep serving, and the shard respawns on a capped
-       exponential backoff with seeded jitter;}
+       exponential backoff with seeded jitter.  Requests that find no
+       shard up park until a respawn, or until a stop drains them;}
     {- {b router-scope quarantine}: the per-input circuit breaker is
        lifted to router scope — an input whose requests kill
        [breaker_threshold] shard processes is quarantined at admission
@@ -120,6 +121,10 @@ type config = {
 val default_config : config
 
 (** Run the router to completion (stdin EOF or SIGTERM/SIGINT, then a
-    full drain: every pending request resolved, shards terminated).  Returns the exit code: 0, or
-    {!Jobs.exit_input} when stdout died mid-stream. *)
+    full drain: every pending request resolved, shards terminated).  A
+    stopping router spawns no shard: a request parked for one is
+    answered [rejected]/[E-LOAD-DRAIN] under its client's id and
+    counted in [router.drained], so a stop ends the run even when no
+    shard can spawn.  Returns the exit code: 0, or {!Jobs.exit_input}
+    when stdout died mid-stream. *)
 val run : config -> int

@@ -77,6 +77,10 @@ let connect addr =
   fd
 
 module Framing = struct
+  (* [buf] holds the partial line, the bytes since the last newline.  A
+     read is scanned once, from its own first byte, so a line that
+     arrives in many reads costs its length, not its length times the
+     number of reads. *)
   type t = { buf : Buffer.t; max_line : int; mutable poisoned : bool }
 
   type event = Line of string | Oversize
@@ -84,36 +88,30 @@ module Framing = struct
   let create ~max_line = { buf = Buffer.create 256; max_line; poisoned = false }
 
   let feed t chunk =
-    if t.poisoned then []
-    else begin
-      Buffer.add_string t.buf chunk;
-      let data = Buffer.contents t.buf in
-      let events = ref [] in
-      let over () =
-        t.poisoned <- true;
-        Buffer.clear t.buf;
-        events := Oversize :: !events
-      in
-      let rec go start =
-        if not t.poisoned then
-          match String.index_from_opt data start '\n' with
-          | Some nl ->
-            if t.max_line > 0 && nl - start > t.max_line then over ()
-            else begin
-              events := Line (String.sub data start (nl - start)) :: !events;
-              go (nl + 1)
-            end
-          | None ->
-            let rest = String.length data - start in
-            if t.max_line > 0 && rest > t.max_line then over ()
-            else begin
-              Buffer.clear t.buf;
-              Buffer.add_substring t.buf data start rest
-            end
-      in
-      go 0;
-      List.rev !events
-    end
+    let events = ref [] in
+    (* the partial line grown by [n] more bytes is over the cap *)
+    let over n = t.max_line > 0 && Buffer.length t.buf + n > t.max_line in
+    let poison () =
+      t.poisoned <- true;
+      Buffer.clear t.buf;
+      events := Oversize :: !events
+    in
+    let rec go start =
+      if not t.poisoned then
+        match String.index_from_opt chunk start '\n' with
+        | Some nl when over (nl - start) -> poison ()
+        | Some nl ->
+          Buffer.add_substring t.buf chunk start (nl - start);
+          events := Line (Buffer.contents t.buf) :: !events;
+          Buffer.clear t.buf;
+          go (nl + 1)
+        | None ->
+          let rest = String.length chunk - start in
+          if over rest then poison ()
+          else Buffer.add_substring t.buf chunk start rest
+    in
+    go 0;
+    List.rev !events
 
   let finish t =
     let line =

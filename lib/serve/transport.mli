@@ -1,6 +1,7 @@
 (** Socket transport for the serving layer: address notation, listener
-    and client-connection setup, and the per-connection line framing the
-    listener's defenses hang off.
+    and client-connection setup, the line framing of every byte stream
+    the servers and the router read, and {!Outbuf}, the nonblocking
+    writes that never tear a frame.
 
     Addresses are written [unix:PATH] (a filesystem socket) or
     [tcp:HOST:PORT]; a bare string containing [/] is taken as a Unix
@@ -32,6 +33,9 @@ val connect : addr -> Unix.file_descr
     (best-effort; TCP addresses are a no-op). *)
 val unlink_addr : addr -> unit
 
+(** Line framing that costs the bytes it reads: each read is scanned
+    once, so a line that arrives in many reads (a 1 MiB line in 4096-byte
+    reads) is not rescanned or copied once per read. *)
 module Framing : sig
   type t
 
@@ -41,7 +45,9 @@ module Framing : sig
         (** the buffered line exceeded [max_line]; terminal — the
             framer ignores all further input *)
 
-  (** [max_line <= 0] leaves the length unchecked. *)
+  (** [max_line <= 0] leaves the length unchecked.  Otherwise a line of
+      [max_line] bytes (newline not counted) is a {!Line}, and one of
+      more is {!Oversize}, however the reads split it. *)
   val create : max_line:int -> t
 
   val feed : t -> string -> event list

@@ -229,18 +229,32 @@ let test_parse_multiple_units () =
   check Alcotest.int "unit count" 2 (List.length us)
 
 (* ------------------------------------------------------------------ *)
-(* Round-trip: parse → print → parse = same AST *)
+(* Round-trip: resolve → print → resolve gives back the same program *)
+
+(* What differs when [p1] is printed and the text resolved again: [None]
+   when [main] and every procedure come back, each {!Prog.equal_proc} to
+   the one printed. *)
+let roundtrip_mismatch (p1 : Prog.t) : string option =
+  let printed = Pretty.program_to_string p1 in
+  match Sema.parse_and_resolve printed with
+  | exception Loc.Error (l, m) ->
+    Some (Fmt.str "reparse failed at %a: %s\nprinted:\n%s" Loc.pp l m printed)
+  | p2 when p2.main <> p1.main || List.compare_lengths p1.procs p2.procs <> 0 ->
+    Some
+      (Fmt.str "main %s and %d procedures came back as main %s and %d"
+         p1.main (List.length p1.procs) p2.main (List.length p2.procs))
+  | p2 ->
+    List.find_map
+      (fun ((a : Prog.proc), b) ->
+        if Prog.equal_proc a b then None
+        else
+          Some
+            (Fmt.str "%s came back changed; printed:\n%a" a.pname
+               Pretty.pp_proc a))
+      (List.combine p1.procs p2.procs)
 
 let roundtrip src =
-  let ast1 = Parser.parse_program src in
-  let printed = Pretty.ast_program_to_string ast1 in
-  let ast2 =
-    try Parser.parse_program printed
-    with Loc.Error (l, m) ->
-      fail (Fmt.str "reparse failed at %a: %s\nprinted:\n%s" Loc.pp l m printed)
-  in
-  if not (Ast.equal_program ast1 ast2) then
-    fail (Fmt.str "round-trip mismatch; printed:\n%s" printed)
+  Option.iter fail (roundtrip_mismatch (Sema.parse_and_resolve src))
 
 let test_roundtrip_example () =
   roundtrip
@@ -481,9 +495,9 @@ let test_sema_call_sites_include_function_calls () =
   let main = Prog.find_proc_exn p "t" in
   check Alcotest.int "three call sites" 3 (List.length (Prog.call_sites main))
 
-(* Resolved-program printing re-resolves to an equivalent program. *)
+(* Common aliases that differ between units, typed and implicit. *)
 let test_resolved_print_reparses () =
-  let src =
+  roundtrip
     "program main\n\
      integer n, a(4)\n\
      common /cfg/ size, scale\n\
@@ -499,16 +513,21 @@ let test_resolved_print_reparses () =
      integer sz\n\
      arr(1) = k + sz\n\
      end\n"
-  in
-  let p1 = resolve src in
-  let printed = Pretty.program_to_string p1 in
-  let p2 =
-    try resolve printed
-    with Loc.Error (l, m) ->
-      fail (Fmt.str "re-resolve failed at %a: %s\nprinted:\n%s" Loc.pp l m printed)
-  in
-  check Alcotest.int "same proc count" (List.length p1.procs)
-    (List.length p2.procs)
+
+(* The printer declares every local in [plocals] order, so no program
+   comes back with its locals reordered. *)
+let test_roundtrip_suite_and_generated () =
+  List.iter
+    (fun (e : Ipcp_suite.Registry.entry) -> roundtrip e.source)
+    Ipcp_suite.Registry.entries;
+  roundtrip
+    (Ipcp_suite.Workload.generate
+       {
+         Ipcp_suite.Workload.default_spec with
+         seed = 42;
+         num_procs = 1600;
+         stmts_per_proc = 10;
+       })
 
 (* compare_param and Symbolic.compare_leaf spell out Stdlib.compare's
    order: formals before globals, then by position or by key. *)
@@ -631,6 +650,8 @@ let suite =
     ("sema call sites incl. function calls", `Quick,
       test_sema_call_sites_include_function_calls);
     ("resolved print reparses", `Quick, test_resolved_print_reparses);
+    ("resolved print round-trips the suite and 1600 procedures", `Quick,
+     test_roundtrip_suite_and_generated);
     ("param and leaf orders match Stdlib.compare", `Quick, test_param_orders);
     ("frontend allocation contract at 200 and 1600 procedures", `Quick,
      test_frontend_allocation_contract);

@@ -189,10 +189,9 @@ let prop_intra_below_inter =
 let prop_roundtrip_generated =
   QCheck2.Test.make ~name:"parse/print round-trip on generated programs"
     ~count:80 gen_seed (fun seed ->
-      let src = Workload.generate (spec_of_seed seed) in
-      let ast1 = Parser.parse_program src in
-      let ast2 = Parser.parse_program (Pretty.ast_program_to_string ast1) in
-      Ast.equal_program ast1 ast2)
+      match Test_frontend.roundtrip_mismatch (program_of_seed seed) with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_reportf "%s" m)
 
 let prop_interp_deterministic =
   QCheck2.Test.make ~name:"interpreter is deterministic" ~count:30 gen_seed

@@ -1051,7 +1051,41 @@ let test_framing_reassembles_split_lines () =
   check Alcotest.bool "trailing partial survives to finish" true
     (Transport.Framing.finish f = Some "epsi");
   check Alcotest.bool "finish resets the buffer" true
-    (Transport.Framing.finish f = None)
+    (Transport.Framing.finish f = None);
+  (* [feed]'s events for [s] cut into reads of [piece] bytes *)
+  let feed_pieces f piece s =
+    List.concat_map
+      (fun i ->
+        Transport.Framing.feed f
+          (String.sub s (i * piece) (min piece (String.length s - (i * piece)))))
+      (List.init ((String.length s + piece - 1) / piece) Fun.id)
+  in
+  let event ppf = function
+    | Transport.Framing.Line l -> Fmt.pf ppf "Line (%d bytes)" (String.length l)
+    | Oversize -> Fmt.string ppf "Oversize"
+  in
+  let events = Alcotest.testable (Fmt.Dump.list event) ( = ) in
+  let mib = String.init (1 lsl 20) (fun i -> Char.chr (97 + (i mod 26))) in
+  check events "a 1 MiB line in 4096-byte reads"
+    [ Transport.Framing.Line mib ]
+    (feed_pieces (Transport.Framing.create ~max_line:(1 lsl 20)) 4096
+       (mib ^ "\n"));
+  (* the cap counts the line's bytes, not the reads': a line of max_line
+     bytes passes, one more byte is over, the newline in either read *)
+  let at_cap = String.make 1024 'x' in
+  List.iter
+    (fun piece ->
+      check events
+        (Printf.sprintf "max_line bytes in %d-byte reads" piece)
+        [ Transport.Framing.Line at_cap ]
+        (feed_pieces (Transport.Framing.create ~max_line:1024) piece
+           (at_cap ^ "\n"));
+      check events
+        (Printf.sprintf "max_line + 1 bytes in %d-byte reads" piece)
+        [ Transport.Framing.Oversize ]
+        (feed_pieces (Transport.Framing.create ~max_line:1024) piece
+           (at_cap ^ "x\n")))
+    [ 1000; 1024; 1025 ]
 
 let test_framing_poisons_oversize () =
   let f = Transport.Framing.create ~max_line:8 in

@@ -1583,11 +1583,82 @@ let run_serve_shard () =
     List.iter
       (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
       alive);
+  (* ---- gate 7: a stopped router answers its parked requests ----
+     A request whose shard died waits, parked, for a respawn.  Here none
+     can come: the router runs from a copy of the binary, deleted once
+     its one shard is up, so every respawn fails (ENOENT).  The parked
+     request is the poison input, so its shard dies serving it, and the
+     router parks it in the same step that reaps the shard: once the
+     shard's pid is gone, the request is parked.  SIGTERM must then end
+     the router with exit 0 within 5 s, and the parked id get exactly
+     one rejected/E-LOAD-DRAIN frame. *)
+  let copy = Filename.concat dir "ipcp-deleted" in
+  write_file copy (read_file !ipcp_bin);
+  Unix.chmod copy 0o755;
+  let pids_path = Filename.concat dir "pids.parked" in
+  let sp =
+    start_proc ~env
+      [| copy; "route"; "--shards"; "1"; "--shard-pids"; pids_path;
+         "--backoff-ms"; "5"; "--backoff-cap-ms"; "40" |]
+  in
+  (match SReq.response_of_line (rpc sp (suite_line ~id:"u1" healthy)) with
+  | Ok { rs_status = SReq.Ok_done; _ } -> ()
+  | Ok r -> err "parked stop: u1: status %s" (SReq.status_name r.rs_status)
+  | Error e -> err "parked stop: u1: unparseable frame: %s" e);
+  Sys.remove copy;
+  submit sp (suite_line ~id:"parked" poison);
+  let gone pid =
+    match Unix.kill pid 0 with
+    | () -> false
+    | exception Unix.Unix_error _ -> true
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let shard = shard_pids pids_path in
+  if List.length shard <> 1 then
+    err "parked stop: %d shard pids written, expected 1" (List.length shard);
+  while
+    (not (List.for_all gone shard)) && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.02
+  done;
+  if not (List.for_all gone shard) then
+    err "parked stop: the shard serving the poison input did not die";
+  Unix.kill sp.sp_pid Sys.sigterm;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] sp.sp_pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.02;
+      wait ()
+    | 0, _ ->
+      err "parked stop: the router is still running 5 s after SIGTERM";
+      Unix.kill sp.sp_pid Sys.sigkill;
+      ignore (Unix.waitpid [] sp.sp_pid)
+    | _, Unix.WEXITED 0 -> ()
+    | _, Unix.WEXITED c -> err "parked stop: the router exited %d" c
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
+      err "parked stop: the router died by a signal"
+  in
+  wait ();
+  close_out_noerr sp.sp_send;
+  let out = read_to_eof sp.sp_recv in
+  close_in_noerr sp.sp_recv;
+  (match
+     List.filter
+       (fun (r : SReq.response) -> r.rs_id = "parked")
+       (parse_responses out)
+   with
+  | [ { rs_status = SReq.Rejected; rs_error = Some e; _ } ]
+    when e.SErr.e_code = "E-LOAD-DRAIN" ->
+    ()
+  | frames ->
+    err "parked stop: %d frame(s) for the parked request, expected one \
+         rejected/E-LOAD-DRAIN" (List.length frames));
   if !failures = 0 then begin
     Fmt.pr
       "serve-shard: identity, SIGKILL conservation, poison quarantine, \
-       session failover, socket-defense and router-SIGKILL gates all passed \
-       (shards 1/2/4)@.";
+       session failover, socket-defense, router-SIGKILL and parked-stop \
+       gates all passed (shards 1/2/4)@.";
     0
   end
   else begin
